@@ -523,6 +523,80 @@ TEST(RunYcsb, ProfilesHaveDocumentedShapes)
     EXPECT_EQ(workload::YcsbProfile("diurnal", base).phases.size(), 4u);
 }
 
+/** Order-sensitive FNV-1a over a key sequence. */
+uint64_t
+HashKeys(const std::vector<uint64_t> &keys)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (uint64_t k : keys) {
+        h ^= k;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** A small real single-node store with keys 1..@p count put through it. */
+struct SmallStore
+{
+    sim::Simulator sim;
+    testbed::KvStack stack;
+    std::vector<uint64_t> keys;
+
+    explicit SmallStore(uint64_t count)
+    {
+        testbed::KvStackConfig kc;
+        kc.stack.capacity_scale = 0.02;
+        kc.stack.with_io_stack = false;
+        kc.store.slice_count = 2;
+        stack = testbed::BuildKvStack(sim, kc);
+        for (uint64_t k = 1; k <= count; ++k) {
+            keys.push_back(k);
+            stack.store->Put(k, 4 * util::kKiB, [](bool) {});
+        }
+        sim.Run();
+        // Flushed, so reads pay real device time.
+        for (uint32_t s = 0; s < stack.store->slice_count(); ++s) {
+            stack.store->slice(s).Flush();
+        }
+        sim.Run();
+    }
+};
+
+TEST(RunYcsb, OpenLoopRunOverAStoreIsPinned)
+{
+    // Golden numbers for one open-loop run over a real store: any change
+    // to the arrival clock, the op-mix draw order or the accounting shows
+    // up here as a diff, not as a silently shifted benchmark.
+    SmallStore st(200);
+    workload::YcsbConfig cfg;
+    cfg.arrival_rate = 5000;
+    cfg.duration = util::MsToNs(100);
+    cfg.seed = 37;
+    cfg.scan_limit_max = 8;
+    cfg.first_insert_key = 10000;
+    workload::YcsbPhase p;
+    p.mix = {0.6, 0.2, 0.1, 0.1};
+    cfg.phases = {p};
+    const auto r =
+        workload::RunYcsb(st.sim, workload::ServiceFor(*st.stack.store),
+                          st.keys, cfg);
+
+    EXPECT_EQ(r.issued, 470u);
+    EXPECT_EQ(r.completed, 470u);
+    EXPECT_EQ(r.ok_reads, 272u);
+    EXPECT_EQ(r.ok_updates, 104u);
+    EXPECT_EQ(r.ok_inserts, 43u);
+    EXPECT_EQ(r.ok_scans, 51u);
+    EXPECT_EQ(r.scanned_keys, 201u);
+    EXPECT_EQ(r.misses, 0u);
+    EXPECT_EQ(r.shed_overloaded, 0u);
+    EXPECT_EQ(r.shed_deadline, 0u);
+    EXPECT_EQ(r.errors, 0u);
+    EXPECT_EQ(r.slo_violations, 0u);
+    EXPECT_DOUBLE_EQ(r.p99_ms, 1.15671);
+    EXPECT_EQ(HashKeys(r.acked_writes), 10660535410151090907ULL);
+}
+
 // ---------------------------------------------------------------------------
 // Cluster range scans: exactness under concurrent writes and restart.
 // ---------------------------------------------------------------------------
