@@ -32,6 +32,7 @@
 #include "fault/fault.h"
 #include "util/assert.h"
 #include "util/table_printer.h"
+#include "workload/ycsb.h"
 
 namespace sdf {
 namespace {
@@ -55,20 +56,35 @@ MakeConfig(uint32_t nodes, uint32_t replication)
 
 /** Preload via the router; @return the keys (aborts on a failed put). */
 std::vector<uint64_t>
-Preload(sim::Simulator &sim, cluster::Cluster &cl, uint32_t count)
+Preload(cluster::Cluster &cl)
 {
-    std::vector<uint64_t> keys;
-    uint64_t acked = 0;
-    for (uint32_t k = 0; k < count; ++k) {
-        keys.push_back(k + 1);
-        cl.router().Put(k + 1, kValueBytes,
-                        [&acked](bool ok) { acked += ok ? 1 : 0; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    SDF_CHECK_MSG(acked == count, "cluster preload failed");
+    std::vector<uint64_t> keys = cl.Preload(kPreloadKeys, kValueBytes);
+    SDF_CHECK_MSG(keys.size() == kPreloadKeys, "cluster preload failed");
     return keys;
+}
+
+/**
+ * The load every phase runs: 8 closed-loop clients through the router,
+ * uniform reads of the population and inserts of fresh keys.
+ */
+workload::YcsbResult
+RunLoad(sim::Simulator &sim, cluster::Cluster &cl,
+        const std::vector<uint64_t> &keys, double read_fraction,
+        util::TimeNs duration)
+{
+    workload::YcsbConfig cfg;
+    cfg.actors = 8;
+    cfg.duration = duration;
+    cfg.value_bytes = kValueBytes;
+    cfg.phases = {workload::UniformMix(read_fraction)};
+    return workload::RunYcsb(sim, cl.Service(), keys, cfg);
+}
+
+/** Payload MB/s of @p ops values (all kValueBytes) over @p duration. */
+double
+Mbps(uint64_t ops, util::TimeNs duration)
+{
+    return util::BandwidthMBps(ops * kValueBytes, duration);
 }
 
 int
@@ -84,24 +100,18 @@ RunScaling(bench::ObsCli &obs)
         sim::Simulator sim;
         bench::BindObs(sim);
         cluster::Cluster cl(sim, MakeConfig(nodes, 2));
-        const auto keys = Preload(sim, cl, kPreloadKeys);
-
-        workload::MixedRunConfig mc;
-        mc.read_fraction = 0.9;
-        mc.value_bytes = kValueBytes;
-        mc.duration = util::SecToNs(0.4);
-        const workload::KvService svc = cl.Service();
-        const auto r = workload::RunMixedLoad(sim, svc, keys, mc);
+        const util::TimeNs dur = util::SecToNs(0.4);
+        const auto r = RunLoad(sim, cl, Preload(cl), 0.9, dur);
 
         table.AddRow({std::to_string(nodes),
-                      util::TablePrinter::Num(r.ops_per_sec, 0),
-                      util::TablePrinter::Num(r.read_mbps),
-                      util::TablePrinter::Num(r.write_mbps),
+                      util::TablePrinter::Num(r.goodput_ops_per_sec, 0),
+                      util::TablePrinter::Num(Mbps(r.ok_reads, dur)),
+                      util::TablePrinter::Num(Mbps(r.ok_inserts, dur)),
                       util::TablePrinter::Num(r.read_p99_ms, 2)});
         obs.AddDerived("scaling.nodes" + std::to_string(nodes) + ".ops_per_sec",
-                       r.ops_per_sec);
-        if (r.ops_per_sec < prev_ops) monotonic = false;
-        prev_ops = r.ops_per_sec;
+                       r.goodput_ops_per_sec);
+        if (r.goodput_ops_per_sec < prev_ops) monotonic = false;
+        prev_ops = r.goodput_ops_per_sec;
     }
     table.Print();
     std::printf("throughput %s with node count\n\n",
@@ -116,7 +126,7 @@ RunDegraded(bench::ObsCli &obs)
     sim::Simulator sim;
     bench::BindObs(sim);
     cluster::Cluster cl(sim, MakeConfig(3, 2));
-    const auto keys = Preload(sim, cl, kPreloadKeys);
+    const auto keys = Preload(cl);
 
     // Kill every channel of node 0's device mid-window.
     const util::TimeNs t_kill = sim.Now() + util::MsToNs(200);
@@ -133,51 +143,35 @@ RunDegraded(bench::ObsCli &obs)
     fault::FaultInjector injector(sim, cl.SdfDevices(),
                                   fault::FaultPlan(std::move(events)));
 
-    workload::MixedRunConfig mc;
-    mc.read_fraction = 0.7;  // Write-heavier: exercises acked-write safety.
-    mc.value_bytes = kValueBytes;
-    mc.duration = util::SecToNs(0.4);
-    const workload::KvService svc = cl.Service();
-    const auto r = workload::RunMixedLoad(sim, svc, keys, mc);
-
-    // Audit: every acknowledged write must still be readable. Closed-loop
-    // with a few streams — flooding every key at once would overflow the
-    // RPC timeout and report congestion as data loss.
-    uint64_t lost = 0, audited = 0;
-    size_t next = 0;
-    std::function<void()> audit_step = [&]() {
-        if (next >= r.acked_writes.size()) return;
-        const uint64_t key = r.acked_writes[next++];
-        cl.router().Get(key, [&](const kv::GetResult &res) {
-            ++audited;
-            if (!res.ok || !res.found) ++lost;
-            audit_step();
-        });
-    };
-    for (uint32_t s = 0; s < 8; ++s) audit_step();
-    sim.Run();
+    // Write-heavier: exercises acked-write safety.
+    const auto r = RunLoad(sim, cl, keys, 0.7, util::SecToNs(0.4));
+    // Audit: every acknowledged write must still be readable.
+    const cluster::Cluster::Audit audit = cl.AuditKeys(r.acked_writes);
+    const uint64_t lost = audit.lost;
 
     const kv::ReplicatedKvStats &rs = cl.router().stats();
     std::printf("node 0 died at t=%.0f ms (%llu channel deaths applied)\n",
                 util::NsToMs(t_kill),
                 static_cast<unsigned long long>(injector.stats().deaths));
-    std::printf("load: %llu reads (%llu degraded, %llu failed), "
-                "%llu writes (%llu acked, %llu failed)\n",
-                static_cast<unsigned long long>(r.reads),
+    std::printf("load: %llu ops, %llu reads ok (%llu degraded, %llu failed), "
+                "%llu inserts acked, %llu ops failed\n",
+                static_cast<unsigned long long>(r.completed),
+                static_cast<unsigned long long>(r.ok_reads),
                 static_cast<unsigned long long>(rs.degraded_reads),
                 static_cast<unsigned long long>(rs.failed_reads),
-                static_cast<unsigned long long>(r.writes),
-                static_cast<unsigned long long>(r.acked_writes.size()),
-                static_cast<unsigned long long>(r.write_errors));
+                static_cast<unsigned long long>(r.ok_inserts),
+                static_cast<unsigned long long>(r.shed_overloaded +
+                                                r.shed_deadline + r.errors));
     std::printf("read-repair: %llu re-replications, recovery p99 %.2f ms\n",
                 static_cast<unsigned long long>(rs.re_replications),
                 cl.router().recovery_latencies().count() > 0
                     ? cl.router().recovery_latencies().PercentileMs(99)
                     : 0.0);
     std::printf("audit: %llu acked writes, %llu lost\n\n",
-                static_cast<unsigned long long>(audited),
+                static_cast<unsigned long long>(audit.audited),
                 static_cast<unsigned long long>(lost));
-    obs.AddDerived("degraded.acked_writes", static_cast<double>(audited));
+    obs.AddDerived("degraded.acked_writes",
+                   static_cast<double>(audit.audited));
     obs.AddDerived("degraded.lost", static_cast<double>(lost));
     obs.AddDerived("degraded.degraded_reads",
                    static_cast<double>(rs.degraded_reads));
@@ -198,7 +192,7 @@ RunRecovery(bench::ObsCli &obs)
     sim::Simulator sim;
     bench::BindObs(sim);
     cluster::Cluster cl(sim, MakeConfig(4, 2));
-    const auto keys = Preload(sim, cl, kPreloadKeys);
+    const auto keys = Preload(cl);
 
     // Roll node 1 in the middle of the load window: process stop at
     // 150 ms, restart (recovery scan + rebalance pass) at 300 ms.
@@ -209,12 +203,9 @@ RunRecovery(bench::ObsCli &obs)
         cl.RestartNode(1, [&rebalanced]() { rebalanced = true; });
     });
 
-    workload::MixedRunConfig mc;
-    mc.read_fraction = 0.7;  // Write-heavier: exercises acked-write safety.
-    mc.value_bytes = kValueBytes;
-    mc.duration = util::SecToNs(0.5);
-    const workload::KvService svc = cl.Service();
-    const auto r = workload::RunMixedLoad(sim, svc, keys, mc);
+    // Write-heavier: exercises acked-write safety.
+    const util::TimeNs dur = util::SecToNs(0.5);
+    const auto r = RunLoad(sim, cl, keys, 0.7, dur);
     sim.Run();
     SDF_CHECK_MSG(rebalanced, "restart rebalance never completed");
     const auto &rec = cl.node(1).recovery();
@@ -231,27 +222,17 @@ RunRecovery(bench::ObsCli &obs)
     const uint64_t under = cl.rebalancer().CountUnderReplicated();
 
     // Audit everything the cluster ever acknowledged — the preload plus
-    // every acked mixed-load write — through the 3 surviving nodes.
+    // every acked insert — through the 3 surviving nodes.
     std::vector<uint64_t> audit_keys = keys;
     audit_keys.insert(audit_keys.end(), r.acked_writes.begin(),
                       r.acked_writes.end());
-    uint64_t lost = 0, audited = 0;
-    size_t next = 0;
-    std::function<void()> audit_step = [&]() {
-        if (next >= audit_keys.size()) return;
-        const uint64_t key = audit_keys[next++];
-        cl.router().Get(key, [&](const kv::GetResult &res) {
-            ++audited;
-            if (!res.ok || !res.found) ++lost;
-            audit_step();
-        });
-    };
-    for (uint32_t s = 0; s < 8; ++s) audit_step();
-    sim.Run();
+    const cluster::Cluster::Audit audit = cl.AuditKeys(audit_keys);
+    const uint64_t lost = audit.lost;
 
     std::printf("during-restart load: %.0f ops/s, read %.1f MB/s, "
                 "write %.1f MB/s, read p99 %.2f ms\n",
-                r.ops_per_sec, r.read_mbps, r.write_mbps, r.read_p99_ms);
+                r.goodput_ops_per_sec, Mbps(r.ok_reads, dur),
+                Mbps(r.ok_inserts, dur), r.read_p99_ms);
     std::printf("node 1 recovery: %llu patches (%.1f MiB) scanned, %llu WAL "
                 "records, %.2f ms to serving\n",
                 static_cast<unsigned long long>(rec.patches_scanned),
@@ -267,11 +248,12 @@ RunRecovery(bench::ObsCli &obs)
                 static_cast<double>(rb.last_pass_ns) / 1e6,
                 static_cast<unsigned long long>(under));
     std::printf("audit: %llu acked keys, %llu lost\n\n",
-                static_cast<unsigned long long>(audited),
+                static_cast<unsigned long long>(audit.audited),
                 static_cast<unsigned long long>(lost));
     obs.AddDerived("recovery.node1_recovery_ms",
                    static_cast<double>(rec.last_recovery_ns) / 1e6);
-    obs.AddDerived("recovery.during_restart_ops_per_sec", r.ops_per_sec);
+    obs.AddDerived("recovery.during_restart_ops_per_sec",
+                   r.goodput_ops_per_sec);
     obs.AddDerived("recovery.anti_entropy_ms",
                    static_cast<double>(rb.last_pass_ns) / 1e6);
     obs.AddDerived("recovery.keys_moved",

@@ -24,7 +24,6 @@
  * storm window, or any acked write is lost.
  */
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -57,42 +56,6 @@ MakeConfig()
     return cc;
 }
 
-std::vector<uint64_t>
-Preload(sim::Simulator &sim, cluster::Cluster &cl)
-{
-    std::vector<uint64_t> keys;
-    uint64_t acked = 0;
-    for (uint32_t k = 0; k < kPreloadKeys; ++k) {
-        keys.push_back(k + 1);
-        cl.router().Put(k + 1, kValueBytes,
-                        [&acked](bool ok) { acked += ok ? 1 : 0; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    SDF_CHECK_MSG(acked == kPreloadKeys, "cluster preload failed");
-    return keys;
-}
-
-uint64_t
-AuditAckedWrites(sim::Simulator &sim, cluster::Cluster &cl,
-                 const std::vector<uint64_t> &acked)
-{
-    uint64_t lost = 0;
-    size_t next = 0;
-    std::function<void()> step = [&]() {
-        if (next >= acked.size()) return;
-        const uint64_t key = acked[next++];
-        cl.router().Get(key, [&](const kv::GetResult &res) {
-            if (!res.ok || !res.found) ++lost;
-            step();
-        });
-    };
-    for (uint32_t s = 0; s < 8; ++s) step();
-    sim.Run();
-    return lost;
-}
-
 struct SuiteOutcome
 {
     workload::YcsbResult r;
@@ -106,7 +69,8 @@ RunProfile(const std::string &profile, double rate, util::TimeNs dur,
     sim::Simulator sim;
     bench::BindObs(sim);
     cluster::Cluster cl(sim, MakeConfig());
-    const auto keys = Preload(sim, cl);
+    const auto keys = cl.Preload(kPreloadKeys, kValueBytes);
+    SDF_CHECK_MSG(keys.size() == kPreloadKeys, "cluster preload failed");
 
     client::KvClientConfig kc;
     kc.window_per_node = 32;
@@ -134,7 +98,7 @@ RunProfile(const std::string &profile, double rate, util::TimeNs dur,
 
     SuiteOutcome out;
     out.r = workload::RunYcsb(sim, client.Service(), keys, cfg);
-    out.lost = AuditAckedWrites(sim, cl, out.r.acked_writes);
+    out.lost = cl.AuditKeys(out.r.acked_writes).lost;
     return out;
 }
 

@@ -4,8 +4,9 @@
 # build (-DSDF_SANITIZE=ON), each in its own build tree. Also smoke-tests
 # the observability exports (stats JSON invariants, trace well-formedness,
 # same-seed byte identity) via tools/validate_stats.py, the cluster
-# workload (same-seed determinism + degraded-mode zero-loss), and the
-# open-loop overload workload (typed sheds, fail-slow hedging/breaker).
+# workload (same-seed determinism + degraded-mode zero-loss), the
+# open-loop overload workload (typed sheds, fail-slow hedging/breaker),
+# YCSB traffic under disruptions, and sdfsim's bad-input exits.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -100,6 +101,25 @@ python3 tools/validate_stats.py "$obs_tmp/y1.json" \
     --replication=2 --duration=0.3 --arrival-rate=40000 \
     --stats-json="$obs_tmp/ystorm.json" > /dev/null
 python3 tools/validate_stats.py "$obs_tmp/ystorm.json" --check-phases
+# The disruption flags apply in every cluster mode: a rolling restart and
+# a fail-slow node under YCSB traffic, nonzero exit on any lost ack.
+./build/tools/sdfsim --workload=ycsb --profile=a --nodes=3 --replication=2 \
+    --duration=0.3 --restart-node=1 > /dev/null
+./build/tools/sdfsim --workload=ycsb --nodes=3 --replication=2 \
+    --duration=0.2 --fail-slow-node=1 > /dev/null
+
+echo "== bad input =="
+# Unusable flag values are rejected with a message and exit 1 — never an
+# abort (134) from an assertion deep inside the engine.
+for bad in --profile=bogus --nodes=x --keys=0 --arrival-rate=0 \
+    --scan-limit=0; do
+    rc=0
+    ./build/tools/sdfsim --workload=ycsb "$bad" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "sdfsim --workload=ycsb $bad: exit $rc, want 1" >&2
+        exit 1
+    fi
+done
 
 echo "== engine cross-check (heap vs calendar) =="
 # The two event engines must produce byte-identical runs: same seed, same
@@ -164,5 +184,10 @@ cmake --build build-asan -j
 ./build-asan/tools/sdfsim --workload=ycsb --profile=e --nodes=3 \
     --replication=2 --duration=0.2 --arrival-rate=400 --keys=200 \
     > /dev/null
+# Disruptions under YCSB traffic (restart + rebalance, fail-slow window).
+./build-asan/tools/sdfsim --workload=ycsb --profile=a --nodes=3 \
+    --replication=2 --duration=0.3 --restart-node=1 > /dev/null
+./build-asan/tools/sdfsim --workload=ycsb --nodes=3 --replication=2 \
+    --duration=0.2 --fail-slow-node=1 > /dev/null
 
 echo "All checks passed."

@@ -791,7 +791,7 @@ ClusterRouter::Service()
     return svc;
 }
 
-Cluster::Cluster(sim::Simulator &sim, const ClusterConfig &cfg)
+Cluster::Cluster(sim::Simulator &sim, const ClusterConfig &cfg) : sim_(sim)
 {
     SDF_CHECK(cfg.nodes > 0);
     nodes_.reserve(cfg.nodes);
@@ -834,6 +834,46 @@ void
 Cluster::FlushAll()
 {
     for (auto &n : nodes_) n->FlushAll();
+}
+
+std::vector<uint64_t>
+Cluster::Preload(uint32_t count, uint32_t value_bytes)
+{
+    std::vector<bool> acked(count, false);
+    for (uint32_t k = 0; k < count; ++k) {
+        router_->Put(k + 1, value_bytes,
+                     [&acked, k](bool ok) { acked[k] = ok; });
+    }
+    sim_.Run();
+    FlushAll();
+    sim_.Run();
+    std::vector<uint64_t> keys;
+    for (uint32_t k = 0; k < count; ++k) {
+        if (acked[k]) keys.push_back(k + 1);
+    }
+    return keys;
+}
+
+Cluster::Audit
+Cluster::AuditKeys(const std::vector<uint64_t> &keys)
+{
+    Audit out;
+    size_t next = 0;
+    std::function<void()> step = [&]() {
+        if (next >= keys.size()) return;
+        const uint64_t key = keys[next++];
+        router_->Get(key, [&, key](const kv::GetResult &res) {
+            ++out.audited;
+            if (!res.ok || !res.found) {
+                ++out.lost;
+                if (out.lost_keys.size() < 10) out.lost_keys.push_back(key);
+            }
+            step();
+        });
+    };
+    for (uint32_t s = 0; s < 8; ++s) step();
+    sim_.Run();
+    return out;
 }
 
 std::vector<core::SdfDevice *>

@@ -450,11 +450,35 @@ class Cluster
 
     void FlushAll();
 
+    /**
+     * Put keys 1..@p count of @p value_bytes through the router (so
+     * placement matches the read path), drain, flush every memtable and
+     * drain again. @return the keys that acked, ascending — fewer than
+     * @p count means the preload failed.
+     */
+    std::vector<uint64_t> Preload(uint32_t count, uint32_t value_bytes);
+
+    /** Outcome of AuditKeys. */
+    struct Audit
+    {
+        uint64_t audited = 0;
+        uint64_t lost = 0;
+        std::vector<uint64_t> lost_keys;  ///< The first 10 lost, in order.
+    };
+
+    /**
+     * Read every key in @p keys back through the router (8 closed-loop
+     * streams, so the audit itself cannot congest the RPC path into
+     * timeouts) and drain. A key is lost when its read fails or misses.
+     */
+    Audit AuditKeys(const std::vector<uint64_t> &keys);
+
     /** The nodes' SDF devices (for fault::FaultInjector); skips nodes on
      *  conventional-SSD backends. */
     std::vector<core::SdfDevice *> SdfDevices();
 
   private:
+    sim::Simulator &sim_;
     std::vector<std::unique_ptr<StorageNode>> nodes_;
     std::unique_ptr<ClusterRouter> router_;
     std::unique_ptr<Rebalancer> rebalancer_;

@@ -32,6 +32,16 @@ std::vector<std::vector<uint64_t>>
 PreloadSlices(const std::vector<kv::Slice *> &slices, uint64_t bytes_per_slice,
               uint32_t value_size);
 
+/**
+ * Preload keys 1..@p count of @p value_size into @p store, each in the
+ * slice the store routes it to, as sorted full patches (no simulated
+ * time). Unlike PreloadSlices' slice-tagged keys, every key is then
+ * readable through Store::Get and ServiceFor(store).
+ * @return the keys, ascending.
+ */
+std::vector<uint64_t> PreloadStore(kv::Store &store, uint64_t count,
+                                   uint32_t value_size);
+
 /** Result of a KV workload run. */
 struct KvRunResult
 {
@@ -86,10 +96,11 @@ KvRunResult RunKvWrites(sim::Simulator &sim, net::Network &net,
                         const KvRunConfig &run);
 
 /**
- * A put/get frontend the generic drivers can target: a single Store, an
- * R-way ReplicatedKv, or a whole cluster::ClusterRouter — the driver does
- * not care where the keys live. `put` must ack durability; `get` must
- * deliver the stored value size (res.found) or a typed failure (res.ok).
+ * A put/get frontend the load engine (workload::RunYcsb) can target: a
+ * single Store, a cluster::ClusterRouter or a client::KvClient — the
+ * engine does not care where the keys live. `put` must ack durability;
+ * `get` must deliver the stored value size (res.found) or a typed
+ * failure (res.ok).
  */
 struct KvService
 {
@@ -117,101 +128,6 @@ struct KvService
 
 /** KvService over a local Store (no network). */
 KvService ServiceFor(kv::Store &store);
-
-/** Parameters for the closed-loop mixed read/write driver. */
-struct MixedRunConfig
-{
-    double read_fraction = 0.9;   ///< Probability an op is a read.
-    uint32_t actors = 8;          ///< Concurrent closed-loop clients.
-    uint32_t value_bytes = 64 * util::kKiB;
-    TimeNs duration = util::SecToNs(0.5);
-    uint64_t seed = 7;
-    /** Fresh-write keys are allocated upward from here (must not collide
-     *  with the preloaded population). */
-    uint64_t first_write_key = uint64_t{1} << 32;
-};
-
-/** Outcome of a mixed run. */
-struct MixedRunResult
-{
-    uint64_t reads = 0;
-    uint64_t writes = 0;
-    uint64_t read_errors = 0;   ///< res.ok == false (all replicas failed).
-    uint64_t read_misses = 0;   ///< res.ok but key not found.
-    uint64_t write_errors = 0;  ///< Put acked false (no durable copy).
-    uint64_t read_bytes = 0;
-    double ops_per_sec = 0;
-    double read_mbps = 0;   ///< Payload bytes delivered to clients.
-    double write_mbps = 0;  ///< Acked payload bytes written.
-    double read_mean_ms = 0;
-    double read_p99_ms = 0;
-    double write_mean_ms = 0;
-    double write_p99_ms = 0;
-    /** Keys whose Put was acknowledged — the audit set for fault runs. */
-    std::vector<uint64_t> acked_writes;
-};
-
-/**
- * Closed-loop mixed read/write load against any KvService: @p actors
- * clients each keep exactly one op in flight for cfg.duration. Reads pick
- * uniformly from @p keys plus every key already written and acked by this
- * run; writes allocate fresh keys upward from cfg.first_write_key.
- * Deterministic for a given (service, keys, cfg). Drives the simulator
- * internally and returns once all in-flight ops have drained.
- */
-MixedRunResult RunMixedLoad(sim::Simulator &sim, const KvService &svc,
-                            const std::vector<uint64_t> &keys,
-                            const MixedRunConfig &cfg);
-
-/** Parameters for the open-loop (arrival-process) driver. */
-struct OpenRunConfig
-{
-    /** Mean request arrival rate, ops/sec (Poisson process). */
-    double arrival_rate = 50000.0;
-    double read_fraction = 0.9;
-    uint32_t value_bytes = 4 * util::kKiB;
-    TimeNs duration = util::SecToNs(0.5);
-    uint64_t seed = 7;
-    uint64_t first_write_key = uint64_t{1} << 32;
-    /** Arrival-rate multiplier inside [storm_start, storm_end): models a
-     *  traffic storm. 1.0 (or an empty window) = steady load. */
-    double storm_factor = 1.0;
-    TimeNs storm_start = 0;
-    TimeNs storm_end = 0;
-};
-
-/** Outcome of an open-loop run. */
-struct OpenRunResult
-{
-    uint64_t issued = 0;      ///< Arrivals handed to the service.
-    uint64_t completed = 0;   ///< Callbacks that came back (all outcomes).
-    uint64_t ok_reads = 0;    ///< Found + delivered.
-    uint64_t ok_writes = 0;   ///< Durably acked.
-    uint64_t misses = 0;      ///< Clean read misses.
-    uint64_t shed_overloaded = 0;  ///< Typed kOverloaded outcomes.
-    uint64_t shed_deadline = 0;    ///< Typed kDeadlineExceeded outcomes.
-    uint64_t errors = 0;           ///< Untyped failures.
-    double offered_ops_per_sec = 0;  ///< issued / duration.
-    double goodput_ops_per_sec = 0;  ///< (ok_reads+ok_writes+misses) / duration.
-    double p50_ms = 0;   ///< Completed-op latency, all ops.
-    double p99_ms = 0;
-    double p999_ms = 0;
-    double read_p99_ms = 0;  ///< Successful reads only.
-    /** Keys whose Put was acked — the consistency-audit set. */
-    std::vector<uint64_t> acked_writes;
-};
-
-/**
- * Open-loop Poisson load against any KvService: requests arrive on a
- * seeded exponential clock regardless of how many are already in flight —
- * the regime where overload happens. Inside the storm window the arrival
- * rate is multiplied by cfg.storm_factor. Issue is fire-and-forget; the
- * run drains all in-flight ops before returning. Deterministic for a
- * given (service, keys, cfg).
- */
-OpenRunResult RunOpenLoad(sim::Simulator &sim, const KvService &svc,
-                          const std::vector<uint64_t> &keys,
-                          const OpenRunConfig &cfg);
 
 }  // namespace sdf::workload
 

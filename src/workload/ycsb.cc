@@ -103,23 +103,26 @@ ZipfianGenerator::Pmf(uint64_t k) const
 // Profiles
 // ---------------------------------------------------------------------------
 
-YcsbConfig
-YcsbProfile(const std::string &name, YcsbConfig base)
+namespace {
+
+/** The named profile's phase schedule; empty for an unknown name. */
+std::vector<YcsbPhase>
+ProfilePhases(const std::string &name)
 {
-    base.phases.clear();
+    std::vector<YcsbPhase> phases;
     YcsbPhase p;
     if (name == "a") {
         p.mix = OpMix{0.5, 0.5, 0.0, 0.0};
-        base.phases.push_back(p);
+        phases.push_back(p);
     } else if (name == "b") {
         p.mix = OpMix{0.95, 0.05, 0.0, 0.0};
-        base.phases.push_back(p);
+        phases.push_back(p);
     } else if (name == "c") {
         p.mix = OpMix{1.0, 0.0, 0.0, 0.0};
-        base.phases.push_back(p);
+        phases.push_back(p);
     } else if (name == "e") {
         p.mix = OpMix{0.0, 0.0, 0.05, 0.95};
-        base.phases.push_back(p);
+        phases.push_back(p);
     } else if (name == "storm") {
         // Flash crowd: steady B-mix traffic, then 3x arrivals focused on
         // a 5%-of-keyspace hot range, then recovery at the base rate.
@@ -139,7 +142,7 @@ YcsbProfile(const std::string &name, YcsbConfig base)
         recovery.name = "recovery";
         recovery.duration_fraction = 0.4;
         recovery.mix = OpMix{0.95, 0.05, 0.0, 0.0};
-        base.phases = {steady, spike, recovery};
+        phases = {steady, spike, recovery};
     } else if (name == "diurnal") {
         // Rate ramp through the day plus the read-mostly -> write-heavy
         // shift in the evening window (batch ingest after peak reads).
@@ -163,11 +166,47 @@ YcsbProfile(const std::string &name, YcsbConfig base)
         evening.duration_fraction = 0.25;
         evening.rate_multiplier = 1.0;
         evening.mix = OpMix{0.3, 0.6, 0.1, 0.0};
-        base.phases = {night, morning, noon, evening};
-    } else {
-        SDF_CHECK_MSG(false, "unknown ycsb profile");
+        phases = {night, morning, noon, evening};
     }
+    return phases;
+}
+
+}  // namespace
+
+YcsbConfig
+YcsbProfile(const std::string &name, YcsbConfig base)
+{
+    base.phases = ProfilePhases(name);
+    SDF_CHECK_MSG(!base.phases.empty(), "unknown ycsb profile");
     return base;
+}
+
+bool
+IsYcsbProfile(const std::string &name)
+{
+    return !ProfilePhases(name).empty();
+}
+
+YcsbPhase
+UniformMix(double read_fraction)
+{
+    YcsbPhase p;
+    p.mix = OpMix{read_fraction, 0.0, 1.0 - read_fraction, 0.0};
+    p.chooser = KeyChooser::kUniform;
+    return p;
+}
+
+std::vector<YcsbPhase>
+StormSchedule(double read_fraction, double storm)
+{
+    YcsbPhase p = UniformMix(read_fraction);
+    p.chooser = KeyChooser::kPreloaded;
+    std::vector<YcsbPhase> phases(3, p);
+    phases[0].name = "steady";
+    phases[1].name = "storm";
+    phases[1].rate_multiplier = storm;
+    phases[2].name = "recovery";
+    return phases;
 }
 
 // ---------------------------------------------------------------------------
@@ -191,7 +230,7 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
 {
     SDF_CHECK(svc.get != nullptr);
     SDF_CHECK(svc.put != nullptr || svc.put_typed != nullptr);
-    SDF_CHECK(cfg.arrival_rate > 0);
+    SDF_CHECK(cfg.actors > 0 || cfg.arrival_rate > 0);
     SDF_CHECK(!keys.empty());
 
     auto put_typed = svc.put_typed;
@@ -264,6 +303,7 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
         const size_t n = population.size();
         switch (p.chooser) {
             case KeyChooser::kUniform: return rng.NextBelow(n);
+            case KeyChooser::kPreloaded: return rng.NextBelow(n0);
             case KeyChooser::kZipfian: {
                 // Ranks are drawn over the initial population (the
                 // preloaded working set); scrambling spreads the hot
@@ -310,7 +350,7 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
 
     // ---- accounting -----------------------------------------------------
     YcsbResult result;
-    util::LatencyRecorder total_lat;
+    util::LatencyRecorder total_lat, read_lat;
     std::vector<PhaseAcc> accs(phases.size());
     for (size_t i = 0; i < phases.size(); ++i) {
         accs[i].out.name = phases[i].name;
@@ -328,6 +368,15 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
         }
     };
 
+    // Closed loop: each completion hands its client's slot to the next op
+    // (posted, so a service that completes inline cannot recurse).
+    std::function<void()> issue_one;
+    auto next_op = [&]() {
+        if (cfg.actors > 0 && sim.Now() < t_end) {
+            sim.Post([&issue_one]() { issue_one(); });
+        }
+    };
+
     // Completion bookkeeping shared by every op type: latency into the
     // issue phase's recorder, SLO check (failures always violate; slow
     // successes violate past cfg.slo).
@@ -338,9 +387,10 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
         a.lat.Record(lat);
         total_lat.Record(lat);
         if (failed || lat > cfg.slo) ++a.out.slo_violations;
+        next_op();
     };
 
-    auto issue_one = [&]() {
+    issue_one = [&]() {
         const TimeNs now = sim.Now();
         const size_t pi = phase_of(now);
         const YcsbPhase &phase = phases[pi];
@@ -366,6 +416,7 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
                     complete(pi, t0, false);
                     ++pa.out.misses;
                 } else {
+                    read_lat.Record(sim.Now() - t0);
                     complete(pi, t0, false);
                     ++pa.out.ok_reads;
                 }
@@ -437,10 +488,10 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
                  });
     };
 
-    // The arrival process: one seeded exponential clock, fire-and-forget
-    // issue, with the *rate* scaled by the current phase's multiplier so
-    // a 3x spike really offers 3x the load (same shape as RunOpenLoad's
-    // storm window).
+    // The open-loop arrival process: one seeded exponential clock,
+    // fire-and-forget issue, with the *rate* scaled by the current phase's
+    // multiplier so a 3x spike really offers 3x the load. Closed loop
+    // starts every client at once instead; completions keep them going.
     std::function<void()> arrive = [&]() {
         if (sim.Now() >= t_end) return;
         issue_one();
@@ -452,7 +503,13 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
         if (gap == 0) gap = 1;  // Never two arrivals at the same tick.
         sim.Schedule(gap, arrive);
     };
-    sim.Post([&arrive]() { arrive(); });
+    if (cfg.actors == 0) {
+        sim.Post([&arrive]() { arrive(); });
+    } else {
+        for (uint32_t a = 0; a < cfg.actors; ++a) {
+            sim.Post([&issue_one]() { issue_one(); });
+        }
+    }
     sim.RunUntil(t_end);
     sim.Run();  // Drain in-flight ops so phase counts sum to totals.
 
@@ -494,6 +551,7 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
         result.p99_ms = total_lat.PercentileMs(99);
         result.p999_ms = total_lat.PercentileMs(99.9);
     }
+    if (read_lat.count() > 0) result.read_p99_ms = read_lat.PercentileMs(99);
     return result;
 }
 

@@ -9,7 +9,8 @@
  * uniform closed-loop mixes. This engine reproduces the YCSB core
  * distributions (Cooper et al.) on the simulated clock:
  *
- *  - key choosers: uniform, Zipfian via Gray et al.'s rejection-
+ *  - key choosers: uniform (over the current or only the preloaded
+ *    population), Zipfian via Gray et al.'s rejection-
  *    inversion (O(1) per sample after an O(1) setup), latest (Zipfian
  *    over recency), and hot-range (a fraction of ops concentrated on a
  *    contiguous slice of the key population — the flash-crowd shape);
@@ -20,14 +21,21 @@
  *    through KvService::scan (kv::Store locally, the single-owner
  *    fan-out cluster path behind client::KvClient);
  *  - a phase schedule: consecutive time windows, each with its own
- *    arrival-rate multiplier, op mix and key chooser, layered on the
- *    same seeded Poisson arrival clock RunOpenLoad uses. Ops are
- *    attributed to the phase that *issued* them, so per-phase counts
- *    sum exactly to the run totals whenever every arrival drains.
+ *    arrival-rate multiplier, op mix and key chooser, layered on one
+ *    seeded Poisson arrival clock. Ops are attributed to the phase that
+ *    *issued* them, so per-phase counts sum exactly to the run totals
+ *    whenever every arrival drains;
+ *  - two arrival modes: open loop (Poisson arrivals regardless of how
+ *    many ops are in flight — the regime where overload happens) and
+ *    closed loop (N clients, each issuing its next op when the previous
+ *    one completes — the regime of throughput-scaling runs).
  *
- * Everything is driven by one seeded util::Rng on the simulated clock,
- * so a (service, keys, config) triple replays byte-identically — the
- * determinism contract every export downstream relies on.
+ * It is the one KV load engine: steady mixes, overload storms (a
+ * three-phase schedule), diurnal days and closed-loop scaling runs are
+ * all configurations of it. Everything is driven by one seeded util::Rng
+ * on the simulated clock, so a (service, keys, config) triple replays
+ * byte-identically — the determinism contract every export downstream
+ * relies on.
  */
 #ifndef SDF_WORKLOAD_YCSB_H
 #define SDF_WORKLOAD_YCSB_H
@@ -82,10 +90,11 @@ class ZipfianGenerator
 /** How a phase picks keys from the population. */
 enum class KeyChooser : uint8_t
 {
-    kUniform,   ///< Every key equally likely.
+    kUniform,   ///< Every key of the current population equally likely.
     kZipfian,   ///< Zipf over the initial population (scrambled spread).
     kLatest,    ///< Zipf over recency: newest keys hottest.
     kHotRange,  ///< Most ops inside one contiguous population slice.
+    kPreloaded, ///< Uniform over the initial population: no inserted key.
 };
 
 /** How value sizes are drawn for updates/inserts. */
@@ -131,6 +140,13 @@ struct YcsbConfig
 {
     /** Base mean arrival rate, ops/sec (Poisson; phases scale it). */
     double arrival_rate = 50000.0;
+    /**
+     * Arrival mode. 0 = open loop at arrival_rate. N > 0 = N closed-loop
+     * clients, each issuing its next op as soon as the previous one
+     * completes; arrival_rate and the phases' rate multipliers are then
+     * unused (phases still switch mix and key chooser).
+     */
+    uint32_t actors = 0;
     util::TimeNs duration = util::SecToNs(0.5);
     uint64_t seed = 7;
     /** Zipfian exponent for the kZipfian / kLatest choosers. */
@@ -210,6 +226,7 @@ struct YcsbResult
     double p50_ms = 0;
     double p99_ms = 0;
     double p999_ms = 0;
+    double read_p99_ms = 0;  ///< Reads that found their key only.
     /** Keys whose insert/update acked — the consistency-audit set. */
     std::vector<uint64_t> acked_writes;
     std::vector<YcsbPhaseResult> phases;
@@ -226,10 +243,31 @@ struct YcsbResult
  */
 YcsbConfig YcsbProfile(const std::string &name, YcsbConfig base);
 
+/** True if YcsbProfile knows @p name. */
+bool IsYcsbProfile(const std::string &name);
+
 /**
- * Open-loop YCSB run against any KvService. Arrivals follow a seeded
- * Poisson process whose rate is cfg.arrival_rate times the current
- * phase's multiplier; issue is fire-and-forget and the run drains all
+ * One phase of uniform traffic: @p read_fraction reads of the current
+ * population (the preload plus the run's own inserts, so reads also find
+ * freshly acked writes), the rest inserts of fresh keys. The steady mix of
+ * the closed-loop cluster runs.
+ */
+YcsbPhase UniformMix(double read_fraction);
+
+/**
+ * The overload storm: three equal thirds of UniformMix traffic named
+ * steady / storm / recovery, the middle one at @p storm times the base
+ * arrival rate. Reads draw from the preloaded keys only (kPreloaded), so
+ * an insert shed in the storm never turns into a later miss.
+ */
+std::vector<YcsbPhase> StormSchedule(double read_fraction, double storm);
+
+/**
+ * YCSB run against any KvService. Open loop (cfg.actors == 0): arrivals
+ * follow a seeded Poisson process whose rate is cfg.arrival_rate times
+ * the current phase's multiplier, and issue is fire-and-forget. Closed
+ * loop (cfg.actors == N): N ops start at once and each completion issues
+ * the next until cfg.duration ends. Either way the run drains all
  * in-flight ops before returning, so per-phase counts sum to the run
  * totals exactly. @p keys is the preloaded population (ascending order
  * recommended so scans cover contiguous ranges); inserts grow it.

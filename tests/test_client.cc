@@ -17,7 +17,7 @@
 #include "obs/hub.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
-#include "workload/kv_driver.h"
+#include "workload/ycsb.h"
 
 namespace sdf {
 namespace {
@@ -37,31 +37,12 @@ TinyCluster(uint32_t nodes, uint32_t replication)
     return cc;
 }
 
-/** Write @p count keys through the router and push them to flash, so
- *  client reads exercise real device time (memtable reads settle in zero
- *  simulated time and would never build window pressure). */
-std::vector<uint64_t>
-Preload(sim::Simulator &sim, cluster::Cluster &cl, uint64_t count)
-{
-    std::vector<uint64_t> keys;
-    uint64_t acked = 0;
-    for (uint64_t k = 1; k <= count; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB,
-                        [&acked](bool ok) { acked += ok; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    EXPECT_EQ(acked, count);
-    return keys;
-}
-
 TEST(KvClient, WindowQueuesExcessSubmitsAndServesThemAll)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(1, 1));
-    const auto keys = Preload(sim, cl, 20);
+    const auto keys = cl.Preload(20, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 20u);
 
     client::KvClientConfig kc;
     kc.window_per_node = 2;
@@ -89,7 +70,8 @@ TEST(KvClient, FullQueueShedsClientSideWithTypedOverload)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(1, 1));
-    const auto keys = Preload(sim, cl, 20);
+    const auto keys = cl.Preload(20, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 20u);
 
     client::KvClientConfig kc;
     kc.window_per_node = 1;
@@ -127,7 +109,8 @@ TEST(KvClient, QueuedReadsCoalesceIntoBatches)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(1, 1));
-    const auto keys = Preload(sim, cl, 17);
+    const auto keys = cl.Preload(17, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 17u);
 
     client::KvClientConfig kc;
     kc.window_per_node = 1;
@@ -155,7 +138,8 @@ TEST(KvClient, HedgeAccountingStaysConsistentWithAFailSlowReplica)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    const auto keys = cl.Preload(40, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 40u);
 
     client::KvClientConfig kc;
     kc.window_per_node = 4;
@@ -200,7 +184,8 @@ TEST(KvClient, DeadlineOutcomesAreTyped)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(1, 1));
-    const auto keys = Preload(sim, cl, 8);
+    const auto keys = cl.Preload(8, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 8u);
 
     client::KvClientConfig kc;
     // Tighter than the one-way propagation delay: nothing can finish.
@@ -239,17 +224,8 @@ TEST(KvClient, SameSeedOpenLoopRunsExportByteIdenticalStats)
         sim::Simulator sim;
         sim.set_hub(&hub);
         cluster::Cluster cl(sim, TinyCluster(2, 2));
-        std::vector<uint64_t> keys;
-        uint64_t acked = 0;
-        for (uint64_t k = 1; k <= 30; ++k) {
-            keys.push_back(k);
-            cl.router().Put(k, 16 * util::kKiB,
-                            [&acked](bool ok) { acked += ok; });
-        }
-        sim.Run();
-        cl.FlushAll();
-        sim.Run();
-        EXPECT_EQ(acked, 30u);
+        const auto keys = cl.Preload(30, 16 * util::kKiB);
+        EXPECT_EQ(keys.size(), 30u);
 
         client::KvClientConfig kc;
         kc.window_per_node = 8;
@@ -257,15 +233,13 @@ TEST(KvClient, SameSeedOpenLoopRunsExportByteIdenticalStats)
         kc.deadline = util::MsToNs(10.0);
         client::KvClient client(sim, cl.router(), kc);
 
-        workload::OpenRunConfig oc;
-        oc.arrival_rate = 15000;
-        oc.value_bytes = 16 * util::kKiB;
-        oc.duration = util::MsToNs(40);
-        oc.storm_factor = 3.0;
-        oc.storm_start = util::MsToNs(15);
-        oc.storm_end = util::MsToNs(25);
-        oc.seed = 42;
-        workload::RunOpenLoad(sim, client.Service(), keys, oc);
+        workload::YcsbConfig cfg;
+        cfg.arrival_rate = 15000;
+        cfg.value_bytes = 16 * util::kKiB;
+        cfg.duration = util::MsToNs(40);
+        cfg.phases = workload::StormSchedule(0.9, 3.0);
+        cfg.seed = 42;
+        workload::RunYcsb(sim, client.Service(), keys, cfg);
         return obs::StatsJson(hub, {{"run", "client"}}, {});
     };
     const std::string a = run_once();

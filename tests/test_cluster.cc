@@ -26,7 +26,7 @@
 #include "ssd/conventional_ssd.h"
 #include "ssd/ssd_block_device.h"
 #include "testbed/testbed.h"
-#include "workload/kv_driver.h"
+#include "workload/ycsb.h"
 
 namespace sdf {
 namespace {
@@ -243,6 +243,19 @@ SmallCluster(uint32_t nodes, uint32_t replication)
     return cc;
 }
 
+/** Four closed-loop clients: uniform reads, fresh-key 16 KiB inserts. */
+workload::YcsbConfig
+ClosedLoop(double read_fraction, util::TimeNs duration, uint64_t seed)
+{
+    workload::YcsbConfig cfg;
+    cfg.actors = 4;
+    cfg.duration = duration;
+    cfg.seed = seed;
+    cfg.value_bytes = 16 * util::kKiB;
+    cfg.phases = {workload::UniformMix(read_fraction)};
+    return cfg;
+}
+
 TEST(Cluster, PutGetSpreadsAcrossNodes)
 {
     sim::Simulator sim;
@@ -315,21 +328,10 @@ TEST(Cluster, SameSeedRunsExportByteIdenticalStats)
         sim::Simulator sim;
         sim.set_hub(&hub);
         cluster::Cluster cl(sim, SmallCluster(3, 2));
-        std::vector<uint64_t> keys;
-        for (uint64_t k = 1; k <= 30; ++k) {
-            keys.push_back(k);
-            cl.router().Put(k, 16 * util::kKiB, [](bool) {});
-        }
-        sim.Run();
-        cl.FlushAll();
-        sim.Run();
-        workload::MixedRunConfig mc;
-        mc.actors = 4;
-        mc.value_bytes = 16 * util::kKiB;
-        mc.duration = util::MsToNs(120);
-        mc.seed = 99;
-        const workload::KvService svc = cl.Service();
-        workload::RunMixedLoad(sim, svc, keys, mc);
+        const auto keys = cl.Preload(30, 16 * util::kKiB);
+        EXPECT_EQ(keys.size(), 30u);
+        workload::RunYcsb(sim, cl.Service(), keys,
+                          ClosedLoop(0.9, util::MsToNs(120), 99));
         return obs::StatsJson(hub, {{"run", "cluster"}}, {});
     };
     const std::string a = run_once();
@@ -342,14 +344,8 @@ TEST(Cluster, NodeDeathLosesNoAcknowledgedWrites)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, SmallCluster(3, 2));
-    std::vector<uint64_t> keys;
-    for (uint64_t k = 1; k <= 30; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB, [](bool) {});
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
+    const auto keys = cl.Preload(30, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 30u);
 
     // Kill every channel of node 0's device shortly into the window.
     std::vector<fault::FaultEvent> events;
@@ -365,34 +361,16 @@ TEST(Cluster, NodeDeathLosesNoAcknowledgedWrites)
     fault::FaultInjector injector(sim, cl.SdfDevices(),
                                   fault::FaultPlan(std::move(events)));
 
-    workload::MixedRunConfig mc;
-    mc.read_fraction = 0.5;
-    mc.actors = 4;
-    mc.value_bytes = 16 * util::kKiB;
-    mc.duration = util::MsToNs(150);
-    const workload::KvService svc = cl.Service();
-    const auto r = workload::RunMixedLoad(sim, svc, keys, mc);
+    const auto r = workload::RunYcsb(sim, cl.Service(), keys,
+                                     ClosedLoop(0.5, util::MsToNs(150), 7));
     ASSERT_EQ(injector.stats().deaths,
               cl.node(0).sdf_device()->channel_count());
     ASSERT_GT(r.acked_writes.size(), 0u);
 
-    // Every acknowledged write must still be readable (closed-loop audit
-    // so RPC queues don't overflow the timeout).
-    uint64_t lost = 0, audited = 0;
-    size_t next = 0;
-    std::function<void()> audit = [&]() {
-        if (next >= r.acked_writes.size()) return;
-        cl.router().Get(r.acked_writes[next++],
-                        [&](const kv::GetResult &res) {
-                            ++audited;
-                            if (!res.ok || !res.found) ++lost;
-                            audit();
-                        });
-    };
-    for (int s = 0; s < 4; ++s) audit();
-    sim.Run();
-    EXPECT_EQ(audited, r.acked_writes.size());
-    EXPECT_EQ(lost, 0u);
+    // Every acknowledged write must still be readable.
+    const cluster::Cluster::Audit audit = cl.AuditKeys(r.acked_writes);
+    EXPECT_EQ(audit.audited, r.acked_writes.size());
+    EXPECT_EQ(audit.lost, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -550,14 +528,8 @@ TEST(Cluster, BreakerDemotesFailSlowNodeAndRecovers)
     cc.breaker.reset_factor = 1.3;
     cluster::Cluster cl(sim, cc);
 
-    std::vector<uint64_t> keys;
-    for (uint64_t k = 1; k <= 60; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB, [](bool) {});
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
+    const auto keys = cl.Preload(60, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 60u);
 
     // Slow down whichever node is primary for the first key: that key's
     // reads walk the victim first unless the breaker demotes it.

@@ -42,25 +42,6 @@ TinyCluster(uint32_t nodes, uint32_t replication)
     return cc;
 }
 
-/** Preload @p count keys through the router and flush them to flash so
- *  reads exercise real (nonzero) device time. */
-std::vector<uint64_t>
-Preload(sim::Simulator &sim, cluster::Cluster &cl, uint64_t count)
-{
-    std::vector<uint64_t> keys;
-    uint64_t acked = 0;
-    for (uint64_t k = 1; k <= count; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB,
-                        [&acked](bool ok) { acked += ok; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    EXPECT_EQ(acked, count);
-    return keys;
-}
-
 /** Closed-loop read driver at width 4 (the test_client.cc idiom). */
 void
 DriveReads(sim::Simulator &sim, client::KvClient &client,
@@ -90,7 +71,8 @@ TEST(ClusterObs, HedgedReadEventsShareOneTraceIdAcrossTracks)
     sim::Simulator sim;
     sim.set_hub(&hub);
     cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    const auto keys = cl.Preload(40, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 40u);
 
     client::KvClientConfig kc;
     kc.window_per_node = 4;
@@ -160,7 +142,8 @@ TEST(ClusterObs, ClientPathStagesTileEndToEndExactly)
     sim::Simulator sim;
     sim.set_hub(&hub);
     cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    const auto keys = cl.Preload(40, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 40u);
 
     client::KvClientConfig kc;
     kc.window_per_node = 2;  // Force queueing: client_queue must be > 0.
@@ -226,7 +209,8 @@ RunInstrumentedCluster(uint64_t seed)
     sim::Simulator sim;
     sim.set_hub(&hub);
     cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    const auto keys = cl.Preload(40, 16 * util::kKiB);
+    EXPECT_EQ(keys.size(), 40u);
 
     client::KvClientConfig kc;
     kc.window_per_node = 4;
@@ -269,7 +253,8 @@ TEST(ClusterObs, SeriesWindowsAreContiguousAndLocalizeTheFault)
     sim::Simulator sim;
     sim.set_hub(&hub);
     cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    const auto keys = cl.Preload(40, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 40u);
 
     client::KvClientConfig kc;
     kc.window_per_node = 4;

@@ -28,7 +28,7 @@
 #include "obs/hub.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
-#include "workload/kv_driver.h"
+#include "workload/ycsb.h"
 
 namespace sdf {
 namespace {
@@ -257,23 +257,13 @@ PutRange(sim::Simulator &sim, cluster::Cluster &cl, uint64_t first,
     ASSERT_EQ(acked, static_cast<int>(last - first + 1));
 }
 
-/** Closed-loop read-back of keys [first, last]; returns #found. */
+/** Audited read-back of keys [first, last]; returns #found. */
 uint64_t
-AuditRange(sim::Simulator &sim, cluster::Cluster &cl, uint64_t first,
-           uint64_t last)
+AuditRange(cluster::Cluster &cl, uint64_t first, uint64_t last)
 {
-    uint64_t found = 0;
-    uint64_t next = first;
-    std::function<void()> step = [&]() {
-        if (next > last) return;
-        cl.router().Get(next++, [&](const kv::GetResult &r) {
-            found += r.ok && r.found;
-            step();
-        });
-    };
-    for (int s = 0; s < 4; ++s) step();
-    sim.Run();
-    return found;
+    std::vector<uint64_t> keys;
+    for (uint64_t k = first; k <= last; ++k) keys.push_back(k);
+    return keys.size() - cl.AuditKeys(keys).lost;
 }
 
 TEST(ClusterRecovery, RestartPreservesEveryAckedWrite)
@@ -311,7 +301,7 @@ TEST(ClusterRecovery, RestartPreservesEveryAckedWrite)
     EXPECT_GT(rec.last_recovery_ns, 0u);
     EXPECT_GT(sim.Now(), t_stop);
 
-    EXPECT_EQ(AuditRange(sim, cl, 1, 60), 60u);
+    EXPECT_EQ(AuditRange(cl, 1, 60), 60u);
     EXPECT_EQ(cl.rebalancer().CountUnderReplicated(), 0u);
 }
 
@@ -430,7 +420,7 @@ TEST(Rebalance, AntiEntropyRestoresRedundancyAndReportsIt)
     EXPECT_GT(bulk, 0u);
 
     // All 40 keys remain readable through the 3 survivors.
-    EXPECT_EQ(AuditRange(sim, cl, 1, 40), 40u);
+    EXPECT_EQ(AuditRange(cl, 1, 40), 40u);
 }
 
 TEST(Rebalance, SameSeedRestartRunsExportByteIdenticalStats)
@@ -440,29 +430,20 @@ TEST(Rebalance, SameSeedRestartRunsExportByteIdenticalStats)
         sim::Simulator sim;
         sim.set_hub(&hub);
         cluster::Cluster cl(sim, SmallCluster(3, 2));
-        std::vector<uint64_t> keys;
-        int acked = 0;
-        for (uint64_t k = 1; k <= 30; ++k) {
-            keys.push_back(k);
-            cl.router().Put(k, 16 * util::kKiB,
-                            [&acked](bool ok) { acked += ok; });
-        }
-        sim.Run();
-        cl.FlushAll();
-        sim.Run();
+        const auto keys = cl.Preload(30, 16 * util::kKiB);
+        EXPECT_EQ(keys.size(), 30u);
 
         const util::TimeNs t0 = sim.Now();
         sim.ScheduleAt(t0 + util::MsToNs(30), [&cl]() { cl.StopNode(1); });
         sim.ScheduleAt(t0 + util::MsToNs(70),
                        [&cl]() { cl.RestartNode(1); });
-        workload::MixedRunConfig mc;
-        mc.actors = 4;
-        mc.read_fraction = 0.7;
-        mc.value_bytes = 16 * util::kKiB;
-        mc.duration = util::MsToNs(150);
-        mc.seed = 99;
-        const workload::KvService svc = cl.Service();
-        workload::RunMixedLoad(sim, svc, keys, mc);
+        workload::YcsbConfig cfg;
+        cfg.actors = 4;
+        cfg.duration = util::MsToNs(150);
+        cfg.seed = 99;
+        cfg.value_bytes = 16 * util::kKiB;
+        cfg.phases = {workload::UniformMix(0.7)};
+        workload::RunYcsb(sim, cl.Service(), keys, cfg);
         sim.Run();
         return obs::StatsJson(hub, {{"run", "recovery"}}, {});
     };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the workload layer: preloading, raw-device drivers'
- * measurement discipline, trace generation, and trace replay.
+ * Tests for the workload layer: preloading and the raw-device drivers'
+ * measurement discipline.
  */
 #include <gtest/gtest.h>
 
@@ -13,9 +13,10 @@
 #include "kv/slice.h"
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
+#include "testbed/testbed.h"
 #include "workload/kv_driver.h"
 #include "workload/raw_device.h"
-#include "workload/trace.h"
+#include "workload/ycsb.h"
 
 namespace sdf::workload {
 namespace {
@@ -79,6 +80,31 @@ TEST(Preload, StopsAtStorageCapacity)
     EXPECT_EQ(layer.FreeUnits(), 0u);
 }
 
+TEST(Preload, StoreKeysAreReadableThroughTheStore)
+{
+    // Slice-tagged PreloadSlices keys bypass the store's hash routing;
+    // PreloadStore installs each key where Store::Get will look for it.
+    sim::Simulator sim;
+    testbed::KvStackConfig kc;
+    kc.stack.capacity_scale = 0.02;
+    kc.stack.with_io_stack = false;
+    kc.store.slice_count = 4;
+    testbed::KvStack stack = testbed::BuildKvStack(sim, kc);
+    const auto keys = PreloadStore(*stack.store, 2000, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 2000u);
+    EXPECT_EQ(keys.front(), 1u);
+    EXPECT_EQ(keys.back(), 2000u);
+
+    YcsbConfig cfg;
+    cfg.actors = 8;
+    cfg.duration = util::MsToNs(50);
+    cfg.phases = {UniformMix(1.0)};
+    const YcsbResult r = RunYcsb(sim, ServiceFor(*stack.store), keys, cfg);
+    EXPECT_GT(r.ok_reads, 100u);
+    EXPECT_EQ(r.misses, 0u);
+    EXPECT_EQ(r.errors, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Raw drivers: measurement discipline
 // ---------------------------------------------------------------------------
@@ -116,106 +142,6 @@ TEST(RawDrivers, WriteLatenciesIncludeErase)
     ASSERT_GT(r.latencies.count(), 0u);
     // Erase (3 ms) + program-bound write: each op well above 300 ms.
     EXPECT_GT(r.latencies.MinMs(), 300.0);
-}
-
-// ---------------------------------------------------------------------------
-// Trace generation
-// ---------------------------------------------------------------------------
-
-TEST(Trace, DeterministicForEqualSeeds)
-{
-    const auto phases = ProductionDayPhases(0.2);
-    const auto a = GenerateTrace(phases, 4, 100, 1);
-    const auto b = GenerateTrace(phases, 4, 100, 1);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].key, b[i].key);
-        EXPECT_EQ(a[i].issue_at, b[i].issue_at);
-        EXPECT_EQ(static_cast<int>(a[i].kind), static_cast<int>(b[i].kind));
-    }
-    // A different seed produces a different trace (somewhere).
-    const auto c = GenerateTrace(phases, 4, 100, 2);
-    bool any_diff = c.size() != a.size();
-    for (size_t i = 0; !any_diff && i < std::min(a.size(), c.size()); ++i) {
-        any_diff = a[i].key != c[i].key || a[i].issue_at != c[i].issue_at;
-    }
-    EXPECT_TRUE(any_diff);
-}
-
-TEST(Trace, RespectsPhaseMixAndTimes)
-{
-    std::vector<TracePhase> phases(2);
-    phases[0].name = "writes";
-    phases[0].duration = util::SecToNs(1);
-    phases[0].ops_per_sec = 2000;
-    phases[0].put_fraction = 1.0;
-    phases[1].name = "reads";
-    phases[1].duration = util::SecToNs(1);
-    phases[1].ops_per_sec = 2000;
-
-    const auto trace = GenerateTrace(phases, 2, 50, 3);
-    int phase0_puts = 0, phase0_ops = 0, phase1_gets = 0, phase1_ops = 0;
-    for (const auto &op : trace) {
-        if (op.issue_at < util::SecToNs(1)) {
-            ++phase0_ops;
-            phase0_puts += op.kind == TraceOp::Kind::kPut;
-        } else {
-            EXPECT_LT(op.issue_at, util::SecToNs(2));
-            ++phase1_ops;
-            phase1_gets += op.kind == TraceOp::Kind::kGet;
-        }
-    }
-    EXPECT_EQ(phase0_puts, phase0_ops);
-    EXPECT_EQ(phase1_gets, phase1_ops);
-    // Rate within 15 % of the 2000 ops/s target.
-    EXPECT_NEAR(phase0_ops, 2000, 300);
-}
-
-TEST(Trace, PutKeysNeverCollideWithinSlice)
-{
-    std::vector<TracePhase> phases(1);
-    phases[0].duration = util::SecToNs(2);
-    phases[0].ops_per_sec = 1000;
-    phases[0].put_fraction = 0.5;
-    const auto trace = GenerateTrace(phases, 3, 20, 5);
-    std::set<uint64_t> put_keys;
-    for (const auto &op : trace) {
-        if (op.kind != TraceOp::Kind::kPut) continue;
-        EXPECT_TRUE(put_keys.insert(op.key).second);
-    }
-}
-
-TEST(Trace, ReplayProducesPerPhaseResults)
-{
-    sim::Simulator sim;
-    core::SdfDevice device(sim, FastSdf());
-    blocklayer::BlockLayer layer(sim, device, {});
-    kv::SdfPatchStorage storage(layer);
-    kv::IdAllocator ids;
-    kv::Slice s0(sim, storage, ids, {});
-    kv::Slice s1(sim, storage, ids, {});
-    std::vector<kv::Slice *> slices{&s0, &s1};
-    const auto keys =
-        PreloadSlices(slices, 32 * util::kMiB, 64 * util::kKiB);
-    const uint64_t keys_per_slice = keys[0].size();
-
-    const auto phases = ProductionDayPhases(0.3);
-    const auto trace =
-        GenerateTrace(phases, 2, keys_per_slice, 7);
-    const auto results = ReplayTrace(sim, slices, phases, trace);
-
-    ASSERT_EQ(results.size(), phases.size());
-    uint64_t total_ops = 0;
-    for (const auto &r : results) {
-        total_ops += r.gets + r.puts + r.deletes;
-    }
-    EXPECT_EQ(total_ops, trace.size());
-    // Crawl phase writes; serving phase reads.
-    EXPECT_GT(results[0].puts, results[0].gets);
-    EXPECT_GT(results[2].gets, results[2].puts);
-    EXPECT_GT(results[2].read_mbps, 0.0);
-    // Preloaded keys exist: misses only among deleted/unwritten tails.
-    EXPECT_LT(results[2].get_misses, results[2].gets / 5);
 }
 
 }  // namespace

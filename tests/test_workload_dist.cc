@@ -219,8 +219,17 @@ struct FakeService
     std::vector<uint64_t> put_keys;
     std::vector<uint32_t> put_sizes;
     std::vector<std::pair<uint64_t, uint32_t>> scan_calls;
+    uint64_t inflight = 0;
+    uint64_t peak_inflight = 0;
 
     explicit FakeService(sim::Simulator &s) : sim(s) {}
+
+    /** Count one op in flight until its completion is delivered. */
+    void
+    Issue()
+    {
+        peak_inflight = std::max(peak_inflight, ++inflight);
+    }
 
     workload::KvService
     Service()
@@ -228,28 +237,36 @@ struct FakeService
         workload::KvService svc;
         svc.get = [this](uint64_t key, kv::GetCallback done) {
             get_keys.push_back(key);
+            Issue();
             auto d = std::make_shared<kv::GetCallback>(std::move(done));
-            sim.Schedule(latency(), [d]() {
+            sim.Schedule(latency(), [this, d]() {
                 kv::GetResult r;
                 r.ok = true;
                 r.found = true;
                 r.value_size = 16;
+                --inflight;
                 (*d)(r);
             });
         };
         svc.put = [this](uint64_t key, uint32_t size, kv::PutCallback done) {
             put_keys.push_back(key);
             put_sizes.push_back(size);
+            Issue();
             auto d = std::make_shared<kv::PutCallback>(std::move(done));
-            sim.Schedule(latency(), [d]() { (*d)(true); });
+            sim.Schedule(latency(), [this, d]() {
+                --inflight;
+                (*d)(true);
+            });
         };
         svc.scan = [this](uint64_t start, uint32_t limit,
                           std::function<void(const kv::ScanResult &)> done) {
             scan_calls.emplace_back(start, limit);
-            sim.Schedule(latency(), [done]() {
+            Issue();
+            sim.Schedule(latency(), [this, done]() {
                 kv::ScanResult r;
                 r.entries.push_back({1, 16});
                 r.scanned_bytes = 16;
+                --inflight;
                 done(r);
             });
         };
@@ -523,6 +540,100 @@ TEST(RunYcsb, ProfilesHaveDocumentedShapes)
     EXPECT_EQ(workload::YcsbProfile("diurnal", base).phases.size(), 4u);
 }
 
+TEST(RunYcsb, ClosedLoopKeepsExactlyItsActorsInFlight)
+{
+    // 6 clients, 100 us per op, 50 ms: each client issues at 0, 100 us,
+    // ... 49.9 ms — 500 ops apiece — and the arrival rate plays no part.
+    sim::Simulator sim;
+    FakeService fake(sim);
+    workload::YcsbConfig cfg;
+    cfg.actors = 6;
+    cfg.arrival_rate = 1;
+    cfg.duration = util::MsToNs(50);
+    cfg.seed = 41;
+    cfg.phases = {workload::UniformMix(0.8)};
+    const auto r =
+        workload::RunYcsb(sim, fake.Service(), SequentialKeys(100), cfg);
+
+    EXPECT_EQ(fake.peak_inflight, 6u);
+    EXPECT_EQ(fake.inflight, 0u);
+    EXPECT_EQ(r.issued, 3000u);
+    // The run drains: every op issued before the end completed.
+    EXPECT_EQ(r.completed, r.issued);
+    EXPECT_EQ(r.ok_reads + r.ok_inserts, r.issued);
+    EXPECT_EQ(fake.put_keys.size(), r.ok_inserts);
+}
+
+TEST(RunYcsb, ClosedLoopPhaseCountsSumExactlyToTotals)
+{
+    // Closed loop ignores rate multipliers: the diurnal schedule's four
+    // equal windows each issue the same number of ops (give or take the
+    // clients straddling a boundary), while mixes still switch.
+    sim::Simulator sim;
+    FakeService fake(sim);
+    workload::YcsbConfig cfg;
+    cfg.actors = 4;
+    cfg.duration = util::MsToNs(80);
+    cfg.seed = 43;
+    cfg = workload::YcsbProfile("diurnal", cfg);
+    const auto r =
+        workload::RunYcsb(sim, fake.Service(), SequentialKeys(500), cfg);
+
+    ASSERT_EQ(r.phases.size(), 4u);
+    uint64_t issued = 0, completed = 0, ok = 0;
+    for (const auto &p : r.phases) {
+        issued += p.issued;
+        completed += p.completed;
+        ok += p.ok_reads + p.ok_updates + p.ok_inserts + p.ok_scans;
+        EXPECT_EQ(p.issued, 800u) << p.name;
+    }
+    EXPECT_EQ(issued, r.issued);
+    EXPECT_EQ(completed, r.completed);
+    EXPECT_EQ(r.completed, r.issued);
+    EXPECT_EQ(ok, r.ok_reads + r.ok_updates + r.ok_inserts + r.ok_scans);
+    // The write-heavy evening really writes more than the morning.
+    EXPECT_GT(r.phases[3].ok_updates, 2 * r.phases[1].ok_updates);
+}
+
+TEST(RunYcsb, ClosedLoopSameSeedIsByteIdentical)
+{
+    auto run = [](std::vector<uint64_t> &gets) {
+        sim::Simulator sim;
+        FakeService fake(sim);
+        // Latency varies with the clock so completions interleave.
+        fake.latency = [&sim]() {
+            return util::UsToNs(50 + sim.Now() % 97);
+        };
+        workload::YcsbConfig cfg;
+        cfg.actors = 5;
+        cfg.duration = util::MsToNs(40);
+        cfg.seed = 47;
+        cfg = workload::YcsbProfile("storm", cfg);
+        const auto r =
+            workload::RunYcsb(sim, fake.Service(), SequentialKeys(300), cfg);
+        gets = fake.get_keys;
+        return r;
+    };
+    std::vector<uint64_t> gets_a, gets_b;
+    const auto a = run(gets_a);
+    const auto b = run(gets_b);
+    EXPECT_GT(a.issued, 1000u);
+    EXPECT_EQ(a.issued, b.issued);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.ok_reads, b.ok_reads);
+    EXPECT_EQ(a.ok_updates, b.ok_updates);
+    EXPECT_EQ(a.p50_ms, b.p50_ms);
+    EXPECT_EQ(a.p99_ms, b.p99_ms);
+    EXPECT_EQ(a.read_p99_ms, b.read_p99_ms);
+    EXPECT_EQ(a.acked_writes, b.acked_writes);
+    EXPECT_EQ(gets_a, gets_b);
+    ASSERT_EQ(a.phases.size(), b.phases.size());
+    for (size_t i = 0; i < a.phases.size(); ++i) {
+        EXPECT_EQ(a.phases[i].issued, b.phases[i].issued);
+        EXPECT_EQ(a.phases[i].p99_ms, b.phases[i].p99_ms);
+    }
+}
+
 /** Order-sensitive FNV-1a over a key sequence. */
 uint64_t
 HashKeys(const std::vector<uint64_t> &keys)
@@ -616,23 +727,6 @@ TinyCluster(uint32_t nodes, uint32_t replication)
     return cc;
 }
 
-std::vector<uint64_t>
-Preload(sim::Simulator &sim, cluster::Cluster &cl, uint64_t count)
-{
-    std::vector<uint64_t> keys;
-    uint64_t acked = 0;
-    for (uint64_t k = 1; k <= count; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB,
-                        [&acked](bool ok) { acked += ok; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    EXPECT_EQ(acked, count);
-    return keys;
-}
-
 /** Synchronous-style scan helper: runs the sim until the result lands. */
 kv::ScanResult
 ScanNow(sim::Simulator &sim, client::KvClient &client, uint64_t start,
@@ -653,7 +747,7 @@ TEST(ClusterScan, ReturnsExactlyTheLiveOrderedRange)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(3, 2));
-    Preload(sim, cl, 40);
+    ASSERT_EQ(cl.Preload(40, 16 * util::kKiB).size(), 40u);
     client::KvClient client(sim, cl.router());
 
     const auto r = ScanNow(sim, client, 10, 12);
@@ -681,7 +775,7 @@ TEST(ClusterScan, SeesWritesCommittedBeforeTheScan)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(3, 2));
-    Preload(sim, cl, 20);
+    ASSERT_EQ(cl.Preload(20, 16 * util::kKiB).size(), 20u);
     client::KvClient client(sim, cl.router());
 
     // Interleave: new keys (WAL/memtable-resident, never flushed) land
@@ -712,7 +806,7 @@ TEST(ClusterScan, FailsTypedWhenMembershipChangesMidScan)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(3, 2));
-    Preload(sim, cl, 30);
+    ASSERT_EQ(cl.Preload(30, 16 * util::kKiB).size(), 30u);
     client::KvClient client(sim, cl.router());
 
     // Launch the scan, then change membership before it completes: the
@@ -736,7 +830,7 @@ TEST(ClusterScan, ExactAcrossNodeRestart)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(3, 2));
-    Preload(sim, cl, 30);
+    ASSERT_EQ(cl.Preload(30, 16 * util::kKiB).size(), 30u);
     client::KvClient client(sim, cl.router());
 
     // Down a node: every key is still replicated somewhere (R=2), and
@@ -774,7 +868,8 @@ TEST(ClusterScan, YcsbProfileEOverClusterDrainsExactly)
     // and per-phase accounting stays exact on the real stack.
     sim::Simulator sim;
     cluster::Cluster cl(sim, TinyCluster(3, 2));
-    const auto keys = Preload(sim, cl, 200);
+    const auto keys = cl.Preload(200, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 200u);
     client::KvClient client(sim, cl.router());
 
     workload::YcsbConfig cfg;

@@ -13,12 +13,11 @@
  *
  * Run with --help for the full flag list.
  */
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,15 +65,13 @@ struct Options
     uint32_t keys = 300;
     uint32_t reads = 1500;
 
-    // Cluster workload (--workload=cluster).
+    // Cluster modes (--workload=cluster|overload|ycsb).
     uint32_t nodes = 4;
     uint32_t replication = 2;
     double read_fraction = 0.9;
     int64_t kill_node = -1;          // >=0: kill that node's device mid-run.
     int64_t restart_node = -1;       // >=0: stop + restart that node mid-run.
     bool rebalance = false;          // Heal placement after --kill-node.
-
-    // Overload workload (--workload=overload).
     double arrival_rate = 50000.0;   // Open-loop arrivals/sec.
     double storm = 2.0;              // Arrival multiplier in the storm window.
     int64_t fail_slow_node = -1;     // >=0: that node serves slower mid-run.
@@ -82,7 +79,7 @@ struct Options
     bool hedge = true;               // Hedged reads at the client.
     uint32_t window = 64;            // Client outstanding ops per node.
     uint32_t coalesce = 8;           // Max reads per batched RPC.
-    double deadline_ms = 5.0;        // Per-op deadline; 0 = none.
+    double deadline_ms = 5.0;        // Per-op deadline and SLO; 0 = none.
     uint32_t queue_cap = 256;        // Client pending queue per node.
     uint32_t admission_cap = 128;    // Server inflight cap per node.
     bool breaker = true;             // Fail-slow circuit breaker.
@@ -133,33 +130,43 @@ PrintHelp()
         "  --keys=<n>           keys preloaded per replica (default 300)\n"
         "  --reads=<n>          reads during the fault window (default 1500)\n"
         "\n"
-        "cluster (--workload=cluster):\n"
+        "cluster modes (--workload=cluster|overload|ycsb) share one path:\n"
+        "build, preload via the router, disrupt, run the load engine, audit\n"
+        "every acked write (exit 1 on any loss), export.\n"
+        "  cluster   8 closed-loop clients through the router, uniform\n"
+        "            reads + fresh-key inserts, 64 KiB values\n"
+        "  overload  open-loop arrivals through the async client, three\n"
+        "            equal phases with the middle one at --storm x the rate\n"
+        "  ycsb      a named YCSB profile through the async client\n"
         "  --nodes=<n>          storage nodes (default 4)\n"
         "  --replication=<r>    replicas per key, 1..nodes (default 2)\n"
-        "  --read-frac=<f>      mixed-load read fraction (default 0.9)\n"
-        "  --kill-node=<id>     kill that node's device mid-run (degraded "
-        "mode)\n"
-        "  --restart-node=<id>  stop that node's process at T/3 and restart\n"
-        "                       it at 2T/3 (recovery scan + rebalance)\n"
-        "  --rebalance          with --kill-node: declare the node dead and\n"
-        "                       run anti-entropy to restore redundancy\n"
         "  --keys=<n>           keys preloaded via the router (default 300)\n"
-        "\n"
-        "overload (--workload=overload):\n"
+        "  --read-frac=<f>      cluster/overload read fraction; the rest are\n"
+        "                       inserts (default 0.9)\n"
         "  --arrival-rate=<f>   open-loop arrivals/sec (default 50000)\n"
-        "  --storm=<f>          arrival multiplier in the middle third of\n"
-        "                       the run (default 2.0; 1.0 = no storm)\n"
-        "  --fail-slow-node=<n> that node serves slower for the middle third\n"
-        "  --fail-slow-factor=<f>  its service-time multiplier (default 4)\n"
-        "  --hedge / --no-hedge    hedged reads at the client (default on)\n"
-        "  --window=<n>         client outstanding ops per node (default 64)\n"
-        "  --coalesce=<n>       max reads per batched RPC (default 8)\n"
-        "  --deadline-ms=<f>    per-op deadline, 0 = none (default 5)\n"
-        "  --queue-cap=<n>      client pending queue per node (default 256)\n"
+        "  --storm=<f>          overload: middle-third arrival multiplier\n"
+        "                       (default 2.0; 1.0 = no storm)\n"
         "  --admission-cap=<n>  server inflight cap per node (default 128)\n"
         "  --no-breaker         disable the fail-slow circuit breaker\n"
         "\n"
-        "ycsb (--workload=ycsb; also honors the overload/cluster knobs):\n"
+        "disruptions over the load window T (every cluster mode):\n"
+        "  --kill-node=<id>     kill that node's device at T/2 (degraded "
+        "mode)\n"
+        "  --rebalance          with --kill-node: declare the node dead at\n"
+        "                       0.6T and run anti-entropy\n"
+        "  --restart-node=<id>  stop that node's process at T/3 and restart\n"
+        "                       it at 2T/3 (recovery scan + rebalance)\n"
+        "  --fail-slow-node=<n> that node serves slower for the middle third\n"
+        "  --fail-slow-factor=<f>  its service-time multiplier (default 4)\n"
+        "\n"
+        "async client (overload, ycsb):\n"
+        "  --hedge / --no-hedge    hedged reads at the client (default on)\n"
+        "  --window=<n>         client outstanding ops per node (default 64)\n"
+        "  --coalesce=<n>       max reads per batched RPC (default 8)\n"
+        "  --deadline-ms=<f>    per-op deadline and SLO, 0 = none (default 5)\n"
+        "  --queue-cap=<n>      client pending queue per node (default 256)\n"
+        "\n"
+        "ycsb (--workload=ycsb):\n"
         "  --profile=a|b|c|e|storm|diurnal   op mix + phase schedule:\n"
         "                       a 50/50 read/update Zipfian, b 95/5,\n"
         "                       c read-only, e 95% scans / 5% inserts,\n"
@@ -187,6 +194,81 @@ ParseSize(const std::string &s)
     return static_cast<uint64_t>(v);
 }
 
+/**
+ * Parse all of flag @p key's value @p val with @p parse (std::stod and
+ * friends). Trailing junk, a malformed or an out-of-range value throws
+ * std::invalid_argument naming the flag, which main reports.
+ */
+template <typename Parse>
+auto
+ParseWhole(const std::string &key, const std::string &val, Parse parse)
+{
+    size_t used = 0;
+    try {
+        const auto v = parse(val, &used);
+        if (used == val.size()) return v;
+    } catch (const std::logic_error &) {
+    }
+    throw std::invalid_argument(key + ": bad value '" + val + "'");
+}
+
+double
+ToF64(const std::string &key, const std::string &val)
+{
+    return ParseWhole(key, val, [](const std::string &s, size_t *n) {
+        return std::stod(s, n);
+    });
+}
+
+int64_t
+ToI64(const std::string &key, const std::string &val)
+{
+    return ParseWhole(key, val, [](const std::string &s, size_t *n) {
+        return static_cast<int64_t>(std::stoll(s, n));
+    });
+}
+
+uint64_t
+ToU64(const std::string &key, const std::string &val)
+{
+    return ParseWhole(key, val, [](const std::string &s, size_t *n) {
+        // stoull takes "-1" as 2^64-1; an unsigned flag takes no sign.
+        if (s.find('-') != std::string::npos) throw std::invalid_argument(s);
+        return static_cast<uint64_t>(std::stoull(s, n));
+    });
+}
+
+uint32_t
+ToU32(const std::string &key, const std::string &val)
+{
+    const uint64_t v = ToU64(key, val);
+    if (v > UINT32_MAX) {
+        throw std::invalid_argument(key + ": bad value '" + val + "'");
+    }
+    return static_cast<uint32_t>(v);
+}
+
+/** Reject values the workloads cannot run with. @return an error or "". */
+std::string
+Validate(const Options &opt)
+{
+    if (!workload::IsYcsbProfile(opt.profile)) {
+        return "--profile=" + opt.profile +
+               ": unknown profile (a|b|c|e|storm|diurnal)";
+    }
+    if (opt.keys == 0) return "--keys must be at least 1";
+    if (!(opt.arrival_rate > 0)) return "--arrival-rate must be positive";
+    if (opt.scan_limit == 0) return "--scan-limit must be at least 1";
+    if (opt.nodes == 0) return "--nodes must be at least 1";
+    if (opt.replication == 0 || opt.replication > opt.nodes) {
+        return "--replication must be in 1..nodes";
+    }
+    if (!(opt.read_fraction >= 0 && opt.read_fraction <= 1)) {
+        return "--read-frac must be in [0, 1]";
+    }
+    return "";
+}
+
 bool
 ParseArgs(int argc, char **argv, Options &opt)
 {
@@ -206,100 +288,104 @@ ParseArgs(int argc, char **argv, Options &opt)
         } else if (key == "--request") {
             opt.request = ParseSize(val);
         } else if (key == "--channels") {
-            opt.channels = static_cast<uint32_t>(std::stoul(val));
+            opt.channels = ToU32(key, val);
         } else if (key == "--qd") {
-            opt.qd = static_cast<uint32_t>(std::stoul(val));
+            opt.qd = ToU32(key, val);
         } else if (key == "--duration") {
-            opt.duration = std::stod(val);
+            opt.duration = ToF64(key, val);
         } else if (key == "--warmup") {
-            opt.warmup = std::stod(val);
+            opt.warmup = ToF64(key, val);
         } else if (key == "--scale") {
-            opt.scale = std::stod(val);
+            opt.scale = ToF64(key, val);
         } else if (key == "--op") {
-            opt.op_ratio = std::stod(val);
+            opt.op_ratio = ToF64(key, val);
         } else if (key == "--slices") {
-            opt.slices = static_cast<uint32_t>(std::stoul(val));
+            opt.slices = ToU32(key, val);
         } else if (key == "--batch") {
-            opt.batch = static_cast<uint32_t>(std::stoul(val));
+            opt.batch = ToU32(key, val);
         } else if (key == "--value") {
-            opt.value_kib = static_cast<uint32_t>(std::stoul(val));
+            opt.value_kib = ToU32(key, val);
             opt.value_explicit = true;
         } else if (key == "--seed") {
-            opt.seed = std::stoull(val);
+            opt.seed = ToU64(key, val);
         } else if (key == "--wear") {
             opt.wear_report = true;
         } else if (key == "--errors") {
             opt.errors = true;
         } else if (key == "--rber") {
-            opt.rber = std::stod(val);
+            opt.rber = ToF64(key, val);
             opt.errors = true;
         } else if (key == "--wear-factor") {
-            opt.wear_factor = std::stod(val);
+            opt.wear_factor = ToF64(key, val);
             opt.errors = true;
         } else if (key == "--endurance") {
-            opt.endurance = std::stoll(val);
+            opt.endurance = ToI64(key, val);
             opt.errors = true;
         } else if (key == "--ecc-bits") {
-            opt.ecc_bits = std::stoll(val);
+            opt.ecc_bits = ToI64(key, val);
         } else if (key == "--retry-levels") {
-            opt.retry_levels = std::stoll(val);
+            opt.retry_levels = ToI64(key, val);
         } else if (key == "--fault-plan") {
             opt.fault_plan = val;
         } else if (key == "--faults") {
-            opt.faults = static_cast<uint32_t>(std::stoul(val));
+            opt.faults = ToU32(key, val);
         } else if (key == "--replicas") {
-            opt.replicas = static_cast<uint32_t>(std::stoul(val));
+            opt.replicas = ToU32(key, val);
         } else if (key == "--keys") {
-            opt.keys = static_cast<uint32_t>(std::stoul(val));
+            opt.keys = ToU32(key, val);
         } else if (key == "--reads") {
-            opt.reads = static_cast<uint32_t>(std::stoul(val));
+            opt.reads = ToU32(key, val);
         } else if (key == "--nodes") {
-            opt.nodes = static_cast<uint32_t>(std::stoul(val));
+            opt.nodes = ToU32(key, val);
         } else if (key == "--replication") {
-            opt.replication = static_cast<uint32_t>(std::stoul(val));
+            opt.replication = ToU32(key, val);
         } else if (key == "--read-frac") {
-            opt.read_fraction = std::stod(val);
+            opt.read_fraction = ToF64(key, val);
         } else if (key == "--kill-node") {
-            opt.kill_node = std::stoll(val);
+            opt.kill_node = ToI64(key, val);
         } else if (key == "--restart-node") {
-            opt.restart_node = std::stoll(val);
+            opt.restart_node = ToI64(key, val);
         } else if (key == "--rebalance") {
             opt.rebalance = true;
         } else if (key == "--arrival-rate") {
-            opt.arrival_rate = std::stod(val);
+            opt.arrival_rate = ToF64(key, val);
         } else if (key == "--storm") {
-            opt.storm = std::stod(val);
+            opt.storm = ToF64(key, val);
         } else if (key == "--fail-slow-node") {
-            opt.fail_slow_node = std::stoll(val);
+            opt.fail_slow_node = ToI64(key, val);
         } else if (key == "--fail-slow-factor") {
-            opt.fail_slow_factor = std::stod(val);
+            opt.fail_slow_factor = ToF64(key, val);
         } else if (key == "--hedge") {
             opt.hedge = true;
         } else if (key == "--no-hedge") {
             opt.hedge = false;
         } else if (key == "--window") {
-            opt.window = static_cast<uint32_t>(std::stoul(val));
+            opt.window = ToU32(key, val);
         } else if (key == "--coalesce") {
-            opt.coalesce = static_cast<uint32_t>(std::stoul(val));
+            opt.coalesce = ToU32(key, val);
         } else if (key == "--deadline-ms") {
-            opt.deadline_ms = std::stod(val);
+            opt.deadline_ms = ToF64(key, val);
         } else if (key == "--queue-cap") {
-            opt.queue_cap = static_cast<uint32_t>(std::stoul(val));
+            opt.queue_cap = ToU32(key, val);
         } else if (key == "--admission-cap") {
-            opt.admission_cap = static_cast<uint32_t>(std::stoul(val));
+            opt.admission_cap = ToU32(key, val);
         } else if (key == "--no-breaker") {
             opt.breaker = false;
         } else if (key == "--profile") {
             opt.profile = val;
         } else if (key == "--theta") {
-            opt.theta = std::stod(val);
+            opt.theta = ToF64(key, val);
         } else if (key == "--scan-limit") {
-            opt.scan_limit = static_cast<uint32_t>(std::stoul(val));
+            opt.scan_limit = ToU32(key, val);
         } else if (!opt.obs.TryFlag(key, val)) {
             std::fprintf(stderr, "unknown flag: %s (try --help)\n",
                          key.c_str());
             return false;
         }
+    }
+    if (const std::string err = Validate(opt); !err.empty()) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return false;
     }
     return true;
 }
@@ -531,12 +617,10 @@ RunRawConventional(Options &opt)
     return opt.obs.Export();
 }
 
-int
-RunCluster(Options &opt)
+/** The cluster every --workload=cluster|overload|ycsb run builds. */
+cluster::ClusterConfig
+ClusterConfigFor(const Options &opt)
 {
-    sim::Simulator sim;
-    InstallHub(opt, sim);
-
     cluster::ClusterConfig cc;
     cc.nodes = opt.nodes;
     cc.replication = opt.replication;
@@ -552,186 +636,308 @@ RunCluster(Options &opt)
         ApplyErrorOverrides(dc, opt);
     };
     cc.node.kv.store.slice_count = opt.slices;
-    cluster::Cluster cl(sim, cc);
+    cc.node.admission_cap = opt.admission_cap;
+    cc.breaker.enabled = opt.breaker;
+    return cc;
+}
 
-    // Preload through the router so placement matches the read path.
-    const uint32_t value_bytes =
-        (opt.value_explicit ? opt.value_kib : 64) * util::kKiB;
-    uint64_t loaded = 0;
-    std::vector<uint64_t> keys;
-    for (uint32_t k = 0; k < opt.keys; ++k) {
-        const uint64_t key = k + 1;
-        keys.push_back(key);
-        cl.router().Put(key, value_bytes,
-                        [&loaded](bool ok) { loaded += ok ? 1 : 0; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    if (loaded != opt.keys) {
-        std::fprintf(stderr, "preload: only %llu/%u keys acked\n",
-                     static_cast<unsigned long long>(loaded), opt.keys);
-        return 1;
+/**
+ * Schedule the disruption flags over the load window [now, now + T):
+ * --fail-slow-node slows one node for the middle third, --kill-node kills
+ * every channel of one node's device at T/2 (--rebalance then declares
+ * it dead at 0.6T and runs anti-entropy), and --restart-node stops one
+ * node's process at T/3 and restarts it at 2T/3. Device faults go through
+ * a replayable fault plan held by @p injector.
+ * @return false, after a message, when a flag names a missing node.
+ */
+bool
+ScheduleDisruptions(const Options &opt, sim::Simulator &sim,
+                    cluster::Cluster &cl,
+                    std::unique_ptr<fault::FaultInjector> &injector)
+{
+    const std::vector<core::SdfDevice *> devices = cl.SdfDevices();
+    auto missing = [](const char *flag, int64_t id, size_t count) {
+        if (id < static_cast<int64_t>(count)) return false;
+        std::fprintf(stderr, "%s=%lld: no such node\n", flag,
+                     static_cast<long long>(id));
+        return true;
+    };
+    if (missing("--kill-node", opt.kill_node, devices.size()) ||
+        missing("--restart-node", opt.restart_node, cl.node_count()) ||
+        missing("--fail-slow-node", opt.fail_slow_node, cl.node_count())) {
+        return false;
     }
 
-    // Optional mid-run node death: every channel of one node's device.
-    std::unique_ptr<fault::FaultInjector> injector;
-    auto devices = cl.SdfDevices();
+    const util::TimeNs t0 = sim.Now();
+    const util::TimeNs dur = util::SecToNs(opt.duration);
+    std::vector<fault::FaultEvent> events;
+    if (opt.fail_slow_node >= 0) {
+        fault::FaultEvent e;
+        e.when = t0 + dur / 3;
+        e.kind = fault::FaultKind::kFailSlow;
+        e.device = static_cast<uint32_t>(opt.fail_slow_node);
+        e.duration = dur / 3;
+        e.magnitude = opt.fail_slow_factor;
+        events.push_back(e);
+    }
     if (opt.kill_node >= 0) {
         const auto victim = static_cast<uint32_t>(opt.kill_node);
-        if (victim >= devices.size()) {
-            std::fprintf(stderr, "--kill-node=%u: no such sdf device\n",
-                         victim);
-            return 1;
-        }
-        std::vector<fault::FaultEvent> events;
-        const util::TimeNs when =
-            sim.Now() + util::SecToNs(opt.duration / 2);
         for (uint32_t ch = 0; ch < devices[victim]->channel_count(); ++ch) {
             fault::FaultEvent e;
-            e.when = when;
+            e.when = t0 + dur / 2;
             e.kind = fault::FaultKind::kChannelDeath;
             e.device = victim;
             e.channel = ch;
             events.push_back(e);
         }
+    }
+    if (!events.empty()) {
+        // The sink delivers the fail-slow multiplier to the node and
+        // restores health when the window ends.
         injector = std::make_unique<fault::FaultInjector>(
-            sim, devices, fault::FaultPlan(std::move(events)));
+            sim, devices, fault::FaultPlan(std::move(events)),
+            [&cl](uint32_t node, double m) {
+                if (node < cl.node_count()) cl.node(node).SetFailSlow(m);
+            });
     }
 
-    // Optional process lifecycle events during the load window.
-    const util::TimeNs load_start = sim.Now();
     if (opt.restart_node >= 0) {
         const auto victim = static_cast<uint32_t>(opt.restart_node);
-        if (victim >= cl.node_count()) {
-            std::fprintf(stderr, "--restart-node=%u: no such node\n", victim);
-            return 1;
-        }
-        sim.ScheduleAt(load_start + util::SecToNs(opt.duration / 3),
-                       [&cl, &sim, victim]() {
-                           std::printf("t=%.1f ms: stopping node %u\n",
-                                       static_cast<double>(sim.Now()) / 1e6,
-                                       victim);
-                           cl.StopNode(victim);
-                       });
-        sim.ScheduleAt(load_start + util::SecToNs(2 * opt.duration / 3),
-                       [&cl, &sim, victim]() {
-                           cl.RestartNode(victim, [&cl, &sim, victim]() {
-                               std::printf(
-                                   "t=%.1f ms: node %u recovered "
-                                   "(%.2f ms) and rebalanced\n",
-                                   static_cast<double>(sim.Now()) / 1e6,
-                                   victim,
-                                   static_cast<double>(
-                                       cl.node(victim)
-                                           .recovery()
-                                           .last_recovery_ns) /
-                                       1e6);
-                           });
-                       });
+        sim.ScheduleAt(t0 + dur / 3, [&cl, &sim, victim]() {
+            std::printf("t=%.1f ms: stopping node %u\n",
+                        static_cast<double>(sim.Now()) / 1e6, victim);
+            cl.StopNode(victim);
+        });
+        sim.ScheduleAt(t0 + 2 * dur / 3, [&cl, &sim, victim]() {
+            cl.RestartNode(victim, [&cl, &sim, victim]() {
+                std::printf("t=%.1f ms: node %u recovered (%.2f ms) and "
+                            "rebalanced\n",
+                            static_cast<double>(sim.Now()) / 1e6, victim,
+                            static_cast<double>(
+                                cl.node(victim).recovery().last_recovery_ns) /
+                                1e6);
+            });
+        });
     }
     if (opt.rebalance && opt.kill_node >= 0) {
-        // The device died at T/2; shortly after, declare the node gone
-        // for good and restore R-way redundancy from the survivors.
+        // Shortly after the device died, declare the node gone for good
+        // and restore R-way redundancy from the survivors.
         const auto victim = static_cast<uint32_t>(opt.kill_node);
-        sim.ScheduleAt(load_start + util::SecToNs(opt.duration * 0.6),
-                       [&cl, &sim, victim]() {
-                           std::printf("t=%.1f ms: node %u declared dead, "
-                                       "anti-entropy started\n",
-                                       static_cast<double>(sim.Now()) / 1e6,
-                                       victim);
-                           cl.router().MarkNodeDown(victim);
-                           cl.anti_entropy().Run();
-                       });
+        sim.ScheduleAt(t0 + dur * 6 / 10, [&cl, &sim, victim]() {
+            std::printf("t=%.1f ms: node %u declared dead, anti-entropy "
+                        "started\n",
+                        static_cast<double>(sim.Now()) / 1e6, victim);
+            cl.router().MarkNodeDown(victim);
+            cl.anti_entropy().Run();
+        });
+    }
+    return true;
+}
+
+/**
+ * --workload=cluster|overload|ycsb: build the cluster, preload it through
+ * the router, schedule the disruption flags, run the load engine, audit
+ * every acked write (plus the preload after a kill or restart), export.
+ * The modes differ only in the front door (the router for cluster, the
+ * async client for the others), the YcsbConfig (8 closed-loop clients,
+ * the three-phase overload storm, a named YCSB profile) and the keys
+ * they export. Exits nonzero on any lost ack or under-replicated key.
+ */
+int
+RunClusterWorkload(Options &opt)
+{
+    const bool closed_loop = opt.workload == "cluster";
+    sim::Simulator sim;
+    InstallHub(opt, sim);
+    cluster::Cluster cl(sim, ClusterConfigFor(opt));
+
+    // Bandwidth-sized values for the closed loop; small ones for the
+    // open-loop modes, which are request-rate experiments.
+    const uint32_t value_bytes =
+        (opt.value_explicit ? opt.value_kib : closed_loop ? 64 : 4) *
+        util::kKiB;
+    const std::vector<uint64_t> keys = cl.Preload(opt.keys, value_bytes);
+    if (keys.size() != opt.keys) {
+        std::fprintf(stderr, "preload: only %zu/%u keys acked\n",
+                     keys.size(), opt.keys);
+        return 1;
     }
 
-    workload::MixedRunConfig mc;
-    mc.read_fraction = opt.read_fraction;
-    mc.value_bytes = value_bytes;
-    mc.duration = util::SecToNs(opt.duration);
-    mc.seed = opt.seed;
-    const workload::KvService svc = cl.Service();
-    opt.obs.StartSeries(sim, "mixed", mc.duration);
-    const workload::MixedRunResult r =
-        workload::RunMixedLoad(sim, svc, keys, mc);
+    std::unique_ptr<fault::FaultInjector> injector;
+    if (!ScheduleDisruptions(opt, sim, cl, injector)) return 1;
 
-    const kv::ReplicatedKvStats &rs = cl.router().stats();
-    std::printf("cluster %u nodes, R=%u, %u slices/node, value %u KiB\n",
-                opt.nodes, opt.replication, opt.slices,
+    std::unique_ptr<client::KvClient> client;
+    if (!closed_loop) {
+        client::KvClientConfig kc;
+        kc.window_per_node = opt.window;
+        kc.queue_cap = opt.queue_cap;
+        kc.batch_max = opt.coalesce;
+        kc.deadline =
+            opt.deadline_ms > 0 ? util::MsToNs(opt.deadline_ms) : 0;
+        kc.hedge_reads = opt.hedge;
+        client = std::make_unique<client::KvClient>(sim, cl.router(), kc);
+    }
+
+    workload::YcsbConfig cfg;
+    cfg.arrival_rate = opt.arrival_rate;
+    cfg.duration = util::SecToNs(opt.duration);
+    cfg.seed = opt.seed;
+    cfg.theta = opt.theta;
+    cfg.value_bytes = value_bytes;
+    cfg.scan_limit_max = opt.scan_limit;
+    cfg.slo = util::MsToNs(opt.deadline_ms > 0 ? opt.deadline_ms : 5.0);
+    std::string shape;
+    if (opt.workload == "ycsb") {
+        // One labelled series segment per profile phase: windowed metrics
+        // cut exactly at the schedule's boundaries (no-op without
+        // --stats-series).
+        cfg.on_phase_start = [&opt, &sim](size_t,
+                                          const workload::YcsbPhase &p,
+                                          util::TimeNs, util::TimeNs dur) {
+            opt.obs.StartSeries(sim, "ycsb." + p.name, dur);
+        };
+        cfg = workload::YcsbProfile(opt.profile, cfg);
+        shape = "profile " + opt.profile + ", " +
+                util::TablePrinter::Num(opt.arrival_rate, 0) +
+                " base arrivals/s";
+    } else if (opt.workload == "overload") {
+        cfg.phases = workload::StormSchedule(opt.read_fraction, opt.storm);
+        shape = util::TablePrinter::Num(opt.arrival_rate, 0) +
+                " arrivals/s, storm x" +
+                util::TablePrinter::Num(opt.storm, 1) + " in the middle third";
+    } else {
+        cfg.actors = 8;
+        cfg.phases = {workload::UniformMix(opt.read_fraction)};
+        cfg.phases[0].name = "mixed";
+        shape = std::to_string(cfg.actors) + " closed-loop clients";
+    }
+    if (!cfg.on_phase_start) {
+        // One series segment over the whole load window, so the storm and
+        // any disruption land in their own windows instead of the run
+        // aggregate.
+        opt.obs.StartSeries(sim, closed_loop ? "mixed" : "overload",
+                            cfg.duration);
+    }
+
+    const workload::YcsbResult r = workload::RunYcsb(
+        sim, client ? client->Service() : cl.Service(), keys, cfg);
+
+    std::printf("%s: %u nodes, R=%u, %u slices/node, %s, value %u KiB\n",
+                opt.workload.c_str(), opt.nodes, opt.replication, opt.slices,
+                shape.c_str(),
                 value_bytes / static_cast<uint32_t>(util::kKiB));
-    std::printf("mixed load (%.0f%% reads): %.0f ops/s, read %.1f MB/s, "
-                "write %.1f MB/s\n",
-                100 * opt.read_fraction, r.ops_per_sec, r.read_mbps,
-                r.write_mbps);
-    std::printf("latency: read mean %.2f ms p99 %.2f ms, write mean %.2f ms "
-                "p99 %.2f ms\n",
-                r.read_mean_ms, r.read_p99_ms, r.write_mean_ms,
-                r.write_p99_ms);
+    std::printf("offered %.0f ops/s, goodput %.0f ops/s "
+                "(%llu issued, %llu completed)\n",
+                r.offered_ops_per_sec, r.goodput_ops_per_sec,
+                static_cast<unsigned long long>(r.issued),
+                static_cast<unsigned long long>(r.completed));
+    std::printf("outcomes: %llu reads, %llu updates, %llu inserts, "
+                "%llu scans (%llu keys, %.1f MiB), %llu misses\n",
+                static_cast<unsigned long long>(r.ok_reads),
+                static_cast<unsigned long long>(r.ok_updates),
+                static_cast<unsigned long long>(r.ok_inserts),
+                static_cast<unsigned long long>(r.ok_scans),
+                static_cast<unsigned long long>(r.scanned_keys),
+                static_cast<double>(r.scanned_bytes) / (1 << 20),
+                static_cast<unsigned long long>(r.misses));
+    std::printf("shed: %llu overloaded, %llu deadline, %llu errors; "
+                "SLO violations %llu; p50 %.3f ms, p99 %.3f ms, "
+                "p99.9 %.3f ms (read p99 %.3f ms)\n",
+                static_cast<unsigned long long>(r.shed_overloaded),
+                static_cast<unsigned long long>(r.shed_deadline),
+                static_cast<unsigned long long>(r.errors),
+                static_cast<unsigned long long>(r.slo_violations),
+                r.p50_ms, r.p99_ms, r.p999_ms, r.read_p99_ms);
+
+    util::TablePrinter phases("per-phase breakdown");
+    phases.SetHeader({"phase", "issued", "completed", "shed", "slo viol",
+                      "p50 ms", "p99 ms", "p99.9 ms"});
+    for (const workload::YcsbPhaseResult &p : r.phases) {
+        phases.AddRow({p.name, std::to_string(p.issued),
+                       std::to_string(p.completed),
+                       std::to_string(p.shed_overloaded + p.shed_deadline),
+                       std::to_string(p.slo_violations),
+                       util::TablePrinter::Num(p.p50_ms, 3),
+                       util::TablePrinter::Num(p.p99_ms, 3),
+                       util::TablePrinter::Num(p.p999_ms, 3)});
+    }
+    phases.Print();
+
+    if (client) {
+        const client::ClientStats &cs = client->stats();
+        const client::HedgeStats &hs = client->hedge_stats();
+        std::printf("client: %llu queued, %llu shed at the front door, "
+                    "%llu batches carrying %llu reads, %llu fallback "
+                    "walks\n",
+                    static_cast<unsigned long long>(cs.queued),
+                    static_cast<unsigned long long>(cs.shed_queue_full),
+                    static_cast<unsigned long long>(cs.batches),
+                    static_cast<unsigned long long>(cs.batched_gets),
+                    static_cast<unsigned long long>(cs.fallback_walks));
+        std::printf("hedge: %llu launched, %llu wins, %llu losses, "
+                    "%llu cancelled (threshold now %.3f ms)\n",
+                    static_cast<unsigned long long>(hs.launched),
+                    static_cast<unsigned long long>(hs.wins),
+                    static_cast<unsigned long long>(hs.losses),
+                    static_cast<unsigned long long>(hs.cancelled),
+                    static_cast<double>(client->HedgeThreshold()) / 1e6);
+    }
+    const kv::ReplicatedKvStats &rs = cl.router().stats();
     std::printf("replication: %llu degraded reads, %llu failed reads, "
                 "%llu re-replications, %llu put failures\n",
                 static_cast<unsigned long long>(rs.degraded_reads),
                 static_cast<unsigned long long>(rs.failed_reads),
                 static_cast<unsigned long long>(rs.re_replications),
                 static_cast<unsigned long long>(rs.put_failures));
-    util::TablePrinter table("requests routed per node");
-    table.SetHeader({"node", "puts routed", "gets routed"});
-    for (uint32_t n = 0; n < opt.nodes; ++n) {
-        table.AddRow({std::to_string(n),
+    uint64_t admission_shed = 0;
+    util::TablePrinter nodes("per node");
+    nodes.SetHeader({"node", "puts routed", "gets routed", "admitted",
+                     "shed", "peak inflight"});
+    for (uint32_t n = 0; n < cl.node_count(); ++n) {
+        const cluster::StorageNode::AdmissionStats &as =
+            cl.node(n).admission();
+        admission_shed += as.shed_overload;
+        nodes.AddRow({std::to_string(n),
                       std::to_string(cl.router().node_puts(n)),
-                      std::to_string(cl.router().node_gets(n))});
+                      std::to_string(cl.router().node_gets(n)),
+                      std::to_string(as.admitted),
+                      std::to_string(as.shed_overload),
+                      std::to_string(as.peak_inflight)});
     }
-    table.Print();
+    nodes.Print();
+    const cluster::FailSlowBreaker::Stats &bs = cl.router().breaker().stats();
+    std::printf("breaker: %llu trips, %llu resets, %llu reroutes, "
+                "%u open now\n",
+                static_cast<unsigned long long>(bs.trips),
+                static_cast<unsigned long long>(bs.resets),
+                static_cast<unsigned long long>(bs.reroutes),
+                cl.router().breaker().open_count());
 
-    // After any disruption, audit every key the cluster acknowledged —
-    // the preload plus every acked mixed-load write — back through the
-    // router: replication/recovery must have preserved all of them.
-    uint64_t lost = 0;
-    if (opt.kill_node >= 0 || opt.restart_node >= 0) {
-        std::vector<uint64_t> audit_keys = keys;
-        audit_keys.insert(audit_keys.end(), r.acked_writes.begin(),
-                          r.acked_writes.end());
-        std::sort(audit_keys.begin(), audit_keys.end());
-        audit_keys.erase(
-            std::unique(audit_keys.begin(), audit_keys.end()),
-            audit_keys.end());
-        // Closed-loop audit: flooding every key at once would overflow
-        // the RPC timeout and report congestion as data loss.
-        uint64_t audited = 0;
-        size_t next = 0;
-        std::vector<uint64_t> lost_keys;
-        std::function<void()> audit_step = [&]() {
-            if (next >= audit_keys.size()) return;
-            const uint64_t key = audit_keys[next++];
-            cl.router().Get(key, [&, key](const kv::GetResult &res) {
-                ++audited;
-                if (!res.ok || !res.found) {
-                    ++lost;
-                    if (lost_keys.size() < 10) lost_keys.push_back(key);
-                }
-                audit_step();
-            });
-        };
-        for (uint32_t s = 0; s < 8; ++s) audit_step();
-        sim.Run();
-        std::printf("consistency audit: %llu acked keys, %llu lost\n",
-                    static_cast<unsigned long long>(audited),
-                    static_cast<unsigned long long>(lost));
-        // The first few losses with their placement: which vnode owns the
-        // key and which nodes the ring currently maps it to.
-        for (uint64_t key : lost_keys) {
-            const auto [point, owner] = cl.router().ring().OwnerVnode(key);
-            std::string replicas;
-            for (uint32_t n : cl.router().ReplicaNodes(key)) {
-                if (!replicas.empty()) replicas += ",";
-                replicas += std::to_string(n);
-            }
-            std::fprintf(stderr,
-                         "lost key %llu: vnode 0x%016llx on node %u, "
-                         "replica set [%s]\n",
-                         static_cast<unsigned long long>(key),
-                         static_cast<unsigned long long>(point), owner,
-                         replicas.c_str());
+    // Load may shed, but every acked write must stay readable — and after
+    // a node kill or restart, so must the preload.
+    std::vector<uint64_t> audit_keys;
+    if (opt.kill_node >= 0 || opt.restart_node >= 0) audit_keys = keys;
+    audit_keys.insert(audit_keys.end(), r.acked_writes.begin(),
+                      r.acked_writes.end());
+    const cluster::Cluster::Audit audit = cl.AuditKeys(audit_keys);
+    std::printf("consistency audit: %llu acked keys, %llu lost\n",
+                static_cast<unsigned long long>(audit.audited),
+                static_cast<unsigned long long>(audit.lost));
+    // The first few losses with their placement: which vnode owns the key
+    // and which nodes the ring currently maps it to.
+    for (uint64_t key : audit.lost_keys) {
+        const auto [point, owner] = cl.router().ring().OwnerVnode(key);
+        std::string replicas;
+        for (uint32_t n : cl.router().ReplicaNodes(key)) {
+            if (!replicas.empty()) replicas += ",";
+            replicas += std::to_string(n);
         }
+        std::fprintf(stderr,
+                     "lost key %llu: vnode 0x%016llx on node %u, replica "
+                     "set [%s]\n",
+                     static_cast<unsigned long long>(key),
+                     static_cast<unsigned long long>(point), owner,
+                     replicas.c_str());
     }
 
     uint64_t under_replicated = 0;
@@ -773,388 +979,35 @@ RunCluster(Options &opt)
     AddCommonMeta(opt);
     opt.obs.AddMeta("nodes", std::to_string(opt.nodes));
     opt.obs.AddMeta("replication", std::to_string(opt.replication));
-    opt.obs.AddMeta("slices", std::to_string(opt.slices));
-    opt.obs.AddDerived("result.ops_per_sec", r.ops_per_sec);
-    opt.obs.AddDerived("result.read_mbps", r.read_mbps);
-    opt.obs.AddDerived("result.write_mbps", r.write_mbps);
-    opt.obs.AddDerived("result.degraded_reads",
-                       static_cast<double>(rs.degraded_reads));
-    opt.obs.AddDerived("result.failed_reads",
-                       static_cast<double>(rs.failed_reads));
-    if (const int rc = opt.obs.Export(); rc != 0) return rc;
-    return lost == 0 && under_replicated == 0 ? 0 : 1;
-}
-
-/**
- * --workload=overload: open-loop Poisson traffic through the async client
- * front door, with an optional mid-run arrival storm and one fail-slow
- * node. Exercises the whole defense stack: client windows + coalescing +
- * hedged reads, server admission control, deadline propagation, and the
- * fail-slow circuit breaker. Exits nonzero if any acked write is lost.
- */
-int
-RunOverload(Options &opt)
-{
-    sim::Simulator sim;
-    InstallHub(opt, sim);
-
-    cluster::ClusterConfig cc;
-    cc.nodes = opt.nodes;
-    cc.replication = opt.replication;
-    cc.node.kv.stack.backend =
-        opt.device == "huawei"  ? testbed::Backend::kHuaweiGen3
-        : opt.device == "intel" ? testbed::Backend::kIntel320
-                                : testbed::Backend::kBaiduSdf;
-    cc.node.kv.stack.ssd_through_block_layer = true;
-    cc.node.kv.stack.capacity_scale = opt.scale;
-    cc.node.kv.stack.tune_sdf = [&opt](core::SdfConfig &dc) {
-        ApplyErrorOverrides(dc, opt);
-    };
-    cc.node.kv.store.slice_count = opt.slices;
-    cc.node.admission_cap = opt.admission_cap;
-    cc.breaker.enabled = opt.breaker;
-    cluster::Cluster cl(sim, cc);
-
-    // Small values: open-loop overload is a request-rate experiment, not a
-    // bandwidth one.
-    const uint32_t value_bytes =
-        (opt.value_explicit ? opt.value_kib : 4) * util::kKiB;
-    uint64_t loaded = 0;
-    std::vector<uint64_t> keys;
-    for (uint32_t k = 0; k < opt.keys; ++k) {
-        const uint64_t key = k + 1;
-        keys.push_back(key);
-        cl.router().Put(key, value_bytes,
-                        [&loaded](bool ok) { loaded += ok ? 1 : 0; });
+    if (closed_loop) {
+        opt.obs.AddMeta("slices", std::to_string(opt.slices));
+        opt.obs.AddDerived("result.degraded_reads",
+                           static_cast<double>(rs.degraded_reads));
+        opt.obs.AddDerived("result.failed_reads",
+                           static_cast<double>(rs.failed_reads));
+    } else {
+        opt.obs.AddMeta("arrival_rate", std::to_string(opt.arrival_rate));
     }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    if (loaded != opt.keys) {
-        std::fprintf(stderr, "preload: only %llu/%u keys acked\n",
-                     static_cast<unsigned long long>(loaded), opt.keys);
-        return 1;
+    if (opt.workload == "ycsb") {
+        opt.obs.AddMeta("profile", opt.profile);
+        opt.obs.AddMeta("theta", std::to_string(opt.theta));
+    } else {
+        opt.obs.AddDerived("result.read_p99_ms", r.read_p99_ms);
     }
-
-    const util::TimeNs load_start = sim.Now();
-    const util::TimeNs dur = util::SecToNs(opt.duration);
-
-    // Fail-slow through the fault plan so the scenario is replayable: the
-    // injector's sink delivers the multiplier to the node and restores it
-    // when the window (the middle third of the run) ends.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (opt.fail_slow_node >= 0) {
-        const auto victim = static_cast<uint32_t>(opt.fail_slow_node);
-        if (victim >= cl.node_count()) {
-            std::fprintf(stderr, "--fail-slow-node=%u: no such node\n",
-                         victim);
-            return 1;
-        }
-        fault::FaultEvent e;
-        e.when = load_start + dur / 3;
-        e.kind = fault::FaultKind::kFailSlow;
-        e.device = victim;
-        e.duration = dur / 3;
-        e.magnitude = opt.fail_slow_factor;
-        injector = std::make_unique<fault::FaultInjector>(
-            sim, cl.SdfDevices(), fault::FaultPlan({e}),
-            [&cl](uint32_t node, double m) {
-                if (node < cl.node_count()) cl.node(node).SetFailSlow(m);
-            });
+    if (opt.workload == "overload") {
+        opt.obs.AddMeta("storm", std::to_string(opt.storm));
+        opt.obs.AddMeta("hedge", opt.hedge ? "1" : "0");
+        opt.obs.AddDerived("result.hedge_launched",
+                           static_cast<double>(client->hedge_stats().launched));
+        opt.obs.AddDerived("result.hedge_wins",
+                           static_cast<double>(client->hedge_stats().wins));
+        opt.obs.AddDerived("result.admission_shed",
+                           static_cast<double>(admission_shed));
+        opt.obs.AddDerived("result.breaker_trips",
+                           static_cast<double>(bs.trips));
     }
-
-    client::KvClientConfig kc;
-    kc.window_per_node = opt.window;
-    kc.queue_cap = opt.queue_cap;
-    kc.batch_max = opt.coalesce;
-    kc.deadline = opt.deadline_ms > 0 ? util::MsToNs(opt.deadline_ms) : 0;
-    kc.hedge_reads = opt.hedge;
-    client::KvClient client(sim, cl.router(), kc);
-
-    workload::OpenRunConfig oc;
-    oc.arrival_rate = opt.arrival_rate;
-    oc.read_fraction = opt.read_fraction;
-    oc.value_bytes = value_bytes;
-    oc.duration = dur;
-    oc.seed = opt.seed;
-    oc.storm_factor = opt.storm;
-    oc.storm_start = dur / 3;
-    oc.storm_end = 2 * dur / 3;
-    // Windowed metrics over the load phase (no-op without --stats-series):
-    // the storm and the breaker trip land in their own windows instead of
-    // being smeared into the end-of-run aggregate.
-    opt.obs.StartSeries(sim, "overload", dur);
-    const workload::OpenRunResult r =
-        workload::RunOpenLoad(sim, client.Service(), keys, oc);
-
-    std::printf("overload: %u nodes, R=%u, %.0f arrivals/s "
-                "(storm x%.1f in the middle third), value %u KiB\n",
-                opt.nodes, opt.replication, opt.arrival_rate, opt.storm,
-                value_bytes / static_cast<uint32_t>(util::kKiB));
-    std::printf("offered %.0f ops/s, goodput %.0f ops/s "
-                "(%llu issued, %llu completed)\n",
-                r.offered_ops_per_sec, r.goodput_ops_per_sec,
-                static_cast<unsigned long long>(r.issued),
-                static_cast<unsigned long long>(r.completed));
-    std::printf("outcomes: %llu reads ok, %llu writes acked, %llu misses, "
-                "%llu shed overloaded, %llu shed deadline, %llu errors\n",
-                static_cast<unsigned long long>(r.ok_reads),
-                static_cast<unsigned long long>(r.ok_writes),
-                static_cast<unsigned long long>(r.misses),
-                static_cast<unsigned long long>(r.shed_overloaded),
-                static_cast<unsigned long long>(r.shed_deadline),
-                static_cast<unsigned long long>(r.errors));
-    std::printf("latency: p50 %.3f ms, p99 %.3f ms, p99.9 %.3f ms "
-                "(read p99 %.3f ms)\n",
-                r.p50_ms, r.p99_ms, r.p999_ms, r.read_p99_ms);
-
-    const client::ClientStats &cs = client.stats();
-    const client::HedgeStats &hs = client.hedge_stats();
-    std::printf("client: %llu queued, %llu shed at the front door, "
-                "%llu batches carrying %llu reads, %llu fallback walks\n",
-                static_cast<unsigned long long>(cs.queued),
-                static_cast<unsigned long long>(cs.shed_queue_full),
-                static_cast<unsigned long long>(cs.batches),
-                static_cast<unsigned long long>(cs.batched_gets),
-                static_cast<unsigned long long>(cs.fallback_walks));
-    std::printf("hedge: %llu launched, %llu wins, %llu losses, "
-                "%llu cancelled (threshold now %.3f ms)\n",
-                static_cast<unsigned long long>(hs.launched),
-                static_cast<unsigned long long>(hs.wins),
-                static_cast<unsigned long long>(hs.losses),
-                static_cast<unsigned long long>(hs.cancelled),
-                static_cast<double>(client.HedgeThreshold()) / 1e6);
-
-    uint64_t admitted = 0, shed = 0;
-    util::TablePrinter table("admission per node");
-    table.SetHeader({"node", "admitted", "shed", "peak inflight"});
-    for (uint32_t n = 0; n < cl.node_count(); ++n) {
-        const cluster::StorageNode::AdmissionStats &as =
-            cl.node(n).admission();
-        admitted += as.admitted;
-        shed += as.shed_overload;
-        table.AddRow({std::to_string(n), std::to_string(as.admitted),
-                      std::to_string(as.shed_overload),
-                      std::to_string(as.peak_inflight)});
-    }
-    table.Print();
-    const cluster::FailSlowBreaker::Stats &bs = cl.router().breaker().stats();
-    std::printf("breaker: %llu trips, %llu resets, %llu reroutes, "
-                "%u open now\n",
-                static_cast<unsigned long long>(bs.trips),
-                static_cast<unsigned long long>(bs.resets),
-                static_cast<unsigned long long>(bs.reroutes),
-                cl.router().breaker().open_count());
-
-    // Every write the client acked must still be readable: overload may
-    // shed, but it must never lose. Closed-loop so the audit itself cannot
-    // congest the cluster.
-    uint64_t lost = 0, audited = 0;
-    size_t next = 0;
-    std::function<void()> audit_step = [&]() {
-        if (next >= r.acked_writes.size()) return;
-        const uint64_t key = r.acked_writes[next++];
-        cl.router().Get(key, [&, key](const kv::GetResult &res) {
-            ++audited;
-            if (!res.ok || !res.found) {
-                ++lost;
-                if (lost <= 10) {
-                    std::fprintf(stderr, "lost acked key %llu\n",
-                                 static_cast<unsigned long long>(key));
-                }
-            }
-            audit_step();
-        });
-    };
-    for (uint32_t s = 0; s < 8; ++s) audit_step();
-    sim.Run();
-    std::printf("consistency audit: %llu acked writes, %llu lost\n",
-                static_cast<unsigned long long>(audited),
-                static_cast<unsigned long long>(lost));
-
-    AddCommonMeta(opt);
-    opt.obs.AddMeta("nodes", std::to_string(opt.nodes));
-    opt.obs.AddMeta("replication", std::to_string(opt.replication));
-    opt.obs.AddMeta("arrival_rate", std::to_string(opt.arrival_rate));
-    opt.obs.AddMeta("storm", std::to_string(opt.storm));
-    opt.obs.AddMeta("hedge", opt.hedge ? "1" : "0");
-    opt.obs.AddDerived("result.offered_ops_per_sec", r.offered_ops_per_sec);
-    opt.obs.AddDerived("result.goodput_ops_per_sec", r.goodput_ops_per_sec);
-    opt.obs.AddDerived("result.p99_ms", r.p99_ms);
-    opt.obs.AddDerived("result.read_p99_ms", r.read_p99_ms);
-    opt.obs.AddDerived("result.shed_overloaded",
-                       static_cast<double>(r.shed_overloaded));
-    opt.obs.AddDerived("result.shed_deadline",
-                       static_cast<double>(r.shed_deadline));
-    opt.obs.AddDerived("result.hedge_launched",
-                       static_cast<double>(hs.launched));
-    opt.obs.AddDerived("result.hedge_wins", static_cast<double>(hs.wins));
-    opt.obs.AddDerived("result.admission_shed", static_cast<double>(shed));
-    opt.obs.AddDerived("result.breaker_trips", static_cast<double>(bs.trips));
-    opt.obs.AddDerived("result.lost_acked_writes",
-                       static_cast<double>(lost));
-    if (const int rc = opt.obs.Export(); rc != 0) return rc;
-    return lost == 0 ? 0 : 1;
-}
-
-/**
- * --workload=ycsb: a named YCSB profile through the async client front
- * door — Zipfian/latest/hot-range key skew, mixed ops including cluster
- * range scans, and a dynamic phase schedule (flash crowd, diurnal ramp)
- * over open-loop Poisson arrivals. Each phase opens its own labelled
- * series segment and exports per-phase tails + SLO counters, so a storm's
- * violations land in the storm's numbers, not the run average. Exits
- * nonzero if any acked write is lost.
- */
-int
-RunYcsb(Options &opt)
-{
-    sim::Simulator sim;
-    InstallHub(opt, sim);
-
-    cluster::ClusterConfig cc;
-    cc.nodes = opt.nodes;
-    cc.replication = opt.replication;
-    cc.node.kv.stack.backend =
-        opt.device == "huawei"  ? testbed::Backend::kHuaweiGen3
-        : opt.device == "intel" ? testbed::Backend::kIntel320
-                                : testbed::Backend::kBaiduSdf;
-    cc.node.kv.stack.ssd_through_block_layer = true;
-    cc.node.kv.stack.capacity_scale = opt.scale;
-    cc.node.kv.stack.tune_sdf = [&opt](core::SdfConfig &dc) {
-        ApplyErrorOverrides(dc, opt);
-    };
-    cc.node.kv.store.slice_count = opt.slices;
-    cc.node.admission_cap = opt.admission_cap;
-    cc.breaker.enabled = opt.breaker;
-    cluster::Cluster cl(sim, cc);
-
-    const uint32_t value_bytes =
-        (opt.value_explicit ? opt.value_kib : 4) * util::kKiB;
-    uint64_t loaded = 0;
-    std::vector<uint64_t> keys;
-    for (uint32_t k = 0; k < opt.keys; ++k) {
-        const uint64_t key = k + 1;
-        keys.push_back(key);
-        cl.router().Put(key, value_bytes,
-                        [&loaded](bool ok) { loaded += ok ? 1 : 0; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    if (loaded != opt.keys) {
-        std::fprintf(stderr, "preload: only %llu/%u keys acked\n",
-                     static_cast<unsigned long long>(loaded), opt.keys);
-        return 1;
-    }
-
-    client::KvClientConfig kc;
-    kc.window_per_node = opt.window;
-    kc.queue_cap = opt.queue_cap;
-    kc.batch_max = opt.coalesce;
-    kc.deadline = opt.deadline_ms > 0 ? util::MsToNs(opt.deadline_ms) : 0;
-    kc.hedge_reads = opt.hedge;
-    client::KvClient client(sim, cl.router(), kc);
-
-    workload::YcsbConfig base;
-    base.arrival_rate = opt.arrival_rate;
-    base.duration = util::SecToNs(opt.duration);
-    base.seed = opt.seed;
-    base.theta = opt.theta;
-    base.value_bytes = value_bytes;
-    base.scan_limit_max = opt.scan_limit;
-    base.slo = util::MsToNs(opt.deadline_ms > 0 ? opt.deadline_ms : 5.0);
-    // One labelled series segment per phase: windowed metrics cut exactly
-    // at the schedule's boundaries (no-op without --stats-series).
-    base.on_phase_start = [&opt, &sim](size_t, const workload::YcsbPhase &p,
-                                       util::TimeNs, util::TimeNs dur) {
-        opt.obs.StartSeries(sim, "ycsb." + p.name, dur);
-    };
-    const workload::YcsbConfig cfg = workload::YcsbProfile(opt.profile, base);
-
-    const workload::YcsbResult r =
-        workload::RunYcsb(sim, client.Service(), keys, cfg);
-
-    std::printf("ycsb-%s: %u nodes, R=%u, %.0f base arrivals/s, "
-                "theta %.2f, value %u KiB, %zu phases\n",
-                opt.profile.c_str(), opt.nodes, opt.replication,
-                opt.arrival_rate, opt.theta,
-                value_bytes / static_cast<uint32_t>(util::kKiB),
-                cfg.phases.size());
-    std::printf("offered %.0f ops/s, goodput %.0f ops/s "
-                "(%llu issued, %llu completed)\n",
-                r.offered_ops_per_sec, r.goodput_ops_per_sec,
-                static_cast<unsigned long long>(r.issued),
-                static_cast<unsigned long long>(r.completed));
-    std::printf("outcomes: %llu reads, %llu updates, %llu inserts, "
-                "%llu scans (%llu keys, %.1f MiB), %llu misses\n",
-                static_cast<unsigned long long>(r.ok_reads),
-                static_cast<unsigned long long>(r.ok_updates),
-                static_cast<unsigned long long>(r.ok_inserts),
-                static_cast<unsigned long long>(r.ok_scans),
-                static_cast<unsigned long long>(r.scanned_keys),
-                static_cast<double>(r.scanned_bytes) / (1 << 20),
-                static_cast<unsigned long long>(r.misses));
-    std::printf("shed: %llu overloaded, %llu deadline, %llu errors; "
-                "SLO violations %llu; p50 %.3f ms, p99 %.3f ms, "
-                "p99.9 %.3f ms\n",
-                static_cast<unsigned long long>(r.shed_overloaded),
-                static_cast<unsigned long long>(r.shed_deadline),
-                static_cast<unsigned long long>(r.errors),
-                static_cast<unsigned long long>(r.slo_violations),
-                r.p50_ms, r.p99_ms, r.p999_ms);
-
-    util::TablePrinter table("per-phase breakdown");
-    table.SetHeader({"phase", "issued", "completed", "shed", "slo viol",
-                     "p50 ms", "p99 ms", "p99.9 ms"});
-    char buf[32];
-    auto fmt = [&buf](double v) {
-        std::snprintf(buf, sizeof buf, "%.3f", v);
-        return std::string(buf);
-    };
-    for (const workload::YcsbPhaseResult &p : r.phases) {
-        table.AddRow({p.name, std::to_string(p.issued),
-                      std::to_string(p.completed),
-                      std::to_string(p.shed_overloaded + p.shed_deadline),
-                      std::to_string(p.slo_violations), fmt(p.p50_ms),
-                      fmt(p.p99_ms), fmt(p.p999_ms)});
-    }
-    table.Print();
-
-    // Same audit as overload: skew and storms may shed ops, but every
-    // acked write must stay readable.
-    uint64_t lost = 0, audited = 0;
-    size_t next = 0;
-    std::function<void()> audit_step = [&]() {
-        if (next >= r.acked_writes.size()) return;
-        const uint64_t key = r.acked_writes[next++];
-        cl.router().Get(key, [&, key](const kv::GetResult &res) {
-            ++audited;
-            if (!res.ok || !res.found) {
-                ++lost;
-                if (lost <= 10) {
-                    std::fprintf(stderr, "lost acked key %llu\n",
-                                 static_cast<unsigned long long>(key));
-                }
-            }
-            audit_step();
-        });
-    };
-    for (uint32_t s = 0; s < 8; ++s) audit_step();
-    sim.Run();
-    std::printf("consistency audit: %llu acked writes, %llu lost\n",
-                static_cast<unsigned long long>(audited),
-                static_cast<unsigned long long>(lost));
-
-    AddCommonMeta(opt);
-    opt.obs.AddMeta("profile", opt.profile);
-    opt.obs.AddMeta("theta", std::to_string(opt.theta));
-    opt.obs.AddMeta("nodes", std::to_string(opt.nodes));
-    opt.obs.AddMeta("replication", std::to_string(opt.replication));
-    opt.obs.AddMeta("arrival_rate", std::to_string(opt.arrival_rate));
     opt.obs.AddDerived("result.issued", static_cast<double>(r.issued));
-    opt.obs.AddDerived("result.completed",
-                       static_cast<double>(r.completed));
+    opt.obs.AddDerived("result.completed", static_cast<double>(r.completed));
     opt.obs.AddDerived("result.offered_ops_per_sec", r.offered_ops_per_sec);
     opt.obs.AddDerived("result.goodput_ops_per_sec", r.goodput_ops_per_sec);
     opt.obs.AddDerived("result.p50_ms", r.p50_ms);
@@ -1174,7 +1027,7 @@ RunYcsb(Options &opt)
     opt.obs.AddDerived("result.slo_violations",
                        static_cast<double>(r.slo_violations));
     opt.obs.AddDerived("result.lost_acked_writes",
-                       static_cast<double>(lost));
+                       static_cast<double>(audit.lost));
     for (const workload::YcsbPhaseResult &p : r.phases) {
         const std::string pre = "result.phase." + p.name + ".";
         opt.obs.AddDerived(pre + "issued", static_cast<double>(p.issued));
@@ -1185,7 +1038,7 @@ RunYcsb(Options &opt)
                            static_cast<double>(p.slo_violations));
     }
     if (const int rc = opt.obs.Export(); rc != 0) return rc;
-    return lost == 0 ? 0 : 1;
+    return audit.lost == 0 && under_replicated == 0 ? 0 : 1;
 }
 
 int
@@ -1245,12 +1098,18 @@ int
 main(int argc, char **argv)
 {
     sdf::Options opt;
-    if (!sdf::ParseArgs(argc, argv, opt)) return argc > 1 ? 1 : 0;
+    try {
+        if (!sdf::ParseArgs(argc, argv, opt)) return argc > 1 ? 1 : 0;
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s (try --help)\n", e.what());
+        return 1;
+    }
 
     if (opt.workload == "faults") return sdf::RunFaults(opt);
-    if (opt.workload == "cluster") return sdf::RunCluster(opt);
-    if (opt.workload == "overload") return sdf::RunOverload(opt);
-    if (opt.workload == "ycsb") return sdf::RunYcsb(opt);
+    if (opt.workload == "cluster" || opt.workload == "overload" ||
+        opt.workload == "ycsb") {
+        return sdf::RunClusterWorkload(opt);
+    }
     if (opt.workload.rfind("kv", 0) == 0 || opt.workload == "scan") {
         return sdf::RunKv(opt);
     }
