@@ -4,15 +4,16 @@
  *
  * The paper's SDF deployment strips the drive of internal redundancy and
  * relies on the distributed software layer for fault tolerance (§2, §5).
- * This campaign stresses that claim: R replicated storage stacks take a
- * barrage of injected hardware faults (channel stalls and deaths, latent
- * page corruption, link CRC windows, elevated RBER) while clients keep
- * reading through a timeout-and-retry network path. With 3-way replication
- * the expected outcome is zero data loss and every request completing —
- * degraded, not down.
+ * This campaign stresses that claim: the storage nodes of an R-node,
+ * R-way replicated cluster take a barrage of injected hardware faults
+ * (channel stalls and deaths, latent page corruption, link CRC windows,
+ * elevated RBER) while open-loop clients keep reading and inserting
+ * through the router's RPC path. With 3-way replication the expected
+ * outcome is zero data loss and every request completing — degraded, not
+ * down.
  *
  * Usage:
- *   fault_campaign [--replicas=3] [--faults=120] [--keys=300] [--reads=1500]
+ *   fault_campaign [--replicas=3] [--faults=120] [--keys=800] [--reads=1500]
  *                  [--seed=42] [--horizon-ms=400] [--plan=<file>]
  *                  [--retry-levels=4] [--print-plan]
  */
@@ -73,6 +74,10 @@ main(int argc, char **argv)
     }
     if (cfg.replicas == 0) {
         std::fprintf(stderr, "--replicas must be >= 1\n");
+        return 2;
+    }
+    if (cfg.keys == 0 || !(cfg.horizon_sec > 0)) {
+        std::fprintf(stderr, "--keys and --horizon-ms must be positive\n");
         return 2;
     }
     if (!plan_path.empty()) {

@@ -3,19 +3,22 @@
  * Shared fault-campaign runner used by bench/fault_campaign and the
  * `sdfsim --workload=faults` subcommand.
  *
- * A campaign assembles R independent replica stacks (SdfDevice + block
- * layer + CCDB store each — separate failure domains, as the paper's
- * no-drive-internal-redundancy design assumes), loads a key population,
- * then replays a deterministic FaultPlan against the hardware while
- * clients read over a timeout-and-retry network path. Afterwards every
- * acknowledged key is audited through the replicated read path.
+ * A campaign runs on the same cluster::Cluster as the cluster experiments:
+ * R storage nodes with R-way replication, so every node holds every key on
+ * its own SdfDevice — independent failure domains, as the paper's
+ * no-drive-internal-redundancy design assumes. It preloads a key
+ * population through the router, then replays a deterministic FaultPlan
+ * against the nodes' devices while one open-loop workload::RunYcsb phase
+ * (uniform reads plus fresh-key inserts) drives the router. Afterwards the
+ * preload and every acknowledged insert are audited through the
+ * replicated read path.
  *
  * Reported metrics: data loss (keys unreadable from every replica),
- * availability (fraction of in-window requests answered successfully —
- * every request completes, bounded by timeout x retries), and recovery
- * latency (read-retry ladder recoveries on the device, replica failovers
- * in the store). A stats fingerprint makes determinism checkable: equal
- * seeds must produce equal fingerprints.
+ * availability (ops that returned ok / ops issued — every op completes,
+ * bounded by the RPC timeout x retries), and recovery latency (read-retry
+ * ladder recoveries on the device, replica failovers in the router). A
+ * stats fingerprint makes determinism checkable: equal seeds must produce
+ * equal fingerprints.
  */
 #ifndef SDF_BENCH_FAULT_COMMON_H
 #define SDF_BENCH_FAULT_COMMON_H
@@ -23,47 +26,30 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "fault/fault.h"
-#include "kv/replicated_store.h"
-#include "kv/store.h"
-#include "net/network.h"
 #include "sim/simulator.h"
-#include "testbed/testbed.h"
 #include "util/fingerprint.h"
-#include "util/rng.h"
 #include "util/units.h"
+#include "workload/ycsb.h"
 
 namespace sdf::bench {
-
-/**
- * Network spec tuned for fault campaigns: a tight per-attempt timeout so
- * requests stuck behind a multi-millisecond channel stall abandon the
- * attempt and retry instead of waiting it out.
- */
-inline net::NetworkSpec
-CampaignNetSpec()
-{
-    net::NetworkSpec spec;
-    spec.rpc_timeout = util::MsToNs(5);
-    spec.rpc_max_retries = 4;
-    spec.rpc_backoff_base = util::MsToNs(1);
-    return spec;
-}
 
 /** Campaign knobs. */
 struct FaultCampaignConfig
 {
-    uint32_t replicas = 3;
+    uint32_t replicas = 3;  ///< Nodes, each holding every key.
     uint32_t slices_per_replica = 4;
     double capacity_scale = 0.02;
     uint32_t keys = 800;
     uint32_t value_bytes = 64 * util::kKiB;
-    uint32_t reads = 1500;  ///< Network reads issued during the fault window.
-    uint32_t writes = 200;  ///< Network writes during the window (redirects).
+    /** Mean reads and fresh-key writes over the fault window; together
+     *  they set the open-loop arrival rate, (reads + writes) / horizon. */
+    uint32_t reads = 1500;
+    uint32_t writes = 200;
     double horizon_sec = 0.4;
     uint64_t seed = 42;
     uint32_t fault_count = 120;
@@ -71,20 +57,17 @@ struct FaultCampaignConfig
     /** Optional plan text (FaultPlan format); empty = random from seed. */
     std::string plan_text;
     /**
-     * Device error model (faults ride on top of it). The elevated base
-     * RBER puts ~1.3 expected bit errors in an 8 KiB page — harmless
-     * against a 40-bit BCH budget, but an injected RBER elevation of
-     * 30-100x pushes pages into read-retry or terminal-retirement range.
+     * Device error model (always on; faults ride on top of it). The
+     * elevated base RBER puts ~1.3 expected bit errors in an 8 KiB page —
+     * harmless against a 40-bit BCH budget, but an injected RBER elevation
+     * of 30-100x pushes pages into read-retry or terminal-retirement range.
      */
-    bool errors_enabled = true;
     double base_rber = 2e-5;
     double wear_rber_factor = 50.0;
     uint32_t endurance_cycles = 3000;
     uint32_t ecc_bits = 40;
-    uint32_t retry_extra_bits = 10;
-    net::NetworkSpec net = CampaignNetSpec();
     /** Optional observability hub, installed on the campaign's simulator
-     *  before the replica stacks are built (see obs/hub.h). */
+     *  before the cluster is built (see obs/hub.h). */
     obs::Hub *hub = nullptr;
 };
 
@@ -92,15 +75,15 @@ struct FaultCampaignConfig
 struct FaultCampaignResult
 {
     fault::FaultInjectorStats faults;
-    uint64_t keys_stored = 0;
-    uint64_t keys_lost = 0;  ///< Unreadable from every replica post-run.
+    uint64_t keys_stored = 0;  ///< Preloaded plus acked-insert keys audited.
+    uint64_t keys_lost = 0;    ///< Unreadable from every replica post-run.
     uint64_t requests_issued = 0;
     uint64_t requests_completed = 0;  ///< Every request must complete.
-    uint64_t requests_ok = 0;
+    uint64_t requests_ok = 0;  ///< Completed with an ok status (a miss too).
     double availability = 1.0;  ///< requests_ok / requests_issued.
-    core::SdfStats device;      ///< Summed over replicas.
-    kv::ReplicatedKvStats kv;
-    net::RpcStats rpc;
+    core::SdfStats device;      ///< Summed over nodes.
+    kv::ReplicatedKvStats kv;   ///< The router's replication counters.
+    net::RpcStats rpc;          ///< Summed over the nodes' endpoints.
     uint64_t ladder_recoveries = 0;   ///< Pages saved by read retries.
     double ladder_recovery_mean_ms = 0;
     uint64_t failovers = 0;           ///< Reads served by a backup replica.
@@ -131,14 +114,15 @@ CampaignFaultSpec(const FaultCampaignConfig &cfg)
     spec.blocks_per_plane = std::min(geo.blocks_per_plane, 8u);
     spec.pages_per_block = geo.pages_per_block;
     spec.max_deaths = cfg.replicas;  // At most ~one dead channel per replica.
-    // Long enough to outlast CampaignNetSpec's 5 ms RPC timeout: stalled
-    // requests must exercise the client's timeout-and-retry path.
+    // Multi-millisecond stalls, well inside the cluster's 50 ms RPC
+    // timeout: a request caught behind one waits it out, so stalls show up
+    // as read latency rather than as RPC retries.
     spec.stall_max = util::MsToNs(8);
     return spec;
 }
 
 /** The seed the campaign derives for plan synthesis (distinct stream from
- *  device RNGs and the read schedule). */
+ *  the device RNGs and the load generator). */
 inline uint64_t
 CampaignPlanSeed(const FaultCampaignConfig &cfg)
 {
@@ -148,58 +132,7 @@ CampaignPlanSeed(const FaultCampaignConfig &cfg)
 inline FaultCampaignResult
 RunFaultCampaign(const FaultCampaignConfig &cfg)
 {
-    sim::Simulator sim;
-    if (cfg.hub != nullptr) sim.set_hub(cfg.hub);
-
-    // --- replica stacks: independent devices = independent failure domains.
-    // Wiring is the shared testbed builder's; only the error-model tuning
-    // is campaign-specific.
-    std::vector<testbed::KvStack> stacks;
-    std::vector<kv::Store *> stores;
-    std::vector<core::SdfDevice *> devices;
-    for (uint32_t r = 0; r < cfg.replicas; ++r) {
-        testbed::KvStackConfig kc;
-        kc.stack.backend = testbed::Backend::kBaiduSdf;
-        kc.stack.capacity_scale = cfg.capacity_scale;
-        kc.stack.with_io_stack = false;
-        kc.stack.tune_sdf = [&cfg, r](core::SdfConfig &dc) {
-            dc.flash.errors.enabled = cfg.errors_enabled;
-            dc.flash.errors.base_rber = cfg.base_rber;
-            dc.flash.errors.wear_rber_factor = cfg.wear_rber_factor;
-            dc.flash.errors.endurance_cycles = cfg.endurance_cycles;
-            dc.flash.ecc_correctable_bits = cfg.ecc_bits;
-            dc.flash.retry_extra_correctable_bits = cfg.retry_extra_bits;
-            dc.flash.seed = cfg.seed + 0x9e3779b9ULL * (r + 1);
-            dc.read_retry_levels = cfg.read_retry_levels;
-        };
-        kc.store.slice_count = cfg.slices_per_replica;
-        stacks.push_back(testbed::BuildKvStack(sim, kc));
-        stores.push_back(stacks.back().store.get());
-        devices.push_back(stacks.back().storage.sdf.get());
-    }
-    kv::ReplicatedKv replicated(sim, stores);
-    net::Network net(sim, cfg.net, /*clients=*/1);
-
     FaultCampaignResult result;
-
-    // --- load phase: populate every replica, remember acknowledged keys.
-    std::vector<uint64_t> acked;
-    acked.reserve(cfg.keys);
-    for (uint64_t k = 0; k < cfg.keys; ++k) {
-        replicated.Put(k, cfg.value_bytes, [k, &acked](bool ok) {
-            if (ok) acked.push_back(k);
-        });
-    }
-    sim.Run();
-    // Force memtables onto flash so the fault window reads real media.
-    for (auto &s : stacks) {
-        for (uint32_t i = 0; i < s.store->slice_count(); ++i)
-            s.store->slice(i).Flush();
-    }
-    sim.Run();
-
-    // --- fault window: replay the plan while clients read with retry.
-    const util::TimeNs horizon = util::SecToNs(cfg.horizon_sec);
     fault::FaultPlan plan;
     if (!cfg.plan_text.empty()) {
         std::string error;
@@ -212,113 +145,96 @@ RunFaultCampaign(const FaultCampaignConfig &cfg)
         plan = fault::FaultPlan::Random(CampaignFaultSpec(cfg),
                                         CampaignPlanSeed(cfg));
     }
+
+    sim::Simulator sim;
+    if (cfg.hub != nullptr) sim.set_hub(cfg.hub);
+
+    // --- the cluster: replication == nodes puts every key on every node.
+    cluster::ClusterConfig cc;
+    cc.nodes = cfg.replicas;
+    cc.replication = cfg.replicas;
+    cc.node.kv.stack.capacity_scale = cfg.capacity_scale;
+    cc.node.kv.stack.with_io_stack = false;
+    cc.node.kv.store.slice_count = cfg.slices_per_replica;
+    cc.node.kv.stack.tune_sdf = [&cfg](core::SdfConfig &dc) {
+        dc.flash.errors.enabled = true;
+        dc.flash.errors.base_rber = cfg.base_rber;
+        dc.flash.errors.wear_rber_factor = cfg.wear_rber_factor;
+        dc.flash.errors.endurance_cycles = cfg.endurance_cycles;
+        dc.flash.ecc_correctable_bits = cfg.ecc_bits;
+        dc.flash.seed = cfg.seed;  // Each node offsets it by its id.
+        dc.read_retry_levels = cfg.read_retry_levels;
+    };
+    cluster::Cluster cl(sim, cc);
+
+    // --- load phase: preload through the router, flushed onto flash so the
+    // fault window reads real media.
+    const std::vector<uint64_t> keys = cl.Preload(cfg.keys, cfg.value_bytes);
+
+    // --- fault window: replay the plan, shifted into the window, while
+    // open-loop clients read and insert through the router.
     const util::TimeNs t0 = sim.Now();
-    fault::FaultInjector injector(
-        sim, devices,
-        fault::FaultPlan([&] {
-            // Shift the plan into the current window.
-            std::vector<fault::FaultEvent> ev = plan.events();
-            for (auto &e : ev) e.when += t0;
-            return ev;
-        }()));
+    std::vector<fault::FaultEvent> events = plan.events();
+    for (fault::FaultEvent &e : events) e.when += t0;
+    fault::FaultInjector injector(sim, cl.SdfDevices(),
+                                  fault::FaultPlan(std::move(events)));
+    workload::YcsbConfig load;
+    const uint32_t ops = cfg.reads + cfg.writes;
+    load.arrival_rate = ops / cfg.horizon_sec;
+    load.duration = util::SecToNs(cfg.horizon_sec);
+    load.seed = cfg.seed;
+    load.value_bytes = cfg.value_bytes;
+    load.phases = {workload::UniformMix(static_cast<double>(cfg.reads) / ops)};
+    const workload::YcsbResult run =
+        workload::RunYcsb(sim, cl.Service(), keys, load);
 
-    util::Rng read_rng(cfg.seed ^ 0x5ca1ab1eULL);
-    for (uint32_t i = 0; i < cfg.reads; ++i) {
-        const util::TimeNs at =
-            t0 + static_cast<util::TimeNs>(
-                     (static_cast<double>(i) / cfg.reads) *
-                     static_cast<double>(horizon));
-        const uint64_t key =
-            acked.empty() ? 0 : acked[read_rng.NextBelow(acked.size())];
-        sim.ScheduleAt(at, [&, key]() {
-            ++result.requests_issued;
-            net.RpcWithRetry(
-                0, 256,
-                [&, key](std::function<void(uint64_t)> reply) {
-                    replicated.Get(key,
-                                   [reply = std::move(reply)](
-                                       const kv::GetResult &res) {
-                                       reply(res.ok && res.found
-                                                 ? res.value_size
-                                                 : 16);
-                                   });
-                },
-                [&](bool ok) {
-                    ++result.requests_completed;
-                    if (ok) ++result.requests_ok;
-                });
-        });
-    }
-    // Fresh writes land while channels are stalling and dying, exercising
-    // dead-channel avoidance and write redirection in the block layer.
-    // Acknowledged keys join the audit set: an acked write must survive.
-    for (uint32_t i = 0; i < cfg.writes; ++i) {
-        const util::TimeNs at =
-            t0 + static_cast<util::TimeNs>(
-                     ((static_cast<double>(i) + 0.5) / cfg.writes) *
-                     static_cast<double>(horizon));
-        const uint64_t key = cfg.keys + i;
-        sim.ScheduleAt(at, [&, key]() {
-            ++result.requests_issued;
-            net.RpcWithRetry(
-                0, cfg.value_bytes,
-                [&, key](std::function<void(uint64_t)> reply) {
-                    replicated.Put(key, cfg.value_bytes,
-                                   [&acked, key, reply = std::move(reply)](
-                                       bool ok) {
-                                       if (ok) acked.push_back(key);
-                                       reply(16);
-                                   });
-                },
-                [&](bool ok) {
-                    ++result.requests_completed;
-                    if (ok) ++result.requests_ok;
-                });
-        });
-    }
-    sim.RunUntil(t0 + horizon);
-    sim.Run();  // Drain in-flight requests, retries, and repairs.
-
-    // --- audit phase: every acknowledged key must be readable somewhere.
-    // An RPC-retried Put can ack twice; dedupe so each key is audited once.
-    std::sort(acked.begin(), acked.end());
-    acked.erase(std::unique(acked.begin(), acked.end()), acked.end());
-    result.keys_stored = acked.size();
-    for (uint64_t key : acked) {
-        replicated.Get(key, [&result](const kv::GetResult &res) {
-            if (!(res.ok && res.found)) ++result.keys_lost;
-        });
-    }
-    sim.Run();
+    // --- audit phase: the preload and every acknowledged insert must be
+    // readable from some replica.
+    std::vector<uint64_t> acked = keys;
+    acked.insert(acked.end(), run.acked_writes.begin(),
+                 run.acked_writes.end());
+    const cluster::Cluster::Audit audit = cl.AuditKeys(acked);
 
     // --- aggregate metrics.
     result.faults = injector.stats();
-    for (auto &s : stacks) {
-        const core::SdfStats &d = s.storage.sdf->stats();
-        result.device.unit_writes += d.unit_writes;
-        result.device.unit_erases += d.unit_erases;
-        result.device.page_reads += d.page_reads;
-        result.device.read_failures += d.read_failures;
-        result.device.read_retries += d.read_retries;
-        result.device.retry_recoveries += d.retry_recoveries;
-        result.device.read_retirements += d.read_retirements;
-        result.device.blocks_retired += d.blocks_retired;
-        result.device.units_lost += d.units_lost;
-        result.device.contract_violations += d.contract_violations;
-        result.ladder_recoveries += s.storage.sdf->recovery_latencies().count();
+    result.keys_stored = audit.audited;
+    result.keys_lost = audit.lost;
+    result.requests_issued = run.issued;
+    result.requests_completed = run.completed;
+    result.requests_ok = run.completed - run.errors - run.shed_overloaded -
+                         run.shed_deadline;
+    for (core::SdfDevice *d : cl.SdfDevices()) {
+        const core::SdfStats &s = d->stats();
+        result.device.unit_writes += s.unit_writes;
+        result.device.unit_erases += s.unit_erases;
+        result.device.page_reads += s.page_reads;
+        result.device.read_failures += s.read_failures;
+        result.device.read_retries += s.read_retries;
+        result.device.retry_recoveries += s.retry_recoveries;
+        result.device.read_retirements += s.read_retirements;
+        result.device.blocks_retired += s.blocks_retired;
+        result.device.units_lost += s.units_lost;
+        result.device.contract_violations += s.contract_violations;
+        result.ladder_recoveries += d->recovery_latencies().count();
         result.ladder_recovery_mean_ms +=
-            s.storage.sdf->recovery_latencies().count() > 0
-                ? s.storage.sdf->recovery_latencies().MeanMs()
+            d->recovery_latencies().count() > 0
+                ? d->recovery_latencies().MeanMs()
                 : 0;
     }
-    if (cfg.replicas > 0) {
-        result.ladder_recovery_mean_ms /= cfg.replicas;
+    result.ladder_recovery_mean_ms /= cfg.replicas;
+    for (uint32_t n = 0; n < cl.node_count(); ++n) {
+        const net::RpcStats &s = cl.node(n).net().rpc_stats();
+        result.rpc.timeouts += s.timeouts;
+        result.rpc.retries += s.retries;
+        result.rpc.failures += s.failures;
+        result.rpc.late_responses += s.late_responses;
+        result.rpc.overload_replies += s.overload_replies;
+        result.rpc.deadline_drops += s.deadline_drops;
     }
-    result.kv = replicated.stats();
-    result.rpc = net.rpc_stats();
-    result.failovers = replicated.recovery_latencies().count();
+    result.kv = cl.router().stats();
+    result.failovers = cl.router().recovery_latencies().count();
     result.failover_p99_ms = result.failovers > 0
-                                 ? replicated.recovery_latencies()
+                                 ? cl.router().recovery_latencies()
                                        .PercentileMs(99)
                                  : 0;
     result.availability =

@@ -6,7 +6,8 @@
 # same-seed byte identity) via tools/validate_stats.py, the cluster
 # workload (same-seed determinism + degraded-mode zero-loss), the
 # open-loop overload workload (typed sheds, fail-slow hedging/breaker),
-# YCSB traffic under disruptions, and sdfsim's bad-input exits.
+# YCSB traffic under disruptions, the fault campaign (zero loss, plan
+# replay, same-seed stats), and sdfsim's bad-input exits.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -108,18 +109,54 @@ python3 tools/validate_stats.py "$obs_tmp/ystorm.json" --check-phases
 ./build/tools/sdfsim --workload=ycsb --nodes=3 --replication=2 \
     --duration=0.2 --fail-slow-node=1 > /dev/null
 
+fault_smoke() {
+    local build="$1"
+    # The robustness headline on a 3-node R=3 cluster: exit 1 on any lost
+    # key or unfinished request.
+    "$build/bench/fault_campaign" > "$obs_tmp/fc.txt"
+    # A printed plan replays to the random-plan run's fingerprint.
+    "$build/bench/fault_campaign" --print-plan > "$obs_tmp/fc.plan"
+    "$build/bench/fault_campaign" --plan="$obs_tmp/fc.plan" \
+        > "$obs_tmp/fc-replay.txt"
+    grep '^fingerprint:' "$obs_tmp/fc.txt" > "$obs_tmp/fc.fp"
+    grep '^fingerprint:' "$obs_tmp/fc-replay.txt" > "$obs_tmp/fc-replay.fp"
+    cmp "$obs_tmp/fc.fp" "$obs_tmp/fc-replay.fp"
+    # Same seed => byte-identical stats.
+    "$build/tools/sdfsim" --workload=faults --duration=0.4 \
+        --stats-json="$obs_tmp/f1.json" > /dev/null
+    "$build/tools/sdfsim" --workload=faults --duration=0.4 \
+        --stats-json="$obs_tmp/f2.json" > /dev/null
+    cmp "$obs_tmp/f1.json" "$obs_tmp/f2.json"
+    python3 tools/validate_stats.py "$obs_tmp/f1.json"
+}
+echo "== fault campaign smoke =="
+fault_smoke ./build
+
 echo "== bad input =="
 # Unusable flag values are rejected with a message and exit 1 — never an
-# abort (134) from an assertion deep inside the engine.
-for bad in --profile=bogus --nodes=x --keys=0 --arrival-rate=0 \
-    --scan-limit=0; do
+# abort (134) or a trap from deep inside the engine.
+while read -r workload bad; do
     rc=0
-    ./build/tools/sdfsim --workload=ycsb "$bad" > /dev/null 2>&1 || rc=$?
+    ./build/tools/sdfsim --workload="$workload" "$bad" > /dev/null 2>&1 \
+        || rc=$?
     if [ "$rc" -ne 1 ]; then
-        echo "sdfsim --workload=ycsb $bad: exit $rc, want 1" >&2
+        echo "sdfsim --workload=$workload $bad: exit $rc, want 1" >&2
         exit 1
     fi
-done
+done <<'EOF'
+ycsb --profile=bogus
+ycsb --nodes=x
+ycsb --keys=0
+ycsb --arrival-rate=0
+ycsb --scan-limit=0
+faults --replicas=0
+faults --duration=0
+cluster --slices=0
+kvread --slices=0
+seqread --channels=0
+seqread --channels=45
+randread --request=0
+EOF
 
 echo "== engine cross-check (heap vs calendar) =="
 # The two event engines must produce byte-identical runs: same seed, same
@@ -189,5 +226,8 @@ cmake --build build-asan -j
     --replication=2 --duration=0.3 --restart-node=1 > /dev/null
 ./build-asan/tools/sdfsim --workload=ycsb --nodes=3 --replication=2 \
     --duration=0.2 --fail-slow-node=1 > /dev/null
+# The fault campaign (injector, retry ladder, failover + read-repair, plan
+# replay) under the sanitizers.
+fault_smoke ./build-asan
 
 echo "All checks passed."

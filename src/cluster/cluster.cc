@@ -46,7 +46,15 @@ StorageNode::StorageNode(sim::Simulator &sim, uint32_t id,
     obs::MetricsScope scope(hub != nullptr ? &hub->metrics() : nullptr,
                             "node" + std::to_string(id));
     net_ = std::make_unique<net::Network>(sim, cfg.net, clients_);
-    stack_ = testbed::BuildKvStack(sim, cfg.kv, &journal_);
+    // One NodeConfig builds every node, so offset the flash seed by the
+    // node id: replicas must draw independent bit errors and CRC windows.
+    testbed::KvStackConfig kv = cfg.kv;
+    kv.stack.tune_sdf = [tune = cfg.kv.stack.tune_sdf,
+                         id](core::SdfConfig &dc) {
+        if (tune) tune(dc);
+        dc.flash.seed += 0x9e3779b9ULL * (id + 1);
+    };
+    stack_ = testbed::BuildKvStack(sim, kv, &journal_);
 
     if (hub != nullptr) {
         obs::MetricsRegistry &m = hub->metrics();

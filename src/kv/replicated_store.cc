@@ -210,51 +210,4 @@ ReplicationEngine::Repair(uint64_t key, const GetResult &good,
     }
 }
 
-namespace {
-
-/** Every store holds every key; primary rotates by key hash. */
-std::vector<ReplicaEndpoint>
-StoreEndpoints(const std::vector<Store *> &replicas)
-{
-    SDF_CHECK_MSG(!replicas.empty(), "need at least one replica");
-    std::vector<ReplicaEndpoint> endpoints;
-    endpoints.reserve(replicas.size());
-    for (Store *s : replicas) {
-        SDF_CHECK(s != nullptr);
-        ReplicaEndpoint e;
-        e.put = [s](uint64_t key, uint32_t value_size,
-                    PutStatusCallback done,
-                    std::shared_ptr<std::vector<uint8_t>> payload,
-                    OpContext /*ctx*/) {
-            // Local stores know nothing of deadlines; map bool -> typed.
-            s->Put(
-                key, value_size,
-                [done = std::move(done)](bool ok) {
-                    if (done) done(ok ? OpStatus::kOk : OpStatus::kError);
-                },
-                std::move(payload));
-        };
-        e.get = [s](uint64_t key, GetCallback done, OpContext /*ctx*/) {
-            s->Get(key, std::move(done));
-        };
-        endpoints.push_back(std::move(e));
-    }
-    return endpoints;
-}
-
-}  // namespace
-
-ReplicatedKv::ReplicatedKv(sim::Simulator &sim, std::vector<Store *> replicas)
-    : replica_count_(static_cast<uint32_t>(replicas.size())),
-      engine_(sim, StoreEndpoints(replicas),
-              [n = replicas.size()](uint64_t key) {
-                  std::vector<uint32_t> order(n);
-                  for (size_t i = 0; i < n; ++i) {
-                      order[i] = static_cast<uint32_t>((key + i) % n);
-                  }
-                  return order;
-              })
-{
-}
-
 }  // namespace sdf::kv

@@ -7,17 +7,15 @@
  * safety nets (no parity across channels, no super-capacitors): durability
  * is the distributed system's job.
  *
- * The mechanism lives in ReplicationEngine and is deliberately abstract
- * over *where* replicas are: an endpoint is just a put/get function pair,
- * and a selector maps a key to the ordered endpoints holding it. The same
- * engine therefore serves two deployments:
+ * The mechanism lives in ReplicationEngine and is abstract over *where*
+ * replicas are: an endpoint is just a put/get function pair, and a
+ * selector maps a key to the ordered endpoints holding it. Its one
+ * deployment is cluster::ClusterRouter: keys consistent-hash-sharded over
+ * N storage nodes with R-way replication, endpoints reached over the
+ * network (the fault campaign runs it with N == R, every key on every
+ * node).
  *
- *  - ReplicatedKv: every key on every one of R local Store stacks (the
- *    single-box fault-tolerance model used by the fault campaign);
- *  - cluster::ClusterRouter: keys consistent-hash-sharded over N storage
- *    nodes with R-way replication, endpoints reached over the network.
- *
- * Semantics, in both cases:
+ * Semantics:
  *
  *  - Put fans out to every selected replica; the ack carries overall
  *    success (at least one durable copy) and per-replica failures are
@@ -61,8 +59,8 @@ struct ReplicatedKvStats
 };
 
 /**
- * How the engine reaches one replica: a direct Store call, an RPC into a
- * cluster node, or anything else with put/get semantics. `put` must ack
+ * How the engine reaches one replica: an RPC into a cluster node, or
+ * anything else with put/get semantics. `put` must ack
  * true only once the value is durable on that replica; `get` must report
  * res.ok == false on storage-level failure so the engine can fail over.
  */
@@ -171,54 +169,6 @@ class ReplicationEngine
     std::function<uint64_t()> epoch_provider_;
     ReplicatedKvStats stats_;
     util::LatencyRecorder recovery_latencies_;
-};
-
-/**
- * R-way replication over independent local Store instances: every key on
- * every store, primary chosen by key hash. Thin policy wrapper over
- * ReplicationEngine.
- */
-class ReplicatedKv
-{
-  public:
-    /** @param replicas One Store per failure domain; all must outlive us. */
-    ReplicatedKv(sim::Simulator &sim, std::vector<Store *> replicas);
-
-    ReplicatedKv(const ReplicatedKv &) = delete;
-    ReplicatedKv &operator=(const ReplicatedKv &) = delete;
-
-    uint32_t replica_count() const { return replica_count_; }
-
-    /** Primary replica index for @p key. */
-    uint32_t PrimaryOf(uint64_t key) const
-    {
-        return static_cast<uint32_t>(key % replica_count_);
-    }
-
-    /** See ReplicationEngine::Put. */
-    void
-    Put(uint64_t key, uint32_t value_size, PutCallback done,
-        std::shared_ptr<std::vector<uint8_t>> payload = nullptr)
-    {
-        engine_.Put(key, value_size, std::move(done), std::move(payload));
-    }
-
-    /** See ReplicationEngine::Get. */
-    void Get(uint64_t key, GetCallback done)
-    {
-        engine_.Get(key, std::move(done));
-    }
-
-    const ReplicatedKvStats &stats() const { return engine_.stats(); }
-
-    const util::LatencyRecorder &recovery_latencies() const
-    {
-        return engine_.recovery_latencies();
-    }
-
-  private:
-    uint32_t replica_count_;
-    ReplicationEngine engine_;
 };
 
 }  // namespace sdf::kv

@@ -202,57 +202,6 @@ Network::Rpc(uint32_t client, uint64_t request_bytes, Handler handler,
 }
 
 void
-Network::RpcWithRetry(uint32_t client, uint64_t request_bytes,
-                      Handler handler, sim::Func<void(bool ok)> done)
-{
-    AttemptRpc(client, request_bytes, std::move(handler),
-               sim::MakePooledShared<sim::Func<void(bool)>>(
-                   done_bool_pool_, std::move(done)),
-               0);
-}
-
-void
-Network::AttemptRpc(uint32_t client, uint64_t request_bytes, Handler handler,
-                    std::shared_ptr<sim::Func<void(bool)>> done,
-                    uint32_t attempt)
-{
-    // Both the response and the timeout race on this record; whichever
-    // fires second becomes a no-op, so no event cancellation is needed
-    // and the schedule stays deterministic.
-    auto settled = sim::MakePooledShared<Settle>(settle_pool_);
-    Rpc(client, request_bytes, handler, [this, settled, done]() {
-        if (settled->settled) {
-            ++rpc_stats_.late_responses;
-            return;
-        }
-        settled->settled = true;
-        if (*done) (*done)(true);
-    });
-    if (spec_.rpc_timeout == 0) return;
-
-    sim_.Schedule(spec_.rpc_timeout, [this, client, request_bytes,
-                                      handler = std::move(handler), done,
-                                      settled, attempt]() mutable {
-        if (settled->settled) return;
-        settled->settled = true;
-        ++rpc_stats_.timeouts;
-        if (attempt >= spec_.rpc_max_retries) {
-            ++rpc_stats_.failures;
-            if (*done) (*done)(false);
-            return;
-        }
-        ++rpc_stats_.retries;
-        const TimeNs backoff = spec_.rpc_backoff_base << attempt;
-        sim_.Schedule(backoff, [this, client, request_bytes,
-                                handler = std::move(handler), done,
-                                attempt]() mutable {
-            AttemptRpc(client, request_bytes, std::move(handler),
-                       std::move(done), attempt + 1);
-        });
-    });
-}
-
-void
 Network::RpcTyped(uint32_t client, uint64_t request_bytes, TimeNs deadline,
                   TypedHandler handler, sim::Func<void(RpcCode)> done,
                   std::shared_ptr<obs::IoSpan> span)
@@ -278,7 +227,9 @@ Network::AttemptTyped(uint32_t client, uint64_t request_bytes,
         return;
     }
 
-    // Same settled-record race as AttemptRpc; the record also carries the
+    // Both the response and the timeout race on this record; whichever
+    // fires second becomes a no-op, so no event cancellation is needed
+    // and the schedule stays deterministic. The record also carries the
     // server's typed disposition back past the size-only reply path.
     auto settled = sim::MakePooledShared<Settle>(settle_pool_);
     Handler plain = [this, deadline, handler,

@@ -49,7 +49,7 @@ struct NetworkSpec
      */
     double worker_per_byte_ns = 1.3;  // ~770 MB/s per slice connection
     /**
-     * Client-side RPC timeout per attempt for RpcWithRetry; 0 disables
+     * Client-side RPC timeout per attempt for RpcTyped; 0 disables
      * timeouts (an attempt then waits forever, as plain Rpc does).
      */
     TimeNs rpc_timeout = util::MsToNs(50);
@@ -59,7 +59,7 @@ struct NetworkSpec
     TimeNs rpc_backoff_base = util::MsToNs(1);
 };
 
-/** Client-side reliability counters for RpcWithRetry / RpcTyped. */
+/** Client-side reliability counters for RpcTyped. */
 struct RpcStats
 {
     uint64_t timeouts = 0;        ///< Attempts abandoned at the deadline.
@@ -128,28 +128,19 @@ class Network
              std::shared_ptr<obs::IoSpan> span = {});
 
     /**
-     * Rpc with client-side fault tolerance: each attempt is abandoned
-     * after spec.rpc_timeout and re-issued after an exponentially growing
-     * backoff (spec.rpc_backoff_base << attempt), up to
-     * spec.rpc_max_retries retries. @p done receives true when some
-     * attempt's response arrives before its deadline, false after the
-     * final attempt times out. The handler must be idempotent: an
-     * attempt that already reached the server keeps running and its late
-     * response is discarded.
-     */
-    void RpcWithRetry(uint32_t client, uint64_t request_bytes,
-                      Handler handler, sim::Func<void(bool ok)> done);
-
-    /**
-     * Typed variant of RpcWithRetry with deadline propagation. The
-     * absolute @p deadline (0 = none) rides with the request: the
-     * transport drops it server-side once expired (counted in
-     * deadline_drops), the handler sees it, and no retry is scheduled
-     * that could not complete before it. Retries fire only on timeouts;
-     * a typed kOverloaded reply settles immediately — a shed request
-     * must not be hammered back into the queue it was shed from. @p done
-     * receives kDeadlineExceeded when the retry budget or the deadline
-     * runs out.
+     * Rpc with client-side fault tolerance and deadline propagation: each
+     * attempt is abandoned after spec.rpc_timeout and re-issued after an
+     * exponentially growing backoff (spec.rpc_backoff_base << attempt),
+     * up to spec.rpc_max_retries retries. The handler must be idempotent:
+     * an attempt that already reached the server keeps running and its
+     * late response is discarded. The absolute @p deadline (0 = none)
+     * rides with the request: the transport drops it server-side once
+     * expired (counted in deadline_drops), the handler sees it, and no
+     * retry is scheduled that could not complete before it. Retries fire
+     * only on timeouts; a typed kOverloaded reply settles immediately — a
+     * shed request must not be hammered back into the queue it was shed
+     * from. @p done receives kDeadlineExceeded when the retry budget or
+     * the deadline runs out.
      */
     void RpcTyped(uint32_t client, uint64_t request_bytes, TimeNs deadline,
                   TypedHandler handler, sim::Func<void(RpcCode)> done,
@@ -208,9 +199,6 @@ class Network
         RpcCode code = RpcCode::kOk;
     };
 
-    void AttemptRpc(uint32_t client, uint64_t request_bytes, Handler handler,
-                    std::shared_ptr<sim::Func<void(bool)>> done,
-                    uint32_t attempt);
     void AttemptTyped(uint32_t client, uint64_t request_bytes,
                       TimeNs deadline, TypedHandler handler,
                       std::shared_ptr<sim::Func<void(RpcCode)>> done,
@@ -230,11 +218,10 @@ class Network
      * Hot-path allocation pools (declared before anything that can hold a
      * pooled pointer, so they are destroyed last). One pool per pooled
      * type: the RPC settle record, the delivered-callback box the reply
-     * std::function shares, and the retry ladders' done-callback boxes.
+     * std::function shares, and the retry ladder's done-callback box.
      */
     sim::BlockPool settle_pool_;
     sim::BlockPool delivered_pool_;
-    sim::BlockPool done_bool_pool_;
     sim::BlockPool done_typed_pool_;
     std::vector<std::unique_ptr<sim::FifoResource>> client_nics_;
     /** One serving worker per client connection (slice thread). */

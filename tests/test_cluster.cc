@@ -22,6 +22,7 @@
 #include "net/network.h"
 #include "obs/hub.h"
 #include "sdf/block_device.h"
+#include "sdf/sdf_device.h"
 #include "sim/simulator.h"
 #include "ssd/conventional_ssd.h"
 #include "ssd/ssd_block_device.h"
@@ -373,6 +374,103 @@ TEST(Cluster, NodeDeathLosesNoAcknowledgedWrites)
     EXPECT_EQ(audit.lost, 0u);
 }
 
+TEST(Cluster, NodesDrawDistinctFlashSeeds)
+{
+    sim::Simulator sim;
+    cluster::Cluster cl(sim, SmallCluster(3, 3));
+    // One NodeConfig builds every node, yet each device must draw its own
+    // bit-error and CRC-window streams: replicas fail independently.
+    std::set<uint64_t> seeds;
+    for (core::SdfDevice *dev : cl.SdfDevices()) {
+        seeds.insert(dev->config().flash.seed);
+    }
+    EXPECT_EQ(seeds.size(), 3u);
+}
+
+// Degraded-mode operation on a 3-node, R=3 cluster: every node holds every
+// key, so one key survives as long as any node's device can serve it.
+
+TEST(Cluster, DeadPrimaryFailsOverAndReadRepairs)
+{
+    sim::Simulator sim;
+    cluster::Cluster cl(sim, SmallCluster(3, 3));
+    // Preload flushes, so reads touch real media.
+    const auto keys = cl.Preload(1, 4 * util::kKiB);
+    ASSERT_EQ(keys.size(), 1u);
+    const uint64_t key = keys.front();
+
+    core::SdfDevice &primary =
+        *cl.node(cl.router().ReplicaNodes(key).front()).sdf_device();
+    for (uint32_t c = 0; c < primary.channel_count(); ++c) {
+        primary.flash().channel(c).InjectDeath();
+    }
+    kv::GetResult res;
+    cl.router().Get(key, [&](const kv::GetResult &r) { res = r; });
+    sim.Run();
+    EXPECT_TRUE(res.ok);
+    EXPECT_TRUE(res.found);
+    EXPECT_EQ(cl.router().stats().degraded_reads, 1u);
+    EXPECT_GE(cl.router().stats().re_replications, 1u);
+    EXPECT_EQ(cl.router().recovery_latencies().count(), 1u);
+
+    // The repair re-put the value into the primary (its memtable still
+    // accepts writes): a re-read of the repaired key is no longer
+    // degraded.
+    res = kv::GetResult{};
+    cl.router().Get(key, [&](const kv::GetResult &r) { res = r; });
+    sim.Run();
+    EXPECT_TRUE(res.found);
+    EXPECT_EQ(cl.router().stats().degraded_reads, 1u);
+}
+
+TEST(Cluster, AllReplicasDeadFailsCleanly)
+{
+    sim::Simulator sim;
+    cluster::Cluster cl(sim, SmallCluster(3, 3));
+    const auto keys = cl.Preload(1, 4 * util::kKiB);
+    ASSERT_EQ(keys.size(), 1u);
+    for (core::SdfDevice *dev : cl.SdfDevices()) {
+        for (uint32_t c = 0; c < dev->channel_count(); ++c) {
+            dev->flash().channel(c).InjectDeath();
+        }
+    }
+    // Every replica's storage errors out: the read must fail cleanly —
+    // and promptly, on fast nacks rather than RPC timeouts — not hang.
+    const util::TimeNs t0 = sim.Now();
+    bool completed = false;
+    util::TimeNs latency = 0;
+    cl.router().Get(keys.front(), [&](const kv::GetResult &r) {
+        completed = true;
+        latency = sim.Now() - t0;
+        EXPECT_FALSE(r.ok);
+        EXPECT_FALSE(r.found);
+    });
+    sim.Run();
+    EXPECT_TRUE(completed);
+    EXPECT_LT(latency, cl.node(0).net().spec().rpc_timeout);
+    EXPECT_EQ(cl.router().stats().failed_reads, 1u);
+}
+
+TEST(Cluster, PutSurvivesOneDeadReplica)
+{
+    sim::Simulator sim;
+    cluster::Cluster cl(sim, SmallCluster(3, 3));
+    core::SdfDevice &dead = *cl.node(1).sdf_device();
+    for (uint32_t c = 0; c < dead.channel_count(); ++c) {
+        dead.flash().channel(c).InjectDeath();
+    }
+    bool put_ok = false;
+    cl.router().Put(9, 4 * util::kKiB, [&](bool ok) { put_ok = ok; });
+    sim.Run();
+    // Memtable writes ack even on the dead replica (its flush will fail
+    // later); the put must report overall success either way.
+    EXPECT_TRUE(put_ok);
+    bool found = false;
+    cl.router().Get(9, [&](const kv::GetResult &r) { found = r.found; });
+    sim.Run();
+    EXPECT_TRUE(found);
+}
+
 // ---------------------------------------------------------------------------
 // Typed RPC transport (net::Network::RpcTyped)
 // ---------------------------------------------------------------------------
@@ -390,7 +488,8 @@ FastRpcSpec()
 TEST(RpcTyped, RetryExhaustionIsTypedDeadlineExceeded)
 {
     sim::Simulator sim;
-    net::Network net(sim, FastRpcSpec(), 1);
+    const net::NetworkSpec spec = FastRpcSpec();
+    net::Network net(sim, spec, 1);
     // A server that swallows requests: every attempt must time out, and
     // after the retry budget the caller gets a typed disposition, not a
     // hang or a bare bool.
@@ -412,6 +511,26 @@ TEST(RpcTyped, RetryExhaustionIsTypedDeadlineExceeded)
     EXPECT_EQ(net.rpc_stats().timeouts, 3u);
     EXPECT_EQ(net.rpc_stats().retries, 2u);
     EXPECT_EQ(net.rpc_stats().failures, 1u);
+    // Total elapsed covers 3 timeouts plus the backoff gaps (1x + 2x base).
+    EXPECT_GE(sim.Now(), 3 * spec.rpc_timeout + 3 * spec.rpc_backoff_base);
+}
+
+TEST(RpcTyped, FastReplySucceedsWithoutRetries)
+{
+    sim::Simulator sim;
+    net::Network net(sim, FastRpcSpec(), 1);
+    net::RpcCode code = net::RpcCode::kDeadlineExceeded;
+    net.RpcTyped(
+        0, 256, 0,
+        [](util::TimeNs, net::Network::TypedReply reply) {
+            reply(4096, net::RpcCode::kOk);
+        },
+        [&](net::RpcCode c) { code = c; });
+    sim.Run();
+    EXPECT_EQ(code, net::RpcCode::kOk);
+    EXPECT_EQ(net.rpc_stats().timeouts, 0u);
+    EXPECT_EQ(net.rpc_stats().retries, 0u);
+    EXPECT_EQ(net.rpc_stats().failures, 0u);
 }
 
 TEST(RpcTyped, OverloadedReplySettlesWithoutRetry)

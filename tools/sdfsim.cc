@@ -123,12 +123,14 @@ PrintHelp()
         "  --ecc-bits=<n>       BCH correction budget per page\n"
         "  --retry-levels=<n>   read-retry ladder depth\n"
         "\n"
-        "fault campaign (--workload=faults):\n"
+        "fault campaign (--workload=faults), on a cluster whose every node\n"
+        "holds every key; the fault window lasts --duration:\n"
         "  --fault-plan=<file>  replay a saved fault plan (else random)\n"
         "  --faults=<n>         random faults to inject (default 120)\n"
-        "  --replicas=<n>       replicated stacks (default 3)\n"
-        "  --keys=<n>           keys preloaded per replica (default 300)\n"
-        "  --reads=<n>          reads during the fault window (default 1500)\n"
+        "  --replicas=<n>       nodes = replicas per key (default 3)\n"
+        "  --keys=<n>           keys preloaded via the router (default 300)\n"
+        "  --reads=<n>          mean reads over the fault window, beside\n"
+        "                       200 fresh-key inserts (default 1500)\n"
         "\n"
         "cluster modes (--workload=cluster|overload|ycsb) share one path:\n"
         "build, preload via the router, disrupt, run the load engine, audit\n"
@@ -256,6 +258,14 @@ Validate(const Options &opt)
         return "--profile=" + opt.profile +
                ": unknown profile (a|b|c|e|storm|diurnal)";
     }
+    const uint32_t max_channels = nand::BaiduSdfGeometry().channels;
+    if (opt.channels == 0 || opt.channels > max_channels) {
+        return "--channels must be in 1.." + std::to_string(max_channels);
+    }
+    if (opt.request == 0) return "--request must be positive";
+    if (!(opt.duration > 0)) return "--duration must be positive";
+    if (opt.slices == 0) return "--slices must be at least 1";
+    if (opt.replicas == 0) return "--replicas must be at least 1";
     if (opt.keys == 0) return "--keys must be at least 1";
     if (!(opt.arrival_rate > 0)) return "--arrival-rate must be positive";
     if (opt.scan_limit == 0) return "--scan-limit must be at least 1";
@@ -512,9 +522,9 @@ RunFaults(Options &opt)
     cfg.horizon_sec = opt.duration;
     cfg.capacity_scale = opt.scale;
     cfg.slices_per_replica = opt.slices;
-    // Keep the campaign's small-value default (large values make every
-    // read brush against the campaign's tight RPC timeout) unless the
-    // user asked for a specific size.
+    // Keep the campaign's own 64 KiB value default unless the user asked
+    // for a specific size (sdfsim's 512 KiB default serves the bandwidth
+    // workloads).
     if (opt.value_explicit) cfg.value_bytes = opt.value_kib * util::kKiB;
     if (opt.rber >= 0) cfg.base_rber = opt.rber;
     if (opt.wear_factor >= 0) cfg.wear_rber_factor = opt.wear_factor;
