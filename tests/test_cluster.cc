@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "blocklayer/block_layer.h"
+#include "client/kv_client.h"
 #include "cluster/cluster.h"
 #include "cluster/hash_ring.h"
+#include "cluster/rebalancer.h"
 #include "fault/fault.h"
 #include "net/network.h"
 #include "obs/hub.h"
@@ -692,6 +694,155 @@ TEST(Cluster, BreakerDemotesFailSlowNodeAndRecovers)
     EXPECT_GE(cl.router().breaker().stats().resets, 1u);
     EXPECT_FALSE(cl.router().breaker().IsOpen(victim));
     EXPECT_EQ(cl.router().ReadOrder(victim_key).front(), victim);
+}
+
+// ---------------------------------------------------------------------------
+// The replication path, pinned
+// ---------------------------------------------------------------------------
+
+/** FNV-1a over a key sequence (order-sensitive). */
+uint64_t
+HashKeys(const std::vector<uint64_t> &keys)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (uint64_t k : keys) {
+        h ^= k;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(Cluster, ReplicationPathIsPinned)
+{
+    // Golden numbers for the router's replication path — the put fan-out,
+    // the failover walk, epoch restarts, read-repair — and the node RPCs
+    // under it, across three phases of one cluster. Any change to their
+    // order of operations shows up here as a diff, not as a silently
+    // shifted benchmark.
+    sim::Simulator sim;
+    cluster::Cluster cl(sim, SmallCluster(3, 2));
+    const auto keys = cl.Preload(120, 16 * util::kKiB);
+    ASSERT_EQ(keys.size(), 120u);
+    std::vector<uint64_t> acked;
+
+    // Phase 1: node 0's device dies under closed-loop router traffic
+    // (failover and read-repair).
+    std::vector<fault::FaultEvent> events;
+    for (uint32_t ch = 0; ch < cl.node(0).sdf_device()->channel_count();
+         ++ch) {
+        fault::FaultEvent e;
+        e.when = sim.Now() + util::MsToNs(30);
+        e.kind = fault::FaultKind::kChannelDeath;
+        e.device = 0;
+        e.channel = ch;
+        events.push_back(e);
+    }
+    fault::FaultInjector injector(sim, cl.SdfDevices(),
+                                  fault::FaultPlan(std::move(events)));
+    workload::YcsbConfig c1 = ClosedLoop(0.7, util::MsToNs(100), 11);
+    c1.first_insert_key = 100000;
+    const auto p1 = workload::RunYcsb(sim, cl.Service(), keys, c1);
+    acked.insert(acked.end(), p1.acked_writes.begin(), p1.acked_writes.end());
+
+    // Phase 2: node 1 stops, outlives the RPC retry ladder, and restarts
+    // (epoch restarts, recovery, a rebalance pass).
+    const util::TimeNs t2 = sim.Now();
+    sim.ScheduleAt(t2 + util::MsToNs(31), [&cl]() { cl.StopNode(1); });
+    sim.ScheduleAt(t2 + util::MsToNs(280), [&cl]() { cl.RestartNode(1); });
+    workload::YcsbConfig c2 = ClosedLoop(0.7, util::MsToNs(400), 12);
+    c2.first_insert_key = 200000;
+    c2.actors = 8;
+    const auto p2 = workload::RunYcsb(sim, cl.Service(), keys, c2);
+    acked.insert(acked.end(), p2.acked_writes.begin(), p2.acked_writes.end());
+
+    // Phase 3: open-loop traffic through the async client — a tight
+    // window makes batches, a fail-slow node makes hedges, and a share of
+    // the mix is range scans.
+    client::KvClientConfig kc;
+    kc.window_per_node = 2;
+    kc.batch_max = 4;
+    kc.hedge_min_samples = 16;
+    client::KvClient client(sim, cl.router(), kc);
+    cl.node(2).SetFailSlow(8.0);
+    workload::YcsbConfig c3;
+    c3.arrival_rate = 20000;
+    c3.duration = util::MsToNs(60);
+    c3.seed = 13;
+    c3.value_bytes = 16 * util::kKiB;
+    c3.scan_limit_max = 8;
+    c3.first_insert_key = 300000;
+    workload::YcsbPhase mix;
+    mix.mix = {0.75, 0.1, 0.05, 0.1};
+    mix.chooser = workload::KeyChooser::kUniform;
+    c3.phases = {mix};
+    const auto p3 = workload::RunYcsb(sim, client.Service(), keys, c3);
+    acked.insert(acked.end(), p3.acked_writes.begin(), p3.acked_writes.end());
+    cl.node(2).SetFailSlow(1.0);
+
+    const auto &st = cl.router().stats();
+    EXPECT_EQ(st.puts, 3955u);
+    EXPECT_EQ(st.gets, 8919u);
+    EXPECT_EQ(st.put_replica_failures, 1u);
+    EXPECT_EQ(st.put_failures, 0u);
+    EXPECT_EQ(st.degraded_reads, 1145u);
+    EXPECT_EQ(st.failed_reads, 124u);
+    EXPECT_EQ(st.re_replications, 1145u);
+    EXPECT_EQ(st.re_replication_failures, 0u);
+    EXPECT_EQ(st.epoch_restarts, 4u);
+    EXPECT_EQ(st.no_replica_rejects, 0u);
+    const std::vector<uint64_t> puts = {4229, 1513, 3313};
+    const std::vector<uint64_t> gets = {4501, 1829, 5525};
+    for (uint32_t n = 0; n < 3; ++n) {
+        EXPECT_EQ(cl.router().node_puts(n), puts[n]) << "node " << n;
+        EXPECT_EQ(cl.router().node_gets(n), gets[n]) << "node " << n;
+    }
+    EXPECT_EQ(cl.router().recovery_latencies().count(), 1145u);
+    EXPECT_EQ(cl.rebalancer().stats().keys_moved, 1868u);
+    EXPECT_EQ(client.hedge_stats().launched, 223u);
+    EXPECT_EQ(client.hedge_stats().wins, 107u);
+    EXPECT_EQ(client.hedge_stats().losses, 116u);
+    EXPECT_EQ(client.hedge_stats().cancelled, 631u);
+    EXPECT_EQ(client.stats().batches, 199u);
+    EXPECT_EQ(client.stats().batched_gets, 670u);
+    EXPECT_EQ(client.stats().fallback_walks, 77u);
+
+    struct Want
+    {
+        uint64_t issued, ok_reads, ok_updates, ok_inserts, ok_scans,
+            scanned_keys, misses, shed_deadline, errors;
+        double p99_ms;
+    };
+    const Want want[] = {
+        {1823, 1303, 0, 520, 0, 0, 0, 0, 0, 0.520833},
+        {10673, 6848, 0, 3134, 0, 0, 567, 1, 123, 0.513504},
+        {1167, 873, 125, 56, 81, 316, 0, 0, 32, 32.418037},
+    };
+    const workload::YcsbResult *got[] = {&p1, &p2, &p3};
+    for (int i = 0; i < 3; ++i) {
+        const workload::YcsbResult &r = *got[i];
+        const Want &w = want[i];
+        EXPECT_EQ(r.issued, w.issued) << "phase " << i + 1;
+        EXPECT_EQ(r.completed, w.issued) << "phase " << i + 1;
+        EXPECT_EQ(r.ok_reads, w.ok_reads) << "phase " << i + 1;
+        EXPECT_EQ(r.ok_updates, w.ok_updates) << "phase " << i + 1;
+        EXPECT_EQ(r.ok_inserts, w.ok_inserts) << "phase " << i + 1;
+        EXPECT_EQ(r.ok_scans, w.ok_scans) << "phase " << i + 1;
+        EXPECT_EQ(r.scanned_keys, w.scanned_keys) << "phase " << i + 1;
+        EXPECT_EQ(r.misses, w.misses) << "phase " << i + 1;
+        EXPECT_EQ(r.shed_overloaded, 0u) << "phase " << i + 1;
+        EXPECT_EQ(r.shed_deadline, w.shed_deadline) << "phase " << i + 1;
+        EXPECT_EQ(r.errors, w.errors) << "phase " << i + 1;
+        EXPECT_DOUBLE_EQ(r.p99_ms, w.p99_ms) << "phase " << i + 1;
+    }
+    EXPECT_EQ(HashKeys(acked), 16444979863725227581ULL);
+
+    // Every path the pin stands for actually ran.
+    EXPECT_GT(st.degraded_reads, 0u);
+    EXPECT_GT(st.re_replications, 0u);
+    EXPECT_GT(st.epoch_restarts, 0u);
+    EXPECT_GT(client.hedge_stats().launched, 0u);
+    EXPECT_GT(client.stats().batches, 0u);
+    EXPECT_GT(p3.ok_scans, 0u);
 }
 
 }  // namespace
