@@ -149,7 +149,7 @@ RunDegraded(bench::ObsCli &obs)
     const cluster::Cluster::Audit audit = cl.AuditKeys(r.acked_writes);
     const uint64_t lost = audit.lost;
 
-    const kv::ReplicatedKvStats &rs = cl.router().stats();
+    const cluster::ReplicatedKvStats &rs = cl.router().stats();
     std::printf("node 0 died at t=%.0f ms (%llu channel deaths applied)\n",
                 util::NsToMs(t_kill),
                 static_cast<unsigned long long>(injector.stats().deaths));
@@ -215,7 +215,7 @@ RunRecovery(bench::ObsCli &obs)
     cl.StopNode(3);
     const uint64_t degraded = cl.rebalancer().CountUnderReplicated();
     bool healed = false;
-    cl.anti_entropy().Run([&healed]() { healed = true; });
+    cl.rebalancer().RunRepairPass([&healed]() { healed = true; });
     sim.Run();
     SDF_CHECK_MSG(healed, "anti-entropy pass never completed");
     const cluster::Rebalancer::Stats &rb = cl.rebalancer().stats();

@@ -82,7 +82,7 @@ struct FaultCampaignResult
     uint64_t requests_ok = 0;  ///< Completed with an ok status (a miss too).
     double availability = 1.0;  ///< requests_ok / requests_issued.
     core::SdfStats device;      ///< Summed over nodes.
-    kv::ReplicatedKvStats kv;   ///< The router's replication counters.
+    cluster::ReplicatedKvStats kv;  ///< The router's replication counters.
     net::RpcStats rpc;          ///< Summed over the nodes' endpoints.
     uint64_t ladder_recoveries = 0;   ///< Pages saved by read retries.
     double ladder_recovery_mean_ms = 0;

@@ -6,8 +6,10 @@
 # same-seed byte identity) via tools/validate_stats.py, the cluster
 # workload (same-seed determinism + degraded-mode zero-loss), the
 # open-loop overload workload (typed sheds, fail-slow hedging/breaker),
-# YCSB traffic under disruptions, the fault campaign (zero loss, plan
-# replay, same-seed stats), and sdfsim's bad-input exits.
+# YCSB traffic under disruptions, the recovery paths (same-seed byte
+# identity under node loss and restart), the fault campaign (zero loss,
+# plan replay, same-seed stats), sdfsim's bad-input exits, and the
+# benchmark's seam selftest (sdfbench/ built against this tree).
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -46,13 +48,23 @@ python3 tools/validate_stats.py "$obs_tmp/c1.json"
     --duration=0.3 --kill-node=0 > /dev/null
 
 echo "== recovery smoke =="
-# Permanent node loss + anti-entropy: nonzero exit on lost acks or any
-# key left under-replicated after the pass.
-./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
-    --duration=0.3 --kill-node=0 --rebalance > /dev/null
-# Rolling restart: stop at T/3, recover + rebalance at 2T/3.
-./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
-    --duration=0.3 --restart-node=1 > /dev/null
+# Permanent node loss + anti-entropy, and a rolling restart (stop at T/3,
+# recover + rebalance at 2T/3): nonzero exit on lost acks or any key left
+# under-replicated after the pass. Each runs twice: the failover walk,
+# epoch restarts, read-repair and the rebalance pass must stay
+# seed-deterministic (byte-identical exports).
+for i in 1 2; do
+    ./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
+        --duration=0.3 --kill-node=0 --rebalance \
+        --stats-json="$obs_tmp/k$i.json" > /dev/null
+    ./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
+        --duration=0.3 --restart-node=1 \
+        --stats-json="$obs_tmp/r$i.json" > /dev/null
+done
+cmp "$obs_tmp/k1.json" "$obs_tmp/k2.json"
+cmp "$obs_tmp/r1.json" "$obs_tmp/r2.json"
+python3 tools/validate_stats.py "$obs_tmp/k1.json"
+python3 tools/validate_stats.py "$obs_tmp/r1.json"
 
 echo "== overload smoke =="
 # Open-loop storm through the client front door: nonzero exit on any
@@ -103,9 +115,21 @@ python3 tools/validate_stats.py "$obs_tmp/y1.json" \
     --stats-json="$obs_tmp/ystorm.json" > /dev/null
 python3 tools/validate_stats.py "$obs_tmp/ystorm.json" --check-phases
 # The disruption flags apply in every cluster mode: a rolling restart and
-# a fail-slow node under YCSB traffic, nonzero exit on any lost ack.
-./build/tools/sdfsim --workload=ycsb --profile=a --nodes=3 --replication=2 \
-    --duration=0.3 --restart-node=1 > /dev/null
+# a fail-slow node under YCSB traffic, nonzero exit on any lost ack. The
+# restart run (epoch restarts, failover, rebalance under client traffic)
+# runs twice and its stats, trace and series are cmp'd.
+for i in 1 2; do
+    ./build/tools/sdfsim --workload=ycsb --profile=a --nodes=3 \
+        --replication=2 --duration=0.3 --restart-node=1 \
+        --stats-json="$obs_tmp/ya$i.json" --trace="$obs_tmp/ya$i.trace.json" \
+        --stats-series="$obs_tmp/ya$i.series.json" > /dev/null
+done
+cmp "$obs_tmp/ya1.json" "$obs_tmp/ya2.json"
+cmp "$obs_tmp/ya1.trace.json" "$obs_tmp/ya2.trace.json"
+cmp "$obs_tmp/ya1.series.json" "$obs_tmp/ya2.series.json"
+python3 tools/validate_stats.py "$obs_tmp/ya1.json" \
+    --trace="$obs_tmp/ya1.trace.json" --series="$obs_tmp/ya1.series.json" \
+    --require-op=client.path.get
 ./build/tools/sdfsim --workload=ycsb --nodes=3 --replication=2 \
     --duration=0.2 --fail-slow-node=1 > /dev/null
 
@@ -134,13 +158,16 @@ fault_smoke ./build
 
 echo "== bad input =="
 # Unusable flag values are rejected with a message and exit 1 — never an
-# abort (134) or a trap from deep inside the engine.
-while read -r workload bad; do
+# abort (134), a trap from deep inside the engine, or a hang: each case
+# runs under a timeout, so a hang fails the loop instead of stalling it.
+# A line may carry several flags; $flags is word-split on purpose.
+while read -r workload flags; do
     rc=0
-    ./build/tools/sdfsim --workload="$workload" "$bad" > /dev/null 2>&1 \
-        || rc=$?
+    # shellcheck disable=SC2086
+    timeout 60 ./build/tools/sdfsim --workload="$workload" $flags \
+        > /dev/null 2>&1 || rc=$?
     if [ "$rc" -ne 1 ]; then
-        echo "sdfsim --workload=$workload $bad: exit $rc, want 1" >&2
+        echo "sdfsim --workload=$workload $flags: exit $rc, want 1" >&2
         exit 1
     fi
 done <<'EOF'
@@ -156,7 +183,28 @@ kvread --slices=0
 seqread --channels=0
 seqread --channels=45
 randread --request=0
+randread --device=huawei --qd=0
+kvread --batch=0
+overload --window=0
+overload --coalesce=0
+overload --storm=0
+overload --storm=-1
+ycsb --theta=0
+ycsb --theta=-1
+cluster --nodes=1 --replication=1 --restart-node=0
+cluster --nodes=1 --replication=1 --kill-node=0 --rebalance
+ycsb --nodes=1 --replication=1 --kill-node=0 --rebalance
 EOF
+# The open-loop modes do run a one-node restart: ops are rejected while
+# the ring is empty, but arrivals keep the clock moving.
+timeout 60 ./build/tools/sdfsim --workload=overload --nodes=1 \
+    --replication=1 --restart-node=0 --duration=0.2 > /dev/null
+
+echo "== benchmark selftest =="
+# Builds sdfbench/ against this tree, so a cluster or client API change
+# the benchmark calls fails here and not only in the pipeline; then checks
+# that the decorated and plain stacks dispatch the same events.
+python3 sdfbench/run.py --selftest 1
 
 echo "== engine cross-check (heap vs calendar) =="
 # The two event engines must produce byte-identical runs: same seed, same

@@ -9,6 +9,22 @@
 
 namespace sdf::client {
 
+namespace {
+
+/** Latency quantile the hedge threshold adapts to. */
+constexpr double kHedgeQuantile = 99.0;
+/**
+ * Clamp the threshold to this multiple of the median read latency. A
+ * fail-slow replica inflates the very p99 the threshold adapts to (the
+ * slow reads ARE the tail), so unclamped it would chase the latency it
+ * exists to cut; the median stays healthy as long as most replicas are.
+ */
+constexpr double kHedgeMedianClamp = 3.0;
+/** Threshold floor: never hedge earlier than this. */
+constexpr TimeNs kHedgeMin = util::UsToNs(500);
+
+}  // namespace
+
 KvClient::KvClient(sim::Simulator &sim, cluster::ClusterRouter &router,
                    const KvClientConfig &cfg)
     : sim_(sim), router_(router), cfg_(cfg),
@@ -113,13 +129,11 @@ KvClient::HedgeThreshold() const
     if (!cfg_.hedge_reads) return 0;
     if (read_lat_.count() < cfg_.hedge_min_samples) return 0;
     auto thr = static_cast<TimeNs>(
-        read_lat_.histogram().Percentile(cfg_.hedge_quantile));
-    if (cfg_.hedge_median_clamp > 0) {
-        const auto clamp = static_cast<TimeNs>(
-            cfg_.hedge_median_clamp * read_lat_.histogram().Percentile(50));
-        if (clamp > 0) thr = std::min(thr, clamp);
-    }
-    return std::max(thr, cfg_.hedge_min);
+        read_lat_.histogram().Percentile(kHedgeQuantile));
+    const auto clamp = static_cast<TimeNs>(
+        kHedgeMedianClamp * read_lat_.histogram().Percentile(50));
+    if (clamp > 0) thr = std::min(thr, clamp);
+    return std::max(thr, kHedgeMin);
 }
 
 void
@@ -378,8 +392,8 @@ KvClient::OnPrimaryResult(const std::shared_ptr<GetOp> &op,
         Settle(op, res, /*from_hedge=*/false);
         return;
     }
-    // Primary missed, shed, or failed: let the replication engine walk
-    // the replicas (it owns miss-authority semantics and read-repair).
+    // Primary missed, shed, or failed: let the router walk the replicas
+    // (it owns miss-authority semantics and read-repair).
     ++stats_.fallback_walks;
     kv::OpContext ctx;
     ctx.deadline = op->deadline;

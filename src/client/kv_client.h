@@ -61,18 +61,9 @@ struct KvClientConfig
     /** Per-op deadline budget (absolute deadline = submit + this);
      *  0 = none — the transport's timeout ladder still applies. */
     TimeNs deadline = 0;
-    /** Fire a second replica read past the adaptive threshold. */
+    /** Fire a second replica read past the adaptive threshold (the read
+     *  p99, clamped to 3x the median and floored at 500 us). */
     bool hedge_reads = true;
-    /** Latency quantile the hedge threshold adapts to. */
-    double hedge_quantile = 99.0;
-    /** Clamp the threshold to this multiple of the median read latency.
-     *  A fail-slow replica inflates the very p99 the threshold adapts to
-     *  (the slow reads ARE the tail), so unclamped it would chase the
-     *  latency it exists to cut; the median stays healthy as long as most
-     *  replicas are. 0 disables the clamp. */
-    double hedge_median_clamp = 3.0;
-    /** Threshold floor: never hedge earlier than this. */
-    TimeNs hedge_min = util::UsToNs(500);
     /** Completed reads needed before hedging activates (threshold is
      *  noise until the histogram has mass). */
     uint64_t hedge_min_samples = 64;
@@ -88,7 +79,7 @@ struct ClientStats
     uint64_t queued = 0;           ///< Submits that waited for a slot.
     uint64_t batches = 0;          ///< Coalesced BatchGet RPCs issued.
     uint64_t batched_gets = 0;     ///< Reads carried inside those RPCs.
-    uint64_t fallback_walks = 0;   ///< Primary read failed -> engine walk.
+    uint64_t fallback_walks = 0;   ///< Primary read failed -> router walk.
     uint64_t ok = 0;               ///< Ops served (incl. clean misses' put acks).
     uint64_t misses = 0;
     uint64_t overloaded = 0;       ///< Typed kOverloaded outcomes.
@@ -129,7 +120,7 @@ class KvClient
 
     /**
      * Async read: primary replica first (coalesced when queued), hedged
-     * past the adaptive threshold, falling back to the engine's failover
+     * past the adaptive threshold, falling back to the router's failover
      * walk when the primary cannot serve.
      */
     void Get(uint64_t key, GetDone done);

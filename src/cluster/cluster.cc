@@ -12,6 +12,8 @@ namespace sdf::cluster {
 
 namespace {
 
+/** Router connections into each node (round-robined per request). */
+constexpr uint32_t kConnections = 4;
 /** Request-framing overhead charged on top of the payload. */
 constexpr uint64_t kRpcHeaderBytes = 64;
 /** Small fixed responses: a put ack, or a get miss/failure notice. */
@@ -31,21 +33,68 @@ CodeToStatus(net::RpcCode code)
     return kv::OpStatus::kError;
 }
 
+/** A read that never got served, carrying the transport's disposition. */
+kv::GetResult
+Unserved(net::RpcCode code)
+{
+    kv::GetResult res;
+    res.ok = false;
+    res.status = CodeToStatus(code);
+    return res;
+}
+
+/** Reply size of one served read: the value, or a small miss/failure nack. */
+uint64_t
+GetReplyBytes(const kv::GetResult &r)
+{
+    return r.ok && r.found ? uint64_t{r.value_size} + kRpcHeaderBytes
+                           : kNackBytes;
+}
+
+/** Whether a node's answer is an admission shed (ClusterRouter::Tracked). */
+bool
+IsShed(kv::OpStatus s)
+{
+    return s == kv::OpStatus::kOverloaded;
+}
+
+bool
+IsShed(const kv::GetResult &r)
+{
+    return !r.ok && IsShed(r.status);
+}
+
+bool
+IsShed(const std::vector<kv::GetResult> &results)
+{
+    return !results.empty() && IsShed(results.front());
+}
+
+/** Typed failure a replica's GetResult contributes (kOk = clean miss). */
+kv::OpStatus
+FailureStatus(const kv::GetResult &res)
+{
+    if (res.ok) return kv::OpStatus::kOk;
+    // A storage-level failure may leave status at kOk.
+    return res.status == kv::OpStatus::kOk ? kv::OpStatus::kError
+                                           : res.status;
+}
+
 }  // namespace
 
 StorageNode::StorageNode(sim::Simulator &sim, uint32_t id,
                          const NodeConfig &cfg)
-    : sim_(sim), id_(id), clients_(cfg.clients),
-      admission_cap_(cfg.admission_cap), store_cfg_(cfg.kv.store)
+    : sim_(sim), id_(id), admission_cap_(cfg.admission_cap),
+      store_cfg_(cfg.kv.store)
 {
-    SDF_CHECK(clients_ > 0);
     // Everything built inside this scope — the network endpoint, the
     // device, the block layer, every slice — self-registers its metrics
     // under "node<id>.*".
     obs::Hub *hub = sim.hub();
     obs::MetricsScope scope(hub != nullptr ? &hub->metrics() : nullptr,
                             "node" + std::to_string(id));
-    net_ = std::make_unique<net::Network>(sim, cfg.net, clients_);
+    net_ = std::make_unique<net::Network>(sim, net::NetworkSpec{},
+                                          kConnections);
     // One NodeConfig builds every node, so offset the flash seed by the
     // node id: replicas must draw independent bit errors and CRC windows.
     testbed::KvStackConfig kv = cfg.kv;
@@ -223,7 +272,7 @@ StorageNode::StreamIn(uint64_t key, uint32_t value_size,
         });
         return;
     }
-    const uint32_t client = next_client_++ % clients_;
+    const uint32_t client = next_client_++ % kConnections;
     net_->Bulk(client, uint64_t{value_size} + kRpcHeaderBytes,
                [this, key, value_size, done = std::move(done),
                 payload = std::move(payload)]() mutable {
@@ -258,120 +307,88 @@ StorageNode::StreamOut(uint64_t key, kv::GetCallback done)
     });
 }
 
-kv::ReplicaEndpoint
-StorageNode::Endpoint()
+template <typename Result, typename Work, typename ReplyBytes,
+          typename Deliver>
+void
+StorageNode::Serve(const char *event, uint64_t request_bytes,
+                   const kv::OpContext &ctx, Work work,
+                   ReplyBytes reply_bytes, Deliver deliver)
 {
-    kv::ReplicaEndpoint ep;
-    ep.put = [this](uint64_t key, uint32_t value_size,
-                    kv::PutStatusCallback done,
-                    std::shared_ptr<std::vector<uint8_t>> payload,
-                    kv::OpContext ctx) {
-        const uint32_t client = next_client_++ % clients_;
-        net_->RpcTyped(
-            client, uint64_t{value_size} + kRpcHeaderBytes, ctx.deadline,
-            [this, key, value_size, payload, span = ctx.path,
-             trace_id = ctx.trace.trace_id](
-                util::TimeNs /*deadline*/, net::Network::TypedReply reply) {
-                // A stopped process doesn't answer: the request just dies
-                // and the client times out + fails over.
+    const uint32_t client = next_client_++ % kConnections;
+    auto result = std::make_shared<Result>();
+    net_->RpcTyped(
+        client, request_bytes, ctx.deadline,
+        [this, event, result, work = std::move(work),
+         reply_bytes = std::move(reply_bytes), span = ctx.path,
+         trace_id = ctx.trace.trace_id](util::TimeNs /*deadline*/,
+                                        net::Network::TypedReply reply) {
+            // A stopped process doesn't answer: the request just dies and
+            // the client times out + fails over.
+            if (!running_) return;
+            const util::TimeNs t0 = sim_.Now();
+            if (!Admit()) {
+                // Shed before any storage work: a fast typed nack the
+                // caller must not blindly retry.
+                EmitServerEvent(event, t0, trace_id);
+                reply(kNackBytes, net::RpcCode::kOverloaded);
+                return;
+            }
+            const uint64_t inc = incarnation_;
+            if (span) span->Enter(obs::Stage::kStorage, t0);
+            work([this, event, inc, t0, result, reply_bytes, span, trace_id,
+                  reply = std::move(reply)](const Result &r) {
+                Release(inc);
+                // The process died while the store worked: no reply.
                 if (!running_) return;
-                const util::TimeNs t0 = sim_.Now();
-                if (!Admit()) {
-                    // Shed before any storage work: a fast typed nack the
-                    // caller must not blindly retry.
-                    EmitServerEvent("server.put", t0, trace_id);
-                    reply(kNackBytes, net::RpcCode::kOverloaded);
-                    return;
-                }
-                const uint64_t inc = incarnation_;
-                if (span) span->Enter(obs::Stage::kStorage, t0);
-                // Re-puts from RPC retries are idempotent: the LSM just
-                // writes the same (key, size) again.
-                store().Put(
-                    key, value_size,
-                    [this, inc, t0, span, trace_id,
-                     reply = std::move(reply)](bool ok) {
-                        Release(inc);
-                        if (span) {
-                            span->Enter(obs::Stage::kServerHandle,
-                                        sim_.Now());
-                        }
-                        // Only a durable put acks; a storage failure stays
-                        // silent so the client times out and retries
-                        // (and the engine eventually fails over). The same
-                        // goes for an ack racing a Stop(): the process died
-                        // before replying.
-                        if (ok && running_) {
-                            Slowed(t0, [this, reply, t0, trace_id]() {
-                                if (running_) {
-                                    EmitServerEvent("server.put", t0,
-                                                    trace_id);
-                                    reply(kAckBytes, net::RpcCode::kOk);
-                                }
-                            });
-                        }
-                    },
-                    std::move(payload));
-            },
-            [done = std::move(done)](net::RpcCode code) {
-                if (done) done(CodeToStatus(code));
-            },
-            ctx.path);
-    };
-    ep.get = [this](uint64_t key, kv::GetCallback done, kv::OpContext ctx) {
-        const uint32_t client = next_client_++ % clients_;
-        auto res = std::make_shared<kv::GetResult>();
-        net_->RpcTyped(
-            client, kRpcHeaderBytes, ctx.deadline,
-            [this, key, res, span = ctx.path,
-             trace_id = ctx.trace.trace_id](util::TimeNs /*deadline*/,
-                                            net::Network::TypedReply reply) {
-                if (!running_) return;
-                const util::TimeNs t0 = sim_.Now();
-                if (!Admit()) {
-                    EmitServerEvent("server.get", t0, trace_id);
-                    reply(kNackBytes, net::RpcCode::kOverloaded);
-                    return;
-                }
-                const uint64_t inc = incarnation_;
-                if (span) span->Enter(obs::Stage::kStorage, t0);
-                store().Get(key, [this, inc, res, t0, span, trace_id,
-                                  reply = std::move(reply)](
-                                     const kv::GetResult &r) {
-                    Release(inc);
-                    if (!running_) return;
-                    if (span) {
-                        span->Enter(obs::Stage::kServerHandle, sim_.Now());
+                if (span) span->Enter(obs::Stage::kServerHandle, sim_.Now());
+                *result = r;
+                const uint64_t bytes = reply_bytes(r);
+                if (bytes == 0) return;
+                Slowed(t0, [this, event, reply, bytes, t0, trace_id]() {
+                    if (running_) {
+                        EmitServerEvent(event, t0, trace_id);
+                        reply(bytes, net::RpcCode::kOk);
                     }
-                    *res = r;
-                    // Failures/misses reply fast (small nack) so the
-                    // router fails over to the next replica immediately
-                    // instead of waiting out the retry ladder.
-                    const uint64_t bytes =
-                        r.ok && r.found
-                            ? uint64_t{r.value_size} + kRpcHeaderBytes
-                            : kNackBytes;
-                    Slowed(t0, [this, reply, bytes, t0, trace_id]() {
-                        if (running_) {
-                            EmitServerEvent("server.get", t0, trace_id);
-                            reply(bytes, net::RpcCode::kOk);
-                        }
-                    });
                 });
-            },
-            [res, done = std::move(done)](net::RpcCode code) {
-                if (code != net::RpcCode::kOk) {
-                    kv::GetResult dead;
-                    dead.ok = false;
-                    dead.status = CodeToStatus(code);
-                    done(dead);
-                } else {
-                    done(*res);
-                }
-            },
-            ctx.path);
-    };
-    return ep;
+            });
+        },
+        [result, deliver = std::move(deliver)](net::RpcCode code) {
+            deliver(code, *result);
+        },
+        ctx.path);
+}
+
+void
+StorageNode::Put(uint64_t key, uint32_t value_size,
+                 std::shared_ptr<std::vector<uint8_t>> payload,
+                 kv::OpContext ctx, kv::PutStatusCallback done)
+{
+    Serve<bool>(
+        "server.put", uint64_t{value_size} + kRpcHeaderBytes, ctx,
+        // Re-puts from RPC retries are idempotent: the LSM just writes the
+        // same (key, size) again.
+        [this, key, value_size, payload](auto finish) {
+            store().Put(key, value_size, std::move(finish), payload);
+        },
+        // Only a durable put acks; a storage failure stays silent so the
+        // client times out and retries (and the router eventually fails
+        // over).
+        [](bool ok) { return ok ? kAckBytes : 0; },
+        [done = std::move(done)](net::RpcCode code, bool) {
+            if (done) done(CodeToStatus(code));
+        });
+}
+
+void
+StorageNode::Get(uint64_t key, kv::OpContext ctx, kv::GetCallback done)
+{
+    Serve<kv::GetResult>(
+        "server.get", kRpcHeaderBytes, ctx,
+        [this, key](auto finish) { store().Get(key, std::move(finish)); },
+        GetReplyBytes,
+        [done = std::move(done)](net::RpcCode code, kv::GetResult &res) {
+            done(code == net::RpcCode::kOk ? res : Unserved(code));
+        });
 }
 
 void
@@ -379,74 +396,38 @@ StorageNode::BatchGet(std::vector<uint64_t> keys, kv::OpContext ctx,
                       BatchGetCallback done)
 {
     SDF_CHECK_MSG(!keys.empty(), "empty batch");
-    const uint32_t client = next_client_++ % clients_;
-    const uint64_t request_bytes = kRpcHeaderBytes + 8 * keys.size();
-    auto results = std::make_shared<std::vector<kv::GetResult>>();
     const size_t n = keys.size();
-    net_->RpcTyped(
-        client, request_bytes, ctx.deadline,
-        [this, keys = std::move(keys), results, span = ctx.path,
-         trace_id = ctx.trace.trace_id](
-            util::TimeNs /*deadline*/, net::Network::TypedReply reply) {
-            if (!running_) return;
-            const util::TimeNs t0 = sim_.Now();
-            // The whole batch costs one admission slot: coalescing is how
-            // a client *reduces* pressure, so it must not multiply it.
-            if (!Admit()) {
-                EmitServerEvent("server.batch_get", t0, trace_id);
-                reply(kNackBytes, net::RpcCode::kOverloaded);
-                return;
-            }
-            const uint64_t inc = incarnation_;
-            if (span) span->Enter(obs::Stage::kStorage, t0);
-            results->assign(keys.size(), kv::GetResult{});
+    // The whole batch costs one admission slot: coalescing is how a client
+    // *reduces* pressure, so it must not multiply it.
+    Serve<std::vector<kv::GetResult>>(
+        "server.batch_get", kRpcHeaderBytes + 8 * n, ctx,
+        [this, keys = std::move(keys)](auto finish) {
+            auto results = std::make_shared<std::vector<kv::GetResult>>(
+                keys.size());
             auto remaining = std::make_shared<size_t>(keys.size());
-            auto shared_reply = std::make_shared<net::Network::TypedReply>(
-                std::move(reply));
+            auto shared_finish =
+                std::make_shared<decltype(finish)>(std::move(finish));
             for (size_t i = 0; i < keys.size(); ++i) {
-                store().Get(
-                    keys[i],
-                    [this, inc, i, t0, results, remaining, span, trace_id,
-                     shared_reply](const kv::GetResult &r) {
-                        (*results)[i] = r;
-                        if (--*remaining > 0) return;
-                        Release(inc);
-                        if (!running_) return;
-                        if (span) {
-                            span->Enter(obs::Stage::kServerHandle,
-                                        sim_.Now());
-                        }
-                        uint64_t bytes = kRpcHeaderBytes;
-                        for (const kv::GetResult &res : *results) {
-                            bytes += res.ok && res.found
-                                         ? uint64_t{res.value_size} +
-                                               kRpcHeaderBytes
-                                         : kNackBytes;
-                        }
-                        Slowed(t0, [this, shared_reply, bytes, t0,
-                                    trace_id]() {
-                            if (running_) {
-                                EmitServerEvent("server.batch_get", t0,
-                                                trace_id);
-                                (*shared_reply)(bytes, net::RpcCode::kOk);
-                            }
-                        });
-                    });
+                store().Get(keys[i], [i, results, remaining, shared_finish](
+                                         const kv::GetResult &r) {
+                    (*results)[i] = r;
+                    if (--*remaining == 0) (*shared_finish)(*results);
+                });
             }
         },
-        [results, n, done = std::move(done)](net::RpcCode code) {
-            if (code != net::RpcCode::kOk || results->size() != n) {
-                std::vector<kv::GetResult> fail(n);
-                for (kv::GetResult &r : fail) {
-                    r.ok = false;
-                    r.status = CodeToStatus(code);
-                }
-                done(std::move(fail));
+        [](const std::vector<kv::GetResult> &results) {
+            uint64_t bytes = kRpcHeaderBytes;
+            for (const kv::GetResult &r : results) bytes += GetReplyBytes(r);
+            return bytes;
+        },
+        [n, done = std::move(done)](net::RpcCode code,
+                                    std::vector<kv::GetResult> &results) {
+            if (code != net::RpcCode::kOk) {
+                done(std::vector<kv::GetResult>(n, Unserved(code)));
             } else {
-                done(*results);
+                done(results);
             }
-        },
-        ctx.path);
+        });
 }
 
 void
@@ -454,63 +435,32 @@ StorageNode::Scan(uint64_t start_key, uint32_t limit,
                   std::function<bool(uint64_t)> owned, kv::OpContext ctx,
                   ScanDoneCallback done)
 {
-    const uint32_t client = next_client_++ % clients_;
     // The request carries (start_key, limit) plus the caller's owned
-    // vnode ranges; the range list is modeled at a flat 256 bytes.
-    const uint64_t request_bytes = kRpcHeaderBytes + 16 + 256;
-    auto result = std::make_shared<kv::ScanResult>();
-    net_->RpcTyped(
-        client, request_bytes, ctx.deadline,
-        [this, start_key, limit, owned = std::move(owned), result,
-         span = ctx.path, trace_id = ctx.trace.trace_id](
-            util::TimeNs /*deadline*/, net::Network::TypedReply reply) {
-            if (!running_) return;
-            const util::TimeNs t0 = sim_.Now();
-            // Like a batch, the whole scan costs one admission slot: it
-            // is one request however many keys it touches.
-            if (!Admit()) {
-                EmitServerEvent("server.scan", t0, trace_id);
-                reply(kNackBytes, net::RpcCode::kOverloaded);
-                return;
-            }
-            const uint64_t inc = incarnation_;
-            if (span) span->Enter(obs::Stage::kStorage, t0);
-            store().Scan(
-                start_key, limit,
-                [this, inc, t0, result, span, trace_id,
-                 reply = std::move(reply)](const kv::ScanResult &r) {
-                    Release(inc);
-                    if (!running_) return;
-                    if (span) {
-                        span->Enter(obs::Stage::kServerHandle, sim_.Now());
-                    }
-                    *result = r;
-                    // The response streams the scanned values plus 16
-                    // bytes of (key, size) framing per entry.
-                    const uint64_t bytes =
-                        r.ok ? kRpcHeaderBytes + r.scanned_bytes +
-                                   16 * r.entries.size()
-                             : kNackBytes;
-                    Slowed(t0, [this, reply, bytes, t0, trace_id]() {
-                        if (running_) {
-                            EmitServerEvent("server.scan", t0, trace_id);
-                            reply(bytes, net::RpcCode::kOk);
-                        }
-                    });
-                },
-                owned);
+    // vnode ranges; the range list is modeled at a flat 256 bytes. Like a
+    // batch, the whole scan costs one admission slot: it is one request
+    // however many keys it touches.
+    Serve<kv::ScanResult>(
+        "server.scan", kRpcHeaderBytes + 16 + 256, ctx,
+        [this, start_key, limit, owned = std::move(owned)](auto finish) {
+            store().Scan(start_key, limit, std::move(finish), owned);
         },
-        [result, done = std::move(done)](net::RpcCode code) {
+        // The response streams the scanned values plus 16 bytes of
+        // (key, size) framing per entry.
+        [](const kv::ScanResult &r) {
+            return r.ok ? kRpcHeaderBytes + r.scanned_bytes +
+                              16 * r.entries.size()
+                        : kNackBytes;
+        },
+        [done = std::move(done)](net::RpcCode code, kv::ScanResult &result) {
             if (code != net::RpcCode::kOk) {
                 kv::ScanResult fail;
                 fail.ok = false;
                 fail.status = CodeToStatus(code);
                 done(std::move(fail));
             } else {
-                done(std::move(*result));
+                done(std::move(result));
             }
-        },
-        ctx.path);
+        });
 }
 
 void
@@ -523,29 +473,23 @@ StorageNode::FlushAll()
 
 ClusterRouter::ClusterRouter(sim::Simulator &sim,
                              const std::vector<StorageNode *> &nodes,
-                             uint32_t replication, uint32_t vnodes_per_node,
+                             uint32_t replication,
                              const BreakerConfig &breaker)
     : sim_(sim),
-      ring_(static_cast<uint32_t>(nodes.size()), vnodes_per_node),
+      ring_(static_cast<uint32_t>(nodes.size())),
       replication_(replication),
       node_puts_(nodes.size(), 0),
       node_gets_(nodes.size(), 0),
       nodes_(nodes),
-      breaker_(static_cast<uint32_t>(nodes.size()), breaker),
-      direct_(BuildEndpoints(nodes)),
-      engine_(sim, BuildEndpoints(nodes),
-              [this](uint64_t key) { return ReadOrder(key); })
+      breaker_(static_cast<uint32_t>(nodes.size()), breaker)
 {
     SDF_CHECK_MSG(replication >= 1 && replication <= nodes.size(),
                   "replication must be in [1, nodes]");
-    // Placement moves whenever membership does; gets that straddle a
-    // membership change restart against the fresh replica set.
-    engine_.set_epoch_provider([this]() { return epoch_; });
     hub_ = sim.hub();
     if (hub_ != nullptr) {
         obs::MetricsRegistry &m = hub_->metrics();
         metric_prefix_ = m.UniquePrefix("cluster");
-        const kv::ReplicatedKvStats &st = engine_.stats();
+        const ReplicatedKvStats &st = stats_;
         m.RegisterCounter(metric_prefix_ + ".puts", &st.puts);
         m.RegisterCounter(metric_prefix_ + ".gets", &st.gets);
         m.RegisterCounter(metric_prefix_ + ".put_failures",
@@ -601,12 +545,202 @@ ClusterRouter::ReadOrder(uint64_t key)
     return order;
 }
 
+template <typename Done>
+auto
+ClusterRouter::Tracked(uint32_t node, std::vector<uint64_t> &counts,
+                       uint64_t requests, Done done)
+{
+    counts[node] += requests;
+    const util::TimeNs t0 = sim_.Now();
+    return [this, node, t0, done = std::move(done)](auto &&result) mutable {
+        if (!IsShed(result)) breaker_.Record(node, sim_.Now() - t0);
+        done(std::forward<decltype(result)>(result));
+    };
+}
+
+void
+ClusterRouter::Put(uint64_t key, uint32_t value_size, kv::PutCallback done,
+                   std::shared_ptr<std::vector<uint8_t>> payload,
+                   kv::OpContext ctx)
+{
+    PutTyped(
+        key, value_size,
+        [done = std::move(done)](kv::OpStatus s) {
+            if (done) done(s == kv::OpStatus::kOk);
+        },
+        std::move(payload), ctx);
+}
+
+void
+ClusterRouter::PutTyped(uint64_t key, uint32_t value_size,
+                        kv::PutStatusCallback done,
+                        std::shared_ptr<std::vector<uint8_t>> payload,
+                        kv::OpContext ctx)
+{
+    ++stats_.puts;
+    const std::vector<uint32_t> order = ReadOrder(key);
+    if (order.empty()) {
+        // Every node that could hold the key is out of the membership.
+        ++stats_.no_replica_rejects;
+        ++stats_.put_failures;
+        sim_.Post([done = std::move(done)]() {
+            if (done) done(kv::OpStatus::kError);
+        });
+        return;
+    }
+    // Every replica's ack joins here; the move-only `done` waits in it.
+    struct Join
+    {
+        size_t remaining = 0;
+        uint32_t successes = 0;
+        kv::OpStatus worst = kv::OpStatus::kOk;
+        kv::PutStatusCallback done;
+    };
+    auto join = std::make_shared<Join>();
+    join->remaining = order.size();
+    join->done = std::move(done);
+    const auto on_ack = [this, join](kv::OpStatus s) {
+        if (s == kv::OpStatus::kOk) {
+            ++join->successes;
+        } else {
+            ++stats_.put_replica_failures;
+            join->worst = kv::WorseStatus(join->worst, s);
+        }
+        if (--join->remaining > 0) return;
+        if (join->successes > 0) {
+            if (join->done) join->done(kv::OpStatus::kOk);
+            return;
+        }
+        ++stats_.put_failures;
+        if (join->done) {
+            join->done(join->worst == kv::OpStatus::kOk ? kv::OpStatus::kError
+                                                        : join->worst);
+        }
+    };
+    for (const uint32_t node : order) {
+        nodes_[node]->Put(key, value_size, payload, ctx,
+                          Tracked(node, node_puts_, 1, on_ack));
+        // Only the first replica's RPC writes the request's critical-path
+        // span; a second concurrent writer would corrupt the timeline.
+        // Later replicas keep the trace identity but no span.
+        ctx.path = nullptr;
+    }
+}
+
+void
+ClusterRouter::Get(uint64_t key, kv::GetCallback done, kv::OpContext ctx)
+{
+    ++stats_.gets;
+    auto order =
+        std::make_shared<const std::vector<uint32_t>>(ReadOrder(key));
+    if (order->empty()) {
+        ++stats_.no_replica_rejects;
+        ++stats_.failed_reads;
+        sim_.Post([done = std::move(done)]() {
+            if (done) {
+                kv::GetResult res;
+                res.ok = false;
+                res.status = kv::OpStatus::kError;
+                done(res);
+            }
+        });
+        return;
+    }
+    DoGet(key, std::move(done), std::move(order), 0, 0, kv::OpStatus::kOk,
+          epoch_, ctx);
+}
+
+void
+ClusterRouter::DoGet(uint64_t key, kv::GetCallback done,
+                     std::shared_ptr<const std::vector<uint32_t>> order,
+                     uint32_t attempt, util::TimeNs first_fail,
+                     kv::OpStatus worst, uint64_t epoch, kv::OpContext ctx)
+{
+    if (attempt == order->size()) {
+        // Exhausted. All clean misses -> an authoritative miss; any
+        // storage failure along the way -> a failed read.
+        kv::GetResult res;
+        res.found = false;
+        res.ok = worst == kv::OpStatus::kOk;
+        res.status = worst;
+        if (!res.ok) ++stats_.failed_reads;
+        if (done) done(res);
+        return;
+    }
+    const uint32_t node = (*order)[attempt];
+    auto on_reply = [this, key, done = std::move(done), order, attempt,
+                     first_fail, worst, epoch,
+                     ctx](const kv::GetResult &res) mutable {
+        if (!res.ok || !res.found) {
+            const util::TimeNs t0 = attempt == 0 ? sim_.Now() : first_fail;
+            const kv::OpStatus next_worst =
+                kv::WorseStatus(worst, FailureStatus(res));
+            // Membership moved while we were waiting (a node died or
+            // rejoined): the replica list is stale — restart against fresh
+            // placement. Bounded by the number of epoch bumps.
+            if (epoch_ != epoch) {
+                ++stats_.epoch_restarts;
+                auto fresh = std::make_shared<const std::vector<uint32_t>>(
+                    ReadOrder(key));
+                if (fresh->empty()) {
+                    ++stats_.no_replica_rejects;
+                    ++stats_.failed_reads;
+                    if (done) {
+                        kv::GetResult fail;
+                        fail.ok = false;
+                        fail.status =
+                            kv::WorseStatus(next_worst, kv::OpStatus::kError);
+                        done(fail);
+                    }
+                    return;
+                }
+                DoGet(key, std::move(done), std::move(fresh), 0, t0,
+                      next_worst, epoch_, ctx);
+                return;
+            }
+            // Storage failure — or a miss on this replica, which may just
+            // have lost the put that a later replica acked (degraded-mode
+            // write). Either way, ask the next one.
+            DoGet(key, std::move(done), std::move(order), attempt + 1, t0,
+                  next_worst, epoch, ctx);
+            return;
+        }
+        if (attempt > 0) {
+            ++stats_.degraded_reads;
+            recovery_latencies_.Record(sim_.Now() - first_fail);
+            // Read-repair: restore redundancy on the replicas that failed
+            // or missed ahead of this one.
+            Repair(key, res, *order, attempt);
+        }
+        if (done) done(res);
+    };
+    nodes_[node]->Get(key, ctx,
+                      Tracked(node, node_gets_, 1, std::move(on_reply)));
+}
+
+void
+ClusterRouter::Repair(uint64_t key, const kv::GetResult &good,
+                      const std::vector<uint32_t> &order,
+                      uint32_t failed_count)
+{
+    for (uint32_t i = 0; i < failed_count; ++i) {
+        ++stats_.re_replications;
+        const uint32_t node = order[i];
+        nodes_[node]->Put(
+            key, good.value_size, good.payload, kv::OpContext{},
+            Tracked(node, node_puts_, 1, [this](kv::OpStatus s) {
+                if (s != kv::OpStatus::kOk) ++stats_.re_replication_failures;
+            }));
+    }
+}
+
 void
 ClusterRouter::GetAt(uint32_t node, uint64_t key, kv::OpContext ctx,
                      kv::GetCallback done)
 {
-    SDF_CHECK(node < direct_.size());
-    direct_[node].get(key, std::move(done), ctx);
+    SDF_CHECK(node < nodes_.size());
+    nodes_[node]->Get(key, ctx,
+                      Tracked(node, node_gets_, 1, std::move(done)));
 }
 
 void
@@ -615,20 +749,9 @@ ClusterRouter::BatchGetAt(uint32_t node, std::vector<uint64_t> keys,
                           StorageNode::BatchGetCallback done)
 {
     SDF_CHECK(node < nodes_.size());
-    node_gets_[node] += keys.size();
-    const util::TimeNs t0 = sim_.Now();
-    nodes_[node]->BatchGet(
-        std::move(keys), ctx,
-        [this, node, t0,
-         done = std::move(done)](std::vector<kv::GetResult> results) {
-            // One service-time sample per batch RPC; sheds excluded (a
-            // fast refusal must not make an overloaded node look healthy).
-            const bool shed =
-                !results.empty() && !results.front().ok &&
-                results.front().status == kv::OpStatus::kOverloaded;
-            if (!shed) breaker_.Record(node, sim_.Now() - t0);
-            done(std::move(results));
-        });
+    const uint64_t n = keys.size();
+    nodes_[node]->BatchGet(std::move(keys), ctx,
+                           Tracked(node, node_gets_, n, std::move(done)));
 }
 
 void
@@ -726,56 +849,6 @@ ClusterRouter::~ClusterRouter()
     if (hub_ != nullptr) hub_->metrics().UnregisterPrefix(metric_prefix_);
 }
 
-std::vector<kv::ReplicaEndpoint>
-ClusterRouter::BuildEndpoints(const std::vector<StorageNode *> &nodes)
-{
-    // Every completion that is not an admission shed feeds the breaker's
-    // per-node service-time EWMA: a shed is a fast refusal, not service.
-    std::vector<kv::ReplicaEndpoint> eps;
-    eps.reserve(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) {
-        kv::ReplicaEndpoint ep = nodes[i]->Endpoint();
-        eps.push_back(kv::ReplicaEndpoint{
-            [this, i, put = std::move(ep.put)](
-                uint64_t key, uint32_t value_size,
-                kv::PutStatusCallback done,
-                std::shared_ptr<std::vector<uint8_t>> payload,
-                kv::OpContext ctx) {
-                ++node_puts_[i];
-                const util::TimeNs t0 = sim_.Now();
-                put(
-                    key, value_size,
-                    [this, i, t0,
-                     done = std::move(done)](kv::OpStatus s) {
-                        if (s != kv::OpStatus::kOverloaded) {
-                            breaker_.Record(static_cast<uint32_t>(i),
-                                            sim_.Now() - t0);
-                        }
-                        if (done) done(s);
-                    },
-                    std::move(payload), ctx);
-            },
-            [this, i, get = std::move(ep.get)](
-                uint64_t key, kv::GetCallback done, kv::OpContext ctx) {
-                ++node_gets_[i];
-                const util::TimeNs t0 = sim_.Now();
-                get(
-                    key,
-                    [this, i, t0,
-                     done = std::move(done)](const kv::GetResult &r) {
-                        if (r.ok ||
-                            r.status != kv::OpStatus::kOverloaded) {
-                            breaker_.Record(static_cast<uint32_t>(i),
-                                            sim_.Now() - t0);
-                        }
-                        done(r);
-                    },
-                    ctx);
-            }});
-    }
-    return eps;
-}
-
 workload::KvService
 ClusterRouter::Service()
 {
@@ -810,12 +883,8 @@ Cluster::Cluster(sim::Simulator &sim, const ClusterConfig &cfg) : sim_(sim)
     ptrs.reserve(nodes_.size());
     for (auto &n : nodes_) ptrs.push_back(n.get());
     router_ = std::make_unique<ClusterRouter>(sim, ptrs, cfg.replication,
-                                              cfg.vnodes_per_node,
                                               cfg.breaker);
-    RebalanceConfig rc;
-    rc.max_inflight = cfg.rebalance_max_inflight;
-    rebalancer_ = std::make_unique<Rebalancer>(sim, ptrs, *router_, rc);
-    anti_entropy_ = std::make_unique<AntiEntropy>(*rebalancer_);
+    rebalancer_ = std::make_unique<Rebalancer>(sim, ptrs, *router_);
 }
 
 Cluster::~Cluster() = default;

@@ -11,16 +11,18 @@
  *    stack (any testbed::Backend) and multi-slice kv::Store. All its
  *    metrics self-register under "node<N>.*".
  *  - ClusterRouter: the client-side library that consistent-hash-shards
- *    keys over the nodes with R-way replication, reusing
- *    kv::ReplicationEngine for fan-out, failover and read-repair; RPCs go
- *    through net::Network's timeout/backoff path, so a dead node degrades
- *    into retries + failover instead of a hang.
+ *    keys over the nodes with R-way replication: puts fan out to every
+ *    replica, reads fail over in placement order, and a degraded read
+ *    repairs the replicas it skipped. RPCs go through net::Network's
+ *    timeout/backoff path, so a dead node degrades into retries +
+ *    failover instead of a hang.
  *  - Cluster: convenience bundle (N nodes + router) for benches/tools.
  */
 #ifndef SDF_CLUSTER_CLUSTER_H
 #define SDF_CLUSTER_CLUSTER_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,28 +31,22 @@
 #include "cluster/breaker.h"
 #include "cluster/hash_ring.h"
 #include "kv/recovery.h"
-#include "kv/replicated_store.h"
 #include "kv/store.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
+#include "util/latency_recorder.h"
 #include "workload/kv_driver.h"
 
 namespace sdf::cluster {
 
 class Rebalancer;
-class AntiEntropy;
-struct RebalanceConfig;
 
 /** How to build one storage node. */
 struct NodeConfig
 {
     /** Per-node storage stack + store (device, slices, ...). */
     testbed::KvStackConfig kv;
-    /** Link/RPC parameters for the node's network endpoint. */
-    net::NetworkSpec net;
-    /** Router connections into this node (round-robined per request). */
-    uint32_t clients = 4;
     /**
      * Admission control: requests concurrently admitted past the RPC
      * dispatcher before new arrivals are shed with a typed kOverloaded
@@ -151,14 +147,22 @@ class StorageNode
     void StreamOut(uint64_t key, kv::GetCallback done);
 
     /**
-     * How the replication engine reaches this node: put/get as RPCs with
-     * client-side timeout + retry. A put acks only once the store made the
-     * value durable (a storage failure is surfaced as a timeout, so the
-     * router retries and eventually fails over); a get that fails at
-     * storage level replies quickly with res.ok == false so the router can
-     * fail over without burning the retry budget.
+     * Put RPC, with client-side timeout + retry. @p done gets kOk only
+     * once the store made the value durable: a storage failure stays
+     * silent, so the caller times out, retries and the router eventually
+     * fails over. A shed is a fast typed kOverloaded.
      */
-    kv::ReplicaEndpoint Endpoint();
+    void Put(uint64_t key, uint32_t value_size,
+             std::shared_ptr<std::vector<uint8_t>> payload, kv::OpContext ctx,
+             kv::PutStatusCallback done);
+
+    /**
+     * Get RPC. A read that fails at storage level (res.ok == false) or
+     * misses replies fast with a small nack, so the router fails over
+     * without burning the retry budget; a transport failure (deadline,
+     * shed, dead node) carries its typed status.
+     */
+    void Get(uint64_t key, kv::OpContext ctx, kv::GetCallback done);
 
     /**
      * Coalesced read: one RPC carrying @p keys, served as parallel local
@@ -205,6 +209,22 @@ class StorageNode
     void FlushAll();
 
   private:
+    /**
+     * The one serving path behind Put, Get, BatchGet and Scan: send
+     * @p request_bytes over RpcTyped; at the server, drop the request if
+     * the process is dead, shed it with a typed nack past the admission
+     * cap, else cut the span to `storage` and run @p work. When the work
+     * hands back its Result: release the slot, cut the span to
+     * `server_handle` and reply with @p reply_bytes(result) bytes (0 =
+     * stay silent) after any fail-slow deferral. @p deliver builds the
+     * caller's completion from the transport code and the served result.
+     * Every handler is idempotent: a retried attempt runs it again.
+     */
+    template <typename Result, typename Work, typename ReplyBytes,
+              typename Deliver>
+    void Serve(const char *event, uint64_t request_bytes,
+               const kv::OpContext &ctx, Work work, ReplyBytes reply_bytes,
+               Deliver deliver);
     /** Admission check at the RPC dispatcher; counts the decision. */
     bool Admit();
     /** Emit a server-side trace event on this node's track: the handler
@@ -222,7 +242,6 @@ class StorageNode
 
     sim::Simulator &sim_;
     uint32_t id_;
-    uint32_t clients_;
     uint32_t next_client_ = 0;
     bool running_ = true;
     double fail_slow_mult_ = 1.0;
@@ -251,18 +270,34 @@ class StorageNode
     int32_t trace_track_ = -1;
 };
 
+/** Cumulative replication statistics ("cluster.*"). */
+struct ReplicatedKvStats
+{
+    uint64_t puts = 0;
+    uint64_t gets = 0;
+    uint64_t put_replica_failures = 0;  ///< Individual replica puts failed.
+    uint64_t put_failures = 0;          ///< Puts with zero durable copies.
+    uint64_t degraded_reads = 0;        ///< Served by a non-primary replica.
+    uint64_t failed_reads = 0;          ///< Every replica errored.
+    uint64_t re_replications = 0;       ///< Read-repair puts issued.
+    uint64_t re_replication_failures = 0;
+    /** Gets restarted with fresh placement after a membership change. */
+    uint64_t epoch_restarts = 0;
+    /** Ops rejected because no replica was live (all nodes down). */
+    uint64_t no_replica_rejects = 0;
+};
+
 /**
  * Client-side shard router: key -> R distinct nodes via the consistent-
- * hash ring, fan-out/failover/read-repair via kv::ReplicationEngine. The
- * nodes must outlive the router.
+ * hash ring, with the replication path on top — put fan-out, the failover
+ * walk and read-repair. The nodes must outlive the router.
  */
 class ClusterRouter
 {
   public:
     ClusterRouter(sim::Simulator &sim,
                   const std::vector<StorageNode *> &nodes,
-                  uint32_t replication, uint32_t vnodes_per_node = 64,
-                  const BreakerConfig &breaker = {});
+                  uint32_t replication, const BreakerConfig &breaker = {});
     ~ClusterRouter();
 
     ClusterRouter(const ClusterRouter &) = delete;
@@ -271,14 +306,17 @@ class ClusterRouter
     /** Nodes currently in the membership (live nodes). */
     uint32_t node_count() const { return ring_.node_count(); }
     /** All nodes this router can reach, live or not. */
-    uint32_t endpoint_count() const { return engine_.endpoint_count(); }
+    uint32_t endpoint_count() const
+    {
+        return static_cast<uint32_t>(nodes_.size());
+    }
     uint32_t replication() const { return replication_; }
     const HashRing &ring() const { return ring_; }
 
     /**
-     * Membership epoch: bumped on every MarkNodeDown/MarkNodeUp. The
-     * replication engine snapshots it per get and restarts against fresh
-     * placement when it moves mid-operation.
+     * Membership epoch: bumped on every MarkNodeDown/MarkNodeUp. Get
+     * snapshots it and restarts against fresh placement when it moves
+     * mid-operation.
      */
     uint64_t epoch() const { return epoch_; }
     bool node_live(uint32_t id) const { return ring_.Contains(id); }
@@ -298,36 +336,43 @@ class ClusterRouter
     /**
      * Placement order with fail-slow policy applied: the ring's replica
      * set, with breaker-open nodes demoted to the back. This is the
-     * order the engine walks and the order the client front door hedges
-     * against.
+     * order puts fan out to, the order Get walks, and the order the
+     * client front door hedges against.
      */
     std::vector<uint32_t> ReadOrder(uint64_t key);
 
-    /** See ReplicationEngine::Put (ack == at least one durable copy). */
-    void
-    Put(uint64_t key, uint32_t value_size, kv::PutCallback done,
-        std::shared_ptr<std::vector<uint8_t>> payload = nullptr,
-        kv::OpContext ctx = {})
-    {
-        engine_.Put(key, value_size, std::move(done), std::move(payload),
-                    ctx);
-    }
-
-    /** See ReplicationEngine::PutTyped (typed overall disposition). */
-    void
-    PutTyped(uint64_t key, uint32_t value_size, kv::PutStatusCallback done,
+    /**
+     * Store @p key on every replica in ReadOrder. @p done receives true
+     * when at least one replica persisted the value (the others are
+     * repaired by later degraded reads).
+     */
+    void Put(uint64_t key, uint32_t value_size, kv::PutCallback done,
              std::shared_ptr<std::vector<uint8_t>> payload = nullptr,
-             kv::OpContext ctx = {})
-    {
-        engine_.PutTyped(key, value_size, std::move(done),
-                         std::move(payload), ctx);
-    }
+             kv::OpContext ctx = {});
 
-    /** See ReplicationEngine::Get (transparent failover + read-repair). */
-    void Get(uint64_t key, kv::GetCallback done, kv::OpContext ctx = {})
-    {
-        engine_.Get(key, std::move(done), ctx);
-    }
+    /**
+     * Typed Put: like Put, but @p done receives the aggregated
+     * disposition — kOk on at least one durable copy, otherwise the most
+     * backpressure-actionable failure any replica reported (overload
+     * beats deadline beats storage error; see WorseStatus).
+     */
+    void PutTyped(uint64_t key, uint32_t value_size,
+                  kv::PutStatusCallback done,
+                  std::shared_ptr<std::vector<uint8_t>> payload = nullptr,
+                  kv::OpContext ctx = {});
+
+    /**
+     * Read @p key with transparent failover: the replicas in ReadOrder
+     * are tried in turn until one serves the value. A miss on one replica
+     * also fails over (a degraded-mode put may have landed on only some
+     * replicas); the read is a miss only when every replica agrees. The
+     * result's ok flag is false only when a replica failed at storage
+     * level and none served the value; res.status then carries the worst
+     * typed failure seen across the walk. A degraded read re-puts the
+     * value onto the replicas that failed or missed ahead of the one that
+     * served it (read-repair).
+     */
+    void Get(uint64_t key, kv::GetCallback done, kv::OpContext ctx = {});
 
     /**
      * Direct single-node read, no failover — the client front door's
@@ -360,10 +405,14 @@ class ClusterRouter
     /** The router as a generic workload target. */
     workload::KvService Service();
 
-    const kv::ReplicatedKvStats &stats() const { return engine_.stats(); }
+    const ReplicatedKvStats &stats() const { return stats_; }
+    /**
+     * Latency from the primary replica's failure to the moment a
+     * surviving replica served the value (per degraded read).
+     */
     const util::LatencyRecorder &recovery_latencies() const
     {
-        return engine_.recovery_latencies();
+        return recovery_latencies_;
     }
 
     /** Requests this router sent to node @p i (placement balance). */
@@ -379,8 +428,25 @@ class ClusterRouter
     const FailSlowBreaker &breaker() const { return breaker_; }
 
   private:
-    std::vector<kv::ReplicaEndpoint>
-    BuildEndpoints(const std::vector<StorageNode *> &nodes);
+    /**
+     * The one per-node call helper: count @p requests to node @p node in
+     * @p counts (node_puts_ or node_gets_) and return @p done wrapped so
+     * the node's round trip feeds the breaker's service-time EWMA — unless
+     * the node shed the request: a fast refusal is not service, and must
+     * not make an overloaded node look healthy.
+     */
+    template <typename Done>
+    auto Tracked(uint32_t node, std::vector<uint64_t> &counts,
+                 uint64_t requests, Done done);
+    /** One step of Get's walk: ask replica (*order)[attempt]. */
+    void DoGet(uint64_t key, kv::GetCallback done,
+               std::shared_ptr<const std::vector<uint32_t>> order,
+               uint32_t attempt, util::TimeNs first_fail,
+               kv::OpStatus worst, uint64_t epoch, kv::OpContext ctx);
+    /** Read-repair: re-put @p good onto the first @p failed_count
+     *  replicas of @p order. */
+    void Repair(uint64_t key, const kv::GetResult &good,
+                const std::vector<uint32_t> &order, uint32_t failed_count);
 
     sim::Simulator &sim_;
     HashRing ring_;
@@ -393,9 +459,8 @@ class ClusterRouter
     uint64_t scan_failures_ = 0;
     std::vector<StorageNode *> nodes_;
     FailSlowBreaker breaker_;
-    /** Unwrapped per-node endpoints for GetAt (engine_ owns its own). */
-    std::vector<kv::ReplicaEndpoint> direct_;
-    kv::ReplicationEngine engine_;
+    ReplicatedKvStats stats_;
+    util::LatencyRecorder recovery_latencies_;
     obs::Hub *hub_ = nullptr;
     std::string metric_prefix_;
 };
@@ -405,16 +470,13 @@ struct ClusterConfig
 {
     uint32_t nodes = 4;
     uint32_t replication = 2;
-    uint32_t vnodes_per_node = 64;
-    /** Rebalance/anti-entropy streaming concurrency cap. */
-    uint32_t rebalance_max_inflight = 4;
     /** Fail-slow breaker policy for the router (off by default). */
     BreakerConfig breaker;
     /** Template for every node (same hardware per Table 2). */
     NodeConfig node;
 };
 
-/** N storage nodes plus router, rebalancer and anti-entropy pass. */
+/** N storage nodes plus router and rebalancer. */
 class Cluster
 {
   public:
@@ -431,13 +493,12 @@ class Cluster
     StorageNode &node(uint32_t i) { return *nodes_[i]; }
     ClusterRouter &router() { return *router_; }
     Rebalancer &rebalancer() { return *rebalancer_; }
-    AntiEntropy &anti_entropy() { return *anti_entropy_; }
     workload::KvService Service() { return router_->Service(); }
 
     /**
      * Stop node @p id's process and take it out of the membership. Keys
-     * it held stay under-replicated until a rebalance/anti-entropy pass
-     * (or its restart) heals them.
+     * it held stay under-replicated until a rebalance pass (or its
+     * restart) heals them.
      */
     void StopNode(uint32_t id);
 
@@ -482,7 +543,6 @@ class Cluster
     std::vector<std::unique_ptr<StorageNode>> nodes_;
     std::unique_ptr<ClusterRouter> router_;
     std::unique_ptr<Rebalancer> rebalancer_;
-    std::unique_ptr<AntiEntropy> anti_entropy_;
 };
 
 }  // namespace sdf::cluster

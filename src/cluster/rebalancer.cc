@@ -12,6 +12,9 @@ namespace sdf::cluster {
 
 namespace {
 
+/** Concurrent key transfers per pass. */
+constexpr uint32_t kMaxInflight = 4;
+
 /** Who holds a key right now (live nodes only), and at what size. */
 struct Holder
 {
@@ -22,10 +25,9 @@ struct Holder
 }  // namespace
 
 Rebalancer::Rebalancer(sim::Simulator &sim, std::vector<StorageNode *> nodes,
-                       ClusterRouter &router, RebalanceConfig cfg)
-    : sim_(sim), nodes_(std::move(nodes)), router_(router), cfg_(cfg)
+                       ClusterRouter &router)
+    : sim_(sim), nodes_(std::move(nodes)), router_(router)
 {
-    SDF_CHECK(cfg_.max_inflight > 0);
     if (obs::Hub *hub = sim.hub()) {
         hub_ = hub;
         obs::MetricsRegistry &m = hub->metrics();
@@ -158,7 +160,7 @@ Rebalancer::StartPass(sim::Callback done)
 void
 Rebalancer::Pump()
 {
-    while (inflight_ < cfg_.max_inflight && !queue_.empty()) {
+    while (inflight_ < kMaxInflight && !queue_.empty()) {
         const KeyMove m = queue_.front();
         queue_.pop_front();
         ++inflight_;

@@ -7,13 +7,13 @@
  * The Rebalancer computes the ownership delta (which live keys are missing
  * from which of their current target replicas) and streams exactly those
  * keys between nodes over net::Network's bulk-transfer path, bounded by a
- * configurable in-flight cap so rebalance traffic shares the NICs with
- * foreground load instead of swamping it.
+ * fixed in-flight cap so rebalance traffic shares the NICs with foreground
+ * load instead of swamping it.
  *
- * AntiEntropy is the repair-after-permanent-loss form of the same pass:
- * after a node is marked down for good, one pass restores full R-way
- * redundancy for every key the dead node held (the surviving replica
- * streams each key to the new owner the ring picked).
+ * Anti-entropy is the repair-after-permanent-loss form of the same pass
+ * (RunRepairPass): after a node is marked down for good, one pass restores
+ * full R-way redundancy for every key the dead node held (the surviving
+ * replica streams each key to the new owner the ring picked).
  */
 #ifndef SDF_CLUSTER_REBALANCER_H
 #define SDF_CLUSTER_REBALANCER_H
@@ -21,19 +21,13 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "sim/simulator.h"
 
 namespace sdf::cluster {
-
-/** Rebalance pass tuning. */
-struct RebalanceConfig
-{
-    /** Concurrent key transfers per pass. */
-    uint32_t max_inflight = 4;
-};
 
 /** One key transfer the pass decided to make. */
 struct KeyMove
@@ -65,7 +59,7 @@ class Rebalancer
     };
 
     Rebalancer(sim::Simulator &sim, std::vector<StorageNode *> nodes,
-               ClusterRouter &router, RebalanceConfig cfg = {});
+               ClusterRouter &router);
     ~Rebalancer();
 
     Rebalancer(const Rebalancer &) = delete;
@@ -88,14 +82,25 @@ class Rebalancer
      */
     void RunPass(sim::Callback done = nullptr);
 
+    /**
+     * Redundancy repair after permanent node loss: one RunPass counted as
+     * anti-entropy. Call after MarkNodeDown() on a node that will not come
+     * back; @p done fires once every surviving key is back to
+     * min(R, live nodes) copies.
+     */
+    void
+    RunRepairPass(sim::Callback done = nullptr)
+    {
+        ++stats_.anti_entropy_passes;
+        RunPass(std::move(done));
+    }
+
     const Stats &stats() const { return stats_; }
     /** The moves performed by the most recently *started* pass. */
     const std::vector<KeyMove> &last_moves() const { return last_moves_; }
     bool active() const { return active_; }
 
   private:
-    friend class AntiEntropy;
-
     void StartPass(sim::Callback done);
     void Pump();
     void FinishPass();
@@ -103,7 +108,6 @@ class Rebalancer
     sim::Simulator &sim_;
     std::vector<StorageNode *> nodes_;
     ClusterRouter &router_;
-    RebalanceConfig cfg_;
 
     bool active_ = false;
     util::TimeNs pass_start_ = 0;
@@ -116,28 +120,6 @@ class Rebalancer
 
     obs::Hub *hub_ = nullptr;
     std::string metric_prefix_;
-};
-
-/**
- * Redundancy repair after permanent node loss: a thin wrapper that runs a
- * rebalance pass and counts it as anti-entropy. Call after MarkNodeDown()
- * on a node that will not come back; afterwards every surviving key is
- * back to min(R, live nodes) copies.
- */
-class AntiEntropy
-{
-  public:
-    explicit AntiEntropy(Rebalancer &rebalancer) : rebalancer_(rebalancer) {}
-
-    /** Run one repair pass; @p done fires when redundancy is restored. */
-    void Run(sim::Callback done = nullptr)
-    {
-        ++rebalancer_.stats_.anti_entropy_passes;
-        rebalancer_.RunPass(std::move(done));
-    }
-
-  private:
-    Rebalancer &rebalancer_;
 };
 
 }  // namespace sdf::cluster

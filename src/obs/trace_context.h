@@ -4,8 +4,8 @@
  *
  * A TraceContext is minted once per client-visible operation (a Get, a
  * Put, a coalesced batch) by the front door and carried by value inside
- * `kv::OpContext` through the router, the replication engine, the RPC
- * envelope, and the storage node's handler. Every trace event a layer
+ * `kv::OpContext` through the router's replication walk, the RPC envelope,
+ * and the storage node's handler. Every trace event a layer
  * emits for that operation tags the same `trace_id`, which is how a
  * hedged read's duplicate attempt on a second node is linked back to its
  * parent request when the Perfetto export is inspected.

@@ -2,7 +2,7 @@
  * @file
  * Node recovery and ring rebalancing: restart durability (WAL replay +
  * patch-footer recovery + recovery scan), membership-epoch handling in
- * the replication engine, the rebalancer's ownership-delta computation
+ * the router's failover walk, the rebalancer's ownership-delta computation
  * (golden vnode-diff), anti-entropy redundancy repair, HashRing
  * membership edge cases, and a seeded chaos schedule — node stops and
  * restarts interleaved with overload bursts past the admission cap and
@@ -316,7 +316,7 @@ TEST(ClusterRecovery, EpochChangeMidGetRestartsAgainstFreshPlacement)
 
     // Launch a wave of gets and kill a node while they are in flight:
     // requests parked on node 0 never get a reply, time out, and find a
-    // new membership epoch when they come back to the engine. The stop
+    // new membership epoch when they come back to the router. The stop
     // fires from inside the wave (after the 10th completion) so later
     // gets are guaranteed to straddle the membership change.
     int done = 0, found = 0;
@@ -351,7 +351,7 @@ TEST(Rebalance, PassMovesExactlyTheOwnershipDelta)
 
     cl.StopNode(3);
     bool healed = false;
-    cl.anti_entropy().Run([&healed]() { healed = true; });
+    cl.rebalancer().RunRepairPass([&healed]() { healed = true; });
     sim.Run();
     ASSERT_TRUE(healed);
 
@@ -386,7 +386,7 @@ TEST(Rebalance, PassMovesExactlyTheOwnershipDelta)
     }
 }
 
-TEST(Rebalance, AntiEntropyRestoresRedundancyAndReportsIt)
+TEST(Rebalance, RepairPassRestoresRedundancyAndReportsIt)
 {
     obs::Hub hub;
     sim::Simulator sim;
@@ -400,7 +400,7 @@ TEST(Rebalance, AntiEntropyRestoresRedundancyAndReportsIt)
     const uint64_t degraded = cl.rebalancer().CountUnderReplicated();
     EXPECT_GT(degraded, 0u);
     bool healed = false;
-    cl.anti_entropy().Run([&healed]() { healed = true; });
+    cl.rebalancer().RunRepairPass([&healed]() { healed = true; });
     sim.Run();
     ASSERT_TRUE(healed);
     EXPECT_EQ(cl.rebalancer().CountUnderReplicated(), 0u);
@@ -465,7 +465,7 @@ struct ChaosEvent
         kGetBatch,
         kStopNode,
         kRestartNode,
-        kAntiEntropy,
+        kRepairPass,
         kOverloadBurst,   ///< Open-loop read burst past the admission cap.
         kFailSlowPulse,   ///< One node serves slow for a batch, then heals.
     };
@@ -483,7 +483,7 @@ ChaosKindName(ChaosEvent::Kind k)
       case ChaosEvent::kGetBatch: return "get";
       case ChaosEvent::kStopNode: return "stop";
       case ChaosEvent::kRestartNode: return "restart";
-      case ChaosEvent::kAntiEntropy: return "anti-entropy";
+      case ChaosEvent::kRepairPass: return "anti-entropy";
       case ChaosEvent::kOverloadBurst: return "burst";
       case ChaosEvent::kFailSlowPulse: return "failslow";
     }
@@ -544,7 +544,7 @@ MakeChaosSchedule(uint64_t seed, uint32_t nodes, uint32_t steps)
             e.node = down[rng() % down.size()];
             live.insert(e.node);
         } else {
-            e.kind = ChaosEvent::kAntiEntropy;
+            e.kind = ChaosEvent::kRepairPass;
         }
         schedule.push_back(e);
     }
@@ -563,7 +563,7 @@ ChaosScheduleText(uint64_t seed, const std::vector<ChaosEvent> &schedule)
             os << "(" << e.node << ")";
         } else if (e.kind == ChaosEvent::kFailSlowPulse) {
             os << "(" << e.node << ",x" << e.factor << "," << e.count << ")";
-        } else if (e.kind != ChaosEvent::kAntiEntropy) {
+        } else if (e.kind != ChaosEvent::kRepairPass) {
             os << "(" << e.count << ")";
         }
     }
@@ -622,8 +622,8 @@ RunChaosSchedule(uint64_t seed, const std::vector<ChaosEvent> &schedule,
             cl.RestartNode(e.node);
             sim.Run();
             break;
-          case ChaosEvent::kAntiEntropy:
-            cl.anti_entropy().Run();
+          case ChaosEvent::kRepairPass:
+            cl.rebalancer().RunRepairPass();
             sim.Run();
             break;
           case ChaosEvent::kOverloadBurst:
@@ -663,7 +663,7 @@ RunChaosSchedule(uint64_t seed, const std::vector<ChaosEvent> &schedule,
             sim.Run();
         }
     }
-    cl.anti_entropy().Run();
+    cl.rebalancer().RunRepairPass();
     sim.Run();
     if (const uint64_t under = cl.rebalancer().CountUnderReplicated();
         under != 0) {

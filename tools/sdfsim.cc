@@ -276,6 +276,23 @@ Validate(const Options &opt)
     if (!(opt.read_fraction >= 0 && opt.read_fraction <= 1)) {
         return "--read-frac must be in [0, 1]";
     }
+    if (opt.qd == 0) return "--qd must be at least 1";
+    if (opt.batch == 0) return "--batch must be at least 1";
+    if (opt.window == 0) return "--window must be at least 1";
+    if (opt.coalesce == 0) return "--coalesce must be at least 1";
+    if (!(opt.storm > 0)) return "--storm must be positive";
+    if (!(opt.theta > 0)) return "--theta must be positive";
+    // Taking the only node out of the ring leaves the router nothing to
+    // route to: every op is rejected at once, and closed-loop clients
+    // re-issue at the same instant forever. (Open-loop arrivals still
+    // advance the clock, so those modes run a one-node restart.)
+    if (opt.rebalance && opt.nodes < 2) {
+        return "--rebalance needs --nodes of at least 2";
+    }
+    if (opt.workload == "cluster" && opt.restart_node >= 0 && opt.nodes < 2) {
+        return "--restart-node needs --nodes of at least 2 in "
+               "--workload=cluster";
+    }
     return "";
 }
 
@@ -738,7 +755,7 @@ ScheduleDisruptions(const Options &opt, sim::Simulator &sim,
                         "started\n",
                         static_cast<double>(sim.Now()) / 1e6, victim);
             cl.router().MarkNodeDown(victim);
-            cl.anti_entropy().Run();
+            cl.rebalancer().RunRepairPass();
         });
     }
     return true;
@@ -892,7 +909,7 @@ RunClusterWorkload(Options &opt)
                     static_cast<unsigned long long>(hs.cancelled),
                     static_cast<double>(client->HedgeThreshold()) / 1e6);
     }
-    const kv::ReplicatedKvStats &rs = cl.router().stats();
+    const cluster::ReplicatedKvStats &rs = cl.router().stats();
     std::printf("replication: %llu degraded reads, %llu failed reads, "
                 "%llu re-replications, %llu put failures\n",
                 static_cast<unsigned long long>(rs.degraded_reads),
