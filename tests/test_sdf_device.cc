@@ -256,6 +256,41 @@ TEST(SdfDevice, ChannelsOperateIndependently)
     EXPECT_LT(read_done, write_done / 4);
 }
 
+TEST(SdfDevice, UncontendedUnitTimingIsPinned)
+{
+    // Exact simulated completion times of an uncontended erase + 8 MB
+    // unit write and of a full-unit read on one production channel. Any
+    // change to how the device books plane, bus and link time moves them.
+    sim::Simulator sim;
+    SdfConfig cfg = BaiduSdfConfig(0.04);
+    cfg.flash.geometry.channels = 1;
+    SdfDevice dev(sim, cfg);
+
+    bool ok = false;
+    util::TimeNs written = 0;
+    dev.EraseUnit(0, 0, [&](bool s) { ok = s; });
+    sim.Run();
+    ASSERT_TRUE(ok);
+    const util::TimeNs erased = sim.Now();
+    dev.WriteUnit(0, 0, [&](bool s) {
+        ok = s;
+        written = sim.Now() - erased;
+    });
+    sim.Run();
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(written, 365293063);
+
+    util::TimeNs read = 0;
+    const util::TimeNs t0 = sim.Now();
+    dev.Read(0, 0, 0, dev.unit_bytes(), [&](bool s) {
+        ok = s;
+        read = sim.Now() - t0;
+    });
+    sim.Run();
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(read, 221402845);
+}
+
 TEST(SdfDevice, EraseLatencyMatchesBlockEraseTime)
 {
     sim::Simulator sim;
