@@ -1,7 +1,6 @@
 #include "nand/channel.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -63,16 +62,14 @@ Channel::MarkBad(const BlockAddr &addr)
 }
 
 void
-Channel::EnableTrace(obs::TraceSink *sink, uint32_t channel_index)
+Channel::EnableTrace(obs::TraceSink *sink, const std::string &name)
 {
     trace_ = sink;
-    char name[32];
-    std::snprintf(name, sizeof name, "ch%02u.bus", channel_index);
-    bus_track_ = sink->RegisterTrack("flash", name);
+    bus_track_ = sink->RegisterTrack("flash", name + ".bus");
     plane_tracks_.clear();
     for (uint32_t p = 0; p < geo_.PlanesPerChannel(); ++p) {
-        std::snprintf(name, sizeof name, "ch%02u.p%u", channel_index, p);
-        plane_tracks_.push_back(sink->RegisterTrack("flash", name));
+        plane_tracks_.push_back(
+            sink->RegisterTrack("flash", name + ".p" + std::to_string(p)));
     }
 }
 

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -177,11 +178,12 @@ class Channel
 
     /**
      * Attach a trace sink: registers one track for the channel bus
-     * ("chNN.bus") and one per plane ("chNN.pK") under process "flash",
-     * then emits an event for every array read/program/erase and bus
-     * transfer. @p channel_index names the tracks.
+     * ("<name>.bus") and one per plane ("<name>.pK") under process
+     * "flash", then emits an event for every array read/program/erase and
+     * bus transfer. @p name must be unique per channel in the sink, or two
+     * channels' events land on one track.
      */
-    void EnableTrace(obs::TraceSink *sink, uint32_t channel_index);
+    void EnableTrace(obs::TraceSink *sink, const std::string &name);
 
     /** Bus utilization in [0,1] over [0, now]. */
     double BusUtilization() const { return bus_.Utilization(sim_.Now()); }

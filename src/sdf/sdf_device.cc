@@ -158,9 +158,15 @@ SdfDevice::RegisterMetrics()
         });
     }
 
+    // Flash tracks are named after the same unique prefix, so a cluster's
+    // nodes never share one: node1.nand.ch07.bus. The first unscoped
+    // device keeps the bare chNN names.
     if (hub_->trace() != nullptr) {
+        const std::string track = nand == "nand" ? "" : nand + ".";
         for (uint32_t c = 0; c < channels; ++c) {
-            flash_->channel(c).EnableTrace(hub_->trace(), c);
+            char chname[16];
+            std::snprintf(chname, sizeof chname, "ch%02u", c);
+            flash_->channel(c).EnableTrace(hub_->trace(), track + chname);
         }
     }
 }

@@ -10,7 +10,8 @@ cluster critical path too: client.path.get / client.path.put segments
 must tile the client-observed end-to-end latency across RPC hops exactly
 like the device stages tile a device request. Optionally validates a
 --trace export (parses as JSON, has traceEvents and a dropped_events
-count, carries the expected per-channel tracks) and a --series export
+count, carries the expected per-channel tracks, and no two events on one
+flash bus or plane track overlap) and a --series export
 (windows are monotone, contiguous, and no wider than the interval).
 
 Usage:
@@ -155,6 +156,7 @@ def check_trace(path, channels):
         rc |= fail("%s: missing integer dropped_events field" % path)
 
     thread_names = set()
+    flash = {}  # (pid, tid) -> [(start_ns, end_ns)] of one flash resource.
     for ev in events:
         if ev.get("ph") == "M" and ev.get("name") == "thread_name":
             thread_names.add(ev["args"]["name"])
@@ -163,15 +165,32 @@ def check_trace(path, channels):
                 if key not in ev:
                     return fail("%s: X event missing %r: %r"
                                 % (path, key, ev))
+            if ev.get("cat") == "flash":
+                start = round(ev["ts"] * 1000)
+                flash.setdefault((ev["pid"], ev["tid"]), []).append(
+                    (start, start + round(ev["dur"] * 1000)))
     bus_tracks = [n for n in thread_names
-                  if re.fullmatch(r"ch\d+\.bus", n)]
+                  if re.fullmatch(r"(.+\.)?ch\d+\.bus", n)]
     if channels > 0 and len(bus_tracks) < channels:
         rc |= fail("%s: expected >= %d per-channel bus tracks, found %d"
                    % (path, channels, len(bus_tracks)))
-    else:
+    # A flash track is one bus or plane, which serves one command at a
+    # time: overlapping events mean two resources share the track.
+    overlaps = 0
+    for spans in flash.values():
+        spans.sort()
+        busy_until = None
+        for start, end in spans:
+            if busy_until is not None and start < busy_until:
+                overlaps += 1
+            busy_until = end if busy_until is None else max(busy_until, end)
+    if overlaps:
+        rc |= fail("%s: %d overlapping event pairs on %d flash tracks"
+                   % (path, overlaps, len(flash)))
+    if rc == 0:
         print("validate_stats: %s: ok (%d events, %d tracks, %d channel "
-              "bus tracks)" % (path, len(events), len(thread_names),
-                               len(bus_tracks)))
+              "bus tracks, no flash overlap)"
+              % (path, len(events), len(thread_names), len(bus_tracks)))
     return rc
 
 
