@@ -194,6 +194,14 @@ ycsb --theta=-1
 cluster --nodes=1 --replication=1 --restart-node=0
 cluster --nodes=1 --replication=1 --kill-node=0 --rebalance
 ycsb --nodes=1 --replication=1 --kill-node=0 --rebalance
+seqread --device=bogus
+randread --device=sdf --request=3k
+seqread --device=sdf --request=16m
+randwrite --device=huawei --op=1.5
+randread --device=huawei --request=3k
+seqread --scale=-1
+seqread --scale=0
+seqread --warmup=-1
 EOF
 # The open-loop modes do run a one-node restart: ops are rejected while
 # the ring is empty, but arrivals keep the clock moving.

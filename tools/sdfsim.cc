@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,7 +43,7 @@ struct Options
     double duration = 2.0;
     double warmup = 0.5;
     double scale = 0.04;
-    double op_ratio = -1.0;          // <0: device default.
+    std::optional<double> op_ratio;  // Unset: device default.
     uint32_t slices = 8;             // KV workloads.
     uint32_t batch = 44;
     uint32_t value_kib = 512;
@@ -102,13 +103,17 @@ PrintHelp()
         "  --device=sdf|huawei|intel|memblaze   device model (default sdf)\n"
         "  --workload=seqread|randread|write|randwrite|kvread|kvwrite|scan\n"
         "             |faults|cluster|overload|ycsb\n"
-        "  --request=<n>[k|m]   request size (default 8m)\n"
+        "  --request=<n>[k|m]   request size, whole device pages (default "
+        "8m;\n"
+        "                       sdf reads: at most one 8 MiB unit)\n"
         "  --channels=<n>       SDF sync threads, 1-44 (default 44)\n"
         "  --qd=<n>             conventional-device queue depth (default 64)\n"
         "  --duration=<sec>     measurement window (default 2.0)\n"
         "  --warmup=<sec>       warmup before measuring (default 0.5)\n"
-        "  --scale=<f>          device capacity scale (default 0.04)\n"
-        "  --op=<f>             over-provisioning ratio (conventional only)\n"
+        "  --scale=<f>          device capacity scale, in (0, 1] (default "
+        "0.04)\n"
+        "  --op=<f>             over-provisioning ratio in [0, 1) "
+        "(conventional only)\n"
         "  --slices=<n>         CCDB slices for kv workloads (default 8)\n"
         "  --batch=<n>          kvread batch size (default 44)\n"
         "  --value=<KiB>        kv value size in KiB (default 512)\n"
@@ -250,10 +255,27 @@ ToU32(const std::string &key, const std::string &val)
     return static_cast<uint32_t>(v);
 }
 
+/** The conventional SSD model --device names (Intel 320 for "intel"). */
+ssd::ConventionalSsdConfig
+ConventionalConfig(const Options &opt)
+{
+    ssd::ConventionalSsdConfig cfg =
+        opt.device == "huawei"     ? ssd::HuaweiGen3Config(opt.scale)
+        : opt.device == "memblaze" ? ssd::MemblazeQ520Config(opt.scale)
+                                   : ssd::Intel320Config(opt.scale);
+    if (opt.op_ratio) cfg.op_ratio = *opt.op_ratio;
+    return cfg;
+}
+
 /** Reject values the workloads cannot run with. @return an error or "". */
 std::string
 Validate(const Options &opt)
 {
+    if (opt.device != "sdf" && opt.device != "huawei" &&
+        opt.device != "intel" && opt.device != "memblaze") {
+        return "--device=" + opt.device +
+               ": unknown device (sdf|huawei|intel|memblaze)";
+    }
     if (!workload::IsYcsbProfile(opt.profile)) {
         return "--profile=" + opt.profile +
                ": unknown profile (a|b|c|e|storm|diurnal)";
@@ -264,6 +286,36 @@ Validate(const Options &opt)
     }
     if (opt.request == 0) return "--request must be positive";
     if (!(opt.duration > 0)) return "--duration must be positive";
+    if (!(opt.warmup >= 0)) return "--warmup must not be negative";
+    if (!(opt.scale > 0 && opt.scale <= 1)) {
+        return "--scale must be in (0, 1]";
+    }
+    if (opt.op_ratio && !(*opt.op_ratio >= 0 && *opt.op_ratio < 1)) {
+        return "--op must be in [0, 1)";
+    }
+    // The raw device modes issue --request as is: an SDF read covers whole
+    // pages of one unit, a conventional request whole pages.
+    const bool raw_read =
+        opt.workload == "seqread" || opt.workload == "randread";
+    const bool raw = raw_read || opt.workload == "write" ||
+                     opt.workload == "randwrite";
+    if (raw_read && opt.device == "sdf") {
+        const nand::Geometry geo = nand::BaiduSdfGeometry();
+        const uint64_t unit =
+            uint64_t{geo.PlanesPerChannel()} * geo.BlockBytes();
+        if (opt.request % geo.page_size != 0 || opt.request > unit) {
+            return "--request must be a multiple of " +
+                   std::to_string(geo.page_size / util::kKiB) +
+                   "k up to " + std::to_string(unit / util::kMiB) +
+                   "m for sdf reads";
+        }
+    } else if (raw && opt.device != "sdf") {
+        const uint32_t page = ConventionalConfig(opt).flash.geometry.page_size;
+        if (opt.request % page != 0) {
+            return "--request must be a multiple of " +
+                   std::to_string(page / util::kKiB) + "k on " + opt.device;
+        }
+    }
     if (opt.slices == 0) return "--slices must be at least 1";
     if (opt.replicas == 0) return "--replicas must be at least 1";
     if (opt.keys == 0) return "--keys must be at least 1";
@@ -593,12 +645,7 @@ RunFaults(Options &opt)
 int
 RunRawConventional(Options &opt)
 {
-    ssd::ConventionalSsdConfig cfg =
-        opt.device == "huawei"     ? ssd::HuaweiGen3Config(opt.scale)
-        : opt.device == "memblaze" ? ssd::MemblazeQ520Config(opt.scale)
-                                   : ssd::Intel320Config(opt.scale);
-    if (opt.op_ratio >= 0.0) cfg.op_ratio = opt.op_ratio;
-
+    const ssd::ConventionalSsdConfig cfg = ConventionalConfig(opt);
     sim::Simulator sim;
     InstallHub(opt, sim);
     ssd::ConventionalSsd device(sim, cfg);
