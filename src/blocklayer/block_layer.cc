@@ -1,5 +1,6 @@
 #include "blocklayer/block_layer.h"
 
+#include <cstring>
 #include <utility>
 
 #include "obs/hub.h"
@@ -119,7 +120,7 @@ BlockLayer::Put(uint64_t id, IoCallback done, const uint8_t *data,
         return;
     }
     Enqueue(ch, Op{false, id, 0, device_.unit_bytes(), std::move(done), data,
-                   nullptr, priority, next_seq_++});
+                   nullptr, priority});
 }
 
 void
@@ -133,8 +134,13 @@ BlockLayer::Get(uint64_t id, uint64_t offset, uint64_t length,
         return;
     }
     const uint32_t ch = it->second.first;
-    Op op{true, id, offset, length, std::move(done), nullptr, out, priority,
-          next_seq_++};
+    Op op{true, id, offset, length, std::move(done), nullptr, out, priority};
+    if (priority != kClientPriority &&
+        length > uint64_t{kPieceReadUnits} * device_.read_unit_bytes()) {
+        if (out != nullptr) out->assign(length, 0);
+        op.pieces = std::make_shared<PieceJoin>(
+            PieceJoin{std::move(op.done), out, offset});
+    }
     Enqueue(ch, std::move(op));
 }
 
@@ -180,18 +186,14 @@ void
 BlockLayer::Dispatch(uint32_t ch)
 {
     ChannelState &cs = channels_[ch];
-    // Issue from the high-priority class first; within a class, reads may
-    // overtake writes under kReadPriority.
+    // Issue from the client class first; a blocked client class holds
+    // the internal class back.
     bool progressed = true;
     while (progressed) {
         progressed = false;
         for (auto &queue : cs.queues) {
             if (queue.empty()) continue;
-            if (TryIssue(ch, queue, /*allow_write=*/true)) {
-                progressed = true;
-                break;
-            }
-            // Blocked: don't let the low class overtake the high class.
+            progressed = TryIssue(ch, queue);
             break;
         }
     }
@@ -200,33 +202,35 @@ BlockLayer::Dispatch(uint32_t ch)
 }
 
 bool
-BlockLayer::TryIssue(uint32_t ch, std::deque<Op> &queue, bool allow_write)
+BlockLayer::TryIssue(uint32_t ch, std::deque<Op> &queue)
 {
     ChannelState &cs = channels_[ch];
-    // Find the op to issue: front, or the first read under kReadPriority.
-    size_t idx = 0;
-    if (config_.sched_policy == SchedPolicy::kReadPriority &&
-        !queue.front().is_read) {
-        for (size_t i = 0; i < queue.size(); ++i) {
-            if (queue[i].is_read) {
-                idx = i;
-                break;
-            }
-        }
-    }
-    Op &candidate = queue[idx];
-    if (candidate.is_read) {
-        if (cs.writes_inflight > 0 ||
-            cs.reads_inflight >= config_.read_concurrency) {
+    // Read-first: the first queued read overtakes the writes ahead of it.
+    const auto read = std::find_if(queue.begin(), queue.end(),
+                                   [](const Op &op) { return op.is_read; });
+    if (read != queue.end()) {
+        // A client read may run beside an in-flight unit write: the device
+        // slots it between the write's page programs. Internal reads wait.
+        if (cs.reads_inflight >= kReadConcurrency ||
+            (cs.writes_inflight > 0 && read->priority != kClientPriority)) {
             return false;
         }
-        Op op = std::move(candidate);
-        queue.erase(queue.begin() + static_cast<long>(idx));
-        IssueRead(ch, std::move(op));
+        if (read->pieces != nullptr) {
+            IssuePiece(ch, queue, read);
+            return true;
+        }
+        Op op = std::move(*read);
+        queue.erase(read);
+        auto it = id_map_.find(op.id);
+        if (it == id_map_.end()) {
+            Fail(std::move(op.done), core::IoError::kNotFound);  // Deleted.
+            return true;
+        }
+        IssueRead(ch, it->second.second, op.id, op.offset, op.length, op.out,
+                  std::move(op.done));
         return true;
     }
-    if (!allow_write || cs.writes_inflight > 0 || cs.reads_inflight > 0)
-        return false;
+    if (cs.writes_inflight > 0 || cs.reads_inflight > 0) return false;
     // Hold the write while its only candidate unit is mid-background-erase;
     // the erase completion re-dispatches.
     if (cs.clean_units.empty() && cs.dirty_units.empty() &&
@@ -240,42 +244,76 @@ BlockLayer::TryIssue(uint32_t ch, std::deque<Op> &queue, bool allow_write)
 }
 
 void
-BlockLayer::IssueRead(uint32_t ch, Op op)
+BlockLayer::IssuePiece(uint32_t ch, std::deque<Op> &queue,
+                       std::deque<Op>::iterator it)
 {
-    ChannelState &cs = channels_[ch];
-    ++cs.reads_inflight;
-    auto it = id_map_.find(op.id);
-    if (it == id_map_.end()) {
-        // Deleted while queued.
-        --cs.reads_inflight;
-        Fail(std::move(op.done), core::IoError::kNotFound);
-        Dispatch(ch);
-        return;
+    const std::shared_ptr<PieceJoin> join = it->pieces;
+    auto loc = id_map_.find(it->id);
+    if (loc == id_map_.end() && join->status.ok()) {
+        ++stats_.failed_ops;  // Deleted between pieces.
+        join->status = core::IoError::kNotFound;
     }
-    const uint32_t unit = it->second.second;
-    device_.Read(ch, unit, op.offset, op.length,
-                 [this, ch, unit, id = op.id,
-                  done = std::move(op.done)](core::IoStatus st) {
-                     ChannelState &cs2 = channels_[ch];
-                     --cs2.reads_inflight;
+    if (join->status.ok()) {
+        const uint64_t off = it->offset;
+        const uint64_t n = std::min<uint64_t>(
+            it->length, uint64_t{kPieceReadUnits} * device_.read_unit_bytes());
+        it->offset += n;
+        it->length -= n;
+        auto buf = join->out != nullptr
+                       ? std::make_shared<std::vector<uint8_t>>()
+                       : nullptr;
+        ++join->inflight;
+        IssueRead(ch, loc->second.second, it->id, off, n, buf.get(),
+                  [join, buf, off](core::IoStatus st) {
+                      --join->inflight;
+                      if (!st.ok() && join->status.ok()) join->status = st;
+                      if (buf != nullptr && !buf->empty()) {
+                          std::memcpy(join->out->data() + (off - join->base),
+                                      buf->data(), buf->size());
+                      }
+                      if (join->issued_all && join->inflight == 0 &&
+                          join->done) {
+                          join->done(join->status);
+                      }
+                  });
+        if (it->length > 0) return;
+    }
+    queue.erase(it);
+    join->issued_all = true;
+    if (join->inflight == 0 && join->done) {
+        sim_.Post([join]() { join->done(join->status); });
+    }
+}
+
+void
+BlockLayer::IssueRead(uint32_t ch, uint32_t unit, uint64_t id,
+                      uint64_t offset, uint64_t length,
+                      std::vector<uint8_t> *out, IoCallback done)
+{
+    ++channels_[ch].reads_inflight;
+    device_.Read(ch, unit, offset, length,
+                 [this, ch, unit, id,
+                  done = std::move(done)](core::IoStatus st) {
+                     ChannelState &cs = channels_[ch];
+                     --cs.reads_inflight;
                      if (st.error == core::IoError::kReadUncorrectable) {
                          // The device exhausted its retry ladder and
                          // retired the pages: the block's data is gone.
                          // Drop the id so the store falls back to a
                          // replica and re-replicates, and recycle the
                          // unit for future writes.
-                         auto it2 = id_map_.find(id);
-                         if (it2 != id_map_.end() &&
-                             it2->second.second == unit) {
-                             id_map_.erase(it2);
-                             cs2.dirty_units.push_back(unit);
+                         auto it = id_map_.find(id);
+                         if (it != id_map_.end() &&
+                             it->second.second == unit) {
+                             id_map_.erase(it);
+                             cs.dirty_units.push_back(unit);
                              ++stats_.lost_blocks;
                          }
                      }
                      if (done) done(st);
                      Dispatch(ch);
                  },
-                 op.out);
+                 out);
 }
 
 bool
@@ -294,7 +332,7 @@ BlockLayer::RedirectWrite(uint64_t id, const uint8_t *data, int priority,
         }
         ++stats_.redirected_writes;
         Enqueue(c, Op{false, id, 0, device_.unit_bytes(), std::move(done),
-                      data, nullptr, priority, next_seq_++, redirects + 1});
+                      data, nullptr, priority, redirects + 1});
         return true;
     }
     return false;

@@ -9,7 +9,14 @@
  * design lever the paper highlights: erases can run inline before each
  * write (their measured configuration, Figure 8) or in the background
  * during idle periods (their stated motivation for exposing erase).
- * Client requests can be prioritized over internal (compaction) traffic.
+ *
+ * Each channel queue is read-first, client class before internal class
+ * (§5: "on-demand reads take priority over writes and erasures"). A
+ * client read may issue while a unit write is in flight on its channel;
+ * the device slots it between the write's page programs. Internal reads
+ * longer than kPieceReadUnits go to the device in pieces of that size, so
+ * a client read waits for at most two pieces of a compaction input or a
+ * recovery scan, not for the whole 8 MB.
  */
 #ifndef SDF_BLOCKLAYER_BLOCK_LAYER_H
 #define SDF_BLOCKLAYER_BLOCK_LAYER_H
@@ -17,8 +24,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -41,14 +48,6 @@ enum class ErasePolicy : uint8_t
     kBackground,    ///< Erase dirty units during channel idle time.
 };
 
-/** How the per-channel queue is ordered. */
-enum class SchedPolicy : uint8_t
-{
-    kPriorityFifo,   ///< Client-priority, FIFO within a priority class.
-    kReadPriority,   ///< Additionally lets reads overtake writes (§2.4
-                     ///< future work: on-demand reads first).
-};
-
 /** How Put() picks the channel for a new block. */
 enum class PlacementPolicy : uint8_t
 {
@@ -62,14 +61,22 @@ enum class PlacementPolicy : uint8_t
 inline constexpr int kClientPriority = 0;
 inline constexpr int kInternalPriority = 1;
 
+/** Device reads in flight per channel; a write runs alone. */
+inline constexpr uint32_t kReadConcurrency = 2;
+
+/**
+ * Read units per piece of a long internal read (64 KB on SDF). One piece
+ * costs about one page program of channel-bus time, and with two pieces
+ * in flight the second hides the gap between pieces, so a piecewise scan
+ * keeps the bus as busy as one whole-unit read.
+ */
+inline constexpr uint32_t kPieceReadUnits = 8;
+
 /** Block layer construction options. */
 struct BlockLayerConfig
 {
     ErasePolicy erase_policy = ErasePolicy::kEraseOnWrite;
-    SchedPolicy sched_policy = SchedPolicy::kPriorityFifo;
     PlacementPolicy placement_policy = PlacementPolicy::kIdHash;
-    /** Concurrent reads dispatched per channel (writes are exclusive). */
-    uint32_t read_concurrency = 2;
 };
 
 /** Cumulative layer statistics. */
@@ -152,18 +159,33 @@ class BlockLayer
     uint32_t ChannelLoad(uint32_t channel) const;
 
   private:
+    /**
+     * The caller's side of an internal read issued in pieces: one
+     * completion, with the first error, once no piece is in flight and
+     * none is left to issue.
+     */
+    struct PieceJoin
+    {
+        IoCallback done;
+        std::vector<uint8_t> *out;  ///< Sized up front; pieces copy in.
+        uint64_t base;              ///< Offset of the whole read.
+        uint32_t inflight = 0;
+        bool issued_all = false;
+        core::IoStatus status{};
+    };
+
     struct Op
     {
         bool is_read;
         uint64_t id;
-        uint64_t offset;
-        uint64_t length;
+        uint64_t offset;  ///< A pieced read: the next piece's offset.
+        uint64_t length;  ///< A pieced read: the bytes not yet issued.
         IoCallback done;
         const uint8_t *data;
         std::vector<uint8_t> *out;
         int priority;
-        uint64_t seq;
         uint32_t redirects = 0;  ///< Dead-channel reroutes so far.
+        std::shared_ptr<PieceJoin> pieces{};  ///< Set on a pieced read.
     };
 
     struct ChannelState
@@ -179,8 +201,18 @@ class BlockLayer
     uint32_t PickWriteChannel(uint64_t id) const;
     void Enqueue(uint32_t ch, Op op);
     void Dispatch(uint32_t ch);
-    bool TryIssue(uint32_t ch, std::deque<Op> &queue, bool allow_write);
-    void IssueRead(uint32_t ch, Op op);
+    bool TryIssue(uint32_t ch, std::deque<Op> &queue);
+    void IssueRead(uint32_t ch, uint32_t unit, uint64_t id, uint64_t offset,
+                   uint64_t length, std::vector<uint8_t> *out,
+                   IoCallback done);
+
+    /**
+     * Issue the next piece of the pieced read at @p it, or drop it from
+     * @p queue once its last piece is out, it has failed, or its block
+     * is gone (then it fails with kNotFound).
+     */
+    void IssuePiece(uint32_t ch, std::deque<Op> &queue,
+                    std::deque<Op>::iterator it);
     void IssueWrite(uint32_t ch, Op op);
     void MaybeBackgroundErase(uint32_t ch);
     void Fail(IoCallback done, core::IoError error);
@@ -198,7 +230,6 @@ class BlockLayer
     BlockLayerConfig config_;
     std::vector<ChannelState> channels_;
     std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> id_map_;
-    uint64_t next_seq_ = 0;
     BlockLayerStats stats_;
 
     obs::Hub *hub_ = nullptr;       ///< Metrics registration (see obs/hub.h).

@@ -17,6 +17,16 @@ namespace {
 /** Pages per DMA descriptor on the read path (512 KB with 8 KB pages). */
 constexpr uint32_t kChunkPages = 64;
 
+/**
+ * Page programs a unit write keeps in flight per plane. Two is the
+ * smallest window that keeps an uncontended write's timing: the next
+ * page's data-in (four planes share the bus, ~216 us each) fits inside
+ * the current page's 1.4 ms program, so each plane still programs back
+ * to back. A read behind a write then waits for at most two programs on
+ * its plane instead of the rest of the unit.
+ */
+constexpr uint32_t kProgramWindow = 2;
+
 }  // namespace
 
 SdfDevice::SdfDevice(sim::Simulator &sim, const SdfConfig &config)
@@ -433,52 +443,62 @@ SdfDevice::WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
                 if (span != nullptr) {
                     span->Enter(obs::Stage::kFlashOp, sim_.Now());
                 }
-                const nand::Geometry &geo = flash_->geometry();
-                const uint32_t ppb = geo.pages_per_block;
-                const uint32_t planes = geo.PlanesPerChannel();
-                const uint32_t page = geo.page_size;
-                const uint64_t block_bytes = geo.BlockBytes();
-                ChannelEngine &ce2 = channels_[channel];
-
-                auto remaining = std::make_shared<uint32_t>(planes * ppb);
-                auto write_st = std::make_shared<IoStatus>();
-                // Joined from planes*ppb program completions: the join
-                // closure owns the move-only `done`, so it lives behind one
-                // shared allocation and each branch holds a reference.
-                auto finish = std::make_shared<sim::Callback>(
-                    [this, channel, remaining, write_st, span,
-                     done = std::move(done)]() mutable {
-                        if (--*remaining > 0) return;
-                        Complete(channel, std::move(done), *write_st, span);
-                    });
-
-                // Interleave planes page-by-page so all four program
+                const uint32_t planes = flash_->geometry().PlanesPerChannel();
+                auto w = std::make_shared<UnitWrite>();
+                w->channel = channel;
+                w->unit = unit;
+                w->data = data;
+                w->span = span;
+                w->done = std::move(done);
+                w->next_page.assign(planes, 0);
+                // Interleave planes page by page so all four program
                 // pipelines stay fed (§2.3: 2 MB striping within a unit).
-                for (uint32_t p = 0; p < ppb; ++p) {
+                for (uint32_t i = 0; i < kProgramWindow; ++i) {
                     for (uint32_t plane = 0; plane < planes; ++plane) {
-                        const uint32_t block =
-                            ce2.planes[plane].map->Lookup(unit);
-                        SDF_CHECK(block != ftl::kUnmappedBlock);
-                        const uint8_t *payload =
-                            data ? data + plane * block_bytes +
-                                       uint64_t{p} * page
-                                 : nullptr;
-                        flash_->channel(channel).ProgramPage(
-                            nand::PageAddr{plane, block, p},
-                            [finish, write_st](nand::OpStatus status) {
-                                if (!nand::IsOk(status) && write_st->ok()) {
-                                    *write_st =
-                                        status == nand::OpStatus::kChannelDead
-                                            ? IoError::kChannelDead
-                                            : IoError::kWriteFailed;
-                                }
-                                (*finish)();
-                            },
-                            payload);
+                        FeedProgram(w, plane);
                     }
+                }
+                if (w->inflight == 0) {  // Dead channel: nothing was fed.
+                    Complete(channel, std::move(w->done), w->status, span);
                 }
             });
     });
+}
+
+void
+SdfDevice::FeedProgram(const std::shared_ptr<UnitWrite> &w, uint32_t plane)
+{
+    const nand::Geometry &geo = flash_->geometry();
+    nand::Channel &flash = flash_->channel(w->channel);
+    if (!w->status.ok() || w->next_page[plane] == geo.pages_per_block) return;
+    if (flash.dead()) {
+        w->status = IoError::kChannelDead;
+        return;
+    }
+    const uint32_t page = w->next_page[plane]++;
+    const uint32_t block = channels_[w->channel].planes[plane].map->Lookup(
+        w->unit);
+    SDF_CHECK(block != ftl::kUnmappedBlock);
+    const uint8_t *payload =
+        w->data != nullptr
+            ? w->data + plane * geo.BlockBytes() + uint64_t{page} * geo.page_size
+            : nullptr;
+    ++w->inflight;
+    flash.ProgramPage(
+        nand::PageAddr{plane, block, page},
+        [this, w, plane](nand::OpStatus status) {
+            --w->inflight;
+            if (!nand::IsOk(status) && w->status.ok()) {
+                w->status = status == nand::OpStatus::kChannelDead
+                                ? IoError::kChannelDead
+                                : IoError::kWriteFailed;
+            }
+            FeedProgram(w, plane);
+            if (w->inflight == 0) {
+                Complete(w->channel, std::move(w->done), w->status, w->span);
+            }
+        },
+        payload);
 }
 
 void

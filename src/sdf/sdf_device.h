@@ -126,6 +126,11 @@ class SdfDevice : public BlockDevice
      * (software contract: erase-before-write); otherwise completes false
      * and counts a contract violation. @p span, when non-null, splits the
      * latency into queue / link_transfer / flash_op / interrupt.
+     *
+     * Each plane gets its pages in order, two programs at a time, so a
+     * read issued mid-write waits behind at most two programs on its
+     * plane. If the channel dies mid-write the remaining pages are not
+     * fed and the write fails with kChannelDead.
      */
     void WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
                    const uint8_t *data = nullptr,
@@ -234,7 +239,29 @@ class SdfDevice : public BlockDevice
         std::unique_ptr<sim::FifoResource> engine;  ///< FPGA command pipe.
     };
 
+    /** A unit write in progress: its pages not yet fed and in flight. */
+    struct UnitWrite
+    {
+        uint32_t channel = 0;
+        uint32_t unit = 0;
+        const uint8_t *data = nullptr;
+        obs::IoSpan *span = nullptr;
+        IoCallback done;
+        IoStatus status;                  ///< First page-level error wins.
+        std::vector<uint32_t> next_page;  ///< Per plane: next page to feed.
+        uint32_t inflight = 0;            ///< Programs submitted, not done.
+    };
+
     bool ValidUnit(uint32_t channel, uint32_t unit) const;
+
+    /**
+     * Submit @p plane's next page of @p w unless the plane is done, the
+     * write already failed, or the channel died (then the write fails
+     * with kChannelDead). Each completion feeds its plane again, so a
+     * plane never has more than kProgramWindow programs queued.
+     */
+    void FeedProgram(const std::shared_ptr<UnitWrite> &w, uint32_t plane);
+
     void Complete(uint32_t channel, IoCallback done, IoStatus status,
                   obs::IoSpan *span = nullptr);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the user-space block layer: ID hashing, erase
- * scheduling policies, priority classes, and data integrity.
+ * scheduling policies, the read-first queue with its priority classes,
+ * pieced background reads, and data integrity.
  */
 #include <gtest/gtest.h>
 
@@ -156,9 +157,7 @@ TEST(BlockLayer, ChannelFullFailsPut)
 
 TEST(BlockLayer, ClientPriorityOvertakesInternal)
 {
-    BlockLayerConfig cfg;
-    cfg.read_concurrency = 1;  // Serialize reads so ordering is visible.
-    Fixture f(cfg);
+    Fixture f;
     // Preload two blocks on channel 0.
     ASSERT_TRUE(f.layer.DebugInstall(0));
     ASSERT_TRUE(f.layer.DebugInstall(4));  // 4 % 4 == 0: same channel.
@@ -175,15 +174,13 @@ TEST(BlockLayer, ClientPriorityOvertakesInternal)
     EXPECT_LT(client_done, internal_done);
 }
 
-TEST(BlockLayer, ReadPriorityPolicyLetsReadsOvertakeWrites)
+TEST(BlockLayer, ReadsOvertakeQueuedWrites)
 {
-    BlockLayerConfig cfg;
-    cfg.sched_policy = SchedPolicy::kReadPriority;
-    Fixture f(cfg);
+    Fixture f;
     ASSERT_TRUE(f.layer.DebugInstall(0));
 
-    // Queue: running write, then a queued write, then a read. Under
-    // kReadPriority the read overtakes the queued write.
+    // Queue: running write, then a queued write, then a read. The read
+    // overtakes the queued write.
     f.layer.Put(4, nullptr);
     util::TimeNs write_done = 0, read_done = 0;
     f.layer.Put(8, [&](bool) { write_done = f.sim.Now(); });
@@ -192,18 +189,114 @@ TEST(BlockLayer, ReadPriorityPolicyLetsReadsOvertakeWrites)
     EXPECT_LT(read_done, write_done);
 }
 
-TEST(BlockLayer, FifoPolicyKeepsArrivalOrder)
+TEST(BlockLayer, ClientReadRunsBesideInFlightWrite)
 {
-    BlockLayerConfig cfg;
-    cfg.sched_policy = SchedPolicy::kPriorityFifo;
-    Fixture f(cfg);
+    Fixture f;
     ASSERT_TRUE(f.layer.DebugInstall(0));
-    f.layer.Put(4, nullptr);
     util::TimeNs write_done = 0, read_done = 0;
-    f.layer.Put(8, [&](bool) { write_done = f.sim.Now(); });
+    f.layer.Put(4, [&](bool) { write_done = f.sim.Now(); });
+    // The write is on the device now; the client read still goes first.
     f.layer.Get(0, 0, 8192, [&](bool) { read_done = f.sim.Now(); });
     f.sim.Run();
-    EXPECT_GT(read_done, write_done);
+    EXPECT_GT(read_done, 0);
+    EXPECT_LT(read_done, write_done);
+}
+
+TEST(BlockLayer, PiecedInternalReadReturnsTheClientReadsBytes)
+{
+    Fixture f({}, /*payloads=*/true);
+    const auto payload =
+        util::MakeDeterministicPayload(f.layer.block_bytes(), 31);
+    f.layer.Put(2, nullptr, payload.data());
+    f.sim.Run();
+    // Longer than one piece, so the internal read goes out in pieces.
+    ASSERT_GT(f.layer.block_bytes(),
+              uint64_t{kPieceReadUnits} * f.device.read_unit_bytes());
+
+    std::vector<uint8_t> client, internal;
+    int client_done = 0, internal_done = 0;
+    f.layer.Get(2, 0, f.layer.block_bytes(),
+                [&](bool ok) { client_done += ok ? 1 : 100; }, &client,
+                kClientPriority);
+    f.layer.Get(2, 0, f.layer.block_bytes(),
+                [&](bool ok) { internal_done += ok ? 1 : 100; }, &internal,
+                kInternalPriority);
+    f.sim.Run();
+    EXPECT_EQ(client_done, 1);
+    EXPECT_EQ(internal_done, 1);
+    EXPECT_EQ(client, payload);
+    EXPECT_EQ(internal, client);
+}
+
+TEST(BlockLayer, BlockDeletedBetweenPiecesFailsOnceWithNotFound)
+{
+    Fixture f;
+    ASSERT_TRUE(f.layer.DebugInstall(2));
+    int calls = 0;
+    core::IoStatus status;
+    f.layer.Get(2, 0, f.layer.block_bytes(),
+                [&](core::IoStatus st) {
+                    ++calls;
+                    status = st;
+                },
+                nullptr, kInternalPriority);
+    // The first two pieces are on the device; the rest find no block.
+    EXPECT_TRUE(f.layer.Delete(2));
+    f.sim.Run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(status.error, core::IoError::kNotFound);
+    EXPECT_EQ(f.layer.stats().failed_ops, 1u);
+}
+
+TEST(BlockLayer, UncorrectablePiecesLoseTheBlockOnce)
+{
+    Fixture f;
+    ASSERT_TRUE(f.layer.DebugInstall(2));
+    const uint32_t ch = f.layer.ChannelOf(2);
+    // Corrupt the first page of every block on planes 0 and 1, where the
+    // two pieces in flight first land: both fail past the retry ladder.
+    const nand::Geometry &geo = f.device.flash().geometry();
+    for (uint32_t plane = 0; plane < 2; ++plane) {
+        for (uint32_t b = 0; b < geo.blocks_per_plane; ++b) {
+            f.device.flash().channel(ch).CorruptPage({plane, b, 0});
+        }
+    }
+    int calls = 0;
+    core::IoStatus status;
+    f.layer.Get(2, 0, f.layer.block_bytes(),
+                [&](core::IoStatus st) {
+                    ++calls;
+                    status = st;
+                },
+                nullptr, kInternalPriority);
+    f.sim.Run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(status.error, core::IoError::kReadUncorrectable);
+    EXPECT_EQ(f.layer.stats().lost_blocks, 1u);
+    EXPECT_FALSE(f.layer.Exists(2));
+}
+
+TEST(BlockLayer, ClientReadWaitsForAtMostTwoPiecesOfABackgroundRead)
+{
+    // One production channel: a whole-unit read takes ~221 ms there.
+    sim::Simulator sim;
+    core::SdfConfig cfg = core::BaiduSdfConfig(0.04);
+    cfg.flash.geometry.channels = 1;
+    core::SdfDevice device(sim, cfg);
+    BlockLayer layer(sim, device, {});
+    ASSERT_TRUE(layer.DebugInstall(0));
+    ASSERT_TRUE(layer.DebugInstall(1));
+
+    util::TimeNs internal_done = 0, client_latency = 0;
+    layer.Get(0, 0, layer.block_bytes(),
+              [&](bool) { internal_done = sim.Now(); }, nullptr,
+              kInternalPriority);
+    layer.Get(1, 0, device.read_unit_bytes(),
+              [&](bool) { client_latency = sim.Now(); });
+    sim.Run();
+    EXPECT_GT(client_latency, 0);
+    EXPECT_LT(client_latency, util::MsToNs(5));
+    EXPECT_GT(internal_done, util::MsToNs(200));
 }
 
 TEST(BlockLayer, PartialRangeGet)

@@ -256,15 +256,22 @@ TEST(SdfDevice, ChannelsOperateIndependently)
     EXPECT_LT(read_done, write_done / 4);
 }
 
+/** One channel of the production board (Table 3) at 0.04 capacity. */
+SdfConfig
+OneBaiduChannel()
+{
+    SdfConfig cfg = BaiduSdfConfig(0.04);
+    cfg.flash.geometry.channels = 1;
+    return cfg;
+}
+
 TEST(SdfDevice, UncontendedUnitTimingIsPinned)
 {
     // Exact simulated completion times of an uncontended erase + 8 MB
     // unit write and of a full-unit read on one production channel. Any
     // change to how the device books plane, bus and link time moves them.
     sim::Simulator sim;
-    SdfConfig cfg = BaiduSdfConfig(0.04);
-    cfg.flash.geometry.channels = 1;
-    SdfDevice dev(sim, cfg);
+    SdfDevice dev(sim, OneBaiduChannel());
 
     bool ok = false;
     util::TimeNs written = 0;
@@ -289,6 +296,106 @@ TEST(SdfDevice, UncontendedUnitTimingIsPinned)
     sim.Run();
     ASSERT_TRUE(ok);
     EXPECT_EQ(read, 221402845);
+}
+
+TEST(SdfDevice, ReadMidWriteWaitsForAtMostTwoPrograms)
+{
+    sim::Simulator sim;
+    const SdfConfig cfg = OneBaiduChannel();
+    SdfDevice dev(sim, cfg);
+    dev.EraseUnit(0, 0, nullptr);
+    sim.Run();
+    dev.DebugForceWritten(0, 1);
+
+    const util::TimeNs t0 = sim.Now();
+    bool write_ok = false;
+    util::TimeNs write_done = 0, read_latency = 0;
+    size_t pending_mid_write = 0;
+    dev.WriteUnit(0, 0, [&](bool s) {
+        write_ok = s;
+        write_done = sim.Now() - t0;
+    });
+    sim.ScheduleAt(t0 + util::MsToNs(10), [&]() {
+        pending_mid_write = sim.PendingEvents();
+        const util::TimeNs issued = sim.Now();
+        dev.Read(0, 1, 0, dev.read_unit_bytes(),
+                 [&, issued](bool) { read_latency = sim.Now() - issued; });
+    });
+    sim.Run();
+    ASSERT_TRUE(write_ok);
+    EXPECT_GT(read_latency, 0);
+    EXPECT_LT(read_latency,
+              2 * cfg.flash.timing.program_page + util::MsToNs(1));
+    // The read only delays the write by its own plane and bus time.
+    EXPECT_GT(write_done, 365293063);
+    EXPECT_LT(write_done, 365293063 + util::MsToNs(1));
+    // Pages are fed as programs complete, not all booked up front (which
+    // parked two events per page, ~2,000 per unit, in the simulator).
+    EXPECT_LE(pending_mid_write, 4u * 2 * 2 + 2);
+}
+
+TEST(SdfDevice, PagesProgramInOrderUnderInterleavedReads)
+{
+    sim::Simulator sim;
+    SdfDevice dev(sim, TinyConfig(/*payloads=*/true));
+    const auto payload = util::MakeDeterministicPayload(dev.unit_bytes(), 9);
+    dev.EraseUnit(0, 0, nullptr);
+    sim.Run();
+    dev.DebugForceWritten(0, 1);
+
+    // Reads of another unit on every plane, all through the write: each
+    // lands between two of its plane's programs.
+    bool write_ok = false;
+    dev.WriteUnit(0, 0, [&](bool s) { write_ok = s; }, payload.data());
+    const uint64_t plane_bytes = dev.unit_bytes() / 4;
+    for (int i = 0; i < 40; ++i) {
+        sim.Schedule(util::UsToNs(3) * i, [&dev, plane_bytes, i]() {
+            dev.Read(0, 1, (i % 4) * plane_bytes, dev.read_unit_bytes(),
+                     nullptr);
+        });
+    }
+    sim.Run();
+    ASSERT_TRUE(write_ok);
+
+    // A page programmed out of order would have failed the write
+    // (kWriteSequenceError); every page holds its own slice of data.
+    std::vector<uint8_t> out;
+    bool read_ok = false;
+    dev.Read(0, 0, 0, dev.unit_bytes(), [&](bool s) { read_ok = s; }, &out);
+    sim.Run();
+    ASSERT_TRUE(read_ok);
+    EXPECT_EQ(out, payload);
+}
+
+TEST(SdfDevice, ChannelDeathMidWriteStopsFeedingPages)
+{
+    sim::Simulator sim;
+    const SdfConfig cfg = OneBaiduChannel();
+    SdfDevice dev(sim, cfg);
+    dev.EraseUnit(0, 0, nullptr);
+    sim.Run();
+
+    const util::TimeNs t0 = sim.Now();
+    IoStatus status;
+    util::TimeNs done_at = 0;
+    dev.WriteUnit(0, 0, [&](IoStatus s) {
+        status = s;
+        done_at = sim.Now() - t0;
+    });
+    const util::TimeNs death = util::MsToNs(20);
+    sim.ScheduleAt(t0 + death,
+                   [&dev]() { dev.flash().channel(0).InjectDeath(); });
+    sim.Run();
+
+    EXPECT_EQ(status.error, IoError::kChannelDead);
+    // The programs already on the planes drain; nothing else is fed.
+    EXPECT_LT(done_at, death + 2 * cfg.flash.timing.program_page +
+                           util::MsToNs(1));
+    const nand::Geometry &geo = dev.flash().geometry();
+    const uint64_t fed = dev.flash().channel(0).stats().programs;
+    EXPECT_GT(fed, 0u);
+    EXPECT_LT(fed, uint64_t{geo.PlanesPerChannel()} *
+                       (death / cfg.flash.timing.program_page + 3));
 }
 
 TEST(SdfDevice, EraseLatencyMatchesBlockEraseTime)
