@@ -8,6 +8,28 @@
 
 namespace sdf::blocklayer {
 
+namespace {
+
+/** Device reads in flight per channel; a write runs alone. */
+constexpr uint32_t kReadConcurrency = 2;
+
+}  // namespace
+
+/**
+ * The caller's side of an internal read issued in pieces: one completion,
+ * with the first error, once no piece is in flight and none is left to
+ * issue.
+ */
+struct BlockLayer::PieceJoin
+{
+    IoCallback done;
+    std::vector<uint8_t> *out = nullptr;  ///< Sized up front; pieces copy in.
+    uint64_t base = 0;                    ///< Offset of the whole read.
+    uint32_t inflight = 0;
+    bool issued_all = false;
+    core::IoStatus status{};
+};
+
 BlockLayer::BlockLayer(sim::Simulator &sim, core::BlockDevice &device,
                        const BlockLayerConfig &config)
     : sim_(sim), device_(device), config_(config),
@@ -250,7 +272,7 @@ BlockLayer::IssuePiece(uint32_t ch, std::deque<Op> &queue,
     const std::shared_ptr<PieceJoin> join = it->pieces;
     auto loc = id_map_.find(it->id);
     if (loc == id_map_.end() && join->status.ok()) {
-        ++stats_.failed_ops;  // Deleted between pieces.
+        ++stats_.failed_ops;  // Deleted while queued or between pieces.
         join->status = core::IoError::kNotFound;
     }
     if (join->status.ok()) {

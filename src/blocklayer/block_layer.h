@@ -10,13 +10,14 @@
  * write (their measured configuration, Figure 8) or in the background
  * during idle periods (their stated motivation for exposing erase).
  *
- * Each channel queue is read-first, client class before internal class
- * (§5: "on-demand reads take priority over writes and erasures"). A
- * client read may issue while a unit write is in flight on its channel;
- * the device slots it between the write's page programs. Internal reads
- * longer than kPieceReadUnits go to the device in pieces of that size, so
- * a client read waits for at most two pieces of a compaction input or a
- * recovery scan, not for the whole 8 MB.
+ * Each channel queue is read-first, client class before internal class,
+ * with two reads in flight and writes alone (§5: "on-demand reads take
+ * priority over writes and erasures"). A client read may issue while a
+ * unit write is in flight on its channel; the device slots it between the
+ * write's page programs. Internal reads longer than kPieceReadUnits go to
+ * the device in pieces of that size, so a client read waits for at most
+ * two pieces of a compaction input or a recovery scan, not for the whole
+ * 8 MB.
  */
 #ifndef SDF_BLOCKLAYER_BLOCK_LAYER_H
 #define SDF_BLOCKLAYER_BLOCK_LAYER_H
@@ -26,6 +27,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -60,9 +62,6 @@ enum class PlacementPolicy : uint8_t
 /** Request priority classes. */
 inline constexpr int kClientPriority = 0;
 inline constexpr int kInternalPriority = 1;
-
-/** Device reads in flight per channel; a write runs alone. */
-inline constexpr uint32_t kReadConcurrency = 2;
 
 /**
  * Read units per piece of a long internal read (64 KB on SDF). One piece
@@ -159,20 +158,8 @@ class BlockLayer
     uint32_t ChannelLoad(uint32_t channel) const;
 
   private:
-    /**
-     * The caller's side of an internal read issued in pieces: one
-     * completion, with the first error, once no piece is in flight and
-     * none is left to issue.
-     */
-    struct PieceJoin
-    {
-        IoCallback done;
-        std::vector<uint8_t> *out;  ///< Sized up front; pieces copy in.
-        uint64_t base;              ///< Offset of the whole read.
-        uint32_t inflight = 0;
-        bool issued_all = false;
-        core::IoStatus status{};
-    };
+    /** The caller's side of a read issued in pieces (block_layer.cc). */
+    struct PieceJoin;
 
     struct Op
     {

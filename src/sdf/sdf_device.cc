@@ -29,6 +29,19 @@ constexpr uint32_t kProgramWindow = 2;
 
 }  // namespace
 
+/** A unit write in progress: its pages not yet fed and in flight. */
+struct SdfDevice::UnitWrite
+{
+    uint32_t channel = 0;
+    uint32_t unit = 0;
+    const uint8_t *data = nullptr;
+    obs::IoSpan *span = nullptr;
+    IoCallback done;
+    IoStatus status;                  ///< First page-level error wins.
+    std::vector<uint32_t> next_page;  ///< Per plane: next page to feed.
+    uint32_t inflight = 0;            ///< Programs submitted, not done.
+};
+
 SdfDevice::SdfDevice(sim::Simulator &sim, const SdfConfig &config)
     : sim_(sim),
       config_(config),
@@ -480,9 +493,9 @@ SdfDevice::FeedProgram(const std::shared_ptr<UnitWrite> &w, uint32_t plane)
         w->unit);
     SDF_CHECK(block != ftl::kUnmappedBlock);
     const uint8_t *payload =
-        w->data != nullptr
-            ? w->data + plane * geo.BlockBytes() + uint64_t{page} * geo.page_size
-            : nullptr;
+        w->data == nullptr ? nullptr
+                           : w->data + plane * geo.BlockBytes() +
+                                 uint64_t{page} * geo.page_size;
     ++w->inflight;
     flash.ProgramPage(
         nand::PageAddr{plane, block, page},

@@ -239,18 +239,8 @@ class SdfDevice : public BlockDevice
         std::unique_ptr<sim::FifoResource> engine;  ///< FPGA command pipe.
     };
 
-    /** A unit write in progress: its pages not yet fed and in flight. */
-    struct UnitWrite
-    {
-        uint32_t channel = 0;
-        uint32_t unit = 0;
-        const uint8_t *data = nullptr;
-        obs::IoSpan *span = nullptr;
-        IoCallback done;
-        IoStatus status;                  ///< First page-level error wins.
-        std::vector<uint32_t> next_page;  ///< Per plane: next page to feed.
-        uint32_t inflight = 0;            ///< Programs submitted, not done.
-    };
+    /** A unit write in progress (sdf_device.cc). */
+    struct UnitWrite;
 
     bool ValidUnit(uint32_t channel, uint32_t unit) const;
 
