@@ -343,8 +343,8 @@ TEST(SdfDevice, PagesProgramInOrderUnderInterleavedReads)
     sim.Run();
     dev.DebugForceWritten(0, 1);
 
-    // Reads of another unit on every plane, all through the write: each
-    // lands between two of its plane's programs.
+    // Reads of another unit on every plane while the write runs, so they
+    // interleave with its programs.
     bool write_ok = false;
     dev.WriteUnit(0, 0, [&](bool s) { write_ok = s; }, payload.data());
     const uint64_t plane_bytes = dev.unit_bytes() / 4;
