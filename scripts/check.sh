@@ -3,8 +3,9 @@
 # build, a warnings-as-errors build (-DSDF_WERROR=ON), and an ASan+UBSan
 # build (-DSDF_SANITIZE=ON), each in its own build tree. Also smoke-tests
 # the observability exports (stats JSON invariants, trace well-formedness,
-# same-seed byte identity) via tools/validate_stats.py, the cluster
-# workload (same-seed determinism + degraded-mode zero-loss), the
+# same-seed byte identity) via tools/validate_stats.py, the pieced
+# compaction path beside unit writes (no overlapping flash events), the
+# cluster workload (same-seed determinism + degraded-mode zero-loss), the
 # open-loop overload workload (typed sheds, fail-slow hedging/breaker),
 # YCSB traffic under disruptions, the recovery paths (same-seed byte
 # identity under node loss and restart), the fault campaign (zero loss,
@@ -35,6 +36,20 @@ python3 tools/validate_stats.py "$obs_tmp/a.json" \
 ./build/tools/sdfsim --device=sdf --workload=randread --request=8k \
     --duration=0.3 --stats-json="$obs_tmp/r.json" > /dev/null
 python3 tools/validate_stats.py "$obs_tmp/r.json"
+
+echo "== compaction smoke =="
+# The pieced compaction path: unit writes on 16 slices beside ~270 MB/s of
+# compaction reads that go to the device in pieces. No two flash events
+# may overlap on one bus or plane track, and same-seed exports are
+# byte-identical.
+./build/tools/sdfsim --device=sdf --workload=kvwrite --slices=16 \
+    --duration=2 --stats-json="$obs_tmp/kw1.json" \
+    --trace="$obs_tmp/kw1.trace.json" > /dev/null
+./build/tools/sdfsim --device=sdf --workload=kvwrite --slices=16 \
+    --duration=2 --stats-json="$obs_tmp/kw2.json" > /dev/null
+cmp "$obs_tmp/kw1.json" "$obs_tmp/kw2.json"  # Same seed => byte-identical.
+python3 tools/validate_stats.py "$obs_tmp/kw1.json" \
+    --trace="$obs_tmp/kw1.trace.json" --channels=44
 
 echo "== cluster smoke =="
 ./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
@@ -253,6 +268,9 @@ echo "== sanitizer build (ASan+UBSan) =="
 cmake -B build-asan -S . -DSDF_SANITIZE=ON > /dev/null
 cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure -j "$@")
+# The pieced compaction path beside unit writes under the sanitizers.
+./build-asan/tools/sdfsim --device=sdf --workload=kvwrite --slices=16 \
+    --duration=2 > /dev/null
 # The recovery paths (restart scan, rebalance streaming, zombie-store
 # detach) under the sanitizers as well.
 ./build-asan/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \

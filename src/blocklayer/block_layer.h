@@ -64,12 +64,13 @@ inline constexpr int kClientPriority = 0;
 inline constexpr int kInternalPriority = 1;
 
 /**
- * Read units per piece of a long internal read (64 KB on SDF). One piece
- * costs about one page program of channel-bus time, and with two pieces
- * in flight the second hides the gap between pieces, so a piecewise scan
- * keeps the bus as busy as one whole-unit read.
+ * Read units per piece of a long internal read (32 KB on SDF). Two pieces
+ * in flight hold about 1.7 ms of channel bus, about the one page program
+ * a client read waits for on its plane; the second piece hides the gap
+ * between pieces, so a piecewise scan keeps the bus as busy as one
+ * whole-unit read.
  */
-inline constexpr uint32_t kPieceReadUnits = 8;
+inline constexpr uint32_t kPieceReadUnits = 4;
 
 /** Block layer construction options. */
 struct BlockLayerConfig

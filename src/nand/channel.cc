@@ -21,6 +21,7 @@ Channel::Channel(sim::Simulator &sim, const Geometry &geo,
       ecc_correctable_bits_(ecc_correctable_bits),
       retry_extra_bits_(retry_extra_bits),
       bus_(sim),
+      plane_senses_(geo.PlanesPerChannel(), 0),
       blocks_(geo.BlocksPerChannel())
 {
     geo_.Validate();
@@ -202,6 +203,7 @@ Channel::ReadPage(const PageAddr &addr, OpCallback done,
     // Array read on the plane, then data transfer out over the shared bus.
     const util::TimeNs array_done =
         PlaneRes(addr.plane).Submit(timing_.read_page, nullptr);
+    ++plane_senses_[addr.plane];
     const util::TimeNs bus_time = timing_.BusTime(geo_.page_size);
     const util::TimeNs decode = timing_.bch_decode;
     const util::TimeNs bus_done = bus_.SubmitAfter(
@@ -242,28 +244,28 @@ void
 Channel::ProgramPage(const PageAddr &addr, OpCallback done,
                      const uint8_t *payload)
 {
-    if (!ValidPage(addr)) {
-        CompleteAt(sim_.Now(), std::move(done), OpStatus::kOutOfRange);
+    StagedPage staged;
+    const OpStatus status = StagePage(addr, payload, &staged);
+    if (status != OpStatus::kOk) {
+        CompleteAt(sim_.Now(), std::move(done), status);
         return;
     }
-    if (dead_) {
-        CompleteAt(sim_.Now(), std::move(done), OpStatus::kChannelDead);
-        return;
-    }
+    ProgramStaged(staged, std::move(done));
+}
+
+OpStatus
+Channel::StagePage(const PageAddr &addr, const uint8_t *payload,
+                   StagedPage *staged)
+{
+    if (!ValidPage(addr)) return OpStatus::kOutOfRange;
+    if (dead_) return OpStatus::kChannelDead;
     BlockMeta &meta = Meta(addr.BlockOf());
-    if (meta.bad) {
-        CompleteAt(sim_.Now(), std::move(done), OpStatus::kBadBlock);
-        return;
-    }
+    if (meta.bad) return OpStatus::kBadBlock;
     if (meta.state == BlockState::kFull ||
         (meta.state == BlockState::kOpen && addr.page < meta.next_page)) {
-        CompleteAt(sim_.Now(), std::move(done), OpStatus::kWriteNotErased);
-        return;
+        return OpStatus::kWriteNotErased;
     }
-    if (addr.page != meta.next_page) {
-        CompleteAt(sim_.Now(), std::move(done), OpStatus::kWriteSequenceError);
-        return;
-    }
+    if (addr.page != meta.next_page) return OpStatus::kWriteSequenceError;
 
     // Commit state at submit time; per-plane FIFO keeps this consistent.
     meta.next_page = addr.page + 1;
@@ -278,20 +280,35 @@ Channel::ProgramPage(const PageAddr &addr, OpCallback done,
     ++stats_.programs;
     stats_.programmed_bytes += geo_.page_size;
 
-    // Data in over the bus, then the plane programs the array.
-    const util::TimeNs bus_time = timing_.BusTime(geo_.page_size);
-    const util::TimeNs data_in = bus_.Submit(bus_time, nullptr);
+    *staged = StagedPage{addr.plane, DataIn(), plane_senses_[addr.plane]};
+    return OpStatus::kOk;
+}
+
+bool
+Channel::ProgramStaged(const StagedPage &staged, OpCallback done)
+{
+    const bool resend = plane_senses_[staged.plane] != staged.senses;
+    const util::TimeNs data_in = resend ? DataIn() : staged.data_in;
     const util::TimeNs prog_done =
-        PlaneRes(addr.plane)
+        PlaneRes(staged.plane)
             .SubmitAfter(data_in, timing_.program_page,
                          [done = std::move(done)]() mutable {
                              if (done) done(OpStatus::kOk);
                          });
     if (trace_ != nullptr) {
-        TraceOp(bus_track_, "din", data_in, bus_time);
-        TraceOp(plane_tracks_[addr.plane], "tPROG", prog_done,
+        TraceOp(plane_tracks_[staged.plane], "tPROG", prog_done,
                 timing_.program_page);
     }
+    return resend;
+}
+
+util::TimeNs
+Channel::DataIn()
+{
+    const util::TimeNs bus_time = timing_.BusTime(geo_.page_size);
+    const util::TimeNs latched = bus_.Submit(bus_time, nullptr);
+    TraceOp(bus_track_, "din", latched, bus_time);
+    return latched;
 }
 
 void

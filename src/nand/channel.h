@@ -6,8 +6,11 @@
  * Timing model:
  *  - Read:    plane array read (tR), then bus transfer out (pipelines with
  *             other planes' array reads).
- *  - Program: bus transfer in, then plane program (tPROG); bus frees as
- *             soon as the data is latched, so four planes pipeline.
+ *  - Program: bus transfer in to the plane's cache register, then plane
+ *             program (tPROG); bus frees as soon as the data is latched,
+ *             so four planes pipeline. The two steps can be booked apart
+ *             (StagePage, ProgramStaged), so a page waits in the register
+ *             while the plane finishes its previous program.
  *  - Erase:   short bus command, then plane busy for tBERS.
  *
  * State machine: blocks must be erased before programming, and pages within
@@ -70,6 +73,17 @@ struct ChannelStats
     uint64_t transient_errors = 0;   ///< Injected link-CRC read failures.
 };
 
+/**
+ * A page staged by Channel::StagePage: its data-in is booked into the
+ * plane's cache register, its program is not booked yet.
+ */
+struct StagedPage
+{
+    uint32_t plane = 0;
+    util::TimeNs data_in = 0;  ///< When the data is latched in the register.
+    uint64_t senses = 0;       ///< Array reads booked on the plane by then.
+};
+
 /** One flash channel with its dies, planes, bus, and block state. */
 class Channel
 {
@@ -114,11 +128,31 @@ class Channel
                   uint32_t retry_level = 0, obs::IoSpan *span = nullptr);
 
     /**
-     * Program one page. @p payload may be null (timing-only mode); when
-     * payload storage is enabled a null payload stores a zero page.
+     * Program one page: StagePage() and ProgramStaged() back to back.
+     * @p payload may be null (timing-only mode); when payload storage is
+     * enabled a null payload stores a zero page.
      */
     void ProgramPage(const PageAddr &addr, OpCallback done,
                      const uint8_t *payload = nullptr);
+
+    /**
+     * First step of a program: validate @p addr, commit the block's write
+     * pointer and @p payload, count the program, and book the page's
+     * data-in over the bus into its plane's cache register. Returns kOk
+     * and fills @p staged, or the error with nothing booked.
+     */
+    OpStatus StagePage(const PageAddr &addr, const uint8_t *payload,
+                       StagedPage *staged);
+
+    /**
+     * Second step: book tPROG for @p staged on its plane once the data is
+     * in; @p done fires with kOk when the program completes. A read
+     * booked on the plane since staging used the register, so the data-in
+     * goes over the bus again first (the controller still holds the
+     * data). The caller checks dead() first. @return true if the data-in
+     * was sent again.
+     */
+    bool ProgramStaged(const StagedPage &staged, OpCallback done);
 
     /** Erase one block. */
     void EraseBlock(const BlockAddr &addr, OpCallback done);
@@ -203,6 +237,9 @@ class Channel
     BlockMeta &Meta(const BlockAddr &a);
     sim::FifoResource &PlaneRes(uint32_t plane) { return *planes_[plane]; }
 
+    /** Book one page's data-in on the bus; @return when it is latched. */
+    util::TimeNs DataIn();
+
     /** Deliver @p status via @p done at bus/plane completion time @p when. */
     void CompleteAt(util::TimeNs when, OpCallback done, OpStatus status);
 
@@ -225,6 +262,7 @@ class Channel
 
     sim::FifoResource bus_;
     std::vector<std::unique_ptr<sim::FifoResource>> planes_;
+    std::vector<uint64_t> plane_senses_;  ///< Array reads booked per plane.
     std::vector<BlockMeta> blocks_;  ///< Indexed by FlatBlockIndex.
     std::unordered_map<uint64_t, std::vector<uint8_t>> data_;
     std::unordered_set<uint64_t> corrupted_;  ///< Flat indices of bad pages.

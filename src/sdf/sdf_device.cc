@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "nand/timing.h"
@@ -17,19 +18,12 @@ namespace {
 /** Pages per DMA descriptor on the read path (512 KB with 8 KB pages). */
 constexpr uint32_t kChunkPages = 64;
 
-/**
- * Page programs a unit write keeps in flight per plane. Two is the
- * smallest window that keeps an uncontended write's timing: the next
- * page's data-in (four planes share the bus, ~216 us each) fits inside
- * the current page's 1.4 ms program, so each plane still programs back
- * to back. A read behind a write then waits for at most two programs on
- * its plane instead of the rest of the unit.
- */
-constexpr uint32_t kProgramWindow = 2;
-
 }  // namespace
 
-/** A unit write in progress: its pages not yet fed and in flight. */
+/**
+ * A unit write in progress. Per plane, one page programs and the next
+ * waits in the plane's cache register, its data-in already booked.
+ */
 struct SdfDevice::UnitWrite
 {
     uint32_t channel = 0;
@@ -38,8 +32,9 @@ struct SdfDevice::UnitWrite
     obs::IoSpan *span = nullptr;
     IoCallback done;
     IoStatus status;                  ///< First page-level error wins.
-    std::vector<uint32_t> next_page;  ///< Per plane: next page to feed.
-    uint32_t inflight = 0;            ///< Programs submitted, not done.
+    std::vector<uint32_t> next_page;  ///< Per plane: next page to stage.
+    std::vector<std::optional<nand::StagedPage>> staged;  ///< Per plane.
+    uint32_t inflight = 0;            ///< Programs booked, not done.
 };
 
 SdfDevice::SdfDevice(sim::Simulator &sim, const SdfConfig &config)
@@ -126,6 +121,7 @@ SdfDevice::RegisterMetrics()
     m.RegisterCounter(dev + ".physical_block_erases",
                       &stats_.physical_block_erases);
     m.RegisterCounter(dev + ".page_reads", &stats_.page_reads);
+    m.RegisterCounter(dev + ".resent_pages", &stats_.resent_pages);
     m.RegisterCounter(dev + ".read_bytes", &stats_.read_bytes);
     m.RegisterCounter(dev + ".written_bytes", &stats_.written_bytes);
     m.RegisterCounter(dev + ".contract_violations",
@@ -464,14 +460,17 @@ SdfDevice::WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
                 w->span = span;
                 w->done = std::move(done);
                 w->next_page.assign(planes, 0);
+                w->staged.assign(planes, std::nullopt);
                 // Interleave planes page by page so all four program
-                // pipelines stay fed (§2.3: 2 MB striping within a unit).
-                for (uint32_t i = 0; i < kProgramWindow; ++i) {
+                // pipelines stay fed (§2.3: 2 MB striping within a unit):
+                // the first pass stages each plane's first page, the
+                // second programs it and stages the second.
+                for (int pass = 0; pass < 2; ++pass) {
                     for (uint32_t plane = 0; plane < planes; ++plane) {
-                        FeedProgram(w, plane);
+                        AdvancePlane(w, plane);
                     }
                 }
-                if (w->inflight == 0) {  // Dead channel: nothing was fed.
+                if (w->inflight == 0) {  // Dead channel or failed stage.
                     Complete(channel, std::move(w->done), w->status, span);
                 }
             });
@@ -479,15 +478,37 @@ SdfDevice::WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
 }
 
 void
-SdfDevice::FeedProgram(const std::shared_ptr<UnitWrite> &w, uint32_t plane)
+SdfDevice::AdvancePlane(const std::shared_ptr<UnitWrite> &w, uint32_t plane)
 {
     const nand::Geometry &geo = flash_->geometry();
     nand::Channel &flash = flash_->channel(w->channel);
-    if (!w->status.ok() || w->next_page[plane] == geo.pages_per_block) return;
+    std::optional<nand::StagedPage> &staged = w->staged[plane];
+    const bool pages_left =
+        staged || w->next_page[plane] < geo.pages_per_block;
+    if (!w->status.ok() || !pages_left) {
+        staged.reset();  // A failed write drops its staged page.
+        return;
+    }
     if (flash.dead()) {
+        staged.reset();
         w->status = IoError::kChannelDead;
         return;
     }
+    if (staged) {
+        ++w->inflight;
+        const bool resent =
+            flash.ProgramStaged(*staged, [this, w, plane](nand::OpStatus) {
+                --w->inflight;
+                AdvancePlane(w, plane);
+                if (w->inflight == 0) {
+                    Complete(w->channel, std::move(w->done), w->status,
+                             w->span);
+                }
+            });
+        if (resent) ++stats_.resent_pages;
+        staged.reset();
+    }
+    if (w->next_page[plane] == geo.pages_per_block) return;
     const uint32_t page = w->next_page[plane]++;
     const uint32_t block = channels_[w->channel].planes[plane].map->Lookup(
         w->unit);
@@ -496,22 +517,13 @@ SdfDevice::FeedProgram(const std::shared_ptr<UnitWrite> &w, uint32_t plane)
         w->data == nullptr ? nullptr
                            : w->data + plane * geo.BlockBytes() +
                                  uint64_t{page} * geo.page_size;
-    ++w->inflight;
-    flash.ProgramPage(
-        nand::PageAddr{plane, block, page},
-        [this, w, plane](nand::OpStatus status) {
-            --w->inflight;
-            if (!nand::IsOk(status) && w->status.ok()) {
-                w->status = status == nand::OpStatus::kChannelDead
-                                ? IoError::kChannelDead
-                                : IoError::kWriteFailed;
-            }
-            FeedProgram(w, plane);
-            if (w->inflight == 0) {
-                Complete(w->channel, std::move(w->done), w->status, w->span);
-            }
-        },
-        payload);
+    nand::StagedPage next;
+    if (flash.StagePage(nand::PageAddr{plane, block, page}, payload, &next) ==
+        nand::OpStatus::kOk) {
+        staged = next;
+    } else {
+        w->status = IoError::kWriteFailed;
+    }
 }
 
 void

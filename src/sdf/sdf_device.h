@@ -75,6 +75,11 @@ struct SdfStats
     uint64_t unit_erases = 0;
     uint64_t physical_block_erases = 0;
     uint64_t page_reads = 0;
+    /**
+     * Staged pages whose data-in went over the bus again because a read
+     * used the plane's cache register before their program began.
+     */
+    uint64_t resent_pages = 0;
     uint64_t read_bytes = 0;
     uint64_t written_bytes = 0;
     uint64_t contract_violations = 0;  ///< e.g. write to a non-erased unit.
@@ -127,10 +132,11 @@ class SdfDevice : public BlockDevice
      * and counts a contract violation. @p span, when non-null, splits the
      * latency into queue / link_transfer / flash_op / interrupt.
      *
-     * Each plane gets its pages in order, two programs at a time, so a
-     * read issued mid-write waits behind at most two programs on its
-     * plane. If the channel dies mid-write the remaining pages are not
-     * fed and the write fails with kChannelDead.
+     * Each plane gets its pages in order: one programs while the next
+     * waits in the plane's cache register, and its program is booked
+     * only when the plane frees. So a read issued mid-write waits behind
+     * at most one program on its plane. If the channel dies mid-write
+     * the staged pages are dropped and the write fails with kChannelDead.
      */
     void WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
                    const uint8_t *data = nullptr,
@@ -245,12 +251,12 @@ class SdfDevice : public BlockDevice
     bool ValidUnit(uint32_t channel, uint32_t unit) const;
 
     /**
-     * Submit @p plane's next page of @p w unless the plane is done, the
-     * write already failed, or the channel died (then the write fails
-     * with kChannelDead). Each completion feeds its plane again, so a
-     * plane never has more than kProgramWindow programs queued.
+     * Book the program of @p plane's staged page of @p w, then stage the
+     * plane's next page. Runs twice per plane when the write starts and
+     * once as each program completes. Does nothing once the write has
+     * failed; a dead channel fails it with kChannelDead.
      */
-    void FeedProgram(const std::shared_ptr<UnitWrite> &w, uint32_t plane);
+    void AdvancePlane(const std::shared_ptr<UnitWrite> &w, uint32_t plane);
 
     void Complete(uint32_t channel, IoCallback done, IoStatus status,
                   obs::IoSpan *span = nullptr);

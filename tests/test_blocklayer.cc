@@ -299,8 +299,12 @@ TEST(BlockLayer, ClientReadWaitsForAtMostTwoPiecesOfABackgroundRead)
               [&](bool) { client_latency = sim.Now(); });
     sim.Run();
     EXPECT_GT(client_latency, 0);
-    EXPECT_LT(client_latency, util::MsToNs(5));
+    EXPECT_LT(client_latency, util::MsToNs(2.5));
+    // Pieces keep the bus as busy as one read: the scan, with the client
+    // read slotted in, ends no later than an uncontended whole-unit read
+    // (SdfDevice.UncontendedUnitTimingIsPinned).
     EXPECT_GT(internal_done, util::MsToNs(200));
+    EXPECT_LE(internal_done, 221402845);
 }
 
 TEST(BlockLayer, PartialRangeGet)
