@@ -10,10 +10,7 @@
 # bench/ycsb_suite export rides along as the ycsb_suite run).
 # The time-axis runs also capture --stats-series windowed timelines, which
 # are merged into the snapshot under each run's "series" key so the storm
-# and fail-slow windows are diffable across PRs too. The bench/sim_engine
-# microbench (calendar queue vs reference heap, wall-clock events/sec) is
-# embedded under the "sim_engine" key — the one intentionally
-# non-deterministic section, since it measures the real machine.
+# and fail-slow windows are diffable across PRs too.
 #
 # Usage: scripts/bench_to_json.sh [output.json]
 set -euo pipefail
@@ -22,8 +19,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_pr10.json}"
 
 cmake -B build -S . > /dev/null
-cmake --build build -j --target sdfsim --target sim_engine \
-    --target ycsb_suite > /dev/null
+cmake --build build -j --target sdfsim --target ycsb_suite > /dev/null
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -65,9 +61,6 @@ echo "bench_to_json: ycsb_suite (+series)"
 ./build/bench/ycsb_suite --stats-json="$tmp/ycsb_suite.json" \
     --stats-series="$tmp/ycsb_suite.series.json" > /dev/null
 
-echo "bench_to_json: sim_engine microbench"
-./build/bench/sim_engine --json="$tmp/sim_engine.bench.json" > /dev/null
-
 python3 - "$out" "$tmp" <<'EOF'
 import json
 import os
@@ -76,7 +69,7 @@ import sys
 out_path, tmp = sys.argv[1], sys.argv[2]
 runs = {}
 for fn in sorted(os.listdir(tmp)):
-    if fn.endswith(".series.json") or fn.endswith(".bench.json"):
+    if fn.endswith(".series.json"):
         continue
     if fn.endswith(".json"):
         name = fn[:-5]
@@ -87,8 +80,6 @@ for fn in sorted(os.listdir(tmp)):
             with open(series_fn) as f:
                 runs[name]["series"] = json.load(f)["series"]
 doc = {"generated_by": "scripts/bench_to_json.sh", "runs": runs}
-with open(os.path.join(tmp, "sim_engine.bench.json")) as f:
-    doc["sim_engine"] = json.load(f)
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=1, sort_keys=True)
     f.write("\n")

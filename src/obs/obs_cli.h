@@ -16,8 +16,9 @@
 #define SDF_OBS_OBS_CLI_H
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "obs/hub.h"
@@ -31,31 +32,40 @@ namespace sdf::obs {
 class ObsCli
 {
   public:
-    /** One --key=value pair; @return true when it was an obs flag. */
+    /**
+     * One --key=value pair; @return true when it was an obs flag. A bad
+     * value throws std::invalid_argument naming the flag.
+     */
     bool
     TryFlag(const std::string &key, const std::string &val)
     {
         if (key == "--stats-json") stats_json_ = val;
         else if (key == "--stats-csv") stats_csv_ = val;
         else if (key == "--trace") trace_path_ = val;
-        else if (key == "--trace-limit") trace_limit_ = std::stoull(val);
-        else if (key == "--stats-series") series_path_ = val;
-        else if (key == "--series-interval-ms")
-            series_interval_ = util::MsToNs(std::stod(val));
-        else if (key == "--engine") {
-            // Selects the event-queue implementation process-wide; every
-            // default-constructed Simulator picks it up. Deliberately NOT
-            // recorded in the exported meta: same-seed runs on either
-            // engine must produce byte-identical documents (DESIGN.md §14).
-            sim::EngineKind kind;
-            if (!sim::ParseEngineName(val.c_str(), &kind)) {
-                std::fprintf(stderr,
-                             "--engine=%s: unknown engine "
-                             "(heap|calendar)\n",
-                             val.c_str());
-                std::exit(2);
+        else if (key == "--trace-limit") {
+            const long long n = util::ParseWhole(
+                key, val, [](const std::string &s, size_t *used) {
+                    return std::stoll(s, used);
+                });
+            if (n < 0) {
+                throw std::invalid_argument(key + " must not be negative");
             }
-            sim::SetDefaultEngine(kind);
+            trace_limit_ = static_cast<size_t>(n);
+        }
+        else if (key == "--stats-series") series_path_ = val;
+        else if (key == "--series-interval-ms") {
+            const double ms = util::ParseWhole(
+                key, val, [](const std::string &s, size_t *used) {
+                    return std::stod(s, used);
+                });
+            // At least 1 ns and inside the clock's range; NaN fails both.
+            const double ns = ms * util::kNsPerMs;
+            constexpr auto kMaxNs = std::numeric_limits<util::TimeNs>::max();
+            if (!(ns >= 1 && ns < static_cast<double>(kMaxNs))) {
+                throw std::invalid_argument(
+                    key + " must be 1 ns or more and fit the clock");
+            }
+            series_interval_ = util::MsToNs(ms);
         }
         else return false;
         return true;
@@ -167,9 +177,7 @@ class ObsCli
                "  --trace-limit=<n>    trace event cap (default 1048576);\n"
                "                       overflow is counted, not silent\n"
                "  --stats-series=<file>      windowed time-series JSON\n"
-               "  --series-interval-ms=<f>   window width (default 50 ms)\n"
-               "  --engine=<heap|calendar>   event-queue engine (default\n"
-               "                             calendar; heap = reference)\n";
+               "  --series-interval-ms=<f>   window width (default 50 ms)\n";
     }
 
   private:

@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -11,67 +10,10 @@ namespace sdf::sim {
 
 namespace {
 
-/** Process-wide default for default-constructed Simulators. */
-EngineKind &
-MutableDefaultEngine()
-{
-    static EngineKind kind = EngineKind::kCalendar;
-    return kind;
-}
+/** FireNext's deadline for Run() and RunWhileNot(): everything is due. */
+constexpr TimeNs kNoDeadline = std::numeric_limits<TimeNs>::max();
 
 }  // namespace
-
-const char *
-EngineName(EngineKind kind)
-{
-    return kind == EngineKind::kHeap ? "heap" : "calendar";
-}
-
-bool
-ParseEngineName(const char *name, EngineKind *out)
-{
-    if (std::strcmp(name, "heap") == 0) {
-        *out = EngineKind::kHeap;
-        return true;
-    }
-    if (std::strcmp(name, "calendar") == 0) {
-        *out = EngineKind::kCalendar;
-        return true;
-    }
-    return false;
-}
-
-EngineKind
-DefaultEngine()
-{
-    return MutableDefaultEngine();
-}
-
-void
-SetDefaultEngine(EngineKind kind)
-{
-    MutableDefaultEngine() = kind;
-}
-
-Simulator::Simulator(EngineKind engine) : Simulator(engine, CalendarConfig{})
-{
-}
-
-Simulator::Simulator(EngineKind engine, const CalendarConfig &calendar)
-    : engine_(engine),
-      width_log2_(calendar.bucket_width_log2),
-      bucket_count_(calendar.bucket_count)
-{
-    if (engine_ == EngineKind::kCalendar) {
-        SDF_CHECK_MSG(bucket_count_ > 0 &&
-                          (bucket_count_ & (bucket_count_ - 1)) == 0,
-                      "calendar bucket count must be a power of two");
-        SDF_CHECK_MSG(width_log2_ > 0 && width_log2_ < 32,
-                      "calendar bucket width out of range");
-        buckets_.resize(bucket_count_);
-        occupied_.resize((bucket_count_ + 63) / 64, 0);
-    }
-}
 
 EventId
 Simulator::Schedule(TimeNs delay, Callback cb)
@@ -85,13 +27,6 @@ Simulator::ScheduleAt(TimeNs when, Callback cb)
 {
     SDF_CHECK_MSG(when >= now_, "scheduling into the past");
     ++live_count_;
-    if (engine_ == EngineKind::kHeap) {
-        const uint64_t id = next_seq_++;
-        heap_.push_back(HeapEntry{when, id, std::move(cb)});
-        std::push_heap(heap_.begin(), heap_.end(), EntryLater{});
-        heap_live_.insert(id);
-        return id;
-    }
     const uint32_t idx = AcquireSlot();
     Slot &s = slots_[idx];
     s.when = when;
@@ -112,18 +47,10 @@ Simulator::Post(Callback cb)
 void
 Simulator::Cancel(EventId id)
 {
-    if (engine_ == EngineKind::kHeap) {
-        // Erasing from the live set is naturally idempotent: cancelling an
-        // id that already fired (or a garbage id) is a no-op rather than a
-        // permanent bookkeeping leak. The heap entry itself is discarded
-        // lazily when it reaches the top.
-        if (heap_live_.erase(id) != 0) --live_count_;
-        return;
-    }
-    // Calendar ids are (slot+1, generation); a stale or foreign id fails
-    // one of the checks below and cancels nothing. The slot stays in its
-    // bucket/heap as a tombstone (discarded at pop), but the callback's
-    // resources are released immediately.
+    // Ids are (slot+1, generation); a stale or foreign id fails one of the
+    // checks below and cancels nothing. The slot stays in its bucket/heap
+    // as a tombstone (discarded at pop), but the callback's resources are
+    // released immediately.
     const uint64_t slot_part = id >> 32;
     if (slot_part == 0 || slot_part > slots_.size()) return;
     Slot &s = slots_[static_cast<uint32_t>(slot_part - 1)];
@@ -165,8 +92,7 @@ void
 Simulator::CalendarInsert(uint32_t slot_idx)
 {
     const Slot &s = slots_[slot_idx];
-    const TimeNs span = static_cast<TimeNs>(bucket_count_) << width_log2_;
-    if (s.when >= window_start_ + span) {
+    if (s.when >= window_start_ + kWindowSpan) {
         overflow_.push_back(HeapRef{s.when, s.seq, slot_idx});
         std::push_heap(overflow_.begin(), overflow_.end(), RefLater{});
         return;
@@ -177,7 +103,7 @@ Simulator::CalendarInsert(uint32_t slot_idx)
     const uint64_t bucket =
         s.when < window_start_
             ? 0
-            : static_cast<uint64_t>(s.when - window_start_) >> width_log2_;
+            : static_cast<uint64_t>(s.when - window_start_) >> kWidthLog2;
     if (bucket <= cur_bucket_) {
         near_.push_back(HeapRef{s.when, s.seq, slot_idx});
         std::push_heap(near_.begin(), near_.end(), RefLater{});
@@ -251,11 +177,10 @@ Simulator::RotateWindow()
     // badly. Migration order is arbitrary; FIFO correctness never depends
     // on bucket-list order — the near heap's (when, seq) comparator is
     // the single source of ordering truth.
-    const TimeNs width_mask = (TimeNs{1} << width_log2_) - 1;
+    const TimeNs width_mask = (TimeNs{1} << kWidthLog2) - 1;
     window_start_ = overflow_.front().when & ~width_mask;
     cur_bucket_ = 0;
-    const TimeNs span = static_cast<TimeNs>(bucket_count_) << width_log2_;
-    const TimeNs window_end = window_start_ + span;
+    const TimeNs window_end = window_start_ + kWindowSpan;
     size_t keep = 0;
     for (const HeapRef ref : overflow_) {
         if (!slots_[ref.slot].armed) {
@@ -270,48 +195,9 @@ Simulator::RotateWindow()
     std::make_heap(overflow_.begin(), overflow_.end(), RefLater{});
 }
 
-bool
-Simulator::PeekTimed(TimeNs *when, uint64_t *seq)
-{
-    if (engine_ == EngineKind::kHeap) {
-        HeapDropCancelledHead();
-        if (heap_.empty()) return false;
-        *when = heap_.front().when;
-        *seq = heap_.front().seq;
-        return true;
-    }
-    if (!CalendarSettle()) return false;
-    *when = near_.front().when;
-    *seq = near_.front().seq;
-    return true;
-}
-
-void
-Simulator::HeapDropCancelledHead()
-{
-    while (!heap_.empty() && heap_live_.count(heap_.front().seq) == 0) {
-        std::pop_heap(heap_.begin(), heap_.end(), EntryLater{});
-        heap_.pop_back();
-    }
-}
-
 void
 Simulator::FireTimedHead()
 {
-    if (engine_ == EngineKind::kHeap) {
-        // The owned vector heap is what lets dispatch MOVE the entry out;
-        // the seed's priority_queue::top() is const and forced a copy of
-        // every callback here.
-        std::pop_heap(heap_.begin(), heap_.end(), EntryLater{});
-        HeapEntry e = std::move(heap_.back());
-        heap_.pop_back();
-        heap_live_.erase(e.seq);
-        --live_count_;
-        now_ = e.when;
-        ++events_processed_;
-        if (e.cb) e.cb();
-        return;
-    }
     std::pop_heap(near_.begin(), near_.end(), RefLater{});
     const HeapRef ref = near_.back();
     near_.pop_back();
@@ -340,17 +226,16 @@ Simulator::FireRingHead()
 }
 
 bool
-Simulator::PopNext()
+Simulator::FireNext(TimeNs deadline)
 {
-    const bool have_ring = ring_head_ < ring_.size();
-    TimeNs when = 0;
-    uint64_t seq = 0;
-    const bool have_timed = PeekTimed(&when, &seq);
-    if (!have_ring && !have_timed) return false;
-    // Ring items are due at the current time; a timed event wins only if
-    // it is also due now and was scheduled earlier (smaller sequence).
-    if (have_ring &&
-        (!have_timed || when > now_ || seq > ring_[ring_head_].seq)) {
+    const bool timed_due = CalendarSettle() && near_.front().when <= deadline;
+    const bool ring_due = ring_head_ < ring_.size() && now_ <= deadline;
+    if (!ring_due && !timed_due) return false;
+    // Ring items are due at the current time; a timed event goes first
+    // only if it is also due now and was scheduled earlier (smaller
+    // sequence).
+    if (ring_due && (!timed_due || near_.front().when > now_ ||
+                     near_.front().seq > ring_[ring_head_].seq)) {
         FireRingHead();
     } else {
         FireTimedHead();
@@ -361,27 +246,14 @@ Simulator::PopNext()
 void
 Simulator::Run()
 {
-    while (PopNext()) {
+    while (FireNext(kNoDeadline)) {
     }
 }
 
 bool
 Simulator::RunUntil(TimeNs deadline)
 {
-    for (;;) {
-        const bool have_ring = ring_head_ < ring_.size();
-        TimeNs when = 0;
-        uint64_t seq = 0;
-        const bool have_timed = PeekTimed(&when, &seq);
-        const bool ring_due = have_ring && now_ <= deadline;
-        const bool timed_due = have_timed && when <= deadline;
-        if (!ring_due && !timed_due) break;
-        if (ring_due &&
-            (!timed_due || when > now_ || seq > ring_[ring_head_].seq)) {
-            FireRingHead();
-        } else {
-            FireTimedHead();
-        }
+    while (FireNext(deadline)) {
     }
     if (deadline > now_) now_ = deadline;
     return PendingEvents() > 0;
@@ -391,7 +263,7 @@ bool
 Simulator::RunWhileNot(const std::function<bool()> &predicate)
 {
     while (!predicate()) {
-        if (!PopNext()) return false;
+        if (!FireNext(kNoDeadline)) return false;
     }
     return true;
 }

@@ -8,31 +8,24 @@
  * totally ordered: events with equal timestamps fire in scheduling order,
  * which makes every run deterministic.
  *
- * Two interchangeable engines implement the queue (same dispatch order,
- * byte-identical runs — see DESIGN.md §14):
+ * The queue is a bucketed calendar queue. Near-future events land in
+ * fixed-width time buckets (O(1) insert), the bucket being drained is
+ * kept in a small binary heap, and far-future events wait in an overflow
+ * heap until the window rotates over them. Event state lives in a pooled
+ * slot array; EventIds carry a generation stamp so Cancel() and
+ * PendingEvents() are O(1) with no hash table (DESIGN.md §14).
  *
- *  - kCalendar (default): a bucketed calendar queue. Near-future events
- *    land in fixed-width time buckets (O(1) insert), the bucket being
- *    drained is kept in a small binary heap, and far-future events wait
- *    in an overflow heap until the window rotates over them. Event state
- *    lives in a pooled slot array; EventIds carry a generation stamp so
- *    Cancel() and PendingEvents() are O(1) with no hash table.
- *  - kHeap: the seed engine kept as a reference implementation — a binary
- *    heap ordered by (time, sequence) plus a live-id set. Slower, but
- *    structurally simple; `--engine=heap` selects it for A/B debugging.
- *
- * Both engines share the completion ring (Post()): a FIFO of callbacks
- * due at the current timestamp, drained in sequence order interleaved
- * with the timed queue. A completion that needs no further delay rides
- * the ring instead of paying for a queue slot — the PureFlash-style
- * polling seam the device, network and client layers batch through.
+ * The completion ring (Post()) is a FIFO of callbacks due at the current
+ * timestamp, drained in sequence order interleaved with the timed queue.
+ * A completion that needs no further delay rides the ring instead of
+ * paying for a queue slot — the PureFlash-style polling seam the device,
+ * network and client layers batch through.
  */
 #ifndef SDF_SIM_SIMULATOR_H
 #define SDF_SIM_SIMULATOR_H
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/callback.h"
@@ -52,28 +45,6 @@ using EventId = uint64_t;
 /** Sentinel for "no event". */
 inline constexpr EventId kInvalidEvent = 0;
 
-/** Which event-queue implementation a Simulator runs on. */
-enum class EngineKind : uint8_t
-{
-    kHeap = 0,      ///< Reference binary heap + live-id set (seed engine).
-    kCalendar = 1,  ///< Bucketed calendar queue with pooled slots (fast).
-};
-
-/** "heap" / "calendar". */
-const char *EngineName(EngineKind kind);
-
-/** Parse an --engine= value; @return false on an unknown name. */
-bool ParseEngineName(const char *name, EngineKind *out);
-
-/**
- * Engine used by default-constructed Simulators. Defaults to kCalendar;
- * the shared CLI's --engine flag overrides it process-wide so every
- * binary can A/B the engines without threading a parameter through each
- * construction site.
- */
-EngineKind DefaultEngine();
-void SetDefaultEngine(EngineKind kind);
-
 /**
  * Single-threaded discrete-event simulator.
  *
@@ -84,30 +55,12 @@ void SetDefaultEngine(EngineKind kind);
 class Simulator
 {
   public:
-    /** Calendar-queue geometry (ignored by the heap engine). */
-    struct CalendarConfig
-    {
-        /** log2 of the bucket width in ns (13 -> 8.192 us buckets). */
-        uint32_t bucket_width_log2 = 13;
-        /** Bucket count; power of two. Window = width * count (~67 ms at
-         *  the defaults) — delays beyond it take the overflow heap. The
-         *  window is sized to swallow RPC-timeout-scale delays (50 ms):
-         *  they are the dominant far-future events, and keeping them in
-         *  the wheel makes rotations (and the overflow round trips of
-         *  events scheduled near the window's end) rare. */
-        uint32_t bucket_count = 8192;
-    };
-
-    explicit Simulator(EngineKind engine = DefaultEngine());
-    Simulator(EngineKind engine, const CalendarConfig &calendar);
+    Simulator() = default;
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
     /** Current simulated time. */
     TimeNs Now() const { return now_; }
-
-    /** Engine this instance runs on. */
-    EngineKind engine() const { return engine_; }
 
     /** Schedule @p cb to run @p delay ns from now (delay >= 0). */
     EventId Schedule(TimeNs delay, Callback cb);
@@ -168,6 +121,20 @@ class Simulator
   private:
     static constexpr uint32_t kNil = 0xFFFFFFFFu;
 
+    /** log2 of the bucket width in ns (13 -> 8.192 us buckets). */
+    static constexpr uint32_t kWidthLog2 = 13;
+    /** Bucket count; power of two. Window = width * count (~67 ms) —
+     *  delays beyond it take the overflow heap. The window is sized to
+     *  swallow RPC-timeout-scale delays (50 ms): they are the dominant
+     *  far-future events, and keeping them in the wheel makes rotations
+     *  (and the overflow round trips of events scheduled near the
+     *  window's end) rare. */
+    static constexpr uint32_t kBucketCount = 8192;
+    static_assert(kBucketCount >= 64 &&
+                      (kBucketCount & (kBucketCount - 1)) == 0,
+                  "bucket count must be a power of two, at least 64");
+    static constexpr TimeNs kWindowSpan = TimeNs{kBucketCount} << kWidthLog2;
+
     /** Pooled event state; index + generation form the EventId. */
     struct Slot
     {
@@ -209,35 +176,29 @@ class Simulator
         Callback cb;
     };
 
-    // ---- shared plumbing ----
     uint32_t AcquireSlot();
     void FreeSlot(uint32_t idx);
     EventId IdOf(uint32_t idx) const;
-    /** Fire the next due item (ring or queue). @return false when empty. */
-    bool PopNext();
-    /** Earliest (when, seq) in the timed queue; false when empty. */
-    bool PeekTimed(TimeNs *when, uint64_t *seq);
+    /**
+     * Fire the next item (ring or timed queue) due at or before
+     * @p deadline. @return false when nothing is due.
+     */
+    bool FireNext(TimeNs deadline);
     /** Pop the timed-queue head (must exist) and fire it. */
     void FireTimedHead();
     void FireRingHead();
 
-    // ---- calendar engine ----
     void CalendarInsert(uint32_t slot_idx);
     /** Refill near_ so its top is the queue minimum; false when empty. */
     bool CalendarSettle();
     void RotateWindow();
 
-    // ---- heap engine ----
-    void HeapDropCancelledHead();
-
-    EngineKind engine_;
     TimeNs now_ = 0;
     uint64_t next_seq_ = 1;
     uint64_t events_processed_ = 0;
     size_t live_count_ = 0;
     obs::Hub *hub_ = nullptr;
 
-    /** Calendar engine's slot pool. */
     std::vector<Slot> slots_;
     std::vector<uint32_t> free_slots_;
 
@@ -245,42 +206,15 @@ class Simulator
     std::vector<RingItem> ring_;
     size_t ring_head_ = 0;
 
-    // Calendar engine state.
-    uint32_t width_log2_;
-    uint32_t bucket_count_;     ///< Power of two.
+    // Calendar state.
     TimeNs window_start_ = 0;   ///< Aligned to the bucket width.
     uint32_t cur_bucket_ = 0;
     uint64_t wheel_count_ = 0;  ///< Events in bucket lists (not near_).
-    std::vector<Bucket> buckets_;
-    std::vector<uint64_t> occupied_;   ///< One bit per bucket.
+    std::vector<Bucket> buckets_ = std::vector<Bucket>(kBucketCount);
+    /** One bit per bucket. */
+    std::vector<uint64_t> occupied_ = std::vector<uint64_t>(kBucketCount / 64);
     std::vector<HeapRef> near_;        ///< Heap: current bucket's events.
     std::vector<HeapRef> overflow_;    ///< Heap: events past the window.
-
-    /**
-     * Heap reference engine state, structurally the seed design: whole
-     * entries (callback included) sift through one binary heap, and a
-     * hash set of live ids backs Cancel()/PendingEvents(). Kept as the
-     * baseline the calendar engine is measured against; the one seed bug
-     * fixed here is the forced callback copy on dispatch — the owned
-     * vector heap lets Step() move the entry out instead.
-     */
-    struct HeapEntry
-    {
-        TimeNs when;
-        uint64_t seq;  ///< Doubles as the EventId in this engine.
-        Callback cb;
-    };
-    struct EntryLater
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            if (a.when != b.when) return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-    std::vector<HeapEntry> heap_;
-    std::unordered_set<uint64_t> heap_live_;
 };
 
 }  // namespace sdf::sim

@@ -1,12 +1,15 @@
 /**
  * @file
- * Size and time unit constants and small formatting helpers used across the
- * SDF reproduction. Sizes are in bytes; simulated time is in nanoseconds.
+ * Size and time unit constants and small formatting and parsing helpers
+ * used across the SDF reproduction. Sizes are in bytes; simulated time is
+ * in nanoseconds.
  */
 #ifndef SDF_UTIL_UNITS_H
 #define SDF_UTIL_UNITS_H
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 namespace sdf::util {
@@ -66,6 +69,24 @@ constexpr double BandwidthMBps(uint64_t bytes, TimeNs duration)
 
 /** Render a byte count as a human-readable string ("8 KB", "704 GB", ...). */
 std::string FormatBytes(uint64_t bytes);
+
+/**
+ * Parse all of flag @p key's value @p val with @p parse (std::stod and
+ * friends). Trailing junk, a malformed or an out-of-range value throws
+ * std::invalid_argument naming the flag.
+ */
+template <typename Parse>
+auto
+ParseWhole(const std::string &key, const std::string &val, Parse parse)
+{
+    size_t used = 0;
+    try {
+        const auto v = parse(val, &used);
+        if (used == val.size()) return v;
+    } catch (const std::logic_error &) {
+    }
+    throw std::invalid_argument(key + ": bad value '" + val + "'");
+}
 
 }  // namespace sdf::util
 

@@ -1,18 +1,26 @@
 /**
  * @file
- * Engine-equivalence and fast-path tests for the event core.
+ * Oracle and fast-path tests for the event core.
  *
- * The calendar engine must be indistinguishable from the reference heap
- * engine in dispatch order — the repo's byte-identical-exports guarantee
- * rests on it (DESIGN.md §14). These tests drive both engines through
- * identical randomized schedules and through the calendar queue's edge
- * geometry (bucket boundaries, window rotation, cancel storms), plus the
- * move-only Callback and BlockPool primitives the fast path rides on.
+ * Same-seed exports are byte-identical because events fire by (time,
+ * insertion sequence) and a post fires like Schedule(0) (DESIGN.md §14).
+ * RefQueue below is that contract written as plainly as possible: the
+ * seed engine's binary heap plus a live-id set. The EngineCross tests
+ * drive the Simulator and RefQueue through identical schedules and
+ * compare them event for event. The CalendarQueue tests cover the
+ * calendar's edge geometry (bucket boundaries, window rotation, cancel
+ * storms), and the rest the move-only Callback and BlockPool primitives
+ * the fast path rides on.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <random>
+#include <type_traits>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.h"
@@ -22,18 +30,151 @@
 namespace sdf::sim {
 namespace {
 
-/** One engine's observable dispatch history. */
-struct Fired
+/**
+ * The ordering contract as a reference queue: a binary heap on (time,
+ * seq) and a live-id set that backs Cancel(). Post() is Schedule(0),
+ * which is the order the Simulator documents for its ring.
+ */
+class RefQueue
 {
-    std::vector<int> order;
-    std::vector<TimeNs> times;
+  public:
+    TimeNs Now() const { return now_; }
+    uint64_t events_processed() const { return events_processed_; }
+    size_t PendingEvents() const { return live_.size(); }
+
+    EventId
+    Schedule(TimeNs delay, Callback cb)
+    {
+        const EventId id = next_seq_++;
+        heap_.push_back(Entry{now_ + delay, id, std::move(cb)});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+        live_.insert(id);
+        return id;
+    }
+
+    void Post(Callback cb) { Schedule(0, std::move(cb)); }
+
+    /** Idempotent; the entry itself is dropped when it reaches the top. */
+    void Cancel(EventId id) { live_.erase(id); }
+
+    void
+    Run()
+    {
+        while (FireNext(std::numeric_limits<TimeNs>::max())) {
+        }
+    }
+
+    bool
+    RunUntil(TimeNs deadline)
+    {
+        while (FireNext(deadline)) {
+        }
+        if (deadline > now_) now_ = deadline;
+        return !live_.empty();
+    }
+
+  private:
+    struct Entry
+    {
+        TimeNs when;
+        uint64_t seq;  ///< Doubles as the EventId.
+        Callback cb;
+    };
+    struct Later
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            if (a.when != b.when) return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
+
+    bool
+    FireNext(TimeNs deadline)
+    {
+        while (!heap_.empty() && live_.count(heap_.front().seq) == 0) {
+            std::pop_heap(heap_.begin(), heap_.end(), Later{});
+            heap_.pop_back();
+        }
+        if (heap_.empty() || heap_.front().when > deadline) return false;
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        Entry e = std::move(heap_.back());
+        heap_.pop_back();
+        live_.erase(e.seq);
+        now_ = e.when;
+        ++events_processed_;
+        if (e.cb) e.cb();
+        return true;
+    }
+
+    TimeNs now_ = 0;
+    uint64_t next_seq_ = 1;
+    uint64_t events_processed_ = 0;
+    std::vector<Entry> heap_;
+    std::unordered_set<uint64_t> live_;
 };
+
+/** One queue's observable history, as the EngineCross tests compare it. */
+struct Trace
+{
+    std::vector<int> order;      ///< Tags in fire order.
+    std::vector<TimeNs> times;   ///< Now() at each fire.
+    std::vector<int64_t> stops;  ///< Whatever a test records between runs.
+    uint64_t events = 0;         ///< events_processed() at the end.
+    size_t pending = 0;          ///< PendingEvents() at the end.
+
+    template <typename Queue>
+    void
+    Fire(const Queue &q, int tag)
+    {
+        order.push_back(tag);
+        times.push_back(q.Now());
+    }
+
+    /** A callback that records @p tag when it fires. */
+    template <typename Queue>
+    auto
+    Tag(const Queue &q, int tag)
+    {
+        return [this, &q, tag]() { Fire(q, tag); };
+    }
+};
+
+/**
+ * Run @p body(queue, trace) on a Simulator and on a RefQueue. Both must
+ * fire the same tags at the same times, record the same stops, and end
+ * with the same events_processed() and PendingEvents().
+ * @return the Simulator's trace.
+ */
+template <typename Body>
+Trace
+ExpectMatchesReference(const Body &body)
+{
+    auto run = [&body](auto &q) {
+        Trace t;
+        body(q, t);
+        t.events = q.events_processed();
+        t.pending = q.PendingEvents();
+        return t;
+    };
+    Simulator sim;
+    RefQueue ref;
+    const Trace got = run(sim);
+    const Trace want = run(ref);
+    EXPECT_EQ(got.order, want.order);
+    EXPECT_EQ(got.times, want.times);
+    EXPECT_EQ(got.stops, want.stops);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.pending, want.pending);
+    return got;
+}
 
 TEST(EngineCross, RandomizedScheduleMatchesReferenceHeap)
 {
     // 10k mixed schedules — immediate, near (within one bucket), mid
     // (across buckets), far (overflow heap) — driven identically into
-    // both engines; the pop order must match event for event.
+    // both queues; the fire order must match event for event.
     std::mt19937_64 rng(0xC0FFEEu);
     struct Op
     {
@@ -51,87 +192,161 @@ TEST(EngineCross, RandomizedScheduleMatchesReferenceHeap)
         ops.push_back(Op{d, i});
     }
 
-    auto run = [&ops](EngineKind kind) {
-        Simulator sim(kind);
-        Fired fired;
+    ExpectMatchesReference([&ops](auto &q, Trace &t) {
         // Feed in waves from inside the run so the clock moves between
         // insertions (exercises rotation with a non-zero now).
         const size_t wave = 500;
         for (size_t base = 0; base < ops.size(); base += wave) {
-            sim.Schedule(static_cast<TimeNs>(base) * 1000,
-                         [&sim, &ops, &fired, base, wave]() {
-                             const size_t end =
-                                 std::min(base + wave, ops.size());
-                             for (size_t i = base; i < end; ++i) {
-                                 sim.Schedule(ops[i].delay,
-                                              [&fired, &sim, tag = ops[i].tag]() {
-                                                  fired.order.push_back(tag);
-                                                  fired.times.push_back(
-                                                      sim.Now());
-                                              });
-                             }
-                         });
+            q.Schedule(static_cast<TimeNs>(base) * 1000,
+                       [&q, &t, &ops, base, wave]() {
+                           const size_t end =
+                               std::min(base + wave, ops.size());
+                           for (size_t i = base; i < end; ++i) {
+                               q.Schedule(ops[i].delay, t.Tag(q, ops[i].tag));
+                           }
+                       });
         }
-        sim.Run();
-        return fired;
-    };
-
-    const Fired heap = run(EngineKind::kHeap);
-    const Fired cal = run(EngineKind::kCalendar);
-    ASSERT_EQ(heap.order.size(), cal.order.size());
-    EXPECT_EQ(heap.order, cal.order);
-    EXPECT_EQ(heap.times, cal.times);
+        q.Run();
+    });
 }
 
 TEST(EngineCross, CancelStormMatchesReferenceHeap)
 {
     // Schedule/cancel churn: every third event is cancelled, some twice,
-    // some after adjacent events already fired. Both engines must agree
+    // some after adjacent events already fired. Both queues must agree
     // on the survivors and their order.
-    auto run = [](EngineKind kind) {
-        Simulator sim(kind);
-        Fired fired;
+    ExpectMatchesReference([](auto &q, Trace &t) {
         std::vector<EventId> ids;
         std::mt19937_64 rng(7);
         for (int i = 0; i < 3000; ++i) {
             const TimeNs d = static_cast<TimeNs>(rng() % 500000);
-            ids.push_back(sim.Schedule(d, [&fired, &sim, i]() {
-                fired.order.push_back(i);
-                fired.times.push_back(sim.Now());
-            }));
+            ids.push_back(q.Schedule(d, t.Tag(q, i)));
         }
-        for (size_t i = 0; i < ids.size(); i += 3) sim.Cancel(ids[i]);
-        for (size_t i = 0; i < ids.size(); i += 7) sim.Cancel(ids[i]);
-        sim.Run();
+        for (size_t i = 0; i < ids.size(); i += 3) q.Cancel(ids[i]);
+        for (size_t i = 0; i < ids.size(); i += 7) q.Cancel(ids[i]);
+        q.Run();
         // Cancelling after the queue drained must be a harmless no-op.
-        for (EventId id : ids) sim.Cancel(id);
-        return fired;
-    };
-    const Fired heap = run(EngineKind::kHeap);
-    const Fired cal = run(EngineKind::kCalendar);
-    EXPECT_EQ(heap.order, cal.order);
-    EXPECT_EQ(heap.times, cal.times);
+        for (EventId id : ids) q.Cancel(id);
+    });
 }
 
 TEST(EngineCross, PostInterleavesExactlyLikeZeroDelaySchedule)
 {
     // A Post() and a Schedule(0, ...) issued in some interleaving must
-    // dispatch in issue order on both engines.
-    auto run = [](EngineKind kind) {
-        Simulator sim(kind);
-        std::vector<int> order;
-        sim.Schedule(10, [&]() {
-            sim.Post([&]() { order.push_back(0); });
-            sim.Schedule(0, [&]() { order.push_back(1); });
-            sim.Post([&]() { order.push_back(2); });
-            sim.Schedule(0, [&]() { order.push_back(3); });
+    // dispatch in issue order.
+    const Trace got = ExpectMatchesReference([](auto &q, Trace &t) {
+        q.Schedule(10, [&q, &t]() {
+            q.Post(t.Tag(q, 0));
+            q.Schedule(0, t.Tag(q, 1));
+            q.Post(t.Tag(q, 2));
+            q.Schedule(0, t.Tag(q, 3));
         });
-        sim.Run();
-        return order;
-    };
-    const std::vector<int> want = {0, 1, 2, 3};
-    EXPECT_EQ(run(EngineKind::kHeap), want);
-    EXPECT_EQ(run(EngineKind::kCalendar), want);
+        q.Run();
+    });
+    EXPECT_EQ(got.order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EngineCross, NestedPostsInterleaveLikeZeroDelaySchedules)
+{
+    // A post made from inside a post queues behind every zero-delay event
+    // issued before it, and an event 1 ns later waits for all of them.
+    const Trace got = ExpectMatchesReference([](auto &q, Trace &t) {
+        q.Schedule(10, [&q, &t]() {
+            q.Schedule(1, t.Tag(q, 6));
+            q.Post([&q, &t]() {
+                t.Fire(q, 0);
+                q.Post(t.Tag(q, 4));
+                q.Schedule(0, t.Tag(q, 5));
+            });
+            q.Schedule(0, t.Tag(q, 1));
+            q.Post(t.Tag(q, 2));
+            q.Schedule(0, t.Tag(q, 3));
+        });
+        q.Run();
+    });
+    EXPECT_EQ(got.order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(got.times, (std::vector<TimeNs>{10, 10, 10, 10, 10, 10, 11}));
+}
+
+/**
+ * A self-rescheduling actor. Each firing cancels and re-arms its hedge
+ * timer, posts a completion, and schedules its own next firing: 1 in 16
+ * past the 67 ms window, the rest over the current bucket and the wheel.
+ */
+template <typename Queue>
+struct HedgeActor
+{
+    Queue *q;
+    Trace *t;
+    std::mt19937_64 *rng;
+    int *budget;
+    EventId *timer;
+    int id;
+
+    void
+    operator()() const
+    {
+        t->Fire(*q, 3 * id);
+        if (*budget == 0) return;
+        --*budget;
+        q->Cancel(*timer);
+        *timer = q->Schedule(static_cast<TimeNs>(500000 + (*rng)() % 1000000),
+                             t->Tag(*q, 3 * id + 1));
+        q->Post(t->Tag(*q, 3 * id + 2));
+        const TimeNs next =
+            (*rng)() % 16 == 0
+                ? static_cast<TimeNs>(100000000 + (*rng)() % 100000000)
+                : static_cast<TimeNs>((*rng)() % 2000000);
+        q->Schedule(next, *this);
+    }
+};
+
+TEST(EngineCross, SelfReschedulingActorsMatchReference)
+{
+    // The load most runs put on the queue: 256 actors, 20k firings, a
+    // hedge timer cancelled and re-armed on each, and a posted completion.
+    ExpectMatchesReference([](auto &q, Trace &t) {
+        using Queue = std::remove_reference_t<decltype(q)>;
+        std::mt19937_64 rng(42);
+        int budget = 20000;
+        std::vector<EventId> timers(256, kInvalidEvent);
+        for (int i = 0; i < 256; ++i) {
+            HedgeActor<Queue>{&q, &t, &rng, &budget, &timers[i], i}();
+        }
+        q.Run();
+    });
+}
+
+TEST(EngineCross, RunUntilStepsMatchReference)
+{
+    // Step the deadline through a 300 ms schedule in 10 ms steps. An event
+    // due at the 70 ms deadline posts a completion, which is due then too;
+    // each stop schedules more work (now, as a post, within the window
+    // and past it). The clock, PendingEvents() and RunUntil's result must
+    // match at every stop.
+    ExpectMatchesReference([](auto &q, Trace &t) {
+        std::mt19937_64 rng(11);
+        for (int i = 0; i < 3000; ++i) {
+            q.Schedule(static_cast<TimeNs>(rng() % 300000000), t.Tag(q, i));
+        }
+        q.Schedule(util::MsToNs(70), [&q, &t]() {
+            t.Fire(q, -1);
+            q.Post(t.Tag(q, -2));
+        });
+        int tag = 10000;
+        for (TimeNs deadline = 0; deadline <= util::MsToNs(300);
+             deadline += util::MsToNs(10)) {
+            t.stops.push_back(q.RunUntil(deadline));
+            t.stops.push_back(q.Now());
+            t.stops.push_back(static_cast<int64_t>(q.PendingEvents()));
+            q.Schedule(0, t.Tag(q, tag++));
+            q.Post(t.Tag(q, tag++));
+            q.Schedule(static_cast<TimeNs>(rng() % 20000000), t.Tag(q, tag++));
+            q.Schedule(static_cast<TimeNs>(80000000 + rng() % 100000000),
+                       t.Tag(q, tag++));
+        }
+        q.Run();
+    });
 }
 
 TEST(CalendarQueue, EqualTimestampFifoAcrossBucketBoundaries)
@@ -139,12 +354,9 @@ TEST(CalendarQueue, EqualTimestampFifoAcrossBucketBoundaries)
     // Events scheduled for the same instant from different "homes" —
     // current bucket, a future bucket, the overflow heap (via window
     // rotation) — still fire in scheduling order.
-    Simulator::CalendarConfig cfg;
-    cfg.bucket_width_log2 = 4;  // 16 ns buckets...
-    cfg.bucket_count = 8;       // ...128 ns window: rotation is cheap to hit.
-    Simulator sim(EngineKind::kCalendar, cfg);
+    Simulator sim;
     std::vector<int> order;
-    const TimeNs t = 1000;  // Far outside the initial window.
+    const TimeNs t = util::SecToNs(1);  // Far outside the ~67 ms window.
     for (int i = 0; i < 64; ++i) {
         sim.ScheduleAt(t, [&order, i]() { order.push_back(i); });
     }
@@ -163,15 +375,13 @@ TEST(CalendarQueue, FarFutureOverflowMigration)
     // Far-future events park in the overflow heap, then migrate into the
     // wheel when the window rotates; ordering and timestamps must hold
     // across several rotations.
-    Simulator::CalendarConfig cfg;
-    cfg.bucket_width_log2 = 6;  // 64 ns buckets.
-    cfg.bucket_count = 16;      // 1 KiB-ns window.
-    Simulator sim(EngineKind::kCalendar, cfg);
+    Simulator sim;
     std::vector<TimeNs> fire_times;
-    // Spread over ~100 windows, inserted in a scrambled order.
+    // Spread over ~100 windows of 65,536 x 1,024 ns, inserted in a
+    // scrambled order.
     std::vector<TimeNs> whens;
     for (int i = 0; i < 200; ++i)
-        whens.push_back(static_cast<TimeNs>((i * 7919) % 100000));
+        whens.push_back(static_cast<TimeNs>((i * 7919) % 100000) * 65536);
     for (TimeNs w : whens) {
         sim.ScheduleAt(w, [&fire_times, &sim]() {
             fire_times.push_back(sim.Now());
@@ -186,7 +396,7 @@ TEST(CalendarQueue, FarFutureOverflowMigration)
 
 TEST(CalendarQueue, PendingEventsTracksCancellation)
 {
-    Simulator sim(EngineKind::kCalendar);
+    Simulator sim;
     std::vector<EventId> ids;
     for (int i = 0; i < 100; ++i) {
         ids.push_back(sim.Schedule(1000 + i, []() {}));
@@ -210,7 +420,7 @@ TEST(CalendarQueue, RescheduleStormRecyclesSlots)
     // Cancel-and-reschedule loops (the hedge-timer pattern) must not grow
     // state: the slot pool recycles, tombstones drain, and the final
     // timer fires exactly once.
-    Simulator sim(EngineKind::kCalendar);
+    Simulator sim;
     int fired = 0;
     EventId timer = kInvalidEvent;
     for (int i = 0; i < 10000; ++i) {
@@ -226,7 +436,7 @@ TEST(Callback, MoveOnlyCapturesWork)
 {
     // The whole point of the SBO callback: move-only state rides in the
     // closure with no shared_ptr detour.
-    Simulator sim(EngineKind::kCalendar);
+    Simulator sim;
     auto payload = std::make_unique<int>(41);
     int got = 0;
     sim.Schedule(10, [p = std::move(payload), &got]() { got += *p + 1; });
@@ -257,7 +467,7 @@ TEST(Callback, CancelDestroysCaptureImmediately)
 {
     // Cancelling an event releases the closure's resources right away,
     // not when the tombstone pops: the shared_ptr count proves it.
-    Simulator sim(EngineKind::kCalendar);
+    Simulator sim;
     auto tracker = std::make_shared<int>(1);
     const EventId id =
         sim.Schedule(1000, [keep = tracker]() { (void)*keep; });

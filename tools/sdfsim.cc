@@ -201,28 +201,10 @@ ParseSize(const std::string &s)
     return static_cast<uint64_t>(v);
 }
 
-/**
- * Parse all of flag @p key's value @p val with @p parse (std::stod and
- * friends). Trailing junk, a malformed or an out-of-range value throws
- * std::invalid_argument naming the flag, which main reports.
- */
-template <typename Parse>
-auto
-ParseWhole(const std::string &key, const std::string &val, Parse parse)
-{
-    size_t used = 0;
-    try {
-        const auto v = parse(val, &used);
-        if (used == val.size()) return v;
-    } catch (const std::logic_error &) {
-    }
-    throw std::invalid_argument(key + ": bad value '" + val + "'");
-}
-
 double
 ToF64(const std::string &key, const std::string &val)
 {
-    return ParseWhole(key, val, [](const std::string &s, size_t *n) {
+    return util::ParseWhole(key, val, [](const std::string &s, size_t *n) {
         return std::stod(s, n);
     });
 }
@@ -230,7 +212,7 @@ ToF64(const std::string &key, const std::string &val)
 int64_t
 ToI64(const std::string &key, const std::string &val)
 {
-    return ParseWhole(key, val, [](const std::string &s, size_t *n) {
+    return util::ParseWhole(key, val, [](const std::string &s, size_t *n) {
         return static_cast<int64_t>(std::stoll(s, n));
     });
 }
@@ -238,7 +220,7 @@ ToI64(const std::string &key, const std::string &val)
 uint64_t
 ToU64(const std::string &key, const std::string &val)
 {
-    return ParseWhole(key, val, [](const std::string &s, size_t *n) {
+    return util::ParseWhole(key, val, [](const std::string &s, size_t *n) {
         // stoull takes "-1" as 2^64-1; an unsigned flag takes no sign.
         if (s.find('-') != std::string::npos) throw std::invalid_argument(s);
         return static_cast<uint64_t>(std::stoull(s, n));
