@@ -7,7 +7,8 @@
 # compaction path beside unit writes (no overlapping flash events), the
 # cluster workload (same-seed determinism + degraded-mode zero-loss), the
 # open-loop overload workload (typed sheds, fail-slow hedging/breaker),
-# YCSB traffic under disruptions, the recovery paths (same-seed byte
+# YCSB traffic under disruptions, hedging at 160k/s YCSB-B (goodput
+# holds, few gets hedge), the recovery paths (same-seed byte
 # identity under node loss and restart), the fault campaign (zero loss,
 # plan replay, same-seed stats), sdfsim's bad-input exits, and the
 # benchmark's seam selftest (sdfbench/ built against this tree).
@@ -155,6 +156,30 @@ python3 tools/validate_stats.py "$obs_tmp/ya1.json" \
     --require-op=client.path.get
 ./build/tools/sdfsim --workload=ycsb --nodes=3 --replication=2 \
     --duration=0.2 --fail-slow-node=1 > /dev/null
+
+echo "== hedge trough smoke =="
+# Hedging must not feed itself: a hedge point set too low sends
+# duplicates that load the other replica and widen the tail it hedges
+# against. YCSB-B at 160k/s on 3 nodes is where that shows (a threshold
+# at the client's read p99 clamped to 3x its median hedged half the gets
+# and served 83% of the offer): at least 98% of the offer must be served
+# and at most 5% of gets may hedge.
+./build/tools/sdfsim --workload=ycsb --profile=b --nodes=3 --replication=2 \
+    --arrival-rate=160000 --duration=0.5 --seed=1 \
+    --stats-json="$obs_tmp/trough.json" > /dev/null
+python3 - "$obs_tmp/trough.json" <<'EOF'
+import json
+import sys
+
+stats = json.load(open(sys.argv[1]))
+result, counters = stats["derived"], stats["counters"]
+served = (result["result.goodput_ops_per_sec"]
+          / result["result.offered_ops_per_sec"])
+hedged = counters["client.hedge.launched"] / counters["client.gets"]
+print(f"trough: {served:.1%} of the offer served, {hedged:.1%} of gets hedged")
+if served < 0.98 or hedged > 0.05:
+    sys.exit("trough smoke: want >= 98% served and <= 5% hedged")
+EOF
 
 fault_smoke() {
     local build="$1"

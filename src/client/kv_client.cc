@@ -1,6 +1,5 @@
 #include "client/kv_client.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/hub.h"
@@ -8,22 +7,6 @@
 #include "util/assert.h"
 
 namespace sdf::client {
-
-namespace {
-
-/** Latency quantile the hedge threshold adapts to. */
-constexpr double kHedgeQuantile = 99.0;
-/**
- * Clamp the threshold to this multiple of the median read latency. A
- * fail-slow replica inflates the very p99 the threshold adapts to (the
- * slow reads ARE the tail), so unclamped it would chase the latency it
- * exists to cut; the median stays healthy as long as most replicas are.
- */
-constexpr double kHedgeMedianClamp = 3.0;
-/** Threshold floor: never hedge earlier than this. */
-constexpr TimeNs kHedgeMin = util::UsToNs(500);
-
-}  // namespace
 
 KvClient::KvClient(sim::Simulator &sim, cluster::ClusterRouter &router,
                    const KvClientConfig &cfg)
@@ -61,9 +44,6 @@ KvClient::KvClient(sim::Simulator &sim, cluster::ClusterRouter &router,
                           &hedge_.losses);
         m.RegisterCounter(metric_prefix_ + ".hedge.cancelled",
                           &hedge_.cancelled);
-        m.RegisterGauge(metric_prefix_ + ".hedge.threshold_ms", [this]() {
-            return static_cast<double>(HedgeThreshold()) / 1e6;
-        });
         m.RegisterGauge(metric_prefix_ + ".pending", [this]() {
             size_t n = 0;
             for (const NodeQueue &q : queues_) n += q.pending.size();
@@ -121,19 +101,6 @@ TimeNs
 KvClient::DeadlineFromNow() const
 {
     return cfg_.deadline == 0 ? 0 : sim_.Now() + cfg_.deadline;
-}
-
-TimeNs
-KvClient::HedgeThreshold() const
-{
-    if (!cfg_.hedge_reads) return 0;
-    if (read_lat_.count() < cfg_.hedge_min_samples) return 0;
-    auto thr = static_cast<TimeNs>(
-        read_lat_.histogram().Percentile(kHedgeQuantile));
-    const auto clamp = static_cast<TimeNs>(
-        kHedgeMedianClamp * read_lat_.histogram().Percentile(50));
-    if (clamp > 0) thr = std::min(thr, clamp);
-    return std::max(thr, kHedgeMin);
 }
 
 void
@@ -328,7 +295,11 @@ KvClient::DispatchGets(uint32_t node, std::vector<PendingOp> ops)
 
     std::vector<std::shared_ptr<GetOp>> recs;
     recs.reserve(ops.size());
-    const TimeNs hedge_after = HedgeThreshold();
+    // The breaker's definition of slow, judged against the primary's
+    // peers: load that slows every node raises the bar with it, and a
+    // read hedges only once it has waited 3x what its peers take.
+    const TimeNs hedge_after =
+        cfg_.hedge_reads ? router_.breaker().SlowAfter(node) : 0;
     for (PendingOp &p : ops) {
         auto op = sim::MakePooledShared<GetOp>(get_op_pool_);
         op->key = p.key;
@@ -458,7 +429,7 @@ KvClient::Settle(const std::shared_ptr<GetOp> &op, const kv::GetResult &res,
 {
     op->settled = true;
     if (op->hedge_timer != sim::kInvalidEvent) {
-        // Primary came back under the threshold: the hedge never fired.
+        // Primary came back before it counted as slow: no hedge fired.
         sim_.Cancel(op->hedge_timer);
         op->hedge_timer = sim::kInvalidEvent;
         ++hedge_.cancelled;

@@ -14,10 +14,13 @@
  *    batched RPC (StorageNode::BatchGet), amortizing per-message dispatch
  *    cost exactly when pressure is highest — the queue only has depth
  *    when the window is full;
- *  - hedged reads: when a primary read exceeds an adaptive threshold
- *    (the observed read-latency p99, floored), a second request fires at
- *    the next replica and the first result wins. This converts one
- *    fail-slow node's latency into a bounded detour instead of a tail.
+ *  - hedged reads: when a primary read outlives the point at which the
+ *    router's fail-slow breaker would call its node slow (3x the peers'
+ *    median service time, FailSlowBreaker::SlowAfter), a second request
+ *    fires at the next replica and the first result wins. This converts
+ *    one fail-slow node's latency into a bounded detour instead of a
+ *    tail, and under a storm spreads reads over both replicas, while a
+ *    node no slower than its peers is left alone.
  *
  * Every operation carries an absolute deadline (OpContext) that
  * propagates through net::Network to the server, so overload turns into
@@ -61,12 +64,9 @@ struct KvClientConfig
     /** Per-op deadline budget (absolute deadline = submit + this);
      *  0 = none — the transport's timeout ladder still applies. */
     TimeNs deadline = 0;
-    /** Fire a second replica read past the adaptive threshold (the read
-     *  p99, clamped to 3x the median and floored at 500 us). */
+    /** Fire a second replica read once the primary has been out for
+     *  the breaker's slowness point (FailSlowBreaker::SlowAfter). */
     bool hedge_reads = true;
-    /** Completed reads needed before hedging activates (threshold is
-     *  noise until the histogram has mass). */
-    uint64_t hedge_min_samples = 64;
 };
 
 /** Cumulative front-door counters ("client.*"). */
@@ -93,7 +93,7 @@ struct HedgeStats
     uint64_t launched = 0;   ///< Second requests actually sent.
     uint64_t wins = 0;       ///< Hedge delivered the value first.
     uint64_t losses = 0;     ///< Primary settled after the hedge fired.
-    uint64_t cancelled = 0;  ///< Timer cancelled — primary beat the threshold.
+    uint64_t cancelled = 0;  ///< Timer cancelled — primary was not slow.
 };
 
 /**
@@ -120,8 +120,8 @@ class KvClient
 
     /**
      * Async read: primary replica first (coalesced when queued), hedged
-     * past the adaptive threshold, falling back to the router's failover
-     * walk when the primary cannot serve.
+     * once the primary counts as slow, falling back to the router's
+     * failover walk when the primary cannot serve.
      */
     void Get(uint64_t key, GetDone done);
 
@@ -139,10 +139,6 @@ class KvClient
 
     const ClientStats &stats() const { return stats_; }
     const HedgeStats &hedge_stats() const { return hedge_; }
-    /** Completed-read latencies (feeds the hedge threshold). */
-    const util::LatencyRecorder &read_latencies() const { return read_lat_; }
-    /** Current hedge threshold, 0 while inactive. */
-    TimeNs HedgeThreshold() const;
 
   private:
     struct PendingOp
@@ -211,6 +207,7 @@ class KvClient
     std::vector<NodeQueue> queues_;
     ClientStats stats_;
     HedgeStats hedge_;
+    /** Served-read latencies (`client.read_latency_ns`). */
     util::LatencyRecorder read_lat_;
     /** All settled front-door ops (puts + gets); feeds windowed series. */
     util::LatencyRecorder op_lat_;

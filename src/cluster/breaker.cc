@@ -6,12 +6,26 @@
 
 namespace sdf::cluster {
 
+namespace {
+
+/** Samples a node needs before it can be judged (or judged against). */
+constexpr uint64_t kMinSamples = 32;
+/** Slow (trip, and hedge past) when EWMA > kTripFactor x peer median. */
+constexpr double kTripFactor = 3.0;
+/** Close again when EWMA < kResetFactor x peer median. */
+constexpr double kResetFactor = 1.5;
+/** EWMA smoothing weight for each new sample. */
+constexpr double kAlpha = 0.05;
+
+static_assert(kTripFactor > kResetFactor);
+static_assert(kAlpha > 0.0 && kAlpha <= 1.0);
+
+}  // namespace
+
 FailSlowBreaker::FailSlowBreaker(uint32_t nodes, const BreakerConfig &cfg)
     : cfg_(cfg), ewma_(nodes, 0.0), samples_(nodes, 0), open_(nodes, 0)
 {
     SDF_CHECK(nodes > 0);
-    SDF_CHECK(cfg_.trip_factor > cfg_.reset_factor);
-    SDF_CHECK(cfg_.alpha > 0.0 && cfg_.alpha <= 1.0);
 }
 
 double
@@ -23,7 +37,7 @@ FailSlowBreaker::PeerMedian(uint32_t node) const
     std::vector<double> peers;
     peers.reserve(ewma_.size());
     for (uint32_t i = 0; i < ewma_.size(); ++i) {
-        if (i != node && samples_[i] >= cfg_.min_samples) {
+        if (i != node && samples_[i] >= kMinSamples) {
             peers.push_back(ewma_[i]);
         }
     }
@@ -33,27 +47,32 @@ FailSlowBreaker::PeerMedian(uint32_t node) const
     return peers[mid];
 }
 
+util::TimeNs
+FailSlowBreaker::SlowAfter(uint32_t node) const
+{
+    return static_cast<util::TimeNs>(kTripFactor * PeerMedian(node));
+}
+
 void
 FailSlowBreaker::Record(uint32_t node, util::TimeNs service_time)
 {
-    if (!cfg_.enabled) return;
     SDF_CHECK(node < ewma_.size());
     const auto x = static_cast<double>(service_time);
     ewma_[node] = samples_[node] == 0
                       ? x
-                      : cfg_.alpha * x + (1.0 - cfg_.alpha) * ewma_[node];
+                      : kAlpha * x + (1.0 - kAlpha) * ewma_[node];
     ++samples_[node];
-    if (samples_[node] < cfg_.min_samples) return;
+    if (!cfg_.enabled || samples_[node] < kMinSamples) return;
 
     const double median = PeerMedian(node);
     if (median <= 0.0) return;
     if (open_[node] == 0) {
-        if (ewma_[node] > cfg_.trip_factor * median) {
+        if (ewma_[node] > kTripFactor * median) {
             open_[node] = 1;
             ++open_count_;
             ++stats_.trips;
         }
-    } else if (ewma_[node] < cfg_.reset_factor * median) {
+    } else if (ewma_[node] < kResetFactor * median) {
         open_[node] = 0;
         --open_count_;
         ++stats_.resets;

@@ -11,12 +11,14 @@
  *
  * The breaker watches the per-node service time the router observes
  * (request out -> typed completion back), smooths it with an EWMA, and
- * compares each node against the median of its peers. A node whose EWMA
- * exceeds trip_factor x the peer median is "open": placement is
- * untouched — the node keeps its keys and keeps receiving writes, so its
- * data stays fresh — but read ordering demotes it to the back of every
- * replica list until its EWMA falls back under reset_factor x median
- * (hysteresis so a node on the boundary does not flap).
+ * compares each node against the median of its peers. That comparison is
+ * the cluster's one definition of "slow": 3x the peer median. The client
+ * front door arms each read's hedge timer there (SlowAfter), and, when
+ * the breaker is enabled, a node whose EWMA exceeds it is "open":
+ * placement is untouched — the node keeps its keys and keeps receiving
+ * writes, so its data stays fresh — but read ordering demotes it to the
+ * back of every replica list until its EWMA falls back under 1.5x the
+ * median (hysteresis so a node on the boundary does not flap).
  */
 #ifndef SDF_CLUSTER_BREAKER_H
 #define SDF_CLUSTER_BREAKER_H
@@ -28,19 +30,13 @@
 
 namespace sdf::cluster {
 
-/** Fail-slow breaker tuning. Disabled by default: demoting a replica is
+/** Fail-slow breaker policy. Disabled by default: demoting a replica is
  *  a policy decision benches/tools opt into. */
 struct BreakerConfig
 {
+    /** Trip, reset and demote. The EWMAs are kept either way, because
+     *  hedged reads time themselves off them (SlowAfter). */
     bool enabled = false;
-    /** Samples a node needs before it can be judged (or judged against). */
-    uint32_t min_samples = 32;
-    /** Open when EWMA > trip_factor x peer median. */
-    double trip_factor = 3.0;
-    /** Close again when EWMA < reset_factor x peer median. */
-    double reset_factor = 1.5;
-    /** EWMA smoothing weight for each new sample. */
-    double alpha = 0.05;
 };
 
 /** Per-node service-time EWMA + open/closed state. */
@@ -56,8 +52,17 @@ class FailSlowBreaker
 
     FailSlowBreaker(uint32_t nodes, const BreakerConfig &cfg);
 
-    /** Feed one observed service time for @p node and re-judge it. */
+    /** Feed one observed service time for @p node and, when enabled,
+     *  re-judge it. */
     void Record(uint32_t node, util::TimeNs service_time);
+
+    /**
+     * How long a request to @p node may take before it counts as slow:
+     * the trip factor times the median EWMA of the node's peers (the
+     * node's own EWMA plays no part). 0 until some peer has enough
+     * samples to be judged against.
+     */
+    util::TimeNs SlowAfter(uint32_t node) const;
 
     bool IsOpen(uint32_t node) const { return open_[node] != 0; }
     bool AnyOpen() const { return open_count_ > 0; }

@@ -145,7 +145,6 @@ TEST(KvClient, HedgeAccountingStaysConsistentWithAFailSlowReplica)
     kc.window_per_node = 4;
     kc.batch_max = 1;
     kc.hedge_reads = true;
-    kc.hedge_min_samples = 16;
     client::KvClient client(sim, cl.router(), kc);
 
     uint64_t served = 0;
@@ -163,15 +162,16 @@ TEST(KvClient, HedgeAccountingStaysConsistentWithAFailSlowReplica)
         sim.Run();
     };
 
-    // Warm the latency histogram while healthy, then degrade one node.
+    // Warm the breaker's EWMAs while healthy, then degrade one node far
+    // enough that the router sees it past 3x its peer.
     drive(64);
-    cl.node(0).SetFailSlow(10.0);
+    cl.node(0).SetFailSlow(20.0);
     drive(200);
 
     EXPECT_EQ(served, 264u);
     const client::HedgeStats &hs = client.hedge_stats();
-    // Reads through the slow primary cross the threshold and hedge to the
-    // healthy replica, which answers first.
+    // Reads through the slow primary outlive 3x its peer's service time
+    // and hedge to the healthy replica, which answers first.
     EXPECT_GT(hs.launched, 0u);
     EXPECT_GT(hs.wins, 0u);
     // Every launched hedge resolves as exactly one win or loss, and a

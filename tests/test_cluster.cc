@@ -635,18 +635,46 @@ TEST(Cluster, AdmissionCapShedsWithTypedOverload)
     EXPECT_LE(cl.node(0).admission().peak_inflight, 2u);
 }
 
+TEST(FailSlowBreaker, SlowAfterIsThreeTimesThePeerMedianEvenWhenDisabled)
+{
+    const util::TimeNs peer[] = {util::UsToNs(100), util::UsToNs(200),
+                                 util::UsToNs(400)};
+    // Nodes 1-3 are healthy peers; node 0 runs 50x slower than the median.
+    auto feed = [&](cluster::FailSlowBreaker &b, int samples) {
+        for (int i = 0; i < samples; ++i) {
+            for (uint32_t n = 1; n <= 3; ++n) b.Record(n, peer[n - 1]);
+            b.Record(0, util::MsToNs(10));
+        }
+    };
+
+    cluster::FailSlowBreaker off(4, {});
+    // A peer counts only once it has 32 samples; until then, never slow.
+    feed(off, 31);
+    EXPECT_EQ(off.SlowAfter(0), 0);
+    feed(off, 1);
+    // 3x the peers' median EWMA; node 0's own 10 ms plays no part in it,
+    // but it is one of node 1's peers.
+    EXPECT_DOUBLE_EQ(off.ewma_ms(0), 10.0);
+    EXPECT_EQ(off.SlowAfter(0), 3 * peer[1]);
+    EXPECT_EQ(off.SlowAfter(1), 3 * peer[2]);
+    // Disabled only means no trips and no demotion.
+    EXPECT_FALSE(off.AnyOpen());
+    EXPECT_EQ(off.stats().trips, 0u);
+
+    cluster::BreakerConfig bc;
+    bc.enabled = true;
+    cluster::FailSlowBreaker on(4, bc);
+    feed(on, 32);
+    EXPECT_EQ(on.SlowAfter(0), off.SlowAfter(0));
+    EXPECT_TRUE(on.IsOpen(0));
+    EXPECT_EQ(on.stats().trips, 1u);
+}
+
 TEST(Cluster, BreakerDemotesFailSlowNodeAndRecovers)
 {
     sim::Simulator sim;
     cluster::ClusterConfig cc = SmallCluster(3, 2);
     cc.breaker.enabled = true;
-    cc.breaker.min_samples = 16;
-    cc.breaker.alpha = 0.3;
-    // The router samples the whole RPC round trip, and the (unscaled)
-    // wire delay dilutes the storage slowdown at this light closed-loop
-    // load; 2x observed is already a badly degraded node.
-    cc.breaker.trip_factor = 2.0;
-    cc.breaker.reset_factor = 1.3;
     cluster::Cluster cl(sim, cc);
 
     const auto keys = cl.Preload(60, 16 * util::kKiB);
@@ -761,7 +789,6 @@ TEST(Cluster, ReplicationPathIsPinned)
     client::KvClientConfig kc;
     kc.window_per_node = 2;
     kc.batch_max = 4;
-    kc.hedge_min_samples = 16;
     client::KvClient client(sim, cl.router(), kc);
     cl.node(2).SetFailSlow(8.0);
     workload::YcsbConfig c3;
@@ -781,30 +808,30 @@ TEST(Cluster, ReplicationPathIsPinned)
 
     const auto &st = cl.router().stats();
     EXPECT_EQ(st.puts, 4021u);
-    EXPECT_EQ(st.gets, 9060u);
+    EXPECT_EQ(st.gets, 9058u);
     EXPECT_EQ(st.put_replica_failures, 1u);
     EXPECT_EQ(st.put_failures, 0u);
-    EXPECT_EQ(st.degraded_reads, 1159u);
+    EXPECT_EQ(st.degraded_reads, 1156u);
     EXPECT_EQ(st.failed_reads, 125u);
-    EXPECT_EQ(st.re_replications, 1159u);
+    EXPECT_EQ(st.re_replications, 1156u);
     EXPECT_EQ(st.re_replication_failures, 0u);
     EXPECT_EQ(st.epoch_restarts, 4u);
     EXPECT_EQ(st.no_replica_rejects, 0u);
-    const std::vector<uint64_t> puts = {4291, 1549, 3361};
-    const std::vector<uint64_t> gets = {4555, 1861, 5608};
+    const std::vector<uint64_t> puts = {4288, 1549, 3361};
+    const std::vector<uint64_t> gets = {4559, 1864, 5578};
     for (uint32_t n = 0; n < 3; ++n) {
         EXPECT_EQ(cl.router().node_puts(n), puts[n]) << "node " << n;
         EXPECT_EQ(cl.router().node_gets(n), gets[n]) << "node " << n;
     }
-    EXPECT_EQ(cl.router().recovery_latencies().count(), 1159u);
+    EXPECT_EQ(cl.router().recovery_latencies().count(), 1156u);
     EXPECT_EQ(cl.rebalancer().stats().keys_moved, 1863u);
-    EXPECT_EQ(client.hedge_stats().launched, 218u);
-    EXPECT_EQ(client.hedge_stats().wins, 95u);
-    EXPECT_EQ(client.hedge_stats().losses, 123u);
-    EXPECT_EQ(client.hedge_stats().cancelled, 636u);
-    EXPECT_EQ(client.stats().batches, 198u);
-    EXPECT_EQ(client.stats().batched_gets, 681u);
-    EXPECT_EQ(client.stats().fallback_walks, 73u);
+    EXPECT_EQ(client.hedge_stats().launched, 200u);
+    EXPECT_EQ(client.hedge_stats().wins, 124u);
+    EXPECT_EQ(client.hedge_stats().losses, 76u);
+    EXPECT_EQ(client.hedge_stats().cancelled, 673u);
+    EXPECT_EQ(client.stats().batches, 194u);
+    EXPECT_EQ(client.stats().batched_gets, 650u);
+    EXPECT_EQ(client.stats().fallback_walks, 71u);
 
     struct Want
     {
@@ -815,7 +842,7 @@ TEST(Cluster, ReplicationPathIsPinned)
     const Want want[] = {
         {1823, 1303, 0, 520, 0, 0, 0, 0, 0, 0.520833},
         {10884, 6976, 0, 3200, 0, 0, 583, 1, 124, 0.501874},
-        {1167, 873, 125, 56, 80, 332, 0, 0, 33, 32.893829},
+        {1167, 873, 125, 56, 80, 332, 0, 0, 33, 32.855031},
     };
     const workload::YcsbResult *got[] = {&p1, &p2, &p3};
     for (int i = 0; i < 3; ++i) {
@@ -834,7 +861,7 @@ TEST(Cluster, ReplicationPathIsPinned)
         EXPECT_EQ(r.errors, w.errors) << "phase " << i + 1;
         EXPECT_DOUBLE_EQ(r.p99_ms, w.p99_ms) << "phase " << i + 1;
     }
-    EXPECT_EQ(HashKeys(acked), 17589606476381684968ULL);
+    EXPECT_EQ(HashKeys(acked), 6625149272466583490ULL);
 
     // Every path the pin stands for actually ran.
     EXPECT_GT(st.degraded_reads, 0u);

@@ -78,14 +78,13 @@ TEST(ClusterObs, HedgedReadEventsShareOneTraceIdAcrossTracks)
     kc.window_per_node = 4;
     kc.batch_max = 1;
     kc.hedge_reads = true;
-    kc.hedge_min_samples = 16;
     client::KvClient client(sim, cl.router(), kc);
 
-    // Warm the latency histogram while healthy, then degrade one node so
-    // reads through it cross the hedge threshold.
+    // Warm the breaker's EWMAs while healthy, then degrade one node so
+    // reads through it outlive 3x its peer's service time and hedge.
     uint64_t served = 0;
     DriveReads(sim, client, keys, 64, served);
-    cl.node(0).SetFailSlow(10.0);
+    cl.node(0).SetFailSlow(20.0);
     DriveReads(sim, client, keys, 200, served);
     EXPECT_EQ(served, 264u);
     EXPECT_GT(client.hedge_stats().wins, 0u);
@@ -215,7 +214,6 @@ RunInstrumentedCluster(uint64_t seed)
     client::KvClientConfig kc;
     kc.window_per_node = 4;
     kc.hedge_reads = true;
-    kc.hedge_min_samples = 16;
     client::KvClient client(sim, cl.router(), kc);
 
     series.Start(sim, hub.metrics(), "load", util::MsToNs(1.0),

@@ -931,12 +931,11 @@ RunClusterWorkload(Options &opt)
                     static_cast<unsigned long long>(cs.batched_gets),
                     static_cast<unsigned long long>(cs.fallback_walks));
         std::printf("hedge: %llu launched, %llu wins, %llu losses, "
-                    "%llu cancelled (threshold now %.3f ms)\n",
+                    "%llu cancelled\n",
                     static_cast<unsigned long long>(hs.launched),
                     static_cast<unsigned long long>(hs.wins),
                     static_cast<unsigned long long>(hs.losses),
-                    static_cast<unsigned long long>(hs.cancelled),
-                    static_cast<double>(client->HedgeThreshold()) / 1e6);
+                    static_cast<unsigned long long>(hs.cancelled));
     }
     const cluster::ReplicatedKvStats &rs = cl.router().stats();
     std::printf("replication: %llu degraded reads, %llu failed reads, "
