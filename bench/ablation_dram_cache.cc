@@ -18,7 +18,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Ablation — DRAM write-back cache size",
                          "§2.2 'no DRAM cache' design choice, Figure 8");
 
@@ -33,7 +33,7 @@ main(int argc, char **argv)
 
         sim::Simulator sim;
 
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, cfg);
         host::IoStack stack(sim, host::KernelIoStackSpec());
         device.PreconditionFillRandom(1.0);
@@ -57,6 +57,6 @@ main(int argc, char **argv)
     std::printf("SDF's position (§2.2): drop the cache (and its battery),\n"
                 "acknowledge only when data is on flash, and get the flat\n"
                 "latency of Figure 8 instead.\n");
-    bench::GlobalObs().AddMeta("experiment", "ablation_dram_cache");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "ablation_dram_cache");
+    return obs::GlobalObs().Export();
 }

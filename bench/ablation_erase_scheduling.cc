@@ -30,7 +30,7 @@ Result
 RunPolicy(blocklayer::ErasePolicy policy)
 {
     sim::Simulator sim;
-    bench::BindObs(sim);
+    obs::BindObs(sim);
     core::SdfDevice device(sim, core::BaiduSdfConfig(0.04));
     blocklayer::BlockLayerConfig cfg;
     cfg.erase_policy = policy;
@@ -75,7 +75,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Ablation — erase scheduling policy",
                          "§2.3 motivation for the explicit erase command");
 
@@ -99,6 +99,6 @@ main(int argc, char **argv)
                 "from the write path when idle time exists; the paper\n"
                 "measured with erase-on-write (Figure 8's 383 ms includes\n"
                 "the erase).\n");
-    bench::GlobalObs().AddMeta("experiment", "ablation_erase_scheduling");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "ablation_erase_scheduling");
+    return obs::GlobalObs().Export();
 }

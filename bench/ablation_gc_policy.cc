@@ -38,7 +38,7 @@ Run(ssd::GcPolicy policy, double hot_fraction)
 
     sim::Simulator sim;
 
-    bench::BindObs(sim);
+    obs::BindObs(sim);
     ssd::ConventionalSsd device(sim, cfg);
     host::IoStack stack(sim, host::KernelIoStackSpec());
     device.PreconditionFillRandom(1.0);
@@ -89,7 +89,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Ablation — GC victim selection policy",
                          "FTL design space behind §2.2's 'no GC at all'");
 
@@ -110,6 +110,6 @@ main(int argc, char **argv)
     std::printf("SDF's answer to this whole design space: an interface\n"
                 "where no on-device GC exists and the application, which\n"
                 "knows data lifetimes, does the reclamation (§2.3).\n");
-    bench::GlobalObs().AddMeta("experiment", "ablation_gc_policy");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "ablation_gc_policy");
+    return obs::GlobalObs().Export();
 }

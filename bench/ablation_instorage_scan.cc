@@ -24,7 +24,7 @@ double
 RunScan(bool offload, double selectivity)
 {
     sim::Simulator sim;
-    bench::BindObs(sim);
+    obs::BindObs(sim);
     core::SdfDevice device(sim, core::BaiduSdfConfig(0.04));
     workload::PreconditionSdf(device);
 
@@ -63,7 +63,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Extension — in-storage scan offload",
                          "§5 future work / Active SSD [17]");
 
@@ -80,6 +80,6 @@ main(int argc, char **argv)
     std::printf("Host-side scans cap at the PCIe limit (1.61 GB/s) no\n"
                 "matter the selectivity; the offloaded scan examines data\n"
                 "at raw flash speed (1.67 GB/s) and frees the link.\n");
-    bench::GlobalObs().AddMeta("experiment", "ablation_instorage_scan");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "ablation_instorage_scan");
+    return obs::GlobalObs().Export();
 }

@@ -16,7 +16,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Ablation — interrupt coalescing",
                          "§2.1 interrupt merging (1/4-1/5 of max IOPS)");
 
@@ -30,15 +30,16 @@ main(int argc, char **argv)
 
         sim::Simulator sim;
 
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         core::SdfDevice device(sim, cfg);
         host::IoStack stack(sim, host::SdfUserStackSpec());
         workload::PreconditionSdf(device);
         workload::RawRunConfig run;
         run.warmup = util::MsToNs(200);
         run.duration = util::SecToNs(2.0);
-        const auto r = workload::RunSdfRandomReads(sim, device, stack, 44,
-                                                   8 * util::kKiB, run);
+        const auto r = workload::RunSdfReads(sim, device, stack, 44,
+                                             8 * util::kKiB,
+                                             workload::Pattern::kRandom, run);
         const double secs = util::NsToSec(sim.Now());
         table.AddRow(
             {coalesce ? "on (2-level merge)" : "off",
@@ -58,6 +59,6 @@ main(int argc, char **argv)
     std::printf("Paper: merging reduces the interrupt rate to 1/5-1/4 of\n"
                 "the IOPS; the throughput cost of the added delay is small\n"
                 "while the interrupt-handling CPU drops ~4x.\n");
-    bench::GlobalObs().AddMeta("experiment", "ablation_interrupts");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "ablation_interrupts");
+    return obs::GlobalObs().Export();
 }

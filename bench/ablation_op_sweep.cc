@@ -37,7 +37,7 @@ std::pair<double, double>
 RunMixed(double op)
 {
     sim::Simulator sim;
-    bench::BindObs(sim);
+    obs::BindObs(sim);
     ssd::ConventionalSsdConfig cfg = SmallIntel(op);
     cfg.fw_cost_per_write_request = util::UsToNs(15);
     cfg.fw_cost_per_read_request = util::UsToNs(15);
@@ -116,7 +116,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Ablation — over-provisioning sweep",
                          "Figure 1 (fine-grained) + §1 mixed-workload claim");
 
@@ -124,7 +124,7 @@ main(int argc, char **argv)
     table.SetHeader({"OP", "MB/s", "WA"});
     for (double op : {0.0, 0.03, 0.07, 0.12, 0.18, 0.25, 0.35, 0.50}) {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, SmallIntel(op));
         host::IoStack stack(sim, host::KernelIoStackSpec());
         device.PreconditionFillRandom(1.0);
@@ -155,6 +155,6 @@ main(int argc, char **argv)
     std::printf("Paper: Figure 1 is monotonic with a steep knee below\n"
                 "~10%% OP; §1 reports 22%%->30%% OP raising mixed-workload\n"
                 "read throughput more than 4x.\n");
-    bench::GlobalObs().AddMeta("experiment", "ablation_op_sweep");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "ablation_op_sweep");
+    return obs::GlobalObs().Export();
 }

@@ -20,7 +20,7 @@ double
 RunPlacement(blocklayer::PlacementPolicy policy, double skew)
 {
     sim::Simulator sim;
-    bench::BindObs(sim);
+    obs::BindObs(sim);
     core::SdfDevice device(sim, core::BaiduSdfConfig(0.04));
     blocklayer::BlockLayerConfig cfg;
     cfg.placement_policy = policy;
@@ -67,7 +67,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Extension — load-balance-aware scheduler",
                          "§2.4/§5 future work");
 
@@ -87,6 +87,6 @@ main(int argc, char **argv)
     std::printf("Expectation: identical when uniform; under skew, id-hash\n"
                 "bottlenecks on the hot channels while least-loaded keeps\n"
                 "all 44 channels writing (~1 GB/s).\n");
-    bench::GlobalObs().AddMeta("experiment", "ablation_scheduler");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "ablation_scheduler");
+    return obs::GlobalObs().Export();
 }

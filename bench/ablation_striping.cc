@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Ablation — conventional SSD striping unit",
                          "§2.3 'exposing internal parallelism' design choice");
 
@@ -34,7 +34,7 @@ main(int argc, char **argv)
                                std::pair{64u, 512 * util::kKiB},
                                std::pair{16u, 8 * util::kMiB}}) {
             sim::Simulator sim;
-            bench::BindObs(sim);
+            obs::BindObs(sim);
             ssd::ConventionalSsd device(sim, cfg);
             host::IoStack stack(sim, host::KernelIoStackSpec());
             device.PreconditionFill(0.9);
@@ -54,6 +54,6 @@ main(int argc, char **argv)
                 "all channels); channel-affine large stripes catch up or\n"
                 "win once concurrency supplies the parallelism — the\n"
                 "workload property SDF's design leans on.\n");
-    bench::GlobalObs().AddMeta("experiment", "ablation_striping");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "ablation_striping");
+    return obs::GlobalObs().Export();
 }

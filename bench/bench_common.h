@@ -1,9 +1,10 @@
 /**
  * @file
- * Shared setup for the benchmark binaries, now thin aliases over the
- * repo-wide building blocks: the testbed library assembles the CCDB stack
- * (device + block layer / extent store + slices + network) on any backend,
- * and obs::ObsCli provides the --stats-json/--stats-csv/--trace flags.
+ * Shared setup for the benchmark binaries: the standard preamble, plus the
+ * repo-wide building blocks every bench uses. The testbed library
+ * assembles the CCDB stack (device + block layer / extent store + slices +
+ * network) on any backend, and obs::ObsCli provides the
+ * --stats-json/--stats-csv/--trace flags.
  *
  * Every experiment uses capacity-scaled devices (structure and all ratios
  * preserved) so a full table regenerates in seconds; EXPERIMENTS.md
@@ -20,34 +21,6 @@
 #include "workload/raw_device.h"
 
 namespace sdf::bench {
-
-/** Which storage device backs the KV stack. */
-using DeviceKind = testbed::Backend;
-
-inline const char *
-DeviceName(DeviceKind kind)
-{
-    return testbed::BackendName(kind);
-}
-
-using ObsCli = obs::ObsCli;
-
-/** Process-wide ObsCli shared with the other binaries (see obs/obs_cli.h). */
-inline ObsCli &
-GlobalObs()
-{
-    return obs::GlobalObs();
-}
-
-/** Install the global hub (when exports were requested) on @p sim. */
-inline void
-BindObs(sim::Simulator &sim)
-{
-    obs::BindObs(sim);
-}
-
-/** A complete single-node CCDB deployment for one experiment run. */
-using KvTestbed = testbed::KvTestbed;
 
 /** Print the standard bench preamble. */
 inline void

@@ -16,7 +16,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Capacity, bandwidth, and cost utilization",
                          "§1 abstract + §2.2 + §5 headline claims");
 
@@ -25,7 +25,7 @@ main(int argc, char **argv)
     cap.SetHeader({"Configuration", "Raw", "Usable", "Fraction"});
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         core::SdfDevice sdf_dev(sim, core::BaiduSdfConfig(1.0));
         cap.AddRow({"Baidu SDF (BBM spares only)",
                     util::FormatBytes(sdf_dev.raw_capacity()),
@@ -37,7 +37,7 @@ main(int argc, char **argv)
     }
     for (double op : {0.10, 0.25, 0.40}) {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         auto cfg = ssd::HuaweiGen3Config(1.0);
         cfg.op_ratio = op;
         ssd::ConventionalSsd dev(sim, cfg);
@@ -58,7 +58,7 @@ main(int argc, char **argv)
     bw.SetHeader({"Device", "Raw (MB/s)", "Delivered (MB/s)", "Fraction"});
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         core::SdfDevice device(sim, core::BaiduSdfConfig(0.04));
         host::IoStack stack(sim, host::SdfUserStackSpec());
         workload::PreconditionSdf(device);
@@ -67,16 +67,17 @@ main(int argc, char **argv)
         run.duration = util::SecToNs(10.0);
         const double raw = device.flash().RawReadBandwidth() / 1e6;
         // PCIe caps below raw; the paper quotes 95 % of raw delivered.
-        const double got = workload::RunSdfSequentialReads(
-                               sim, device, stack, 44, 8 * util::kMiB, run)
-                               .mbps;
+        const double got =
+            workload::RunSdfReads(sim, device, stack, 44, 8 * util::kMiB,
+                                  workload::Pattern::kSequential, run)
+                .mbps;
         bw.AddRow({"Baidu SDF", util::TablePrinter::Num(raw, 0),
                    util::TablePrinter::Num(got, 0),
                    util::TablePrinter::Num(100.0 * got / raw, 0) + "%"});
     }
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, ssd::HuaweiGen3Config(0.04));
         host::IoStack stack(sim, host::KernelIoStackSpec());
         device.PreconditionFill(0.95);
@@ -128,6 +129,6 @@ main(int argc, char **argv)
     std::printf("Paper: 99%% capacity for user data, ~95%% of raw bandwidth\n"
                 "delivered, and ~50%% per-GB cost reduction vs the 40%%-OP\n"
                 "commodity configuration (20-50%% depending on OP).\n");
-    bench::GlobalObs().AddMeta("experiment", "capacity_cost");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "capacity_cost");
+    return obs::GlobalObs().Export();
 }

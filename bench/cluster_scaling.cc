@@ -88,7 +88,7 @@ Mbps(uint64_t ops, util::TimeNs duration)
 }
 
 int
-RunScaling(bench::ObsCli &obs)
+RunScaling(obs::ObsCli &obs)
 {
     std::printf("-- phase A: throughput vs node count (R=2) --\n");
     util::TablePrinter table("cluster scaling, 90%% reads, 64 KiB values");
@@ -98,7 +98,7 @@ RunScaling(bench::ObsCli &obs)
     bool monotonic = true;
     for (uint32_t nodes : {2u, 4u, 8u}) {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        sdf::obs::BindObs(sim);
         cluster::Cluster cl(sim, MakeConfig(nodes, 2));
         const util::TimeNs dur = util::SecToNs(0.4);
         const auto r = RunLoad(sim, cl, Preload(cl), 0.9, dur);
@@ -120,11 +120,11 @@ RunScaling(bench::ObsCli &obs)
 }
 
 int
-RunDegraded(bench::ObsCli &obs)
+RunDegraded(obs::ObsCli &obs)
 {
     std::printf("-- phase B: node death under load (3 nodes, R=2) --\n");
     sim::Simulator sim;
-    bench::BindObs(sim);
+    sdf::obs::BindObs(sim);
     cluster::Cluster cl(sim, MakeConfig(3, 2));
     const auto keys = Preload(cl);
 
@@ -185,12 +185,12 @@ RunDegraded(bench::ObsCli &obs)
 }
 
 int
-RunRecovery(bench::ObsCli &obs)
+RunRecovery(obs::ObsCli &obs)
 {
     std::printf("-- phase C: rolling restart + anti-entropy (4 nodes, "
                 "R=2) --\n");
     sim::Simulator sim;
-    bench::BindObs(sim);
+    sdf::obs::BindObs(sim);
     cluster::Cluster cl(sim, MakeConfig(4, 2));
     const auto keys = Preload(cl);
 
@@ -277,7 +277,7 @@ RunRecovery(bench::ObsCli &obs)
 int
 main(int argc, char **argv)
 {
-    sdf::bench::ObsCli &obs = sdf::bench::GlobalObs();
+    sdf::obs::ObsCli &obs = sdf::obs::GlobalObs();
     obs.ParseAndStrip(argc, argv);
     sdf::bench::PrintPreamble("cluster scaling + degraded mode",
                               "deployment model of §2.4/§5");

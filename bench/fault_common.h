@@ -1,7 +1,6 @@
 /**
  * @file
- * Shared fault-campaign runner used by bench/fault_campaign and the
- * `sdfsim --workload=faults` subcommand.
+ * The fault-campaign runner behind `sdfsim --workload=faults`.
  *
  * A campaign runs on the same cluster::Cluster as the cluster experiments:
  * R storage nodes with R-way replication, so every node holds every key on

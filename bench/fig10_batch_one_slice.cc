@@ -17,8 +17,8 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
-    using bench::DeviceKind;
+    obs::GlobalObs().ParseAndStrip(argc, argv);
+    using testbed::Backend;
     bench::PrintPreamble("Figure 10 — one slice, batched 512 KB random reads",
                          "Figure 10");
 
@@ -28,9 +28,8 @@ main(int argc, char **argv)
     for (uint32_t batch : {1u, 4u, 8u, 16u, 32u, 44u}) {
         double mbps[2] = {0, 0};
         int col = 0;
-        for (DeviceKind kind :
-             {DeviceKind::kBaiduSdf, DeviceKind::kHuaweiGen3}) {
-            bench::KvTestbed bed(kind, 1, 1, 0.06);
+        for (Backend kind : {Backend::kBaiduSdf, Backend::kHuaweiGen3}) {
+            testbed::KvTestbed bed(kind, 1, 1, 0.06);
             const auto keys = bed.Preload(1200 * util::kMiB, 512 * util::kKiB);
             workload::KvRunConfig run;
             run.warmup = util::MsToNs(400);
@@ -48,6 +47,6 @@ main(int argc, char **argv)
     table.Print();
     std::printf("Paper: SDF 38 (batch 1) rising past 600; Huawei 245 (batch\n"
                 "1) rising to ~700 then declining slightly; crossover ~32.\n");
-    bench::GlobalObs().AddMeta("experiment", "fig10_batch_one_slice");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "fig10_batch_one_slice");
+    return obs::GlobalObs().Export();
 }

@@ -15,8 +15,8 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
-    using bench::DeviceKind;
+    obs::GlobalObs().ParseAndStrip(argc, argv);
+    using testbed::Backend;
     bench::PrintPreamble("Figure 11 — multi-slice batched 512 KB reads",
                          "Figure 11");
 
@@ -26,10 +26,9 @@ main(int argc, char **argv)
 
     for (uint32_t batch : {1u, 4u, 8u, 16u, 32u, 44u}) {
         std::vector<std::string> row{util::TablePrinter::Int(batch)};
-        for (DeviceKind kind :
-             {DeviceKind::kBaiduSdf, DeviceKind::kHuaweiGen3}) {
+        for (Backend kind : {Backend::kBaiduSdf, Backend::kHuaweiGen3}) {
             for (uint32_t slices : {4u, 8u}) {
-                bench::KvTestbed bed(kind, slices, slices, 0.06);
+                testbed::KvTestbed bed(kind, slices, slices, 0.06);
                 const auto keys =
                     bed.Preload(300 * util::kMiB, 512 * util::kKiB);
                 workload::KvRunConfig run;
@@ -50,6 +49,6 @@ main(int argc, char **argv)
     std::printf("Paper: SDF 8-slice throughput reaches ~1.5 GB/s (e.g.\n"
                 "270 -> 1081 MB/s going from batch 1 to 4); Huawei is flat\n"
                 "~700 MB/s with 4- and 8-slice curves nearly coincident.\n");
-    bench::GlobalObs().AddMeta("experiment", "fig11_batch_multi_slice");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "fig11_batch_multi_slice");
+    return obs::GlobalObs().Export();
 }

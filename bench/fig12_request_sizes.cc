@@ -17,8 +17,8 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
-    using bench::DeviceKind;
+    obs::GlobalObs().ParseAndStrip(argc, argv);
+    using testbed::Backend;
     bench::PrintPreamble("Figure 12 — value size x slice count, batch 44",
                          "Figure 12");
 
@@ -26,14 +26,13 @@ main(int argc, char **argv)
     table.SetHeader({"Config", "32KB values", "128KB values", "512KB values"});
 
     for (uint32_t slices : {1u, 4u, 8u}) {
-        for (DeviceKind kind :
-             {DeviceKind::kHuaweiGen3, DeviceKind::kBaiduSdf}) {
+        for (Backend kind : {Backend::kHuaweiGen3, Backend::kBaiduSdf}) {
             std::vector<std::string> row{
-                std::string(bench::DeviceName(kind)) + "-" +
+                std::string(testbed::BackendName(kind)) + "-" +
                 std::to_string(slices) + (slices == 1 ? " slice" : " slices")};
             for (uint32_t value :
                  {32 * util::kKiB, 128 * util::kKiB, 512 * util::kKiB}) {
-                bench::KvTestbed bed(kind, slices, slices, 0.06);
+                testbed::KvTestbed bed(kind, slices, slices, 0.06);
                 const uint64_t per_slice =
                     slices == 1 ? 1200 * util::kMiB : 300 * util::kMiB;
                 const auto keys =
@@ -55,6 +54,6 @@ main(int argc, char **argv)
     std::printf("Paper: SDF with >= 4 slices serves all sizes at high\n"
                 "throughput (larger moderately faster, up to ~1.5 GB/s);\n"
                 "only SDF-1slice drops to Huawei levels.\n");
-    bench::GlobalObs().AddMeta("experiment", "fig12_request_sizes");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "fig12_request_sizes");
+    return obs::GlobalObs().Export();
 }

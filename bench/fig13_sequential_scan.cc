@@ -16,8 +16,8 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
-    using bench::DeviceKind;
+    obs::GlobalObs().ParseAndStrip(argc, argv);
+    using testbed::Backend;
     bench::PrintPreamble("Figure 13 — sequential scans vs slice count",
                          "Figure 13 (6 threads per slice)");
 
@@ -26,11 +26,10 @@ main(int argc, char **argv)
 
     for (uint32_t slices : {1u, 2u, 4u, 8u, 16u, 32u}) {
         std::vector<std::string> row{util::TablePrinter::Int(slices)};
-        for (DeviceKind kind : {DeviceKind::kBaiduSdf,
-                                DeviceKind::kHuaweiGen3,
-                                DeviceKind::kIntel320}) {
-            const double scale = kind == DeviceKind::kIntel320 ? 0.3 : 0.08;
-            bench::KvTestbed bed(kind, slices, slices, scale);
+        for (Backend kind : {Backend::kBaiduSdf, Backend::kHuaweiGen3,
+                             Backend::kIntel320}) {
+            const double scale = kind == Backend::kIntel320 ? 0.3 : 0.08;
+            testbed::KvTestbed bed(kind, slices, slices, scale);
             bed.Preload(160 * util::kMiB, 512 * util::kKiB);
             workload::KvRunConfig run;
             run.warmup = util::SecToNs(1.0);
@@ -47,6 +46,6 @@ main(int argc, char **argv)
     std::printf("Paper: SDF scales to a ~1.4 GB/s peak at 16 slices; Huawei\n"
                 "~650-700 MB/s flat (slightly worse at 32); Intel ~220 MB/s\n"
                 "constant.\n");
-    bench::GlobalObs().AddMeta("experiment", "fig13_sequential_scan");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "fig13_sequential_scan");
+    return obs::GlobalObs().Export();
 }

@@ -21,8 +21,8 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
-    using bench::DeviceKind;
+    obs::GlobalObs().ParseAndStrip(argc, argv);
+    using testbed::Backend;
     bench::PrintPreamble("Figure 14 — KV writes with compaction",
                          "Figure 14 (values 100 KB - 1 MB, unbatched)");
 
@@ -33,11 +33,10 @@ main(int argc, char **argv)
 
     for (uint32_t slices : {1u, 2u, 4u, 8u, 16u, 32u}) {
         std::vector<std::string> row{util::TablePrinter::Int(slices)};
-        for (DeviceKind kind :
-             {DeviceKind::kBaiduSdf, DeviceKind::kHuaweiGen3}) {
+        for (Backend kind : {Backend::kBaiduSdf, Backend::kHuaweiGen3}) {
             kv::SliceConfig scfg;
             scfg.compaction_trigger = 4;
-            bench::KvTestbed bed(kind, slices, slices, 0.10, scfg);
+            testbed::KvTestbed bed(kind, slices, slices, 0.10, scfg);
             workload::KvRunConfig run;
             run.warmup = util::SecToNs(1.0);
             run.duration = util::SecToNs(6.0);
@@ -59,6 +58,6 @@ main(int argc, char **argv)
                 "(compaction) share shrinks from 16 to 32 slices as client\n"
                 "writes take priority. Huawei is high at 1-2 slices but\n"
                 "flat after, with compaction share < 15 %% at 32 slices.\n");
-    bench::GlobalObs().AddMeta("experiment", "fig14_write_compaction");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "fig14_write_compaction");
+    return obs::GlobalObs().Export();
 }

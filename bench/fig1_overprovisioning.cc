@@ -23,7 +23,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble(
         "Figure 1 — random-write throughput vs over-provisioning",
         "Figure 1 (Intel 320, 4 KB random writes)");
@@ -49,7 +49,7 @@ main(int argc, char **argv)
 
         sim::Simulator sim;
 
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, cfg);
         host::IoStack stack(sim, host::KernelIoStackSpec());
         device.PreconditionFillRandom(1.0);
@@ -76,6 +76,6 @@ main(int argc, char **argv)
     table.Print();
     std::printf("Paper: ~2 (0%%), ~8 (7%%), ~9.7 (25%%), ~11.5 (50%%) MB/s;\n"
                 "25%% OP improves ~21%% over 7%%, and >400%% over 0%%.\n");
-    bench::GlobalObs().AddMeta("experiment", "fig1_overprovisioning");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "fig1_overprovisioning");
+    return obs::GlobalObs().Export();
 }

@@ -14,7 +14,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Figure 7 — throughput vs active channel count",
                          "Figure 7(a) reads, 7(b) writes");
 
@@ -27,21 +27,21 @@ main(int argc, char **argv)
         double read_mbps = 0, write_mbps = 0;
         {
             sim::Simulator sim;
-            bench::BindObs(sim);
+            obs::BindObs(sim);
             core::SdfDevice device(sim, core::BaiduSdfConfig(0.04));
             host::IoStack stack(sim, host::SdfUserStackSpec());
             workload::PreconditionSdf(device);
             workload::RawRunConfig run;
             run.warmup = util::SecToNs(1.0);
             run.duration = util::SecToNs(5.0);
-            read_mbps = workload::RunSdfSequentialReads(sim, device, stack,
-                                                        channels,
-                                                        8 * util::kMiB, run)
+            read_mbps = workload::RunSdfReads(
+                            sim, device, stack, channels, 8 * util::kMiB,
+                            workload::Pattern::kSequential, run)
                             .mbps;
         }
         {
             sim::Simulator sim;
-            bench::BindObs(sim);
+            obs::BindObs(sim);
             core::SdfDevice device(sim, core::BaiduSdfConfig(0.04));
             host::IoStack stack(sim, host::SdfUserStackSpec());
             workload::PreconditionSdf(device);
@@ -61,6 +61,6 @@ main(int argc, char **argv)
     table.Print();
     std::printf("Paper: linear scaling; reads saturate PCIe (~1.59 GB/s)\n"
                 "near 44 channels, writes scale to ~0.96 GB/s.\n");
-    bench::GlobalObs().AddMeta("experiment", "fig7_channel_scaling");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "fig7_channel_scaling");
+    return obs::GlobalObs().Export();
 }

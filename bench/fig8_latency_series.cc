@@ -37,7 +37,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Figure 8 — write latency predictability",
                          "Figure 8 (200 writes, devices almost full)");
 
@@ -53,7 +53,7 @@ main(int argc, char **argv)
     util::LatencyRecorder huawei8(true);
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, ssd::HuaweiGen3Config(0.04));
         host::IoStack stack(sim, host::KernelIoStackSpec());
         device.PreconditionFillRandom(1.0);
@@ -67,7 +67,7 @@ main(int argc, char **argv)
     util::LatencyRecorder huawei352(true);
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, ssd::HuaweiGen3Config(0.04));
         host::IoStack stack(sim, host::KernelIoStackSpec());
         device.PreconditionFillRandom(1.0);
@@ -84,7 +84,7 @@ main(int argc, char **argv)
     util::LatencyRecorder sdf8(true);
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         core::SdfDevice device(sim, core::BaiduSdfConfig(0.04));
         host::IoStack stack(sim, host::SdfUserStackSpec());
         workload::PreconditionSdf(device);
@@ -113,6 +113,6 @@ main(int argc, char **argv)
     std::printf("\nPaper: Huawei 8 MB varies 7-650 ms (avg 73 ms); Huawei\n"
                 "352 MB has stddev ~25%% of a 2.94 s mean; SDF is flat at\n"
                 "~383 ms with little variation.\n");
-    bench::GlobalObs().AddMeta("experiment", "fig8_latency_series");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "fig8_latency_series");
+    return obs::GlobalObs().Export();
 }

@@ -81,7 +81,7 @@ RunOnce(const std::string &label, double rate, double storm,
         bool breaker)
 {
     sim::Simulator sim;
-    bench::BindObs(sim);
+    obs::BindObs(sim);
     cluster::Cluster cl(sim, MakeConfig(breaker));
     const auto keys = cl.Preload(kPreloadKeys, kValueBytes);
     SDF_CHECK_MSG(keys.size() == kPreloadKeys, "cluster preload failed");
@@ -121,7 +121,7 @@ RunOnce(const std::string &label, double rate, double storm,
 
     // Each configuration gets its own labelled series segment, so a
     // --stats-series export shows every run's storm timeline separately.
-    bench::GlobalObs().StartSeries(sim, label, dur);
+    obs::GlobalObs().StartSeries(sim, label, dur);
 
     RunOutcome out;
     out.r = workload::RunYcsb(sim, client.Service(), keys, cfg);
@@ -136,7 +136,7 @@ RunOnce(const std::string &label, double rate, double storm,
 }
 
 int
-RunStormSweep(bench::ObsCli &obs)
+RunStormSweep(obs::ObsCli &obs)
 {
     std::printf("-- phase A: storm sweep (4 nodes, R=2, open loop, "
                 "2x storm mid-run) --\n");
@@ -201,7 +201,7 @@ RunStormSweep(bench::ObsCli &obs)
 }
 
 int
-RunFailSlow(bench::ObsCli &obs)
+RunFailSlow(obs::ObsCli &obs)
 {
     std::printf("-- phase B: one fail-slow node (6x slower, middle half "
                 "of the run) --\n");
@@ -272,7 +272,7 @@ RunFailSlow(bench::ObsCli &obs)
 int
 main(int argc, char **argv)
 {
-    sdf::bench::ObsCli &obs = sdf::bench::GlobalObs();
+    sdf::obs::ObsCli &obs = sdf::obs::GlobalObs();
     obs.ParseAndStrip(argc, argv);
     sdf::bench::PrintPreamble("overload control + fail-slow tolerance",
                               "open-loop serving model of §2");

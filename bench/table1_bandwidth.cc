@@ -43,7 +43,7 @@ RunDevice(util::TablePrinter &table, const DeviceRow &row)
     double read_mbps = 0;
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, row.config);
         host::IoStack stack(sim, host::KernelIoStackSpec());
         device.PreconditionFill(0.95);
@@ -60,7 +60,7 @@ RunDevice(util::TablePrinter &table, const DeviceRow &row)
         // active, then sequential writes in erase-block units (the
         // paper's measurement procedure).
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, row.config);
         host::IoStack stack(sim, host::KernelIoStackSpec());
         device.PreconditionFillRandom(row.precondition_fraction);
@@ -102,7 +102,7 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Table 1 — commodity SSD raw vs measured bandwidth",
                          "Table 1 (measured R 73-81 %, W 41-51 % of raw)");
 
@@ -125,6 +125,6 @@ main(int argc, char **argv)
 
     table.Print();
     std::printf("Paper: low 219/153, mid 1200/460, high 1300/620 MB/s.\n");
-    bench::GlobalObs().AddMeta("experiment", "table1_bandwidth");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "table1_bandwidth");
+    return obs::GlobalObs().Export();
 }

@@ -26,7 +26,7 @@ RunSdfRow()
     for (uint64_t req :
          {8 * util::kKiB, 16 * util::kKiB, 64 * util::kKiB, 8 * util::kMiB}) {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         core::SdfDevice device(sim, core::BaiduSdfConfig(kScale));
         host::IoStack stack(sim, host::SdfUserStackSpec());
         workload::PreconditionSdf(device);
@@ -36,13 +36,13 @@ RunSdfRow()
         run.warmup = req >= util::kMiB ? util::SecToNs(1.5) : util::MsToNs(150);
         run.duration = req >= util::kMiB ? util::SecToNs(10.0)
                                          : util::MsToNs(600);
-        row.push_back(workload::RunSdfRandomReads(sim, device, stack, 44, req,
-                                                  run)
+        row.push_back(workload::RunSdfReads(sim, device, stack, 44, req,
+                                            workload::Pattern::kRandom, run)
                           .mbps);
     }
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         core::SdfDevice device(sim, core::BaiduSdfConfig(kScale));
         host::IoStack stack(sim, host::SdfUserStackSpec());
         workload::PreconditionSdf(device);
@@ -61,7 +61,7 @@ RunConvRow(const ssd::ConventionalSsdConfig &cfg)
     for (uint64_t req :
          {8 * util::kKiB, 16 * util::kKiB, 64 * util::kKiB, 8 * util::kMiB}) {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, cfg);
         host::IoStack stack(sim, host::KernelIoStackSpec());
         device.PreconditionFill(0.95);
@@ -74,7 +74,7 @@ RunConvRow(const ssd::ConventionalSsdConfig &cfg)
     }
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         ssd::ConventionalSsd device(sim, cfg);
         host::IoStack stack(sim, host::KernelIoStackSpec());
         workload::RawRunConfig run;
@@ -107,14 +107,14 @@ int
 main(int argc, char **argv)
 {
     using namespace sdf;
-    bench::GlobalObs().ParseAndStrip(argc, argv);
+    obs::GlobalObs().ParseAndStrip(argc, argv);
     bench::PrintPreamble("Table 4 — throughput by request size",
                          "Table 4 + §3.2 architectural limits");
 
     // Architectural context (§3.2).
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         core::SdfDevice device(sim, core::BaiduSdfConfig(kScale));
         std::printf("PCIe 1.1 x8 effective: 1.61 GB/s read, 1.40 GB/s write\n");
         std::printf("SDF raw flash: %.2f GB/s read, %.2f GB/s write\n\n",
@@ -135,7 +135,7 @@ main(int argc, char **argv)
     // §2.3/§3.2: erase bandwidth — all channels erasing in parallel.
     {
         sim::Simulator sim;
-        bench::BindObs(sim);
+        obs::BindObs(sim);
         core::SdfDevice device(sim, core::BaiduSdfConfig(kScale));
         workload::PreconditionSdf(device);
         int done = 0;
@@ -153,6 +153,6 @@ main(int argc, char **argv)
                     "(paper: ~40 GB/s; %d x 8 MB units)\n",
                     util::BandwidthMBps(bytes, sim.Now()) / 1000.0, done);
     }
-    bench::GlobalObs().AddMeta("experiment", "table4_microbench");
-    return bench::GlobalObs().Export();
+    obs::GlobalObs().AddMeta("experiment", "table4_microbench");
+    return obs::GlobalObs().Export();
 }

@@ -67,7 +67,7 @@ RunProfile(const std::string &profile, double rate, util::TimeNs dur,
            uint64_t seed)
 {
     sim::Simulator sim;
-    bench::BindObs(sim);
+    obs::BindObs(sim);
     cluster::Cluster cl(sim, MakeConfig());
     const auto keys = cl.Preload(kPreloadKeys, kValueBytes);
     SDF_CHECK_MSG(keys.size() == kPreloadKeys, "cluster preload failed");
@@ -91,7 +91,7 @@ RunProfile(const std::string &profile, double rate, util::TimeNs dur,
     base.on_phase_start = [&sim, &profile](size_t,
                                            const workload::YcsbPhase &p,
                                            util::TimeNs, util::TimeNs d) {
-        bench::GlobalObs().StartSeries(
+        obs::GlobalObs().StartSeries(
             sim, "ycsb." + profile + "." + p.name, d);
     };
     const workload::YcsbConfig cfg = workload::YcsbProfile(profile, base);
@@ -103,7 +103,7 @@ RunProfile(const std::string &profile, double rate, util::TimeNs dur,
 }
 
 int
-RunProfileSweep(bench::ObsCli &obs)
+RunProfileSweep(obs::ObsCli &obs)
 {
     std::printf("-- phase A: YCSB profile sweep (4 nodes, R=2, Zipfian "
                 "theta 0.99, 4 KiB values) --\n");
@@ -150,7 +150,7 @@ RunProfileSweep(bench::ObsCli &obs)
 }
 
 int
-RunStorm(bench::ObsCli &obs)
+RunStorm(obs::ObsCli &obs)
 {
     std::printf("-- phase B: flash crowd (3x arrivals on a hot 5%% range, "
                 "middle fifth of the run) --\n");
@@ -195,7 +195,7 @@ RunStorm(bench::ObsCli &obs)
 }
 
 int
-RunDiurnal(bench::ObsCli &obs)
+RunDiurnal(obs::ObsCli &obs)
 {
     std::printf("-- phase C: diurnal ramp (0.5x/1x/2x/1x, write-heavy "
                 "evening) --\n");
@@ -244,7 +244,7 @@ RunDiurnal(bench::ObsCli &obs)
 int
 main(int argc, char **argv)
 {
-    sdf::bench::ObsCli &obs = sdf::bench::GlobalObs();
+    sdf::obs::ObsCli &obs = sdf::obs::GlobalObs();
     obs.ParseAndStrip(argc, argv);
     sdf::bench::PrintPreamble("YCSB workload suite",
                               "skewed, phased web-scale traffic of §2");

@@ -185,10 +185,12 @@ fault_smoke() {
     local build="$1"
     # The robustness headline on a 3-node R=3 cluster: exit 1 on any lost
     # key or unfinished request.
-    "$build/bench/fault_campaign" > "$obs_tmp/fc.txt"
+    local headline=(--workload=faults --duration=0.4 --keys=800 --slices=4
+                    --scale=0.02)
+    "$build/tools/sdfsim" "${headline[@]}" > "$obs_tmp/fc.txt"
     # A printed plan replays to the random-plan run's fingerprint.
-    "$build/bench/fault_campaign" --print-plan > "$obs_tmp/fc.plan"
-    "$build/bench/fault_campaign" --plan="$obs_tmp/fc.plan" \
+    "$build/tools/sdfsim" "${headline[@]}" --print-plan > "$obs_tmp/fc.plan"
+    "$build/tools/sdfsim" "${headline[@]}" --fault-plan="$obs_tmp/fc.plan" \
         > "$obs_tmp/fc-replay.txt"
     grep '^fingerprint:' "$obs_tmp/fc.txt" > "$obs_tmp/fc.fp"
     grep '^fingerprint:' "$obs_tmp/fc-replay.txt" > "$obs_tmp/fc-replay.fp"
@@ -225,12 +227,18 @@ ycsb --keys=0
 ycsb --arrival-rate=0
 ycsb --scan-limit=0
 faults --replicas=0
+faults --replicas=-1
+faults --faults=-1
+faults --keys=12abc
+faults --fault-plan=/nonexistent
 faults --duration=0
 cluster --slices=0
 kvread --slices=0
 seqread --channels=0
 seqread --channels=45
 randread --request=0
+randread --request=8kb
+randread --request=8kk
 randread --device=huawei --qd=0
 kvread --batch=0
 overload --window=0

@@ -404,10 +404,9 @@ KvClient::LaunchHedge(const std::shared_ptr<GetOp> &op)
     if (op->span) op->span->Enter(obs::Stage::kHedgeWait, sim_.Now());
     kv::OpContext ctx;
     ctx.deadline = op->deadline;
-    // The duplicate shares the parent's trace id (and names it as parent)
-    // but carries no span: the parent owns the one timeline.
+    // The duplicate shares the parent's trace id but carries no span: the
+    // parent owns the one timeline.
     ctx.trace.trace_id = op->trace.trace_id;
-    ctx.trace.parent_span = op->trace.trace_id;
     const TimeNs t_hedge = sim_.Now();
     router_.GetAt(target, op->key, ctx,
                   [this, op, t_hedge](const kv::GetResult &res) {

@@ -6,6 +6,17 @@
 
 namespace sdf::controller {
 
+namespace {
+
+/** Second level (Virtex-5): fire when this many group batches pend. */
+constexpr uint32_t kGlobalMergeCount = 2;
+/** ... or when the oldest pending batch is this old. */
+constexpr TimeNs kGlobalMergeWindow = util::UsToNs(15);
+/** Host CPU time consumed by one interrupt (handler + wakeup). */
+constexpr TimeNs kCpuCostPerInterrupt = util::UsToNs(6);
+
+}  // namespace
+
 InterruptCoalescer::InterruptCoalescer(sim::Simulator &sim,
                                        const InterruptConfig &config,
                                        uint32_t channel_count)
@@ -24,7 +35,7 @@ InterruptCoalescer::OnCompletion(uint32_t channel, sim::Callback deliver)
     ++completions_;
     if (!config_.coalesce) {
         ++interrupts_;
-        cpu_time_ += config_.cpu_cost_per_interrupt;
+        cpu_time_ += kCpuCostPerInterrupt;
         if (deliver) deliver();
         return;
     }
@@ -60,14 +71,14 @@ InterruptCoalescer::Fire(uint32_t group_idx)
     group.pending.clear();
     ++global_batches_;
 
-    if (global_batches_ >= config_.global_merge_count) {
+    if (global_batches_ >= kGlobalMergeCount) {
         if (global_timer_ != sim::kInvalidEvent) {
             sim_.Cancel(global_timer_);
             global_timer_ = sim::kInvalidEvent;
         }
         GlobalFire();
     } else if (global_timer_ == sim::kInvalidEvent) {
-        global_timer_ = sim_.Schedule(config_.global_merge_window, [this]() {
+        global_timer_ = sim_.Schedule(kGlobalMergeWindow, [this]() {
             global_timer_ = sim::kInvalidEvent;
             GlobalFire();
         });
@@ -83,7 +94,7 @@ InterruptCoalescer::GlobalFire()
     // host ISR walks the merged completion queue in one pass.
     if (global_pending_.empty()) return;
     ++interrupts_;
-    cpu_time_ += config_.cpu_cost_per_interrupt;
+    cpu_time_ += kCpuCostPerInterrupt;
     global_batches_ = 0;
     sim_.Post([batch = std::move(global_pending_)]() {
         for (const auto &cb : batch) {

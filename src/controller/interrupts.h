@@ -31,12 +31,6 @@ struct InterruptConfig
     uint32_t merge_count = 4;
     /** ... or when the oldest pending completion is this old. */
     TimeNs merge_window = util::UsToNs(20);
-    /** Second level (Virtex-5): fire when this many group batches pend. */
-    uint32_t global_merge_count = 2;
-    /** ... or when the oldest pending batch is this old. */
-    TimeNs global_merge_window = util::UsToNs(15);
-    /** Host CPU time consumed by one interrupt (handler + wakeup). */
-    TimeNs cpu_cost_per_interrupt = util::UsToNs(6);
 };
 
 /**

@@ -26,6 +26,16 @@ FaultKindName(FaultKind k)
 
 namespace {
 
+/** Relative weights per kind Random() draws (stall, corrupt, crc, rber);
+ *  FaultPlanSpec::weight_death sets the death weight between them. */
+constexpr double kWeightStall = 3.0;
+constexpr double kWeightCorrupt = 4.0;
+constexpr double kWeightCrc = 2.0;
+constexpr double kWeightRber = 4.0;
+constexpr TimeNs kCrcWindowMax = util::UsToNs(5000);
+constexpr double kCrcProbMax = 0.5;
+constexpr double kRberFactorMax = 100.0;
+
 bool
 KindFromName(const std::string &name, FaultKind *out)
 {
@@ -65,9 +75,8 @@ FaultPlan::Random(const FaultPlanSpec &spec, uint64_t seed)
     std::vector<FaultEvent> events;
     events.reserve(spec.fault_count);
 
-    const double weights[] = {spec.weight_stall, spec.weight_death,
-                              spec.weight_corrupt, spec.weight_crc,
-                              spec.weight_rber, spec.weight_failslow};
+    const double weights[] = {kWeightStall, spec.weight_death,
+                              kWeightCorrupt, kWeightCrc, kWeightRber};
     double total_weight = 0;
     for (double w : weights) total_weight += w;
     SDF_CHECK_MSG(total_weight > 0, "all fault weights zero");
@@ -82,7 +91,7 @@ FaultPlan::Random(const FaultPlanSpec &spec, uint64_t seed)
 
         double pick = rng.NextDouble() * total_weight;
         int kind = 0;
-        while (kind < 5 && pick >= weights[kind]) pick -= weights[kind++];
+        while (kind < 4 && pick >= weights[kind]) pick -= weights[kind++];
         if (kind == 1 && deaths >= spec.max_deaths) kind = 0;  // Demote.
 
         switch (kind) {
@@ -107,27 +116,17 @@ FaultPlan::Random(const FaultPlanSpec &spec, uint64_t seed)
                 e.kind = FaultKind::kLinkCrcWindow;
                 e.duration =
                     1 + static_cast<TimeNs>(rng.NextBelow(
-                            static_cast<uint64_t>(spec.crc_window_max)));
-                e.magnitude = rng.NextDouble() * spec.crc_prob_max;
+                            static_cast<uint64_t>(kCrcWindowMax)));
+                e.magnitude = rng.NextDouble() * kCrcProbMax;
                 break;
             case 4:
                 e.kind = FaultKind::kRberElevation;
                 e.plane = static_cast<uint32_t>(rng.NextBelow(spec.planes));
                 e.block = static_cast<uint32_t>(
                     rng.NextBelow(spec.blocks_per_plane));
-                // Factor in [2, rber_factor_max]: always a real elevation.
+                // Factor in [2, kRberFactorMax]: always a real elevation.
                 e.magnitude =
-                    2.0 + rng.NextDouble() * (spec.rber_factor_max - 2.0);
-                break;
-            default:
-                e.kind = FaultKind::kFailSlow;
-                e.channel = 0;  // Node-level fault; channel is meaningless.
-                e.duration =
-                    1 + static_cast<TimeNs>(rng.NextBelow(
-                            static_cast<uint64_t>(spec.fail_slow_max)));
-                // Factor in [2, fail_slow_factor_max]: always a real slowdown.
-                e.magnitude =
-                    2.0 + rng.NextDouble() * (spec.fail_slow_factor_max - 2.0);
+                    2.0 + rng.NextDouble() * (kRberFactorMax - 2.0);
                 break;
         }
         events.push_back(e);

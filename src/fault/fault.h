@@ -84,26 +84,12 @@ struct FaultPlanSpec
     uint32_t planes = 4;
     uint32_t blocks_per_plane = 16;
     uint32_t pages_per_block = 256;
-    /** Relative weights per kind (stall, death, corrupt, crc, rber,
-     *  failslow). Fail-slow defaults to 0 so plans without a sink — and
-     *  pre-existing seeded campaigns — are unchanged. */
-    double weight_stall = 3.0;
+    /** Relative weight of channel deaths; the other NAND kinds' weights
+     *  are constants in fault.cc. Random() draws no kFailSlow events. */
     double weight_death = 0.5;
-    double weight_corrupt = 4.0;
-    double weight_crc = 2.0;
-    double weight_rber = 4.0;
-    double weight_failslow = 0.0;
     /** At most this many channel deaths total (keep the system alive). */
     uint32_t max_deaths = 2;
     TimeNs stall_max = util::UsToNs(2000);
-    TimeNs crc_window_max = util::UsToNs(5000);
-    double crc_prob_max = 0.5;
-    double rber_factor_max = 100.0;
-    /** kFailSlow windows: duration in (0, fail_slow_max], factor in
-     *  [2, fail_slow_factor_max]. `device` is rolled below `devices`
-     *  and names a storage node. */
-    TimeNs fail_slow_max = util::MsToNs(50);
-    double fail_slow_factor_max = 8.0;
 };
 
 /** A deterministic, replayable schedule of faults, sorted by time. */

@@ -122,9 +122,6 @@ class BlockPatchStorage : public PatchStorage
     host::IoStack *stack_;
 };
 
-/** Historical name from when the block layer only ran on SDF. */
-using SdfPatchStorage = BlockPatchStorage;
-
 /**
  * Patches on a conventional SSD: a trivial extent allocator over the
  * device's flat logical space. Deleted extents are reused by overwriting

@@ -9,6 +9,17 @@
 
 namespace sdf::kv {
 
+namespace {
+
+/** Concurrent patch reads/writes during one compaction. */
+constexpr uint32_t kCompactionIoConcurrency = 2;
+/** Host CPU cost of merge-sorting one byte. */
+constexpr double kMergeCpuPerByteNs = 0.25;
+/** Latency of the write-ahead log append (separate log device). */
+constexpr TimeNs kLogLatency = util::UsToNs(100);
+
+}  // namespace
+
 Slice::Slice(sim::Simulator &sim, PatchStorage &storage, IdAllocator &ids,
              const SliceConfig &config, SliceJournal *journal)
     : sim_(sim),
@@ -94,41 +105,17 @@ Slice::Detach()
 }
 
 void
-Slice::CollectLive(std::map<uint64_t, uint32_t> &out) const
-{
-    // Oldest layer first so newer versions overwrite: index (newest seq
-    // already won there), then the flushing memtable, then the live one.
-    for (const auto &[key, e] : index_) {
-        if (e.tombstone) continue;
-        out[key] = e.value_size;
-    }
-    for (const auto &[key, i] : imm_index_) {
-        const KvItem &item = imm_items_[i];
-        if (item.tombstone) {
-            out.erase(key);
-        } else {
-            out[key] = item.value_size;
-        }
-    }
-    mem_.ForEachNewest([&out](const KvItem &item) {
-        if (item.tombstone) {
-            out.erase(item.key);
-        } else {
-            out[item.key] = item.value_size;
-        }
-    });
-}
-
-void
 Slice::CollectRange(uint64_t start_key, size_t limit,
                     std::map<uint64_t, uint32_t> &out,
                     const std::function<bool(uint64_t)> *filter) const
 {
-    // Same oldest-layer-first merge as CollectLive, bounded below by
-    // start_key. Tombstone erases run unfiltered (erasing an absent key is
-    // a no-op); inserts honor the ownership filter. The trim runs only
-    // after all three layers merged — a memtable tombstone may erase an
-    // indexed key inside the window, pulling a larger key back in.
+    // Oldest layer first so newer versions overwrite: index (newest seq
+    // already won there), then the flushing memtable, then the live one,
+    // bounded below by start_key. Tombstone erases run unfiltered
+    // (erasing an absent key is a no-op); inserts honor the ownership
+    // filter. The trim runs only after all three layers merged — a
+    // memtable tombstone may erase an indexed key inside the window,
+    // pulling a larger key back in.
     auto add = [&](uint64_t key, uint32_t value_size) {
         if (key < start_key) return;
         if (filter && *filter && !(*filter)(key)) return;
@@ -267,7 +254,7 @@ Slice::AddPut(KvItem item, PutCallback done)
     }
     mem_.Add(std::move(item));
     // Acknowledge after the write-ahead log append (separate log device).
-    sim_.Schedule(config_.log_latency, [done = std::move(done)]() {
+    sim_.Schedule(kLogLatency, [done = std::move(done)]() {
         if (done) done(true);
     });
 }
@@ -516,7 +503,7 @@ void
 Slice::CompactionReadNext()
 {
     if (detached_) return;
-    while (compaction_io_inflight_ < config_.compaction_io_concurrency &&
+    while (compaction_io_inflight_ < kCompactionIoConcurrency &&
            compaction_read_next_ < compaction_inputs_.size()) {
         const size_t i = compaction_read_next_++;
         ++compaction_io_inflight_;
@@ -603,7 +590,7 @@ Slice::CompactionMergeAndWrite()
 
     // Merge-sort CPU cost before the writes begin.
     const auto merge_cost = static_cast<TimeNs>(
-        config_.merge_cpu_per_byte_ns * static_cast<double>(total_bytes));
+        kMergeCpuPerByteNs * static_cast<double>(total_bytes));
     sim_.Schedule(merge_cost, [this]() { CompactionWriteNext(); });
 }
 
@@ -619,7 +606,7 @@ Slice::CompactionWriteNext()
         FinishCompaction();
         return;
     }
-    while (compaction_io_inflight_ < config_.compaction_io_concurrency &&
+    while (compaction_io_inflight_ < kCompactionIoConcurrency &&
            compaction_write_next_ < compaction_outputs_.size()) {
         const size_t i = compaction_write_next_++;
         ++compaction_io_inflight_;

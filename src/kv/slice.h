@@ -44,12 +44,6 @@ struct SliceConfig
     uint32_t compaction_trigger = 4;
     /** Levels; the last level grows unboundedly. */
     uint32_t max_levels = 4;
-    /** Concurrent patch reads/writes during one compaction. */
-    uint32_t compaction_io_concurrency = 2;
-    /** Host CPU cost of merge-sorting one byte. */
-    double merge_cpu_per_byte_ns = 0.25;
-    /** Latency of the write-ahead log append (separate log device). */
-    TimeNs log_latency = util::UsToNs(100);
     /** Keep real payloads end-to-end (integrity tests). */
     bool store_payloads = false;
 };
@@ -133,20 +127,15 @@ class Slice
     void Detach();
 
     /**
-     * Merge this slice's live keys (newest version wins, tombstones
-     * excluded) into @p out as key -> value_size. Drives rebalancing and
-     * anti-entropy; metadata-only, so it charges no device reads.
-     */
-    void CollectLive(std::map<uint64_t, uint32_t> &out) const;
-
-    /**
-     * Range-bounded CollectLive for scans: merge live keys >= @p start_key
-     * into @p out, then trim @p out to its @p limit smallest keys. @p out
-     * may already hold other slices' results — the trim bounds the union.
-     * An optional @p filter (ownership predicate shipped in a scan RPC)
-     * drops keys before they count against the limit. Metadata-only: the
-     * DRAM index answers range queries without device reads; the value
-     * reads are charged separately via ReadValue.
+     * Merge this slice's live keys >= @p start_key (newest version wins,
+     * tombstones excluded) into @p out as key -> value_size, then trim
+     * @p out to its @p limit smallest keys. @p out may already hold other
+     * slices' results — the trim bounds the union. An optional @p filter
+     * (ownership predicate shipped in a scan RPC) drops keys before they
+     * count against the limit. Drives scans, rebalancing and
+     * anti-entropy. Metadata-only: the DRAM index answers range queries
+     * without device reads; the value reads are charged separately via
+     * ReadValue.
      */
     void CollectRange(uint64_t start_key, size_t limit,
                       std::map<uint64_t, uint32_t> &out,
@@ -164,8 +153,6 @@ class Slice
     /** Size of the patches this slice writes (the 8 MB unit). */
     uint64_t patch_bytes() const { return storage_.patch_bytes(); }
 
-    bool compaction_active() const { return compaction_active_; }
-    bool flush_active() const { return flush_active_; }
     const SliceStats &stats() const { return stats_; }
     size_t patch_count() const;
     uint64_t total_indexed_keys() const { return index_.size(); }

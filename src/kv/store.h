@@ -96,7 +96,7 @@ class Store
     void
     CollectLive(std::map<uint64_t, uint32_t> &out) const
     {
-        for (const auto &s : slices_) s->CollectLive(out);
+        for (const auto &s : slices_) s->CollectRange(0, SIZE_MAX, out);
     }
 
   private:

@@ -41,14 +41,6 @@ struct KvItem
     }
 };
 
-/** Where a record lives on storage. */
-struct ItemLocation
-{
-    uint64_t patch_id = 0;
-    uint64_t offset = 0;       ///< Byte offset within the patch.
-    uint32_t value_size = 0;
-};
-
 /**
  * Typed disposition of a KV front-door operation. Overload control needs
  * failures to say *why*: a shed request (kOverloaded) tells the client to
@@ -63,8 +55,6 @@ enum class OpStatus : uint8_t
     kDeadlineExceeded,    ///< Deadline or RPC retry budget exhausted.
     kOverloaded,          ///< Shed by admission control (server or client).
 };
-
-const char *OpStatusName(OpStatus s);
 
 /** The more backpressure-actionable of two failure dispositions. */
 inline OpStatus

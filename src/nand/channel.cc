@@ -8,10 +8,18 @@
 
 namespace sdf::nand {
 
+namespace {
+
+/** Additional correction budget gained per read-retry level (retry
+ *  voltage shifts recover margin). */
+constexpr uint32_t kRetryExtraBits = 10;
+
+}  // namespace
+
 Channel::Channel(sim::Simulator &sim, const Geometry &geo,
                  const TimingSpec &timing, const ErrorModel &errors,
                  util::Rng rng, bool store_payloads,
-                 uint32_t ecc_correctable_bits, uint32_t retry_extra_bits)
+                 uint32_t ecc_correctable_bits)
     : sim_(sim),
       geo_(geo),
       timing_(timing),
@@ -19,7 +27,6 @@ Channel::Channel(sim::Simulator &sim, const Geometry &geo,
       rng_(rng),
       store_payloads_(store_payloads),
       ecc_correctable_bits_(ecc_correctable_bits),
-      retry_extra_bits_(retry_extra_bits),
       bus_(sim),
       plane_senses_(geo.PlanesPerChannel(), 0),
       blocks_(geo.BlocksPerChannel())
@@ -178,7 +185,7 @@ Channel::ReadPage(const PageAddr &addr, OpCallback done,
         // Each retry level re-senses with shifted read voltages, buying
         // extra correction margin; latent corruption defeats all levels.
         const uint32_t budget =
-            ecc_correctable_bits_ + retry_level * retry_extra_bits_;
+            ecc_correctable_bits_ + retry_level * kRetryExtraBits;
         const uint32_t errs = errors_.SampleBitErrors(
             rng_, geo_.page_size, meta.erase_count, meta.rber_boost);
         const bool corrupted =
@@ -369,14 +376,6 @@ Channel::Busy() const
     for (const auto &p : planes_)
         if (p->Busy()) return true;
     return false;
-}
-
-util::TimeNs
-Channel::DrainTime() const
-{
-    util::TimeNs t = bus_.free_at();
-    for (const auto &p : planes_) t = std::max(t, p->free_at());
-    return t;
 }
 
 }  // namespace sdf::nand

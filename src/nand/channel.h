@@ -98,12 +98,10 @@ class Channel
      *     and returned by reads (needed for data-integrity tests; benches
      *     run timing-only with this off).
      * @param ecc_correctable_bits BCH correction budget per page.
-     * @param retry_extra_bits Additional correction budget gained per
-     *     read-retry level (retry voltage shifts recover margin).
      */
     Channel(sim::Simulator &sim, const Geometry &geo, const TimingSpec &timing,
             const ErrorModel &errors, util::Rng rng, bool store_payloads,
-            uint32_t ecc_correctable_bits, uint32_t retry_extra_bits = 10);
+            uint32_t ecc_correctable_bits);
 
     Channel(const Channel &) = delete;
     Channel &operator=(const Channel &) = delete;
@@ -114,8 +112,8 @@ class Channel
      *
      * @p retry_level models the controller's read-retry voltage ladder:
      * each level above 0 re-senses the page and widens the effective BCH
-     * correction budget by `retry_extra_bits` (set at construction), at
-     * the cost of another full array read. Level 0 is a normal read.
+     * correction budget by `kRetryExtraBits` (channel.cc), at the cost of
+     * another full array read. Level 0 is a normal read.
      *
      * @p span, when non-null, receives fine-grained stage milestones
      * (queue / flash_op / channel_bus / bch_decode for level 0; the whole
@@ -228,9 +226,6 @@ class Channel
     /** True if any plane or the bus has outstanding work. */
     bool Busy() const;
 
-    /** Earliest time at which the whole channel will be idle. */
-    util::TimeNs DrainTime() const;
-
   private:
     bool ValidBlock(const BlockAddr &a) const;
     bool ValidPage(const PageAddr &a) const;
@@ -258,7 +253,6 @@ class Channel
     util::Rng rng_;
     bool store_payloads_;
     uint32_t ecc_correctable_bits_;
-    uint32_t retry_extra_bits_;
 
     sim::FifoResource bus_;
     std::vector<std::unique_ptr<sim::FifoResource>> planes_;

@@ -16,8 +16,7 @@ FlashArray::FlashArray(sim::Simulator &sim, const FlashArrayConfig &config)
         channels_.push_back(std::make_unique<Channel>(
             sim, config_.geometry, config_.timing, config_.errors,
             seeder.Fork(), config_.store_payloads,
-            config_.ecc_correctable_bits,
-            config_.retry_extra_correctable_bits));
+            config_.ecc_correctable_bits));
     }
 
     // Factory defect injection: mark a random sprinkle of blocks bad.

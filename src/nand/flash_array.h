@@ -28,8 +28,6 @@ struct FlashArrayConfig
     bool store_payloads = false;
     /** BCH correction budget per page (bits). */
     uint32_t ecc_correctable_bits = 40;
-    /** Extra correction bits gained per read-retry voltage level. */
-    uint32_t retry_extra_correctable_bits = 10;
     /** Expected factory bad blocks per thousand (defect injection). */
     double factory_bad_per_mille = 0.0;
     /** RNG seed for error injection and factory defects. */

@@ -1,7 +1,5 @@
 #include "nand/geometry.h"
 
-#include <cstdio>
-
 #include "util/assert.h"
 
 namespace sdf::nand {
@@ -13,18 +11,6 @@ Geometry::Validate() const
         blocks_per_plane == 0 || pages_per_block == 0 || page_size == 0) {
         SDF_FATAL("flash geometry has a zero dimension");
     }
-}
-
-std::string
-Geometry::Describe() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%u ch x %u die x %u plane x %u blk x %u pg x %s = %s raw",
-                  channels, dies_per_channel, planes_per_die, blocks_per_plane,
-                  pages_per_block, util::FormatBytes(page_size).c_str(),
-                  util::FormatBytes(TotalBytes()).c_str());
-    return buf;
 }
 
 Geometry

@@ -10,7 +10,6 @@
 #define SDF_NAND_GEOMETRY_H
 
 #include <cstdint>
-#include <string>
 
 #include "util/units.h"
 
@@ -42,9 +41,6 @@ struct Geometry
 
     /** Abort with SDF_FATAL if any field is zero or inconsistent. */
     void Validate() const;
-
-    /** Human-readable description for logs and bench headers. */
-    std::string Describe() const;
 };
 
 /** Geometry of the paper's SDF / Huawei Gen3 boards (Table 3): 704 GB raw. */

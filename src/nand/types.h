@@ -78,9 +78,6 @@ IsOk(OpStatus s)
     return s == OpStatus::kOk || s == OpStatus::kOkErased;
 }
 
-/** Printable name for an OpStatus. */
-const char *OpStatusName(OpStatus s);
-
 /** Completion callback for asynchronous NAND operations. */
 using OpCallback = sim::Func<void(OpStatus)>;
 

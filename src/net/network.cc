@@ -15,17 +15,6 @@ constexpr uint64_t kDropReplyBytes = 16;
 
 }  // namespace
 
-const char *
-RpcCodeName(RpcCode code)
-{
-    switch (code) {
-        case RpcCode::kOk: return "ok";
-        case RpcCode::kOverloaded: return "overloaded";
-        case RpcCode::kDeadlineExceeded: return "deadline_exceeded";
-    }
-    return "unknown";
-}
-
 Network::Network(sim::Simulator &sim, const NetworkSpec &spec,
                  uint32_t clients)
     : sim_(sim), spec_(spec), server_nic_(sim), server_cpu_(sim)

@@ -82,8 +82,6 @@ enum class RpcCode : uint8_t
     kDeadlineExceeded,  ///< Deadline passed or the retry budget ran out.
 };
 
-const char *RpcCodeName(RpcCode code);
-
 /**
  * Request/response transport between N clients and one storage server.
  *
@@ -157,7 +155,6 @@ class Network
     {
         service_mult_ = m < 0.0 ? 0.0 : m;
     }
-    double service_time_multiplier() const { return service_mult_; }
 
     /**
      * One-way client -> server message; @p at_server fires when the

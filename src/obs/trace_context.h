@@ -24,8 +24,7 @@ namespace sdf::obs {
 /** Identity of one distributed request; 0 means "not traced". */
 struct TraceContext
 {
-    uint64_t trace_id = 0;     ///< Request identity across all hops.
-    uint64_t parent_span = 0;  ///< Parent op id (hedges: the primary's id).
+    uint64_t trace_id = 0;  ///< Request identity across all hops.
 
     bool valid() const { return trace_id != 0; }
 };

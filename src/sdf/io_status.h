@@ -37,9 +37,6 @@ enum class IoError : uint8_t
     kTimedOut,            ///< Network: no response within the retry budget.
 };
 
-/** Printable name for an IoError. */
-const char *IoErrorName(IoError e);
-
 /**
  * Completion status carried by IoCallback. Implicitly interchangeable
  * with bool for legacy call sites: truthiness means success, and a bare

@@ -17,6 +17,8 @@ namespace {
 
 /** Pages per DMA descriptor on the read path (512 KB with 8 KB pages). */
 constexpr uint32_t kChunkPages = 64;
+/** Channel-engine processing cost per command (FPGA pipeline). */
+constexpr TimeNs kEngineOpCost = util::UsToNs(1);
 
 }  // namespace
 
@@ -345,8 +347,8 @@ SdfDevice::Read(uint32_t channel, uint32_t unit, uint64_t offset,
     if (span != nullptr) span->Enter(obs::Stage::kQueue, sim_.Now());
 
     ChannelEngine &ce = channels_[channel];
-    ce.engine->Submit(config_.engine_op_cost, [this, channel, unit, offset,
-                                               page, pages, state]() {
+    ce.engine->Submit(kEngineOpCost, [this, channel, unit, offset,
+                                      page, pages, state]() {
         const nand::Geometry &geo2 = flash_->geometry();
         const uint64_t block_bytes = geo2.BlockBytes();
         ChannelEngine &ce2 = channels_[channel];
@@ -439,8 +441,8 @@ SdfDevice::WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
 
     if (span != nullptr) span->Enter(obs::Stage::kQueue, sim_.Now());
 
-    ce.engine->Submit(config_.engine_op_cost, [this, channel, unit, data, span,
-                                               done = std::move(done)]() mutable {
+    ce.engine->Submit(kEngineOpCost, [this, channel, unit, data, span,
+                                      done = std::move(done)]() mutable {
         // Stage the whole unit into the on-board DRAM buffers, then program.
         if (span != nullptr) {
             span->Enter(obs::Stage::kLinkTransfer, sim_.Now());
@@ -552,8 +554,8 @@ SdfDevice::EraseUnit(uint32_t channel, uint32_t unit, IoCallback done,
 
     if (span != nullptr) span->Enter(obs::Stage::kQueue, sim_.Now());
 
-    ce.engine->Submit(config_.engine_op_cost, [this, channel, unit, span,
-                                               done = std::move(done)]() mutable {
+    ce.engine->Submit(kEngineOpCost, [this, channel, unit, span,
+                                      done = std::move(done)]() mutable {
         const nand::Geometry &geo = flash_->geometry();
         const uint32_t planes = geo.PlanesPerChannel();
         ChannelEngine &ce2 = channels_[channel];
@@ -646,9 +648,9 @@ SdfDevice::ScanUnit(uint32_t channel, uint32_t unit, double selectivity,
     stats_.read_bytes += matched;
 
     ChannelEngine &ce = channels_[channel];
-    ce.engine->Submit(config_.engine_op_cost, [this, channel, unit, page,
-                                               pages, block_bytes, matched,
-                                               done = std::move(done)]() mutable {
+    ce.engine->Submit(kEngineOpCost, [this, channel, unit, page,
+                                      pages, block_bytes, matched,
+                                      done = std::move(done)]() mutable {
         ChannelEngine &ce2 = channels_[channel];
         auto remaining = std::make_shared<uint32_t>(pages);
         auto ok = std::make_shared<bool>(true);

@@ -57,8 +57,6 @@ struct SdfConfig
     controller::InterruptConfig irq;
     /** Good blocks reserved per plane for bad-block replacement. */
     uint32_t spare_blocks_per_plane = 8;
-    /** Channel-engine processing cost per command (FPGA pipeline). */
-    TimeNs engine_op_cost = util::UsToNs(1);
     /**
      * Read-retry ladder depth: on a BCH-uncorrectable read the engine
      * re-senses the page up to this many times with escalating correction

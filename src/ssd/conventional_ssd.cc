@@ -12,6 +12,9 @@ namespace sdf::ssd {
 
 namespace {
 
+/** Concurrent page migrations per channel during GC. */
+constexpr uint32_t kGcInflightWindow = 8;
+
 /** Flat per-channel block id -> NAND block address. */
 nand::BlockAddr
 FlatToBlockAddr(const nand::Geometry &geo, uint32_t flat)
@@ -140,14 +143,6 @@ ConventionalSsd::TotalFree(uint32_t ch) const
     for (const PlaneState &ps : channels_[ch].planes)
         total += static_cast<uint32_t>(ps.free_pool.FreeCount());
     return total;
-}
-
-bool
-ConventionalSsd::GcActive() const
-{
-    for (const ChannelFtl &cf : channels_)
-        if (cf.gc_active) return true;
-    return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -594,7 +589,7 @@ ConventionalSsd::GcPump(uint32_t ch)
     const nand::Geometry &geo = flash_->geometry();
     const uint32_t ppb = geo.pages_per_block;
 
-    while (cf.gc_inflight < config_.gc_inflight_window &&
+    while (cf.gc_inflight < kGcInflightWindow &&
            !cf.gc_pending.empty()) {
         const uint32_t lpn = cf.gc_pending.back();
         cf.gc_pending.pop_back();

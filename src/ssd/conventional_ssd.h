@@ -91,8 +91,6 @@ struct ConventionalSsdConfig
     /** Stop GC once the free pool recovers to this many blocks. */
     uint32_t gc_high_watermark = 10;
     GcPolicy gc_policy = GcPolicy::kGreedy;
-    /** Concurrent page migrations per channel during GC. */
-    uint32_t gc_inflight_window = 8;
 
     /**
      * Static wear leveling: periodically pick the *coldest* (least-worn)
@@ -188,14 +186,8 @@ class ConventionalSsd
     const ConventionalSsdConfig &config() const { return config_; }
     nand::FlashArray &flash() { return *flash_; }
 
-    /** Pages of user space per channel (for tests). */
-    uint32_t data_lpns_per_channel() const { return data_lpns_per_channel_; }
-
     /** Free blocks currently pooled in @p channel (all planes). */
     uint32_t FreeBlocks(uint32_t channel) const;
-
-    /** True while any channel's GC is running. */
-    bool GcActive() const;
 
     /** Total dirty bytes waiting in the DRAM cache. */
     uint64_t CacheUsed() const { return cache_used_; }

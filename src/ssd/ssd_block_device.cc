@@ -6,18 +6,23 @@
 
 namespace sdf::ssd {
 
-SsdBlockDevice::SsdBlockDevice(sim::Simulator &sim, ConventionalSsd &ssd,
-                               Options opt)
+namespace {
+
+/** Synthetic write/erase unit (matches SDF's 8 MB). */
+constexpr uint64_t kUnitBytes = 8 * util::kMiB;
+static_assert(kUnitBytes > 0);
+
+}  // namespace
+
+SsdBlockDevice::SsdBlockDevice(sim::Simulator &sim, ConventionalSsd &ssd)
     : sim_(sim), ssd_(ssd)
 {
-    const uint32_t channels =
-        opt.channels != 0 ? opt.channels : ssd.config().flash.geometry.channels;
+    // Synthetic channels: the SSD's real flash channels.
+    const uint32_t channels = ssd.config().flash.geometry.channels;
     SDF_CHECK_MSG(channels > 0, "adapter needs at least one channel");
-    SDF_CHECK_MSG(opt.unit_bytes > 0 &&
-                      opt.unit_bytes % ssd.config().flash.geometry.page_size ==
-                          0,
+    SDF_CHECK_MSG(kUnitBytes % ssd.config().flash.geometry.page_size == 0,
                   "unit size must be page-aligned");
-    const uint64_t total_units = ssd.user_capacity() / opt.unit_bytes;
+    const uint64_t total_units = ssd.user_capacity() / kUnitBytes;
     const uint32_t units_per_channel =
         static_cast<uint32_t>(total_units / channels);
     SDF_CHECK_MSG(units_per_channel > 0,
@@ -26,11 +31,11 @@ SsdBlockDevice::SsdBlockDevice(sim::Simulator &sim, ConventionalSsd &ssd,
     caps_.name = ssd.config().name + " (block-device adapter)";
     caps_.channels = channels;
     caps_.units_per_channel = units_per_channel;
-    caps_.unit_bytes = opt.unit_bytes;
+    caps_.unit_bytes = kUnitBytes;
     caps_.read_unit_bytes = ssd.config().flash.geometry.page_size;
     caps_.explicit_erase = false;
     caps_.user_capacity =
-        uint64_t{channels} * units_per_channel * opt.unit_bytes;
+        uint64_t{channels} * units_per_channel * kUnitBytes;
     caps_.raw_capacity = ssd.raw_capacity();
 
     units_.assign(uint64_t{channels} * units_per_channel,

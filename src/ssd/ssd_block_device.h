@@ -27,23 +27,11 @@
 
 namespace sdf::ssd {
 
-/** Carving parameters for the synthetic (channel, unit) space. */
-struct SsdBlockDeviceOptions
-{
-    /** Synthetic write/erase unit (default matches SDF's 8 MB). */
-    uint64_t unit_bytes = 8 * util::kMiB;
-    /** Synthetic channel count; 0 = the SSD's real flash channels. */
-    uint32_t channels = 0;
-};
-
 /** ConventionalSsd viewed through the pluggable device interface. */
 class SsdBlockDevice : public core::BlockDevice
 {
   public:
-    using Options = SsdBlockDeviceOptions;
-
-    SsdBlockDevice(sim::Simulator &sim, ConventionalSsd &ssd,
-                   Options opt = Options());
+    SsdBlockDevice(sim::Simulator &sim, ConventionalSsd &ssd);
 
     SsdBlockDevice(const SsdBlockDevice &) = delete;
     SsdBlockDevice &operator=(const SsdBlockDevice &) = delete;

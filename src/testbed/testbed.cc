@@ -27,12 +27,10 @@ BuildStorageStack(sim::Simulator &sim, const StackConfig &cfg)
         return out;
     }
 
-    ssd::ConventionalSsdConfig sc = cfg.backend == Backend::kHuaweiGen3
-                                        ? ssd::HuaweiGen3Config(
-                                              cfg.capacity_scale)
-                                        : ssd::Intel320Config(
-                                              cfg.capacity_scale);
-    if (cfg.tune_ssd) cfg.tune_ssd(sc);
+    const ssd::ConventionalSsdConfig sc =
+        cfg.backend == Backend::kHuaweiGen3
+            ? ssd::HuaweiGen3Config(cfg.capacity_scale)
+            : ssd::Intel320Config(cfg.capacity_scale);
     out.ssd = std::make_unique<ssd::ConventionalSsd>(sim, sc);
     if (cfg.with_io_stack) {
         out.io_stack =

@@ -74,7 +74,6 @@ struct StackConfig
     blocklayer::BlockLayerConfig layer;
     /** Post-hoc device config tweaks (error model, seeds, retry depth). */
     std::function<void(core::SdfConfig &)> tune_sdf;
-    std::function<void(ssd::ConventionalSsdConfig &)> tune_ssd;
 };
 
 /** An assembled stack; null members depend on backend/config. */

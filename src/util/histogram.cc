@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 namespace sdf::util {
 
@@ -171,18 +170,6 @@ Histogram::Quantile(double q) const
         seen = next;
     }
     return static_cast<double>(max_);
-}
-
-std::string
-Histogram::Summary() const
-{
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "n=%llu mean=%.1f p50=%.1f p99=%.1f min=%lld max=%lld",
-                  static_cast<unsigned long long>(count_), Mean(), Quantile(0.5),
-                  Quantile(0.99), static_cast<long long>(min()),
-                  static_cast<long long>(max()));
-    return buf;
 }
 
 }  // namespace sdf::util

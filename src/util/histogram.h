@@ -9,8 +9,8 @@
 #ifndef SDF_UTIL_HISTOGRAM_H
 #define SDF_UTIL_HISTOGRAM_H
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sdf::util {
@@ -54,9 +54,6 @@ class Histogram
 
     /** Convenience percentile (p in [0, 100]). */
     double Percentile(double p) const { return Quantile(p / 100.0); }
-
-    /** One-line summary ("n=... mean=... p50=... p99=... max=..."). */
-    std::string Summary() const;
 
   private:
     static size_t BucketFor(int64_t value);

@@ -108,9 +108,9 @@ PreconditionSdf(core::SdfDevice &device)
 }
 
 RawResult
-RunSdfRandomReads(sim::Simulator &sim, core::SdfDevice &device,
-                  host::IoStack &stack, uint32_t channels_used,
-                  uint64_t request_bytes, const RawRunConfig &run)
+RunSdfReads(sim::Simulator &sim, core::SdfDevice &device,
+            host::IoStack &stack, uint32_t channels_used,
+            uint64_t request_bytes, Pattern pattern, const RawRunConfig &run)
 {
     SDF_CHECK(channels_used >= 1 && channels_used <= device.channel_count());
     SDF_CHECK(request_bytes % device.read_unit_bytes() == 0);
@@ -122,64 +122,23 @@ RunSdfRandomReads(sim::Simulator &sim, core::SdfDevice &device,
 
     std::vector<std::unique_ptr<host::ClosedLoopActor>> actors;
     for (uint32_t ch = 0; ch < channels_used; ++ch) {
-        auto aobs = ActorObs::Make(sim, "ch", ch);
-        actors.push_back(std::make_unique<host::ClosedLoopActor>(
-            sim, [&sim, &device, &stack, meter, rng, aobs, ch, request_bytes,
-                  slots](sim::Callback done) {
-                const auto unit = static_cast<uint32_t>(
-                    rng->NextBelow(device.units_per_channel()));
-                const uint64_t offset =
-                    rng->NextBelow(slots) * request_bytes;
-                obs::IoSpan *span = aobs->span_ptr();
-                if (span != nullptr) span->Start(sim.Now());
-                stack.Issue(
-                    [&device, ch, unit, offset, request_bytes,
-                     span](sim::Callback d) {
-                        // Device callbacks are copyable std::functions;
-                        // box the move-only stack completion.
-                        auto dp =
-                            std::make_shared<sim::Callback>(std::move(d));
-                        device.Read(ch, unit, offset, request_bytes,
-                                    [dp](bool) { (*dp)(); }, nullptr, span);
-                    },
-                    [&sim, meter, aobs, request_bytes,
-                     done = std::move(done)]() {
-                        aobs->FinishRequest(sim, "read", meter->measuring);
-                        if (meter->measuring) {
-                            meter->bytes += request_bytes;
-                            ++meter->ops;
-                        }
-                        done();
-                    },
-                    span);
-            }));
-    }
-    return Measure(sim, actors, *meter, run);
-}
-
-RawResult
-RunSdfSequentialReads(sim::Simulator &sim, core::SdfDevice &device,
-                      host::IoStack &stack, uint32_t channels_used,
-                      uint64_t request_bytes, const RawRunConfig &run)
-{
-    SDF_CHECK(channels_used >= 1 && channels_used <= device.channel_count());
-    SDF_CHECK(request_bytes % device.read_unit_bytes() == 0);
-    SDF_CHECK(request_bytes <= device.unit_bytes());
-
-    auto meter = std::make_shared<Meter>();
-    const uint64_t slots = device.unit_bytes() / request_bytes;
-
-    std::vector<std::unique_ptr<host::ClosedLoopActor>> actors;
-    for (uint32_t ch = 0; ch < channels_used; ++ch) {
         auto cursor = std::make_shared<uint64_t>(0);
         auto aobs = ActorObs::Make(sim, "ch", ch);
         actors.push_back(std::make_unique<host::ClosedLoopActor>(
-            sim, [&sim, &device, &stack, meter, cursor, aobs, ch,
-                  request_bytes, slots](sim::Callback done) {
-                const uint64_t pos = (*cursor)++;
-                const auto unit = static_cast<uint32_t>(
-                    (pos / slots) % device.units_per_channel());
-                const uint64_t offset = pos % slots * request_bytes;
+            sim, [&sim, &device, &stack, meter, rng, cursor, aobs, ch,
+                  request_bytes, slots, pattern](sim::Callback done) {
+                uint32_t unit;
+                uint64_t offset;
+                if (pattern == Pattern::kSequential) {
+                    const uint64_t pos = (*cursor)++;
+                    unit = static_cast<uint32_t>(
+                        (pos / slots) % device.units_per_channel());
+                    offset = pos % slots * request_bytes;
+                } else {
+                    unit = static_cast<uint32_t>(
+                        rng->NextBelow(device.units_per_channel()));
+                    offset = rng->NextBelow(slots) * request_bytes;
+                }
                 obs::IoSpan *span = aobs->span_ptr();
                 if (span != nullptr) span->Start(sim.Now());
                 stack.Issue(

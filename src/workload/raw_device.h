@@ -43,23 +43,20 @@ struct RawRunConfig
     uint64_t seed = 42;
 };
 
-/**
- * Random reads on SDF: @p channels_used synchronous actors, one per
- * channel, each reading @p request_bytes at a random aligned offset of a
- * random (pre-written) unit. Requires the device to be preconditioned.
- */
-RawResult RunSdfRandomReads(sim::Simulator &sim, core::SdfDevice &device,
-                            host::IoStack &stack, uint32_t channels_used,
-                            uint64_t request_bytes, const RawRunConfig &run);
+/** Access pattern of RunSdfReads and the conventional-SSD runs. */
+enum class Pattern : uint8_t { kSequential, kRandom };
 
 /**
- * Sequential reads on SDF: per-channel actors walking units in order,
- * @p request_bytes at a time (Figure 7a uses 8 MB whole units).
+ * Reads on SDF: @p channels_used synchronous actors, one per channel, each
+ * reading @p request_bytes at a time. kRandom reads a random aligned offset
+ * of a random (pre-written) unit; kSequential walks the channel's units in
+ * order (Figure 7a uses 8 MB whole units). Requires the device to be
+ * preconditioned.
  */
-RawResult RunSdfSequentialReads(sim::Simulator &sim, core::SdfDevice &device,
-                                host::IoStack &stack, uint32_t channels_used,
-                                uint64_t request_bytes,
-                                const RawRunConfig &run);
+RawResult RunSdfReads(sim::Simulator &sim, core::SdfDevice &device,
+                      host::IoStack &stack, uint32_t channels_used,
+                      uint64_t request_bytes, Pattern pattern,
+                      const RawRunConfig &run);
 
 /**
  * Writes on SDF: per-channel actors erasing and then writing whole units
@@ -69,9 +66,6 @@ RawResult RunSdfSequentialReads(sim::Simulator &sim, core::SdfDevice &device,
 RawResult RunSdfWrites(sim::Simulator &sim, core::SdfDevice &device,
                        host::IoStack &stack, uint32_t channels_used,
                        const RawRunConfig &run);
-
-/** Access pattern for the conventional-SSD driver. */
-enum class Pattern : uint8_t { kSequential, kRandom };
 
 /**
  * Reads on a conventional SSD: one thread, asynchronous requests at queue

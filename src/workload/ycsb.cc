@@ -215,6 +215,9 @@ StormSchedule(double read_fraction, double storm)
 
 namespace {
 
+/** Zipf exponent of the field-size ladder (kFieldZipf). */
+constexpr double kFieldTheta = 0.99;
+
 /** Mutable per-phase accumulators (folded into YcsbPhaseResult). */
 struct PhaseAcc
 {
@@ -294,7 +297,7 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
            field_levels < 16) {
         ++field_levels;
     }
-    ZipfianGenerator field_zipf(field_levels, cfg.field_theta);
+    ZipfianGenerator field_zipf(field_levels, kFieldTheta);
 
     std::vector<uint64_t> population = keys;  // Grows as inserts issue.
     uint64_t next_insert_key = cfg.first_insert_key;

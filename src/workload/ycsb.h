@@ -159,8 +159,6 @@ struct YcsbConfig
     uint32_t value_bytes = 4 * util::kKiB;   ///< kFixed / kFieldZipf base.
     uint32_t value_min = 512;                ///< kUniform low bound.
     uint32_t value_max = 16 * util::kKiB;    ///< kUniform / ladder cap.
-    /** Zipf exponent of the field-size ladder (kFieldZipf). */
-    double field_theta = 0.99;
     /** Scan lengths are uniform in [1, scan_limit_max]. */
     uint32_t scan_limit_max = 50;
     /** Completed ops slower than this — or failed — violate the SLO. */

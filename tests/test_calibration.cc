@@ -45,8 +45,8 @@ TEST(CalibrationSdf, SequentialRead8MbNearPcieLimit)
     RawRunConfig run = QuickRun();
     run.warmup = util::MsToNs(500);  // > 2 request cycles: reach steady state.
     run.duration = util::SecToNs(2.0);
-    const RawResult r = RunSdfSequentialReads(sim, device, stack, 44,
-                                              8 * util::kMiB, run);
+    const RawResult r = RunSdfReads(sim, device, stack, 44, 8 * util::kMiB,
+                                    Pattern::kSequential, run);
     // Paper: 1.59 GB/s (99 % of the PCIe effective read bandwidth).
     EXPECT_GE(r.mbps, 1450.0);
     EXPECT_LE(r.mbps, 1650.0);
@@ -58,8 +58,8 @@ TEST(CalibrationSdf, RandomRead8KbThroughput)
     core::SdfDevice device(sim, core::BaiduSdfConfig(kScale));
     host::IoStack stack(sim, host::SdfUserStackSpec());
     PreconditionSdf(device);
-    const RawResult r = RunSdfRandomReads(sim, device, stack, 44,
-                                          8 * util::kKiB, QuickRun());
+    const RawResult r = RunSdfReads(sim, device, stack, 44, 8 * util::kKiB,
+                                    Pattern::kRandom, QuickRun());
     // Paper: 1.23 GB/s for 8 KB random reads.
     EXPECT_GE(r.mbps, 1050.0);
     EXPECT_LE(r.mbps, 1400.0);

@@ -38,7 +38,7 @@ struct SliceFixture
     sim::Simulator sim;
     core::SdfDevice device;
     blocklayer::BlockLayer layer;
-    kv::SdfPatchStorage storage;
+    kv::BlockPatchStorage storage;
     kv::IdAllocator ids;
     kv::Slice slice;
 

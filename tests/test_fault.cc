@@ -16,6 +16,7 @@
 #include "fault_common.h"
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
+#include "util/fingerprint.h"
 
 namespace sdf {
 namespace {
@@ -71,6 +72,39 @@ TEST(FaultPlan, RespectsMaxDeaths)
         if (e.kind == fault::FaultKind::kChannelDeath) ++deaths;
     }
     EXPECT_LE(deaths, 3u);
+}
+
+TEST(FaultPlan, RandomPlansArePinned)
+{
+    // Fingerprints of the plan text under three specs: a change to the
+    // kinds' weights, their order or the draws moves at least one.
+    fault::FaultPlanSpec deaths;
+    deaths.weight_death = 100.0;
+    const fault::FaultPlanSpec campaign =
+        bench::CampaignFaultSpec(bench::FaultCampaignConfig{});
+    const struct
+    {
+        const char *name;
+        fault::FaultPlanSpec spec;
+        uint64_t seed;
+        uint64_t fingerprint;
+    } cases[] = {
+        {"default", fault::FaultPlanSpec{}, 1, 0xe3963185d25a6dc1ULL},
+        {"default", fault::FaultPlanSpec{}, 2, 0xf8e96bdd6cbb8835ULL},
+        {"default", fault::FaultPlanSpec{}, 3, 0xe32d84968f0c88c7ULL},
+        {"campaign", campaign, 1, 0xe88373165439f2aeULL},
+        {"campaign", campaign, 2, 0x69fc845e53fdecfbULL},
+        {"campaign", campaign, 3, 0x781bb918c8412f6dULL},
+        {"deaths", deaths, 1, 0x01de2671214bdd5aULL},
+        {"deaths", deaths, 2, 0x88b31c564063cbeeULL},
+        {"deaths", deaths, 3, 0xbe60652d94c1017bULL},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(util::Fingerprint(
+                      fault::FaultPlan::Random(c.spec, c.seed).ToText()),
+                  c.fingerprint)
+            << c.name << " seed " << c.seed;
+    }
 }
 
 TEST(FaultPlan, ParseToTextRoundTrip)

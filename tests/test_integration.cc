@@ -40,7 +40,7 @@ TEST(Integration, KvStackOnSdfServesMixedWorkload)
     core::SdfDevice device(sim, FastSdf());
     blocklayer::BlockLayer layer(sim, device, {});
     host::IoStack stack(sim, host::SdfUserStackSpec());
-    kv::SdfPatchStorage storage(layer, &stack);
+    kv::BlockPatchStorage storage(layer, &stack);
     kv::IdAllocator ids;
     kv::SliceConfig scfg;
     scfg.compaction_trigger = 3;
@@ -111,7 +111,7 @@ TEST(Integration, PreloadProducesReadableKeys)
     sim::Simulator sim;
     core::SdfDevice device(sim, FastSdf());
     blocklayer::BlockLayer layer(sim, device, {});
-    kv::SdfPatchStorage storage(layer);
+    kv::BlockPatchStorage storage(layer);
     kv::IdAllocator ids;
     kv::Slice slice(sim, storage, ids, {});
 
@@ -136,7 +136,7 @@ TEST(Integration, BatchedReadDriverDeliversBytes)
     sim::Simulator sim;
     core::SdfDevice device(sim, FastSdf());
     blocklayer::BlockLayer layer(sim, device, {});
-    kv::SdfPatchStorage storage(layer);
+    kv::BlockPatchStorage storage(layer);
     kv::IdAllocator ids;
     kv::Slice slice(sim, storage, ids, {});
     const auto keys =
@@ -157,7 +157,7 @@ TEST(Integration, ScanDriverReadsWholePatches)
     sim::Simulator sim;
     core::SdfDevice device(sim, FastSdf());
     blocklayer::BlockLayer layer(sim, device, {});
-    kv::SdfPatchStorage storage(layer);
+    kv::BlockPatchStorage storage(layer);
     kv::IdAllocator ids;
     kv::Slice slice(sim, storage, ids, {});
     workload::PreloadSlices({&slice}, 64 * util::kMiB, 512 * 1024);
@@ -183,7 +183,7 @@ TEST(Integration, WriteDriverGeneratesCompactionTraffic)
     sim::Simulator sim;
     core::SdfDevice device(sim, FastSdf());
     blocklayer::BlockLayer layer(sim, device, {});
-    kv::SdfPatchStorage storage(layer);
+    kv::BlockPatchStorage storage(layer);
     kv::IdAllocator ids;
     kv::SliceConfig scfg;
     scfg.compaction_trigger = 3;

@@ -144,7 +144,7 @@ struct SliceFixture
     sim::Simulator sim;
     core::SdfDevice device;
     blocklayer::BlockLayer layer;
-    SdfPatchStorage storage;
+    BlockPatchStorage storage;
     IdAllocator ids;
     std::unique_ptr<Slice> slice;
 
@@ -357,7 +357,7 @@ struct StoreFixture
     sim::Simulator sim;
     core::SdfDevice device;
     blocklayer::BlockLayer layer;
-    SdfPatchStorage storage;
+    BlockPatchStorage storage;
     Store store;
 
     StoreFixture()

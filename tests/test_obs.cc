@@ -281,7 +281,8 @@ RunInstrumentedSdf(uint64_t seed)
     run.warmup = util::MsToNs(20);
     run.duration = util::MsToNs(100);
     run.seed = seed;
-    workload::RunSdfRandomReads(sim, device, stack, 8, 8 * util::kKiB, run);
+    workload::RunSdfReads(sim, device, stack, 8, 8 * util::kKiB,
+                          workload::Pattern::kRandom, run);
 
     SdfRunOutput out;
     const obs::MetaMap meta{{"device", "sdf"}, {"workload", "randread"}};
@@ -368,8 +369,8 @@ TEST(ObsEndToEnd, NoHubInstalledIsInert)
     workload::RawRunConfig run;
     run.warmup = util::MsToNs(10);
     run.duration = util::MsToNs(50);
-    const auto r =
-        workload::RunSdfRandomReads(sim, device, stack, 4, 8 * util::kKiB, run);
+    const auto r = workload::RunSdfReads(sim, device, stack, 4, 8 * util::kKiB,
+                                         workload::Pattern::kRandom, run);
     EXPECT_GT(r.operations, 0u);
 }
 

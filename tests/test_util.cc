@@ -13,7 +13,6 @@
 #include "util/latency_recorder.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
-#include "util/throughput_meter.h"
 #include "util/units.h"
 
 namespace sdf::util {
@@ -267,30 +266,8 @@ TEST(Histogram, DeltaWithResetInBetweenReturnsCurrent)
 }
 
 // ---------------------------------------------------------------------------
-// ThroughputMeter / LatencyRecorder
+// LatencyRecorder
 // ---------------------------------------------------------------------------
-
-TEST(ThroughputMeter, ComputesMeanBandwidth)
-{
-    ThroughputMeter m;
-    m.Start(0);
-    m.Account(SecToNs(1), 100 * kMB);
-    m.Account(SecToNs(2), 100 * kMB);
-    EXPECT_DOUBLE_EQ(m.MBps(SecToNs(2)), 100.0);
-    EXPECT_EQ(m.operations(), 2u);
-}
-
-TEST(ThroughputMeter, WindowSeriesCapturesRate)
-{
-    ThroughputMeter m(SecToNs(1));
-    m.Start(0);
-    for (int s = 0; s < 5; ++s) {
-        m.Account(SecToNs(s) + MsToNs(500), 50 * kMB);
-    }
-    m.Account(SecToNs(5), 0);  // Roll the final windows.
-    ASSERT_GE(m.window_series().size(), 4u);
-    EXPECT_DOUBLE_EQ(m.window_series()[0], 50.0);
-}
 
 TEST(LatencyRecorder, KeepsSeriesWhenAsked)
 {

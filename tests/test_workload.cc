@@ -38,7 +38,7 @@ TEST(Preload, KeysAreUniqueAndSliceTagged)
     sim::Simulator sim;
     core::SdfDevice device(sim, FastSdf());
     blocklayer::BlockLayer layer(sim, device, {});
-    kv::SdfPatchStorage storage(layer);
+    kv::BlockPatchStorage storage(layer);
     kv::IdAllocator ids;
     kv::Slice a(sim, storage, ids, {});
     kv::Slice b(sim, storage, ids, {});
@@ -67,7 +67,7 @@ TEST(Preload, StopsAtStorageCapacity)
     cfg.spare_blocks_per_plane = 2;
     core::SdfDevice device(sim, cfg);
     blocklayer::BlockLayer layer(sim, device, {});
-    kv::SdfPatchStorage storage(layer);
+    kv::BlockPatchStorage storage(layer);
     kv::IdAllocator ids;
     kv::Slice slice(sim, storage, ids, {});
 
@@ -120,8 +120,8 @@ TEST(RawDrivers, WarmupExcludedFromThroughput)
     RawRunConfig run;
     run.warmup = util::MsToNs(100);
     run.duration = util::MsToNs(500);
-    const RawResult r =
-        RunSdfRandomReads(sim, device, stack, 8, 64 * util::kKiB, run);
+    const RawResult r = RunSdfReads(sim, device, stack, 8, 64 * util::kKiB,
+                                    Pattern::kRandom, run);
     EXPECT_GT(r.operations, 0u);
     // Throughput consistent with the op count over the window.
     const double expect_mbps = util::BandwidthMBps(

@@ -15,7 +15,6 @@
  */
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -61,6 +60,7 @@ struct Options
 
     // Fault-campaign workload (--workload=faults).
     std::string fault_plan;          // Plan file; empty = random from seed.
+    bool print_plan = false;         // Print the random plan and exit.
     uint32_t faults = 120;
     uint32_t replicas = 3;
     uint32_t keys = 300;
@@ -91,7 +91,7 @@ struct Options
     uint32_t scan_limit = 50;        // Max keys per range scan.
 
     // Observability exports (--stats-json/--stats-csv/--trace).
-    bench::ObsCli obs;
+    sdf::obs::ObsCli obs;
 };
 
 void
@@ -131,6 +131,8 @@ PrintHelp()
         "fault campaign (--workload=faults), on a cluster whose every node\n"
         "holds every key; the fault window lasts --duration:\n"
         "  --fault-plan=<file>  replay a saved fault plan (else random)\n"
+        "  --print-plan         print the random plan a run would use, and\n"
+        "                       exit (save it, edit it, replay it)\n"
         "  --faults=<n>         random faults to inject (default 120)\n"
         "  --replicas=<n>       nodes = replicas per key (default 3)\n"
         "  --keys=<n>           keys preloaded via the router (default 300)\n"
@@ -182,7 +184,7 @@ PrintHelp()
         "  --theta=<f>          Zipfian exponent (default 0.99)\n"
         "  --scan-limit=<n>     max keys per range scan (default 50)\n"
         "\n");
-    std::puts(bench::ObsCli::HelpText());
+    std::puts(obs::ObsCli::HelpText());
     std::puts(
         "example:\n"
         "  sdfsim --device=sdf --workload=write \\\n"
@@ -191,14 +193,26 @@ PrintHelp()
         "  # out.trace.json: open in https://ui.perfetto.dev\n");
 }
 
+/** A byte count with one optional k (KiB) or m (MiB) suffix. */
 uint64_t
-ParseSize(const std::string &s)
+ParseSize(const std::string &key, const std::string &val)
 {
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end && (*end == 'k' || *end == 'K')) return static_cast<uint64_t>(v * util::kKiB);
-    if (end && (*end == 'm' || *end == 'M')) return static_cast<uint64_t>(v * util::kMiB);
-    return static_cast<uint64_t>(v);
+    return util::ParseWhole(key, val, [](const std::string &s, size_t *n) {
+        const double v = std::stod(s, n);
+        double unit = 1;
+        if (*n < s.size() && (s[*n] == 'k' || s[*n] == 'K')) {
+            unit = static_cast<double>(util::kKiB);
+            ++*n;
+        } else if (*n < s.size() && (s[*n] == 'm' || s[*n] == 'M')) {
+            unit = static_cast<double>(util::kMiB);
+            ++*n;
+        }
+        // 2^64: the first byte count a uint64_t cannot hold.
+        if (!(v >= 0 && v * unit < 18446744073709551616.0)) {
+            throw std::invalid_argument(s);
+        }
+        return static_cast<uint64_t>(v * unit);
+    });
 }
 
 double
@@ -347,7 +361,7 @@ ParseArgs(int argc, char **argv, Options &opt)
         } else if (key == "--workload") {
             opt.workload = val;
         } else if (key == "--request") {
-            opt.request = ParseSize(val);
+            opt.request = ParseSize(key, val);
         } else if (key == "--channels") {
             opt.channels = ToU32(key, val);
         } else if (key == "--qd") {
@@ -388,6 +402,8 @@ ParseArgs(int argc, char **argv, Options &opt)
             opt.retry_levels = ToI64(key, val);
         } else if (key == "--fault-plan") {
             opt.fault_plan = val;
+        } else if (key == "--print-plan") {
+            opt.print_plan = true;
         } else if (key == "--faults") {
             opt.faults = ToU32(key, val);
         } else if (key == "--replicas") {
@@ -508,12 +524,13 @@ RunRawSdf(Options &opt)
     run.seed = opt.seed;
 
     workload::RawResult r;
-    if (opt.workload == "seqread") {
-        r = workload::RunSdfSequentialReads(sim, device, stack, opt.channels,
-                                            opt.request, run);
-    } else if (opt.workload == "randread") {
-        r = workload::RunSdfRandomReads(sim, device, stack, opt.channels,
-                                        opt.request, run);
+    if (opt.workload == "seqread" || opt.workload == "randread") {
+        r = workload::RunSdfReads(sim, device, stack, opt.channels,
+                                  opt.request,
+                                  opt.workload == "seqread"
+                                      ? workload::Pattern::kSequential
+                                      : workload::Pattern::kRandom,
+                                  run);
     } else if (opt.workload == "write" || opt.workload == "randwrite") {
         r = workload::RunSdfWrites(sim, device, stack, opt.channels, run);
     } else {
@@ -585,6 +602,14 @@ RunFaults(Options &opt)
         cfg.ecc_bits = static_cast<uint32_t>(opt.ecc_bits);
     if (opt.retry_levels >= 0)
         cfg.read_retry_levels = static_cast<uint32_t>(opt.retry_levels);
+    if (opt.print_plan) {
+        std::fputs(fault::FaultPlan::Random(bench::CampaignFaultSpec(cfg),
+                                            bench::CampaignPlanSeed(cfg))
+                       .ToText()
+                       .c_str(),
+                   stdout);
+        return 0;
+    }
     if (!opt.fault_plan.empty()) {
         std::FILE *f = std::fopen(opt.fault_plan.c_str(), "rb");
         if (f == nullptr) {
@@ -1099,12 +1124,12 @@ RunClusterWorkload(Options &opt)
 int
 RunKv(Options &opt)
 {
-    using bench::DeviceKind;
-    const DeviceKind kind = opt.device == "huawei" ? DeviceKind::kHuaweiGen3
-                            : opt.device == "intel" ? DeviceKind::kIntel320
-                                                    : DeviceKind::kBaiduSdf;
-    bench::KvTestbed bed(kind, opt.slices, opt.slices, opt.scale, {},
-                         opt.obs.hub());
+    using testbed::Backend;
+    const Backend kind = opt.device == "huawei"  ? Backend::kHuaweiGen3
+                         : opt.device == "intel" ? Backend::kIntel320
+                                                 : Backend::kBaiduSdf;
+    testbed::KvTestbed bed(kind, opt.slices, opt.slices, opt.scale, {},
+                           opt.obs.hub());
     workload::KvRunConfig run;
     run.warmup = util::SecToNs(opt.warmup);
     run.duration = util::SecToNs(opt.duration);
@@ -1117,7 +1142,7 @@ RunKv(Options &opt)
             bed.sim(), bed.net(), bed.SlicePtrs(), keys, opt.batch, run);
         std::printf("%s kvread %u slices batch %u value %uKiB: %.1f MB/s "
                     "(%llu batches)\n",
-                    bench::DeviceName(kind), opt.slices, opt.batch,
+                    testbed::BackendName(kind), opt.slices, opt.batch,
                     opt.value_kib, r.client_mbps,
                     static_cast<unsigned long long>(r.requests));
     } else if (opt.workload == "scan") {
@@ -1125,15 +1150,15 @@ RunKv(Options &opt)
         const auto r =
             workload::RunSequentialScan(bed.sim(), bed.SlicePtrs(), 6, run);
         std::printf("%s scan %u slices x6 threads: %.1f MB/s\n",
-                    bench::DeviceName(kind), opt.slices, r.client_mbps);
+                    testbed::BackendName(kind), opt.slices, r.client_mbps);
     } else if (opt.workload == "kvwrite") {
         const auto r = workload::RunKvWrites(bed.sim(), bed.net(),
                                              bed.SlicePtrs(), 100 * util::kKiB,
                                              util::kMiB, run);
         std::printf("%s kvwrite %u slices: device write %.1f MB/s, "
                     "compaction read %.1f MB/s (%llu puts)\n",
-                    bench::DeviceName(kind), opt.slices, r.device_write_mbps,
-                    r.device_read_mbps,
+                    testbed::BackendName(kind), opt.slices,
+                    r.device_write_mbps, r.device_read_mbps,
                     static_cast<unsigned long long>(r.requests));
     } else {
         std::fprintf(stderr, "unknown kv workload %s\n",
