@@ -4,7 +4,7 @@
  * repo-wide building blocks every bench uses. The testbed library
  * assembles the CCDB stack (device + block layer / extent store + slices +
  * network) on any backend, and obs::ObsCli provides the
- * --stats-json/--stats-csv/--trace flags.
+ * --stats-json/--trace/--stats-series flags.
  *
  * Every experiment uses capacity-scaled devices (structure and all ratios
  * preserved) so a full table regenerates in seconds; EXPERIMENTS.md

@@ -37,6 +37,9 @@
 
 namespace sdf::bench {
 
+/** Fresh-key inserts over a campaign's fault window. */
+inline constexpr uint32_t kCampaignWrites = 200;
+
 /** Campaign knobs. */
 struct FaultCampaignConfig
 {
@@ -45,10 +48,9 @@ struct FaultCampaignConfig
     double capacity_scale = 0.02;
     uint32_t keys = 800;
     uint32_t value_bytes = 64 * util::kKiB;
-    /** Mean reads and fresh-key writes over the fault window; together
-     *  they set the open-loop arrival rate, (reads + writes) / horizon. */
+    /** Mean reads over the fault window; with kCampaignWrites they set
+     *  the open-loop arrival rate, (reads + kCampaignWrites) / horizon. */
     uint32_t reads = 1500;
-    uint32_t writes = 200;
     double horizon_sec = 0.4;
     uint64_t seed = 42;
     uint32_t fault_count = 120;
@@ -178,7 +180,7 @@ RunFaultCampaign(const FaultCampaignConfig &cfg)
     fault::FaultInjector injector(sim, cl.SdfDevices(),
                                   fault::FaultPlan(std::move(events)));
     workload::YcsbConfig load;
-    const uint32_t ops = cfg.reads + cfg.writes;
+    const uint32_t ops = cfg.reads + kCampaignWrites;
     load.arrival_rate = ops / cfg.horizon_sec;
     load.duration = util::SecToNs(cfg.horizon_sec);
     load.seed = cfg.seed;

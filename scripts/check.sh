@@ -10,8 +10,9 @@
 # YCSB traffic under disruptions, hedging at 160k/s YCSB-B (goodput
 # holds, few gets hedge), the recovery paths (same-seed byte
 # identity under node loss and restart), the fault campaign (zero loss,
-# plan replay, same-seed stats), sdfsim's bad-input exits, and the
-# benchmark's seam selftest (sdfbench/ built against this tree).
+# plan replay, same-seed stats), sdfsim's bad-input exits (flag values
+# and fault plans; NaN, infinity and times past the clock included), and
+# the benchmark's seam selftest (sdfbench/ built against this tree).
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -26,12 +27,11 @@ echo "== observability smoke =="
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
 ./build/tools/sdfsim --device=sdf --workload=write --duration=0.5 \
-    --stats-json="$obs_tmp/a.json" --stats-csv="$obs_tmp/a.csv" \
-    --trace="$obs_tmp/a.trace.json" > /dev/null
+    --stats-json="$obs_tmp/a.json" --trace="$obs_tmp/a.trace.json" \
+    > /dev/null
 ./build/tools/sdfsim --device=sdf --workload=write --duration=0.5 \
-    --stats-json="$obs_tmp/b.json" --stats-csv="$obs_tmp/b.csv" > /dev/null
+    --stats-json="$obs_tmp/b.json" > /dev/null
 cmp "$obs_tmp/a.json" "$obs_tmp/b.json"   # Same seed => byte-identical.
-cmp "$obs_tmp/a.csv" "$obs_tmp/b.csv"
 python3 tools/validate_stats.py "$obs_tmp/a.json" \
     --trace="$obs_tmp/a.trace.json" --channels=44
 ./build/tools/sdfsim --device=sdf --workload=randread --request=8k \
@@ -210,7 +210,12 @@ echo "== bad input =="
 # Unusable flag values are rejected with a message and exit 1 — never an
 # abort (134), a trap from deep inside the engine, or a hang: each case
 # runs under a timeout, so a hang fails the loop instead of stalling it.
-# A line may carry several flags; $flags is word-split on purpose.
+# A line may carry several flags; $flags is word-split on purpose. Float
+# flags take no NaN or infinity, times must fit the clock, and so must
+# the times in a fault plan (one bad plan per file below).
+echo "100 stall 0 0 1e300" > "$obs_tmp/stall-past-clock.plan"
+echo "1e300 stall 0 0 5" > "$obs_tmp/time-past-clock.plan"
+echo "100 failslow 0 0 50 1e300" > "$obs_tmp/failslow-factor.plan"
 while read -r workload flags; do
     rc=0
     # shellcheck disable=SC2086
@@ -220,7 +225,7 @@ while read -r workload flags; do
         echo "sdfsim --workload=$workload $flags: exit $rc, want 1" >&2
         exit 1
     fi
-done <<'EOF'
+done <<EOF
 ycsb --profile=bogus
 ycsb --nodes=x
 ycsb --keys=0
@@ -231,7 +236,11 @@ faults --replicas=-1
 faults --faults=-1
 faults --keys=12abc
 faults --fault-plan=/nonexistent
+faults --fault-plan=$obs_tmp/stall-past-clock.plan
+faults --fault-plan=$obs_tmp/time-past-clock.plan
+faults --fault-plan=$obs_tmp/failslow-factor.plan
 faults --duration=0
+faults --rber=nan
 cluster --slices=0
 kvread --slices=0
 seqread --channels=0
@@ -263,6 +272,17 @@ ycsb --trace=/dev/null --trace-limit=-1
 ycsb --trace=/dev/null --trace-limit=12abc
 ycsb --stats-series=/dev/null --series-interval-ms=5ms
 ycsb --stats-series=/dev/null --series-interval-ms=0
+ycsb --stats-csv=/dev/null
+overload --fail-slow-node=1 --fail-slow-factor=nan
+overload --fail-slow-node=1 --fail-slow-factor=1e300
+overload --fail-slow-node=1 --fail-slow-factor=-3
+ycsb --arrival-rate=inf
+ycsb --arrival-rate=1e300
+ycsb --theta=inf
+ycsb --deadline-ms=1e300
+ycsb --deadline-ms=-1
+randread --duration=1e300
+randread --warmup=1e300
 EOF
 # The open-loop modes do run a one-node restart: ops are rejected while
 # the ring is empty, but arrivals keep the clock moving.

@@ -93,8 +93,7 @@ StorageNode::StorageNode(sim::Simulator &sim, uint32_t id,
     obs::Hub *hub = sim.hub();
     obs::MetricsScope scope(hub != nullptr ? &hub->metrics() : nullptr,
                             "node" + std::to_string(id));
-    net_ = std::make_unique<net::Network>(sim, net::NetworkSpec{},
-                                          kConnections);
+    net_ = std::make_unique<net::Network>(sim, kConnections);
     // One NodeConfig builds every node, so offset the flash seed by the
     // node id: replicas must draw independent bit errors and CRC windows.
     testbed::KvStackConfig kv = cfg.kv;

@@ -8,6 +8,13 @@ namespace sdf::controller {
 
 namespace {
 
+/** First level: channels per merge group (11 per Spartan-6 on the SDF
+ *  board). */
+constexpr uint32_t kChannelsPerGroup = 11;
+/** A group fires when this many completions pend... */
+constexpr uint32_t kMergeCount = 4;
+/** ... or when the oldest pending completion is this old. */
+constexpr TimeNs kMergeWindow = util::UsToNs(20);
 /** Second level (Virtex-5): fire when this many group batches pend. */
 constexpr uint32_t kGlobalMergeCount = 2;
 /** ... or when the oldest pending batch is this old. */
@@ -22,10 +29,8 @@ InterruptCoalescer::InterruptCoalescer(sim::Simulator &sim,
                                        uint32_t channel_count)
     : sim_(sim), config_(config)
 {
-    SDF_CHECK(config_.channels_per_group > 0);
     const uint32_t groups =
-        (channel_count + config_.channels_per_group - 1) /
-        config_.channels_per_group;
+        (channel_count + kChannelsPerGroup - 1) / kChannelsPerGroup;
     groups_.resize(std::max(groups, 1u));
 }
 
@@ -40,19 +45,19 @@ InterruptCoalescer::OnCompletion(uint32_t channel, sim::Callback deliver)
         return;
     }
 
-    const uint32_t g = channel / config_.channels_per_group;
+    const uint32_t g = channel / kChannelsPerGroup;
     SDF_CHECK(g < groups_.size());
     Group &group = groups_[g];
     group.pending.push_back(std::move(deliver));
 
-    if (group.pending.size() >= config_.merge_count) {
+    if (group.pending.size() >= kMergeCount) {
         if (group.timer != sim::kInvalidEvent) {
             sim_.Cancel(group.timer);
             group.timer = sim::kInvalidEvent;
         }
         Fire(g);
     } else if (group.timer == sim::kInvalidEvent) {
-        group.timer = sim_.Schedule(config_.merge_window, [this, g]() {
+        group.timer = sim_.Schedule(kMergeWindow, [this, g]() {
             groups_[g].timer = sim::kInvalidEvent;
             Fire(g);
         });

@@ -20,17 +20,12 @@ namespace sdf::controller {
 
 using util::TimeNs;
 
-/** Coalescing policy. */
+/** Coalescing policy; the merge groups, counts and windows are constants
+ *  in interrupts.cc. */
 struct InterruptConfig
 {
     /** Coalescing on/off (off = one interrupt per completion). */
     bool coalesce = true;
-    /** Channels per merge group (11 per Spartan-6 on the SDF board). */
-    uint32_t channels_per_group = 11;
-    /** Fire when this many completions are pending in a group. */
-    uint32_t merge_count = 4;
-    /** ... or when the oldest pending completion is this old. */
-    TimeNs merge_window = util::UsToNs(20);
 };
 
 /**

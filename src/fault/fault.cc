@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/hub.h"
-#include "util/assert.h"
 
 namespace sdf::fault {
 
@@ -26,9 +25,9 @@ FaultKindName(FaultKind k)
 
 namespace {
 
-/** Relative weights per kind Random() draws (stall, corrupt, crc, rber);
- *  FaultPlanSpec::weight_death sets the death weight between them. */
+/** Relative weights per kind Random() draws. */
 constexpr double kWeightStall = 3.0;
+constexpr double kWeightDeath = 0.5;
 constexpr double kWeightCorrupt = 4.0;
 constexpr double kWeightCrc = 2.0;
 constexpr double kWeightRber = 4.0;
@@ -75,11 +74,10 @@ FaultPlan::Random(const FaultPlanSpec &spec, uint64_t seed)
     std::vector<FaultEvent> events;
     events.reserve(spec.fault_count);
 
-    const double weights[] = {kWeightStall, spec.weight_death,
-                              kWeightCorrupt, kWeightCrc, kWeightRber};
+    const double weights[] = {kWeightStall, kWeightDeath, kWeightCorrupt,
+                              kWeightCrc, kWeightRber};
     double total_weight = 0;
     for (double w : weights) total_weight += w;
-    SDF_CHECK_MSG(total_weight > 0, "all fault weights zero");
 
     uint32_t deaths = 0;
     for (uint32_t i = 0; i < spec.fault_count; ++i) {
@@ -164,17 +162,26 @@ FaultPlan::Parse(const std::string &text, FaultPlan *out, std::string *error)
         }
         if (!(fields >> kind_name)) return fail("missing fault kind");
         FaultEvent e;
-        if (when_us < 0) return fail("negative time");
+        if (!util::FitsClock(when_us * util::kNsPerUs)) {
+            return fail("time must be non-negative and fit the clock");
+        }
         e.when = util::UsToNs(when_us);
         if (!KindFromName(kind_name, &e.kind))
             return fail("unknown fault kind '" + kind_name + "'");
         if (!(fields >> e.device >> e.channel))
             return fail("missing device/channel");
+        // A duration must be positive and end inside the clock.
+        auto ends_in_clock = [&](double dur_us) {
+            return dur_us > 0 &&
+                   util::FitsClock((when_us + dur_us) * util::kNsPerUs);
+        };
         double dur_us;
         switch (e.kind) {
             case FaultKind::kChannelStall:
-                if (!(fields >> dur_us) || dur_us <= 0)
-                    return fail("stall needs a positive duration (us)");
+                if (!(fields >> dur_us) || !ends_in_clock(dur_us)) {
+                    return fail("stall needs a positive duration (us) "
+                                "ending inside the clock");
+                }
                 e.duration = util::UsToNs(dur_us);
                 break;
             case FaultKind::kChannelDeath:
@@ -184,8 +191,9 @@ FaultPlan::Parse(const std::string &text, FaultPlan *out, std::string *error)
                     return fail("corrupt needs plane block page");
                 break;
             case FaultKind::kLinkCrcWindow:
-                if (!(fields >> dur_us >> e.magnitude) || dur_us <= 0 ||
-                    e.magnitude < 0 || e.magnitude > 1) {
+                if (!(fields >> dur_us >> e.magnitude) ||
+                    !ends_in_clock(dur_us) || e.magnitude < 0 ||
+                    e.magnitude > 1) {
                     return fail("crc needs duration (us) and prob in [0,1]");
                 }
                 e.duration = util::UsToNs(dur_us);
@@ -197,10 +205,11 @@ FaultPlan::Parse(const std::string &text, FaultPlan *out, std::string *error)
                 }
                 break;
             case FaultKind::kFailSlow:
-                if (!(fields >> dur_us >> e.magnitude) || dur_us <= 0 ||
-                    e.magnitude <= 0) {
-                    return fail(
-                        "failslow needs duration (us) and a positive factor");
+                if (!(fields >> dur_us >> e.magnitude) ||
+                    !ends_in_clock(dur_us) ||
+                    !ValidFailSlowFactor(e.magnitude)) {
+                    return fail("failslow needs duration (us) and a factor "
+                                "in [1, 1000]");
                 }
                 e.duration = util::UsToNs(dur_us);
                 break;

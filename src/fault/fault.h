@@ -59,6 +59,18 @@ enum class FaultKind : uint8_t
 
 const char *FaultKindName(FaultKind k);
 
+/** The largest kFailSlow multiplier: a node this much slower is as good as
+ *  dead, and the cap keeps every scaled service time inside the clock. */
+inline constexpr double kMaxFailSlowFactor = 1000;
+
+/** Whether @p m is a usable kFailSlow multiplier, in [1,
+ *  kMaxFailSlowFactor]. NaN fails. */
+constexpr bool
+ValidFailSlowFactor(double m)
+{
+    return m >= 1 && m <= kMaxFailSlowFactor;
+}
+
 /** One scheduled fault. Fields beyond (when, kind, device, channel) are
  *  kind-specific; unused ones stay zero. */
 struct FaultEvent
@@ -74,7 +86,8 @@ struct FaultEvent
     double magnitude = 0;   ///< kLinkCrcWindow prob / kRberElevation factor.
 };
 
-/** Knobs for FaultPlan::Random(). */
+/** Knobs for FaultPlan::Random(). The kinds' relative weights are
+ *  constants in fault.cc; Random() draws no kFailSlow events. */
 struct FaultPlanSpec
 {
     uint32_t fault_count = 100;
@@ -84,9 +97,6 @@ struct FaultPlanSpec
     uint32_t planes = 4;
     uint32_t blocks_per_plane = 16;
     uint32_t pages_per_block = 256;
-    /** Relative weight of channel deaths; the other NAND kinds' weights
-     *  are constants in fault.cc. Random() draws no kFailSlow events. */
-    double weight_death = 0.5;
     /** At most this many channel deaths total (keep the system alive). */
     uint32_t max_deaths = 2;
     TimeNs stall_max = util::UsToNs(2000);

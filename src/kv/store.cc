@@ -96,52 +96,4 @@ Store::TotalStats() const
     return total;
 }
 
-uint64_t
-FsView::SegmentKey(std::string_view path, uint32_t segment) const
-{
-    uint64_t s = util::Fingerprint(path) ^ (uint64_t{segment} << 32);
-    return util::SplitMix64(s);
-}
-
-void
-FsView::PutFile(std::string_view path, uint64_t size, PutCallback done)
-{
-    const uint32_t segments = std::max(SegmentCount(size), 1u);
-    auto remaining = std::make_shared<uint32_t>(segments);
-    auto all_ok = std::make_shared<bool>(true);
-    auto done_box = std::make_shared<PutCallback>(std::move(done));
-    for (uint32_t i = 0; i < segments; ++i) {
-        const uint64_t seg_size =
-            std::min<uint64_t>(segment_bytes_, size - uint64_t{i} * segment_bytes_);
-        store_.Put(SegmentKey(path, i), static_cast<uint32_t>(seg_size),
-                   [remaining, all_ok, done_box](bool ok) {
-                       if (!ok) *all_ok = false;
-                       if (--*remaining == 0 && *done_box) {
-                           (*done_box)(*all_ok);
-                       }
-                   });
-    }
-}
-
-void
-FsView::GetFile(std::string_view path, uint64_t size,
-                std::function<void(bool ok, uint64_t bytes)> done)
-{
-    const uint32_t segments = std::max(SegmentCount(size), 1u);
-    auto remaining = std::make_shared<uint32_t>(segments);
-    auto all_ok = std::make_shared<bool>(true);
-    auto bytes = std::make_shared<uint64_t>(0);
-    for (uint32_t i = 0; i < segments; ++i) {
-        store_.Get(SegmentKey(path, i),
-                   [remaining, all_ok, bytes, done](const GetResult &r) mutable {
-                       if (!r.found || !r.ok) {
-                           *all_ok = false;
-                       } else {
-                           *bytes += r.value_size;
-                       }
-                       if (--*remaining == 0 && done) done(*all_ok, *bytes);
-                   });
-    }
-}
-
 }  // namespace sdf::kv

@@ -1,6 +1,6 @@
 /**
  * @file
- * The multi-slice store and the three data-format subsystems built on it.
+ * The multi-slice store and the table view built on it.
  *
  * Baidu's storage system presents Table, FS, and KV interfaces; internally
  * all three are key-value pairs hashed into slices (§2.4). Each slice is
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "kv/slice.h"
@@ -140,39 +139,6 @@ class TableView
   private:
     Store &store_;
     uint64_t table_tag_;
-};
-
-/**
- * FS subsystem: the path name is the key; file data is stored in fixed
- * segments so large files span multiple KV pairs (§2.4).
- */
-class FsView
-{
-  public:
-    /** @param segment_bytes Maximum value size per file segment. */
-    explicit FsView(Store &store, uint32_t segment_bytes = 512 * 1024)
-        : store_(store), segment_bytes_(segment_bytes) {}
-
-    /** Number of segments a file of @p size occupies. */
-    uint32_t
-    SegmentCount(uint64_t size) const
-    {
-        return static_cast<uint32_t>((size + segment_bytes_ - 1) /
-                                     segment_bytes_);
-    }
-
-    uint64_t SegmentKey(std::string_view path, uint32_t segment) const;
-
-    /** Store a file of @p size bytes; @p done fires after all segments. */
-    void PutFile(std::string_view path, uint64_t size, PutCallback done);
-
-    /** Read back all segments; @p done receives overall success + size. */
-    void GetFile(std::string_view path, uint64_t size,
-                 std::function<void(bool ok, uint64_t bytes)> done);
-
-  private:
-    Store &store_;
-    uint32_t segment_bytes_;
 };
 
 }  // namespace sdf::kv

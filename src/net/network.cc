@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/hub.h"
@@ -10,14 +11,42 @@ namespace sdf::net {
 
 namespace {
 
+/** Client NIC bandwidth (10 GbE ~ 1.25 GB/s line rate). */
+constexpr double kClientNicBytesPerSec = 1.18e9;
+/** Server aggregate NIC bandwidth (2 x 10 GbE). */
+constexpr double kServerNicBytesPerSec = 2.36e9;
+/** One-way propagation + switching delay. */
+constexpr TimeNs kOneWayDelay = util::UsToNs(50);
+/** Shared server CPU cost per message (RPC dispatch). */
+constexpr TimeNs kServerPerMessage = util::UsToNs(15);
+/**
+ * Per-connection worker cost per payload byte (checksum + copies on the
+ * slice's serving thread); bounds per-slice throughput at
+ * ~1/kWorkerPerByteNs GB/s independent of the device.
+ */
+constexpr double kWorkerPerByteNs = 1.3;  // ~770 MB/s per slice connection
+/** Client-side RPC timeout per RpcTyped attempt. */
+constexpr TimeNs kRpcTimeout = util::MsToNs(50);
+/** Retries after the first attempt before giving up. */
+constexpr uint32_t kRpcMaxRetries = 3;
+/** First retry delay; doubles each further attempt (exponential). */
+constexpr TimeNs kRpcBackoffBase = util::MsToNs(1);
 /** Response size for a transport-generated deadline nack. */
 constexpr uint64_t kDropReplyBytes = 16;
 
+/** Payload work on a connection's serving worker, before fail-slow
+ *  scaling: one dispatch plus the per-byte cost. */
+TimeNs
+WorkerCost(uint64_t bytes)
+{
+    return kServerPerMessage +
+           static_cast<TimeNs>(kWorkerPerByteNs * static_cast<double>(bytes));
+}
+
 }  // namespace
 
-Network::Network(sim::Simulator &sim, const NetworkSpec &spec,
-                 uint32_t clients)
-    : sim_(sim), spec_(spec), server_nic_(sim), server_cpu_(sim)
+Network::Network(sim::Simulator &sim, uint32_t clients)
+    : sim_(sim), server_nic_(sim), server_cpu_(sim)
 {
     SDF_CHECK(clients > 0);
     client_nics_.reserve(clients);
@@ -68,13 +97,11 @@ Network::ClientToServer(uint32_t client, uint64_t bytes,
 {
     SDF_CHECK(client < client_nics_.size());
     ++messages_;
-    const TimeNs wire =
-        util::TransferTimeNs(bytes, spec_.client_nic_bytes_per_sec);
+    const TimeNs wire = util::TransferTimeNs(bytes, kClientNicBytesPerSec);
     client_nics_[client]->Submit(wire, nullptr);
-    const TimeNs arrival = sim_.Now() + wire + spec_.one_way_delay;
+    const TimeNs arrival = sim_.Now() + wire + kOneWayDelay;
     sim_.ScheduleAt(arrival, [this, at_server = std::move(at_server)]() mutable {
-        server_cpu_.Submit(Scaled(spec_.server_per_message),
-                           std::move(at_server));
+        server_cpu_.Submit(Scaled(kServerPerMessage), std::move(at_server));
     });
 }
 
@@ -83,21 +110,17 @@ Network::Push(uint32_t client, uint64_t bytes, sim::Callback delivered)
 {
     SDF_CHECK(client < client_nics_.size());
     ++messages_;
-    const auto worker_cost = Scaled(
-        spec_.server_per_message +
-        static_cast<TimeNs>(spec_.worker_per_byte_ns *
-                            static_cast<double>(bytes)));
-    workers_[client]->Submit(worker_cost, [this, client, bytes,
-                                           delivered = std::move(
-                                               delivered)]() mutable {
+    workers_[client]->Submit(Scaled(WorkerCost(bytes)),
+                             [this, client, bytes,
+                              delivered = std::move(delivered)]() mutable {
         bytes_to_clients_ += bytes;
         const TimeNs srv_wire =
-            util::TransferTimeNs(bytes, spec_.server_nic_bytes_per_sec);
+            util::TransferTimeNs(bytes, kServerNicBytesPerSec);
         const TimeNs srv_done = server_nic_.Submit(srv_wire, nullptr);
         const TimeNs cli_wire =
-            util::TransferTimeNs(bytes, spec_.client_nic_bytes_per_sec);
-        client_nics_[client]->SubmitAfter(srv_done + spec_.one_way_delay,
-                                          cli_wire, std::move(delivered));
+            util::TransferTimeNs(bytes, kClientNicBytesPerSec);
+        client_nics_[client]->SubmitAfter(srv_done + kOneWayDelay, cli_wire,
+                                          std::move(delivered));
     });
 }
 
@@ -108,19 +131,18 @@ Network::Bulk(uint32_t client, uint64_t bytes, sim::Callback at_server,
     SDF_CHECK(client < client_nics_.size());
     ++bulk_messages_;
     bulk_bytes_ += bytes;
-    const TimeNs cli_wire =
-        util::TransferTimeNs(bytes, spec_.client_nic_bytes_per_sec);
+    const TimeNs cli_wire = util::TransferTimeNs(bytes, kClientNicBytesPerSec);
     client_nics_[client]->Submit(cli_wire, nullptr);
-    const TimeNs arrival = sim_.Now() + cli_wire + spec_.one_way_delay;
+    const TimeNs arrival = sim_.Now() + cli_wire + kOneWayDelay;
     if (span) span->Enter(obs::Stage::kAdmission, arrival);
     sim_.ScheduleAt(arrival, [this, bytes, at_server = std::move(at_server),
                               span = std::move(span)]() mutable {
         const TimeNs srv_wire =
-            util::TransferTimeNs(bytes, spec_.server_nic_bytes_per_sec);
+            util::TransferTimeNs(bytes, kServerNicBytesPerSec);
         server_nic_.Submit(srv_wire, [this, at_server = std::move(at_server),
                                       span = std::move(span)]() mutable {
             server_cpu_.Submit(
-                Scaled(spec_.server_per_message),
+                Scaled(kServerPerMessage),
                 [at_server = std::move(at_server),
                  span = std::move(span), this]() mutable {
                     if (span)
@@ -145,16 +167,16 @@ Network::Rpc(uint32_t client, uint64_t request_bytes, Handler handler,
 
     // Request: client NIC -> wire -> server NIC -> server CPU dispatch.
     const TimeNs req_wire =
-        util::TransferTimeNs(request_bytes, spec_.client_nic_bytes_per_sec);
+        util::TransferTimeNs(request_bytes, kClientNicBytesPerSec);
     client_nics_[client]->Submit(req_wire, nullptr);
-    const TimeNs at_server = sim_.Now() + req_wire + spec_.one_way_delay;
+    const TimeNs at_server = sim_.Now() + req_wire + kOneWayDelay;
     // The arrival time is known now; the span clamps it monotonic.
     if (span) span->Enter(obs::Stage::kAdmission, at_server);
 
     sim_.ScheduleAt(at_server, [this, client, handler = std::move(handler),
                                 boxed = std::move(boxed),
                                 span = std::move(span)]() mutable {
-        server_cpu_.Submit(Scaled(spec_.server_per_message),
+        server_cpu_.Submit(Scaled(kServerPerMessage),
                            [this, client,
                             handler = std::move(handler),
                             boxed = std::move(boxed),
@@ -166,23 +188,19 @@ Network::Rpc(uint32_t client, uint64_t request_bytes, Handler handler,
                 if (span) span->Enter(obs::Stage::kRpcWire, sim_.Now());
                 // Response: payload handled on the connection's serving
                 // worker, then both NICs.
-                const auto payload_cpu = Scaled(
-                    spec_.server_per_message +
-                    static_cast<TimeNs>(spec_.worker_per_byte_ns *
-                                        static_cast<double>(response_bytes)));
                 workers_[client]->Submit(
-                    payload_cpu,
+                    Scaled(WorkerCost(response_bytes)),
                     [this, client, response_bytes,
                      boxed = std::move(boxed)]() mutable {
                         bytes_to_clients_ += response_bytes;
                         const TimeNs srv_wire = util::TransferTimeNs(
-                            response_bytes, spec_.server_nic_bytes_per_sec);
+                            response_bytes, kServerNicBytesPerSec);
                         const util::TimeNs srv_done = server_nic_.Submit(
                             srv_wire, nullptr);
                         const TimeNs cli_wire = util::TransferTimeNs(
-                            response_bytes, spec_.client_nic_bytes_per_sec);
+                            response_bytes, kClientNicBytesPerSec);
                         client_nics_[client]->SubmitAfter(
-                            srv_done + spec_.one_way_delay, cli_wire,
+                            srv_done + kOneWayDelay, cli_wire,
                             [boxed = std::move(boxed)]() { (*boxed)(); });
                     });
             });
@@ -251,13 +269,10 @@ Network::AttemptTyped(uint32_t client, uint64_t request_bytes,
         },
         std::move(span));
 
-    // Per-attempt timer: the usual RPC timeout, clipped to the deadline.
-    TimeNs wait = spec_.rpc_timeout;
-    if (deadline != 0) {
-        const TimeNs remaining = deadline - sim_.Now();
-        if (wait == 0 || remaining < wait) wait = remaining;
-    }
-    if (wait == 0) return;
+    // Per-attempt timer: the RPC timeout, clipped to the deadline (which
+    // is still ahead: an expired request returned above).
+    TimeNs wait = kRpcTimeout;
+    if (deadline != 0) wait = std::min(wait, deadline - sim_.Now());
 
     sim_.Schedule(wait, [this, client, request_bytes, deadline,
                          handler = std::move(handler), done, settled,
@@ -265,8 +280,8 @@ Network::AttemptTyped(uint32_t client, uint64_t request_bytes,
         if (settled->settled) return;
         settled->settled = true;
         ++rpc_stats_.timeouts;
-        const TimeNs backoff = spec_.rpc_backoff_base << attempt;
-        const bool budget_left = attempt < spec_.rpc_max_retries;
+        const TimeNs backoff = kRpcBackoffBase << attempt;
+        const bool budget_left = attempt < kRpcMaxRetries;
         const bool deadline_left =
             deadline == 0 || sim_.Now() + backoff < deadline;
         if (!budget_left || !deadline_left) {

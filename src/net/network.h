@@ -6,7 +6,8 @@
  * with one 10 GbE NIC and the storage server with two. We model each NIC as
  * a FIFO pipe and charge a fixed propagation/switching delay per message,
  * plus a per-message server CPU cost for request handling and payload
- * memory copies (which bounds small-batch throughput).
+ * memory copies (which bounds small-batch throughput). The link, CPU and
+ * RPC retry parameters are constants in network.cc.
  */
 #ifndef SDF_NET_NETWORK_H
 #define SDF_NET_NETWORK_H
@@ -30,34 +31,6 @@ class Hub;
 namespace sdf::net {
 
 using util::TimeNs;
-
-/** Link and processing parameters. */
-struct NetworkSpec
-{
-    /** Client NIC bandwidth (10 GbE ~ 1.25 GB/s line rate). */
-    double client_nic_bytes_per_sec = 1.18e9;
-    /** Server aggregate NIC bandwidth (2 x 10 GbE). */
-    double server_nic_bytes_per_sec = 2.36e9;
-    /** One-way propagation + switching delay. */
-    TimeNs one_way_delay = util::UsToNs(50);
-    /** Shared server CPU cost per message (RPC dispatch). */
-    TimeNs server_per_message = util::UsToNs(15);
-    /**
-     * Per-connection worker cost per payload byte (checksum + copies on
-     * the slice's serving thread); bounds per-slice throughput at
-     * ~1/per_byte GB/s independent of the device.
-     */
-    double worker_per_byte_ns = 1.3;  // ~770 MB/s per slice connection
-    /**
-     * Client-side RPC timeout per attempt for RpcTyped; 0 disables
-     * timeouts (an attempt then waits forever, as plain Rpc does).
-     */
-    TimeNs rpc_timeout = util::MsToNs(50);
-    /** Retries after the first attempt before giving up. */
-    uint32_t rpc_max_retries = 3;
-    /** First retry delay; doubles each further attempt (exponential). */
-    TimeNs rpc_backoff_base = util::MsToNs(1);
-};
 
 /** Client-side reliability counters for RpcTyped. */
 struct RpcStats
@@ -103,7 +76,7 @@ class Network
      */
     using TypedHandler = std::function<void(TimeNs deadline, TypedReply reply)>;
 
-    Network(sim::Simulator &sim, const NetworkSpec &spec, uint32_t clients);
+    Network(sim::Simulator &sim, uint32_t clients);
     ~Network();
 
     Network(const Network &) = delete;
@@ -127,18 +100,17 @@ class Network
 
     /**
      * Rpc with client-side fault tolerance and deadline propagation: each
-     * attempt is abandoned after spec.rpc_timeout and re-issued after an
-     * exponentially growing backoff (spec.rpc_backoff_base << attempt),
-     * up to spec.rpc_max_retries retries. The handler must be idempotent:
-     * an attempt that already reached the server keeps running and its
-     * late response is discarded. The absolute @p deadline (0 = none)
-     * rides with the request: the transport drops it server-side once
-     * expired (counted in deadline_drops), the handler sees it, and no
-     * retry is scheduled that could not complete before it. Retries fire
-     * only on timeouts; a typed kOverloaded reply settles immediately — a
-     * shed request must not be hammered back into the queue it was shed
-     * from. @p done receives kDeadlineExceeded when the retry budget or
-     * the deadline runs out.
+     * attempt is abandoned after a 50 ms timeout and re-issued after an
+     * exponentially growing backoff (1 ms << attempt), up to 3 retries.
+     * The handler must be idempotent: an attempt that already reached the
+     * server keeps running and its late response is discarded. The
+     * absolute @p deadline (0 = none) rides with the request: the
+     * transport drops it server-side once expired (counted in
+     * deadline_drops), the handler sees it, and no retry is scheduled that
+     * could not complete before it. Retries fire only on timeouts; a typed
+     * kOverloaded reply settles immediately — a shed request must not be
+     * hammered back into the queue it was shed from. @p done receives
+     * kDeadlineExceeded when the retry budget or the deadline runs out.
      */
     void RpcTyped(uint32_t client, uint64_t request_bytes, TimeNs deadline,
                   TypedHandler handler, sim::Func<void(RpcCode)> done,
@@ -184,7 +156,6 @@ class Network
     uint64_t bytes_to_clients() const { return bytes_to_clients_; }
     uint64_t bulk_messages() const { return bulk_messages_; }
     uint64_t bulk_bytes() const { return bulk_bytes_; }
-    const NetworkSpec &spec() const { return spec_; }
     const RpcStats &rpc_stats() const { return rpc_stats_; }
 
   private:
@@ -209,7 +180,6 @@ class Network
     }
 
     sim::Simulator &sim_;
-    NetworkSpec spec_;
     double service_mult_ = 1.0;
     /**
      * Hot-path allocation pools (declared before anything that can hold a

@@ -144,39 +144,6 @@ StatsJson(const Hub &hub, const MetaMap &meta, const DerivedMap &derived)
     return out;
 }
 
-std::string
-StatsCsv(const Hub &hub, const MetaMap &meta, const DerivedMap &derived)
-{
-    const MetricsRegistry::Snapshot snap = hub.metrics().Take();
-    std::string out = "key,value\n";
-    for (const auto &[k, v] : meta) out += "meta." + k + "," + v + "\n";
-    for (const auto &[k, v] : derived) {
-        out += "derived." + k + "," + Num(v) + "\n";
-    }
-    for (const auto &[k, v] : snap.counters) {
-        out += k + "," + Num(v) + "\n";
-    }
-    for (const auto &[k, v] : snap.gauges) out += k + "," + Num(v) + "\n";
-    for (const auto &[k, h] : snap.histograms) {
-        out += k + ".count," + Num(h.count) + "\n";
-        out += k + ".mean," + Num(h.mean) + "\n";
-        out += k + ".p99," + Num(h.p99) + "\n";
-    }
-    for (const auto &[op, s] : hub.stages().ops()) {
-        out += "stages." + op + ".count," + Num(s.count) + "\n";
-        out += "stages." + op + ".end_to_end_ns_mean," +
-               Num(s.TotalMeanNs()) + "\n";
-        for (size_t i = 0; i < kStageCount; ++i) {
-            if (s.stage_sum_ns[i] == 0) continue;
-            out += "stages." + op + ".";
-            out += StageName(static_cast<Stage>(i));
-            out += "_ns_mean," + Num(s.StageMeanNs(static_cast<Stage>(i))) +
-                   "\n";
-        }
-    }
-    return out;
-}
-
 bool
 WriteFile(const std::string &path, const std::string &content)
 {

@@ -70,10 +70,6 @@ using DerivedMap = std::map<std::string, double>;
 std::string StatsJson(const Hub &hub, const MetaMap &meta,
                       const DerivedMap &derived);
 
-/** Render the same document flattened to "path,value" CSV rows. */
-std::string StatsCsv(const Hub &hub, const MetaMap &meta,
-                     const DerivedMap &derived);
-
 /** Write @p content to @p path. @return false on I/O error. */
 bool WriteFile(const std::string &path, const std::string &content);
 

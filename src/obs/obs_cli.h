@@ -4,8 +4,8 @@
  * the bench suite, sdfsim, and the examples. Header-only so a binary only
  * pays for it when it links nothing else from obs.
  *
- * Flags: --stats-json=<path>, --stats-csv=<path>, --trace=<path>,
- * --trace-limit=<n>, --stats-series=<path> and --series-interval-ms=<f>.
+ * Flags: --stats-json=<path>, --trace=<path>, --trace-limit=<n>,
+ * --stats-series=<path> and --series-interval-ms=<f>.
  * When any export is requested the helper owns an obs::Hub ready to
  * install on a Simulator (before device construction); otherwise hub()
  * stays null and the run is unchanged. Workloads with a time axis call
@@ -16,7 +16,6 @@
 #define SDF_OBS_OBS_CLI_H
 
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -40,7 +39,6 @@ class ObsCli
     TryFlag(const std::string &key, const std::string &val)
     {
         if (key == "--stats-json") stats_json_ = val;
-        else if (key == "--stats-csv") stats_csv_ = val;
         else if (key == "--trace") trace_path_ = val;
         else if (key == "--trace-limit") {
             const long long n = util::ParseWhole(
@@ -60,8 +58,7 @@ class ObsCli
                 });
             // At least 1 ns and inside the clock's range; NaN fails both.
             const double ns = ms * util::kNsPerMs;
-            constexpr auto kMaxNs = std::numeric_limits<util::TimeNs>::max();
-            if (!(ns >= 1 && ns < static_cast<double>(kMaxNs))) {
+            if (!(ns >= 1 && util::FitsClock(ns))) {
                 throw std::invalid_argument(
                     key + " must be 1 ns or more and fit the clock");
             }
@@ -90,8 +87,8 @@ class ObsCli
     bool
     enabled() const
     {
-        return !stats_json_.empty() || !stats_csv_.empty() ||
-               !trace_path_.empty() || !series_path_.empty();
+        return !stats_json_.empty() || !trace_path_.empty() ||
+               !series_path_.empty();
     }
 
     /** The hub to install with sim.set_hub(), or null when disabled. */
@@ -143,11 +140,6 @@ class ObsCli
             std::fprintf(stderr, "cannot write %s\n", stats_json_.c_str());
             rc = 1;
         }
-        if (!stats_csv_.empty() &&
-            !obs::WriteFile(stats_csv_, obs::StatsCsv(h, meta_, derived_))) {
-            std::fprintf(stderr, "cannot write %s\n", stats_csv_.c_str());
-            rc = 1;
-        }
         if (!trace_path_.empty()) {
             if (!h.trace()->WriteJson(trace_path_)) {
                 std::fprintf(stderr, "cannot write %s\n", trace_path_.c_str());
@@ -172,7 +164,6 @@ class ObsCli
     {
         return "observability:\n"
                "  --stats-json=<file>  export metrics+stage stats as JSON\n"
-               "  --stats-csv=<file>   same document as key,value CSV\n"
                "  --trace=<file>       Perfetto/chrome://tracing JSON trace\n"
                "  --trace-limit=<n>    trace event cap (default 1048576);\n"
                "                       overflow is counted, not silent\n"
@@ -182,7 +173,6 @@ class ObsCli
 
   private:
     std::string stats_json_;
-    std::string stats_csv_;
     std::string trace_path_;
     size_t trace_limit_ = obs::TraceSink::kDefaultMaxEvents;
     std::string series_path_;

@@ -14,6 +14,9 @@ namespace {
 
 /** Concurrent page migrations per channel during GC. */
 constexpr uint32_t kGcInflightWindow = 8;
+/** Static wear leveling: one SWL migration per this many GC victim
+ *  selections. */
+constexpr uint32_t kSwlPeriod = 24;
 
 /** Flat per-channel block id -> NAND block address. */
 nand::BlockAddr
@@ -542,7 +545,7 @@ ConventionalSsd::GcPickVictim(uint32_t ch)
     size_t idx;
     ++cf.gc_victims_picked;
     if (config_.static_wear_leveling &&
-        cf.gc_victims_picked % config_.swl_period == 0) {
+        cf.gc_victims_picked % kSwlPeriod == 0) {
         // Static wear leveling turn: migrate the coldest closed block,
         // whatever its valid count (the sporadic burst the paper blames
         // for conventional-SSD latency variation).

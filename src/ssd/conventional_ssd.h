@@ -97,11 +97,10 @@ struct ConventionalSsdConfig
      * closed block as the GC victim regardless of its valid count, so
      * long-lived data rotates off low-wear blocks. SDF removed this
      * (§2.2); on the conventional device it is a source of sporadic
-     * latency spikes — a nearly fully valid block gets migrated.
+     * latency spikes — a nearly fully valid block gets migrated. One
+     * victim selection in 24 is an SWL turn (kSwlPeriod).
      */
     bool static_wear_leveling = true;
-    /** One SWL migration per this many GC victim selections. */
-    uint32_t swl_period = 24;
 };
 
 /** Cumulative device statistics. */

@@ -66,7 +66,7 @@ KvTestbed::KvTestbed(Backend kind, uint32_t slice_count, uint32_t clients,
                      double capacity_scale, kv::SliceConfig slice_cfg,
                      obs::Hub *hub)
     : hub_bind_(sim_, hub != nullptr ? hub : obs::GlobalObs().hub()),
-      net_(sim_, net::NetworkSpec{}, clients)
+      net_(sim_, clients)
 {
     KvStackConfig kc;
     kc.stack.backend = kind;

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -41,6 +42,18 @@ constexpr TimeNs UsToNs(double us) { return static_cast<TimeNs>(us * kNsPerUs); 
 constexpr TimeNs MsToNs(double ms) { return static_cast<TimeNs>(ms * kNsPerMs); }
 /** Convert seconds to simulated nanoseconds. */
 constexpr TimeNs SecToNs(double s) { return static_cast<TimeNs>(s * kNsPerSec); }
+
+/**
+ * Whether @p ns, a time in nanoseconds computed in floating point (a flag
+ * value times its unit), is non-negative and fits the simulated clock, so
+ * converting it to TimeNs is defined. NaN and infinity fail.
+ */
+constexpr bool
+FitsClock(double ns)
+{
+    return ns >= 0 &&
+           ns < static_cast<double>(std::numeric_limits<TimeNs>::max());
+}
 
 /** Convert simulated nanoseconds to (double) milliseconds. */
 constexpr double NsToMs(TimeNs ns) { return static_cast<double>(ns) / kNsPerMs; }

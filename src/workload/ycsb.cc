@@ -309,11 +309,10 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
             case KeyChooser::kPreloaded: return rng.NextBelow(n0);
             case KeyChooser::kZipfian: {
                 // Ranks are drawn over the initial population (the
-                // preloaded working set); scrambling spreads the hot
-                // ranks across the key space deterministically.
-                const uint64_t r = zipf.Next(rng);
-                if (!cfg.scramble) return static_cast<size_t>(r - 1);
-                uint64_t s = r;
+                // preloaded working set) and scrambled (SplitMix64), so
+                // the hot set is scattered across the key space like
+                // hashed production keys rather than a prefix.
+                uint64_t s = zipf.Next(rng);
                 return static_cast<size_t>(util::SplitMix64(s) % n0);
             }
             case KeyChooser::kLatest: {

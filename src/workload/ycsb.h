@@ -151,10 +151,6 @@ struct YcsbConfig
     uint64_t seed = 7;
     /** Zipfian exponent for the kZipfian / kLatest choosers. */
     double theta = 0.99;
-    /** Spread Zipf ranks over the key space (SplitMix64), so the hot
-     *  set is scattered like hashed production keys rather than a
-     *  prefix. Tests turn this off to pin raw rank sequences. */
-    bool scramble = true;
     ValueDist value_dist = ValueDist::kFixed;
     uint32_t value_bytes = 4 * util::kKiB;   ///< kFixed / kFieldZipf base.
     uint32_t value_min = 512;                ///< kUniform low bound.

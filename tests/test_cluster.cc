@@ -449,7 +449,7 @@ TEST(Cluster, AllReplicasDeadFailsCleanly)
     });
     sim.Run();
     EXPECT_TRUE(completed);
-    EXPECT_LT(latency, cl.node(0).net().spec().rpc_timeout);
+    EXPECT_LT(latency, util::MsToNs(50));  // The RPC timeout.
     EXPECT_EQ(cl.router().stats().failed_reads, 1u);
 }
 
@@ -477,50 +477,41 @@ TEST(Cluster, PutSurvivesOneDeadReplica)
 // Typed RPC transport (net::Network::RpcTyped)
 // ---------------------------------------------------------------------------
 
-net::NetworkSpec
-FastRpcSpec()
-{
-    net::NetworkSpec spec;
-    spec.rpc_timeout = util::MsToNs(2);
-    spec.rpc_max_retries = 2;
-    spec.rpc_backoff_base = util::UsToNs(100);
-    return spec;
-}
-
 TEST(RpcTyped, RetryExhaustionIsTypedDeadlineExceeded)
 {
     sim::Simulator sim;
-    const net::NetworkSpec spec = FastRpcSpec();
-    net::Network net(sim, spec, 1);
+    net::Network net(sim, 1);
     // A server that swallows requests: every attempt must time out, and
     // after the retry budget the caller gets a typed disposition, not a
     // hang or a bare bool.
     int handled = 0;
     bool settled = false;
+    util::TimeNs settled_at = 0;
     net::RpcCode code = net::RpcCode::kOk;
     net.RpcTyped(
         0, 512, 0,
         [&](util::TimeNs, net::Network::TypedReply) { ++handled; },
         [&](net::RpcCode c) {
             settled = true;
+            settled_at = sim.Now();
             code = c;
         });
     sim.Run();
     EXPECT_TRUE(settled);
     EXPECT_EQ(code, net::RpcCode::kDeadlineExceeded);
-    // First attempt + rpc_max_retries re-issues, every one abandoned.
-    EXPECT_EQ(handled, 3);
-    EXPECT_EQ(net.rpc_stats().timeouts, 3u);
-    EXPECT_EQ(net.rpc_stats().retries, 2u);
+    // The first attempt and 3 retries, every one abandoned.
+    EXPECT_EQ(handled, 4);
+    EXPECT_EQ(net.rpc_stats().timeouts, 4u);
+    EXPECT_EQ(net.rpc_stats().retries, 3u);
     EXPECT_EQ(net.rpc_stats().failures, 1u);
-    // Total elapsed covers 3 timeouts plus the backoff gaps (1x + 2x base).
-    EXPECT_GE(sim.Now(), 3 * spec.rpc_timeout + 3 * spec.rpc_backoff_base);
+    // Four 50 ms timeouts plus the backoff gaps, 1 ms doubling per retry.
+    EXPECT_EQ(settled_at, 4 * util::MsToNs(50) + util::MsToNs(1 + 2 + 4));
 }
 
 TEST(RpcTyped, FastReplySucceedsWithoutRetries)
 {
     sim::Simulator sim;
-    net::Network net(sim, FastRpcSpec(), 1);
+    net::Network net(sim, 1);
     net::RpcCode code = net::RpcCode::kDeadlineExceeded;
     net.RpcTyped(
         0, 256, 0,
@@ -538,7 +529,7 @@ TEST(RpcTyped, FastReplySucceedsWithoutRetries)
 TEST(RpcTyped, OverloadedReplySettlesWithoutRetry)
 {
     sim::Simulator sim;
-    net::Network net(sim, FastRpcSpec(), 1);
+    net::Network net(sim, 1);
     // An admission nack is an answer, not a failure: retrying would hammer
     // the very queue the server just shed from.
     net::RpcCode code = net::RpcCode::kOk;
@@ -558,7 +549,7 @@ TEST(RpcTyped, OverloadedReplySettlesWithoutRetry)
 TEST(RpcTyped, ExpiredDeadlineIsDroppedBeforeTheHandler)
 {
     sim::Simulator sim;
-    net::Network net(sim, FastRpcSpec(), 1);
+    net::Network net(sim, 1);
     // Deadline shorter than the one-way propagation delay: the request
     // expires in flight, so the transport drops it server-side without
     // running the handler — the work would be wasted anyway.

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "controller/interrupts.h"
 #include "controller/link.h"
 #include "sim/simulator.h"
@@ -91,15 +93,21 @@ TEST(Interrupts, NoCoalescingDeliversImmediately)
     EXPECT_DOUBLE_EQ(irq.MergeFactor(), 1.0);
 }
 
+// The coalescer's constants (interrupts.cc): groups of 11 channels, a
+// group fires at 4 pending completions or after 20 us, and the global
+// stage fires at 2 pending group batches or after 15 us.
+
 TEST(Interrupts, MergesByCount)
 {
     sim::Simulator sim;
-    InterruptConfig cfg;
-    cfg.merge_count = 4;
-    InterruptCoalescer irq(sim, cfg, 44);
+    InterruptCoalescer irq(sim, InterruptConfig{}, 44);
     int delivered = 0;
+    util::TimeNs at = 0;
     for (int i = 0; i < 4; ++i) {
-        irq.OnCompletion(0, [&]() { ++delivered; });
+        irq.OnCompletion(0, [&]() {
+            ++delivered;
+            at = sim.Now();
+        });
     }
     // Count threshold reached at level 1; the global stage flushes on its
     // own (shorter) window.
@@ -107,54 +115,44 @@ TEST(Interrupts, MergesByCount)
     EXPECT_EQ(delivered, 4);
     EXPECT_EQ(irq.interrupts(), 1u);
     EXPECT_DOUBLE_EQ(irq.MergeFactor(), 4.0);
-    EXPECT_LE(sim.Now(), util::UsToNs(15));
+    EXPECT_EQ(at, util::UsToNs(15));
 }
 
 TEST(Interrupts, TimerFlushesPartialBatch)
 {
     sim::Simulator sim;
-    InterruptConfig cfg;
-    cfg.merge_count = 100;
-    cfg.merge_window = util::UsToNs(50);
-    InterruptCoalescer irq(sim, cfg, 44);
-    int delivered = 0;
-    irq.OnCompletion(0, [&]() { ++delivered; });
-    EXPECT_EQ(delivered, 0);  // Held for the window.
+    InterruptCoalescer irq(sim, InterruptConfig{}, 44);
+    util::TimeNs at = -1;
+    irq.OnCompletion(0, [&]() { at = sim.Now(); });
+    EXPECT_EQ(at, -1);  // Held for the window.
     sim.Run();
-    EXPECT_EQ(delivered, 1);
-    EXPECT_GE(sim.Now(), util::UsToNs(50));
+    // The group's window, then the global stage's.
+    EXPECT_EQ(at, util::UsToNs(20 + 15));
 }
 
 TEST(Interrupts, GroupsAreIndependent)
 {
     sim::Simulator sim;
-    InterruptConfig cfg;
-    cfg.channels_per_group = 11;
-    cfg.merge_count = 2;
-    InterruptCoalescer irq(sim, cfg, 44);
-    int delivered = 0;
-    // One completion in each of the four Spartan-6 groups: none fires by
-    // count; all flush on their timers.
-    irq.OnCompletion(0, [&]() { ++delivered; });
-    irq.OnCompletion(11, [&]() { ++delivered; });
-    irq.OnCompletion(22, [&]() { ++delivered; });
-    irq.OnCompletion(33, [&]() { ++delivered; });
-    EXPECT_EQ(delivered, 0);
+    InterruptCoalescer irq(sim, InterruptConfig{}, 44);
+    std::vector<util::TimeNs> at;
+    // Four completions straddling the first group boundary: three on
+    // channel 10 (group 0) and one on channel 11 (group 1). Neither
+    // group reaches the count of 4, so both wait out their window; the
+    // two batches then reach the global stage together and merge into
+    // one interrupt there.
+    for (uint32_t ch : {10u, 10u, 10u, 11u}) {
+        irq.OnCompletion(ch, [&]() { at.push_back(sim.Now()); });
+    }
     sim.Run();
-    EXPECT_EQ(delivered, 4);
-    // Four level-1 batches merged further by the global (Virtex-5) stage.
-    EXPECT_LE(irq.interrupts(), 4u);
-    EXPECT_GE(irq.interrupts(), 1u);
+    EXPECT_EQ(at, std::vector<util::TimeNs>(4, util::UsToNs(20)));
+    EXPECT_EQ(irq.interrupts(), 1u);
 }
 
 TEST(Interrupts, MergeFactorInPaperRange)
 {
     // §2.1: with merging, the interrupt rate is 1/5 to 1/4 of max IOPS.
     sim::Simulator sim;
-    InterruptConfig cfg;
-    cfg.merge_count = 4;
-    cfg.merge_window = util::UsToNs(50);
-    InterruptCoalescer irq(sim, cfg, 44);
+    InterruptCoalescer irq(sim, InterruptConfig{}, 44);
     int delivered = 0;
     // A steady stream on each channel of one group.
     for (int burst = 0; burst < 100; ++burst) {
@@ -164,9 +162,11 @@ TEST(Interrupts, MergeFactorInPaperRange)
     }
     sim.Run();
     EXPECT_EQ(delivered, 1100);
-    // Two merge levels compound: >= the paper's 4-5x at saturation.
-    EXPECT_GE(irq.MergeFactor(), 3.5);
-    EXPECT_LE(irq.MergeFactor(), 16.0);
+    // Two merge levels compound, beyond the paper's 4-5x at saturation:
+    // 275 group batches of 4 pair into 137 interrupts, and the odd batch
+    // goes alone on the global window.
+    EXPECT_EQ(irq.interrupts(), 138u);
+    EXPECT_DOUBLE_EQ(irq.MergeFactor(), 1100.0 / 138);
     EXPECT_GT(irq.cpu_time(), 0);
 }
 

@@ -4,6 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "host/io_stack.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -110,39 +113,63 @@ TEST(ClosedLoopActor, StopPreventsFurtherIterations)
     EXPECT_LE(iterations, at_stop);
 }
 
+// The network's link and CPU constants (network.cc): client NIC 1.18 GB/s,
+// server NIC 2.36 GB/s, 50 us one way, 15 us dispatch per message and
+// 1.3 ns of worker time per response byte.
+constexpr double kClientNic = 1.18e9;
+constexpr double kServerNic = 2.36e9;
+constexpr util::TimeNs kOneWay = util::UsToNs(50);
+constexpr util::TimeNs kPerMessage = util::UsToNs(15);
+constexpr double kWorkerPerByteNs = 1.3;
+
+/** Worker time a response of @p bytes costs beyond its dispatch. */
+constexpr util::TimeNs
+PayloadCost(uint64_t bytes)
+{
+    return static_cast<util::TimeNs>(kWorkerPerByteNs *
+                                     static_cast<double>(bytes));
+}
+
+/** Completion time of one RPC from client 0 on an idle network. */
+util::TimeNs
+RpcTime(uint64_t request_bytes, uint64_t response_bytes)
+{
+    sim::Simulator sim;
+    net::Network net(sim, 1);
+    util::TimeNs done_at = 0;
+    net.Rpc(0, request_bytes,
+            [response_bytes](std::function<void(uint64_t)> reply) {
+                reply(response_bytes);
+            },
+            [&]() { done_at = sim.Now(); });
+    sim.Run();
+    return done_at;
+}
+
 TEST(Network, RpcRoundTripLatency)
 {
     sim::Simulator sim;
-    net::NetworkSpec spec;
-    spec.one_way_delay = util::UsToNs(50);
-    spec.server_per_message = util::UsToNs(10);
-    spec.worker_per_byte_ns = 0;
-    net::Network net(sim, spec, 1);
+    net::Network net(sim, 1);
 
     util::TimeNs done_at = 0;
     net.Rpc(0, 256,
             [](std::function<void(uint64_t)> reply) { reply(1024); },
             [&]() { done_at = sim.Now(); });
     sim.Run();
-    // Two one-way delays + two server message costs + transfer times.
-    EXPECT_GT(done_at, util::UsToNs(120));
-    EXPECT_LT(done_at, util::UsToNs(140));
+    // Request over the client NIC and the wire, one dispatch; the reply's
+    // dispatch and payload cost on the worker, then both NICs and the
+    // wire.
+    EXPECT_EQ(done_at, util::TransferTimeNs(256, kClientNic) + kOneWay +
+                           kPerMessage + kPerMessage + PayloadCost(1024) +
+                           util::TransferTimeNs(1024, kServerNic) + kOneWay +
+                           util::TransferTimeNs(1024, kClientNic));
     EXPECT_EQ(net.bytes_to_clients(), 1024u);
 }
 
 TEST(Network, LargeResponsesBoundByClientNic)
 {
-    sim::Simulator sim;
-    net::NetworkSpec spec;
-    net::Network net(sim, spec, 1);
     // 118 MB at ~1.18 GB/s -> ~100 ms.
-    util::TimeNs done_at = 0;
-    net.Rpc(0, 64,
-            [](std::function<void(uint64_t)> reply) {
-                reply(static_cast<uint64_t>(118e6));
-            },
-            [&]() { done_at = sim.Now(); });
-    sim.Run();
+    const util::TimeNs done_at = RpcTime(64, static_cast<uint64_t>(118e6));
     EXPECT_GT(done_at, util::MsToNs(100));
     EXPECT_LT(done_at, util::MsToNs(320));
 }
@@ -150,43 +177,33 @@ TEST(Network, LargeResponsesBoundByClientNic)
 TEST(Network, ServerNicSharedAcrossClients)
 {
     sim::Simulator sim;
-    net::NetworkSpec spec;
-    spec.worker_per_byte_ns = 0;  // Isolate the NIC path.
-    net::Network net(sim, spec, 4);
-    // Four clients each pull ~236 MB: aggregate 944 MB at 2.36 GB/s
-    // server-side = 400 ms minimum.
-    int done = 0;
+    net::Network net(sim, 4);
+    // Four clients each pull 236 MB. Each connection has its own worker
+    // and client NIC, but the server NIC is shared: at 2.36 GB/s the
+    // responses leave it 100 ms apart, and arrive 100 ms apart.
+    std::vector<util::TimeNs> done;
     for (uint32_t c = 0; c < 4; ++c) {
         net.Rpc(c, 64,
                 [](std::function<void(uint64_t)> reply) {
                     reply(static_cast<uint64_t>(236e6));
                 },
-                [&]() { ++done; });
+                [&]() { done.push_back(sim.Now()); });
     }
     sim.Run();
-    EXPECT_EQ(done, 4);
-    EXPECT_GT(sim.Now(), util::MsToNs(395));
+    ASSERT_EQ(done.size(), 4u);
+    for (size_t i = 1; i < done.size(); ++i) {
+        EXPECT_EQ(done[i] - done[i - 1], util::MsToNs(100)) << i;
+    }
 }
 
 TEST(Network, PerByteWorkerCostCharged)
 {
-    sim::Simulator sim;
-    net::NetworkSpec fast;
-    fast.worker_per_byte_ns = 0;
-    net::NetworkSpec slow = fast;
-    slow.worker_per_byte_ns = 2.0;
-
-    auto run = [](net::NetworkSpec spec) {
-        sim::Simulator s;
-        net::Network net(s, spec, 1);
-        util::TimeNs done_at = 0;
-        net.Rpc(0, 64,
-                [](std::function<void(uint64_t)> reply) { reply(1000000); },
-                [&]() { done_at = s.Now(); });
-        s.Run();
-        return done_at;
-    };
-    EXPECT_GT(run(slow), run(fast) + util::MsToNs(1));
+    // A 1 MB response costs its worker 1.3 ns/byte on top of the two NIC
+    // transfers.
+    const uint64_t bytes = 1000000;
+    EXPECT_EQ(RpcTime(64, bytes) - RpcTime(64, 0),
+              PayloadCost(bytes) + util::TransferTimeNs(bytes, kServerNic) +
+                  util::TransferTimeNs(bytes, kClientNic));
 }
 
 }  // namespace

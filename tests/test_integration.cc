@@ -142,7 +142,7 @@ TEST(Integration, BatchedReadDriverDeliversBytes)
     const auto keys =
         workload::PreloadSlices({&slice}, 64 * util::kMiB, 512 * 1024);
 
-    net::Network net(sim, {}, 1);
+    net::Network net(sim, 1);
     KvRunConfig run;
     run.warmup = util::MsToNs(50);
     run.duration = util::MsToNs(500);
@@ -189,7 +189,7 @@ TEST(Integration, WriteDriverGeneratesCompactionTraffic)
     scfg.compaction_trigger = 3;
     kv::Slice slice(sim, storage, ids, scfg);
 
-    net::Network net(sim, {}, 1);
+    net::Network net(sim, 1);
     KvRunConfig run;
     run.warmup = util::MsToNs(100);
     run.duration = util::SecToNs(1.5);

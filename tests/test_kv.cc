@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for CCDB: memtable, patch metadata, the compaction merge
- * kernel, slice put/get/flush/compaction behaviour, and the store facades.
+ * kernel, slice put/get/flush/compaction behaviour, and the table view.
  */
 #include <gtest/gtest.h>
 
@@ -539,29 +539,6 @@ TEST(TableView, RowsRoundTrip)
     other.GetRow(123, [&](const GetResult &r) { miss = r; });
     f.sim.Run();
     EXPECT_FALSE(miss.found);
-}
-
-TEST(FsView, FilesSegmentAndReassemble)
-{
-    StoreFixture f;
-    FsView fs(f.store, /*segment_bytes=*/256 * 1024);
-    const uint64_t size = 1000 * 1024;  // 3.9 segments -> 4.
-    EXPECT_EQ(fs.SegmentCount(size), 4u);
-
-    bool put_ok = false;
-    fs.PutFile("/data/part-0001", size, [&](bool ok) { put_ok = ok; });
-    f.sim.Run();
-    EXPECT_TRUE(put_ok);
-
-    bool get_ok = false;
-    uint64_t got_bytes = 0;
-    fs.GetFile("/data/part-0001", size, [&](bool ok, uint64_t bytes) {
-        get_ok = ok;
-        got_bytes = bytes;
-    });
-    f.sim.Run();
-    EXPECT_TRUE(get_ok);
-    EXPECT_EQ(got_bytes, size);
 }
 
 }  // namespace

@@ -256,7 +256,6 @@ TEST(MetricsRegistry, DuplicatePathIsRefusedKeepingFirst)
 struct SdfRunOutput
 {
     std::string stats_json;
-    std::string stats_csv;
     std::string trace_json;
     double stage_mean_sum = 0;
     double e2e_mean = 0;
@@ -288,7 +287,6 @@ RunInstrumentedSdf(uint64_t seed)
     const obs::MetaMap meta{{"device", "sdf"}, {"workload", "randread"}};
     const obs::DerivedMap derived{{"result.mbps", 1.0}};
     out.stats_json = obs::StatsJson(hub, meta, derived);
-    out.stats_csv = obs::StatsCsv(hub, meta, derived);
     out.trace_json = hub.trace()->ToJson();
 
     const auto &ops = hub.stages().ops();
@@ -324,7 +322,6 @@ TEST(ObsEndToEnd, ExportsContainEveryLayer)
           "\"stage_ns_mean\""}) {
         EXPECT_NE(out.stats_json.find(needle), std::string::npos) << needle;
     }
-    EXPECT_NE(out.stats_csv.find("nand.ch00.page_reads,"), std::string::npos);
     EXPECT_NE(out.trace_json.find("\"ch00.bus\""), std::string::npos);
     EXPECT_NE(out.trace_json.find("\"req.ch00\""), std::string::npos);
 }
@@ -334,7 +331,6 @@ TEST(ObsEndToEnd, SameSeedRunsExportByteIdenticalStats)
     const SdfRunOutput a = RunInstrumentedSdf(42);
     const SdfRunOutput b = RunInstrumentedSdf(42);
     EXPECT_EQ(a.stats_json, b.stats_json);
-    EXPECT_EQ(a.stats_csv, b.stats_csv);
     EXPECT_EQ(a.trace_json, b.trace_json);
 
     const SdfRunOutput c = RunInstrumentedSdf(43);

@@ -377,13 +377,13 @@ TEST(ConventionalSsd, ParityWritesTrackDataWrites)
 TEST(ConventionalSsd, StaticWearLevelingMigratesColdBlocks)
 {
     // With SWL on, cold (fully valid, low-erase-count) blocks get picked
-    // as GC victims on the SWL cadence and their data migrates.
+    // as GC victims on the SWL cadence (one victim selection in 24) and
+    // their data migrates.
     auto run = [](bool swl) {
         sim::Simulator sim;
         ConventionalSsdConfig cfg = TinyConfig();
         cfg.flash.geometry.blocks_per_plane = 32;
         cfg.static_wear_leveling = swl;
-        cfg.swl_period = 6;
         ConventionalSsd dev(sim, cfg);
         const uint32_t page = PageSize(dev);
         const uint64_t pages = dev.user_capacity() / page;
@@ -399,7 +399,7 @@ TEST(ConventionalSsd, StaticWearLevelingMigratesColdBlocks)
     };
     const auto with = run(true);
     const auto without = run(false);
-    EXPECT_GT(with.first, 0u);
+    EXPECT_EQ(with.first, 83u);  // Pinned: moves with the cadence.
     EXPECT_EQ(without.first, 0u);
     // SWL moves extra (cold, fully valid) data.
     EXPECT_GT(with.second, without.second);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "util/fingerprint.h"
@@ -29,6 +30,17 @@ TEST(Units, TimeConversionsRoundTrip)
     EXPECT_EQ(SecToNs(1), 1000000000);
     EXPECT_DOUBLE_EQ(NsToMs(MsToNs(383)), 383.0);
     EXPECT_DOUBLE_EQ(NsToUs(UsToNs(12.9)), 12.9);
+}
+
+TEST(Units, FitsClockBoundsTimeConversions)
+{
+    EXPECT_TRUE(FitsClock(0));
+    EXPECT_TRUE(FitsClock(1e18));  // ~31.7 years.
+    EXPECT_FALSE(FitsClock(-1));
+    EXPECT_FALSE(FitsClock(9.3e18));  // Past 2^63 - 1 ns.
+    EXPECT_FALSE(FitsClock(1e300 * kNsPerSec));
+    EXPECT_FALSE(FitsClock(std::numeric_limits<double>::infinity()));
+    EXPECT_FALSE(FitsClock(std::numeric_limits<double>::quiet_NaN()));
 }
 
 TEST(Units, TransferTimeMatchesRate)

@@ -311,7 +311,8 @@ TEST(RunYcsb, HotRangeChooserConcentratesOps)
 
 TEST(RunYcsb, ZipfianChooserSkewsAndUniformDoesNot)
 {
-    auto top_share = [](workload::KeyChooser chooser, bool scramble) {
+    // The gets' keys, hottest first.
+    auto by_heat = [](workload::KeyChooser chooser) {
         sim::Simulator sim;
         FakeService fake(sim);
         workload::YcsbConfig cfg;
@@ -319,7 +320,6 @@ TEST(RunYcsb, ZipfianChooserSkewsAndUniformDoesNot)
         cfg.duration = util::SecToNs(1.0);
         cfg.seed = 11;
         cfg.theta = 0.99;
-        cfg.scramble = scramble;
         workload::YcsbPhase p;
         p.chooser = chooser;
         cfg.phases = {p};
@@ -327,23 +327,31 @@ TEST(RunYcsb, ZipfianChooserSkewsAndUniformDoesNot)
         workload::RunYcsb(sim, fake.Service(), keys, cfg);
         std::map<uint64_t, uint64_t> counts;
         for (uint64_t k : fake.get_keys) ++counts[k];
-        std::vector<uint64_t> sorted;
-        for (const auto &[k, c] : counts) sorted.push_back(c);
-        std::sort(sorted.rbegin(), sorted.rend());
+        std::vector<std::pair<uint64_t, uint64_t>> heat;  // (count, key)
+        for (const auto &[k, c] : counts) heat.emplace_back(c, k);
+        std::sort(heat.rbegin(), heat.rend());
+        return heat;
+    };
+    auto top10_share = [](const std::vector<std::pair<uint64_t, uint64_t>>
+                              &heat) {
         uint64_t top10 = 0, total = 0;
-        for (size_t i = 0; i < sorted.size(); ++i) {
-            if (i < 10) top10 += sorted[i];
-            total += sorted[i];
+        for (size_t i = 0; i < heat.size(); ++i) {
+            if (i < 10) top10 += heat[i].first;
+            total += heat[i].first;
         }
         return static_cast<double>(top10) / static_cast<double>(total);
     };
     // Zipf(0.99) over 1000 keys: the 10 hottest ranks carry ~39% of the
     // mass (H(10)/H(1000) in the generalized harmonic numbers). Uniform:
-    // exactly 1%, plus sampling noise. Scrambling relabels keys but must
-    // not change the shape.
-    EXPECT_GT(top_share(workload::KeyChooser::kZipfian, false), 0.3);
-    EXPECT_GT(top_share(workload::KeyChooser::kZipfian, true), 0.3);
-    EXPECT_LT(top_share(workload::KeyChooser::kUniform, false), 0.05);
+    // exactly 1%, plus sampling noise.
+    const auto zipf = by_heat(workload::KeyChooser::kZipfian);
+    EXPECT_GT(top10_share(zipf), 0.3);
+    EXPECT_LT(top10_share(by_heat(workload::KeyChooser::kUniform)), 0.05);
+    // Ranks are scrambled over the key space: the hot set is not the
+    // prefix of the population (keys 1..10) that raw ranks would pick.
+    int in_prefix = 0;
+    for (size_t i = 0; i < 10; ++i) in_prefix += zipf[i].second <= 10;
+    EXPECT_LE(in_prefix, 2);
 }
 
 TEST(RunYcsb, LatestChooserFavorsNewestInserts)

@@ -13,6 +13,7 @@
  *
  * Run with --help for the full flag list.
  */
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -90,7 +91,7 @@ struct Options
     double theta = 0.99;             // Zipfian exponent.
     uint32_t scan_limit = 50;        // Max keys per range scan.
 
-    // Observability exports (--stats-json/--stats-csv/--trace).
+    // Observability exports (--stats-json/--trace/--stats-series).
     sdf::obs::ObsCli obs;
 };
 
@@ -152,7 +153,8 @@ PrintHelp()
         "  --keys=<n>           keys preloaded via the router (default 300)\n"
         "  --read-frac=<f>      cluster/overload read fraction; the rest are\n"
         "                       inserts (default 0.9)\n"
-        "  --arrival-rate=<f>   open-loop arrivals/sec (default 50000)\n"
+        "  --arrival-rate=<f>   open-loop arrivals/sec, at most 1e9\n"
+        "                       (default 50000)\n"
         "  --storm=<f>          overload: middle-third arrival multiplier\n"
         "                       (default 2.0; 1.0 = no storm)\n"
         "  --admission-cap=<n>  server inflight cap per node (default 128)\n"
@@ -166,7 +168,8 @@ PrintHelp()
         "  --restart-node=<id>  stop that node's process at T/3 and restart\n"
         "                       it at 2T/3 (recovery scan + rebalance)\n"
         "  --fail-slow-node=<n> that node serves slower for the middle third\n"
-        "  --fail-slow-factor=<f>  its service-time multiplier (default 4)\n"
+        "  --fail-slow-factor=<f>  its service-time multiplier, 1-1000\n"
+        "                       (default 4)\n"
         "\n"
         "async client (overload, ycsb):\n"
         "  --hedge / --no-hedge    hedged reads at the client (default on)\n"
@@ -215,11 +218,14 @@ ParseSize(const std::string &key, const std::string &val)
     });
 }
 
+/** A finite double; NaN and infinity are rejected like junk. */
 double
 ToF64(const std::string &key, const std::string &val)
 {
     return util::ParseWhole(key, val, [](const std::string &s, size_t *n) {
-        return std::stod(s, n);
+        const double v = std::stod(s, n);
+        if (!std::isfinite(v)) throw std::invalid_argument(s);
+        return v;
     });
 }
 
@@ -281,8 +287,15 @@ Validate(const Options &opt)
         return "--channels must be in 1.." + std::to_string(max_channels);
     }
     if (opt.request == 0) return "--request must be positive";
-    if (!(opt.duration > 0)) return "--duration must be positive";
-    if (!(opt.warmup >= 0)) return "--warmup must not be negative";
+    const double duration_ns = opt.duration * util::kNsPerSec;
+    if (!(duration_ns > 0 && util::FitsClock(duration_ns))) {
+        return "--duration must be positive and fit the clock";
+    }
+    if (!(opt.warmup >= 0 &&
+          util::FitsClock((opt.warmup + opt.duration) * util::kNsPerSec))) {
+        return "--warmup must not be negative, and --warmup plus "
+               "--duration must fit the clock";
+    }
     if (!(opt.scale > 0 && opt.scale <= 1)) {
         return "--scale must be in (0, 1]";
     }
@@ -315,7 +328,10 @@ Validate(const Options &opt)
     if (opt.slices == 0) return "--slices must be at least 1";
     if (opt.replicas == 0) return "--replicas must be at least 1";
     if (opt.keys == 0) return "--keys must be at least 1";
-    if (!(opt.arrival_rate > 0)) return "--arrival-rate must be positive";
+    // At most one arrival per ns in the mean: the clock's resolution.
+    if (!(opt.arrival_rate > 0 && opt.arrival_rate <= 1e9)) {
+        return "--arrival-rate must be in (0, 1e9]";
+    }
     if (opt.scan_limit == 0) return "--scan-limit must be at least 1";
     if (opt.nodes == 0) return "--nodes must be at least 1";
     if (opt.replication == 0 || opt.replication > opt.nodes) {
@@ -330,6 +346,12 @@ Validate(const Options &opt)
     if (opt.coalesce == 0) return "--coalesce must be at least 1";
     if (!(opt.storm > 0)) return "--storm must be positive";
     if (!(opt.theta > 0)) return "--theta must be positive";
+    if (!util::FitsClock(opt.deadline_ms * util::kNsPerMs)) {
+        return "--deadline-ms must not be negative and must fit the clock";
+    }
+    if (!fault::ValidFailSlowFactor(opt.fail_slow_factor)) {
+        return "--fail-slow-factor must be in [1, 1000]";
+    }
     // Taking the only node out of the ring leaves the router nothing to
     // route to: every op is rejected at once, and closed-loop clients
     // re-issue at the same instant forever. (Open-loop arrivals still
@@ -635,7 +657,7 @@ RunFaults(Options &opt)
                 cfg.horizon_sec * 1000.0,
                 static_cast<unsigned long long>(cfg.seed));
     const bench::FaultCampaignResult r = bench::RunFaultCampaign(cfg);
-    if (!r.plan_error.empty()) return 2;  // Parse error already printed.
+    if (!r.plan_error.empty()) return 1;  // Parse error already printed.
     bench::PrintFaultCampaignResult(cfg, r);
     AddCommonMeta(opt);
     opt.obs.AddMeta("replicas", std::to_string(cfg.replicas));
