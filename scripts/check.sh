@@ -4,11 +4,14 @@
 # build (-DSDF_SANITIZE=ON), each in its own build tree. Also smoke-tests
 # the observability exports (stats JSON invariants, trace well-formedness,
 # same-seed byte identity) via tools/validate_stats.py, the pieced
-# compaction path beside unit writes (no overlapping flash events), the
-# cluster workload (same-seed determinism + degraded-mode zero-loss), the
-# open-loop overload workload (typed sheds, fail-slow hedging/breaker),
+# compaction path beside unit writes (no overlapping flash events),
+# program suspend beside client reads (the production day: no overlapping
+# flash events, same-seed stats and trace), the cluster workload
+# (same-seed determinism + degraded-mode zero-loss), the open-loop
+# overload workload (typed sheds, fail-slow hedging/breaker),
 # YCSB traffic under disruptions, hedging at 160k/s YCSB-B (goodput
-# holds, few gets hedge), the recovery paths (same-seed byte
+# holds, few gets hedge) and on every rung of the healthy YCSB-B ladder
+# (hedged goodput >= unhedged), the recovery paths (same-seed byte
 # identity under node loss and restart), the fault campaign (zero loss,
 # plan replay, same-seed stats), sdfsim's bad-input exits (flag values
 # and fault plans; NaN, infinity and times past the clock included), and
@@ -51,6 +54,21 @@ echo "== compaction smoke =="
 cmp "$obs_tmp/kw1.json" "$obs_tmp/kw2.json"  # Same seed => byte-identical.
 python3 tools/validate_stats.py "$obs_tmp/kw1.json" \
     --trace="$obs_tmp/kw1.trace.json" --channels=44
+
+echo "== program suspend smoke =="
+# The production day puts client reads beside unit writes, so reads
+# suspend page programs (sdf.program_suspends > 0). A suspended program is
+# cut into tPROG segments that must not overlap the reads on its plane
+# track, and same-seed stats and traces are byte-identical.
+for i in 1 2; do
+    ./build/examples/production_day --stats-json="$obs_tmp/pd$i.json" \
+        --trace="$obs_tmp/pd$i.trace.json" > /dev/null
+done
+cmp "$obs_tmp/pd1.json" "$obs_tmp/pd2.json"
+cmp "$obs_tmp/pd1.trace.json" "$obs_tmp/pd2.trace.json"
+python3 tools/validate_stats.py "$obs_tmp/pd1.json" \
+    --trace="$obs_tmp/pd1.trace.json" --channels=44
+rm -f "$obs_tmp"/pd*.trace.json
 
 echo "== cluster smoke =="
 ./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
@@ -181,6 +199,35 @@ if served < 0.98 or hedged > 0.05:
     sys.exit("trough smoke: want >= 98% served and <= 5% hedged")
 EOF
 
+echo "== hedge ladder gate =="
+# On a healthy cluster hedging must cost no goodput: at every rung of the
+# benchmark's YCSB-B ladder, hedged goodput is at least unhedged goodput.
+for rate in 40000 100000 140000 150000 160000 170000 200000 240000; do
+    for hedge in hedge no-hedge; do
+        ./build/tools/sdfsim --workload=ycsb --profile=b --nodes=3 \
+            --replication=2 --duration=0.5 --seed=1 --arrival-rate="$rate" \
+            --"$hedge" --stats-json="$obs_tmp/ladder-$rate-$hedge.json" \
+            > /dev/null
+    done
+done
+python3 - "$obs_tmp" <<'EOF'
+import json
+import sys
+
+failed = False
+for rate in (40000, 100000, 140000, 150000, 160000, 170000, 200000, 240000):
+    goodput = {}
+    for hedge in ("hedge", "no-hedge"):
+        path = "%s/ladder-%d-%s.json" % (sys.argv[1], rate, hedge)
+        goodput[hedge] = json.load(open(path))["derived"][
+            "result.goodput_ops_per_sec"]
+    print(f"ladder {rate}: hedged {goodput['hedge']:.0f}, "
+          f"unhedged {goodput['no-hedge']:.0f} ops/s")
+    failed |= goodput["hedge"] < goodput["no-hedge"]
+if failed:
+    sys.exit("hedge ladder gate: hedging lowered goodput on a rung")
+EOF
+
 fault_smoke() {
     local build="$1"
     # The robustness headline on a 3-node R=3 cluster: exit 1 on any lost
@@ -307,6 +354,10 @@ cmake --build build-asan -j
 # The pieced compaction path beside unit writes under the sanitizers.
 ./build-asan/tools/sdfsim --device=sdf --workload=kvwrite --slices=16 \
     --duration=2 > /dev/null
+# Program suspend (reads beside unit writes, traced) under the sanitizers.
+./build-asan/examples/production_day --trace="$obs_tmp/pd-asan.trace.json" \
+    > /dev/null
+rm -f "$obs_tmp/pd-asan.trace.json"
 # The recovery paths (restart scan, rebalance streaming, zombie-store
 # detach) under the sanitizers as well.
 ./build-asan/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \

@@ -13,11 +13,11 @@
  * Each channel queue is read-first, client class before internal class,
  * with two reads in flight and writes alone (§5: "on-demand reads take
  * priority over writes and erasures"). A client read may issue while a
- * unit write is in flight on its channel; the device slots it between the
- * write's page programs. Internal reads longer than kPieceReadUnits go to
- * the device in pieces of that size, so a client read waits for at most
- * two pieces of a compaction input or a recovery scan, not for the whole
- * 8 MB.
+ * unit write is in flight on its channel; the device suspends the page
+ * program on its plane for it. Internal reads longer than kPieceReadUnits
+ * go to the device in pieces of that size, so a client read waits for at
+ * most two pieces of a compaction input or a recovery scan, not for the
+ * whole 8 MB.
  */
 #ifndef SDF_BLOCKLAYER_BLOCK_LAYER_H
 #define SDF_BLOCKLAYER_BLOCK_LAYER_H
@@ -64,13 +64,13 @@ inline constexpr int kClientPriority = 0;
 inline constexpr int kInternalPriority = 1;
 
 /**
- * Read units per piece of a long internal read (32 KB on SDF). Two pieces
- * in flight hold about 1.7 ms of channel bus, about the one page program
- * a client read waits for on its plane; the second piece hides the gap
- * between pieces, so a piecewise scan keeps the bus as busy as one
- * whole-unit read.
+ * Read units per piece of a long internal read (16 KB on SDF). Two pieces
+ * in flight hold about 0.86 ms of channel bus, the longest wait a client
+ * read has left once it suspends the page program on its plane instead
+ * of waiting for it; the second piece hides the gap between pieces, so a
+ * piecewise scan keeps the bus as busy as one whole-unit read.
  */
-inline constexpr uint32_t kPieceReadUnits = 4;
+inline constexpr uint32_t kPieceReadUnits = 2;
 
 /** Block layer construction options. */
 struct BlockLayerConfig

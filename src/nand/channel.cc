@@ -14,6 +14,14 @@ namespace {
  *  voltage shifts recover margin). */
 constexpr uint32_t kRetryExtraBits = 10;
 
+/** A suspending read senses this long after it stops a running program
+ *  (program suspend for MLC NAND: Wu & He, FAST '12). */
+constexpr util::TimeNs kSuspendLatency = util::UsToNs(20);
+
+/** A suspended program runs again this long after the last read it let
+ *  in has sensed. */
+constexpr util::TimeNs kResumeLatency = util::UsToNs(5);
+
 }  // namespace
 
 Channel::Channel(sim::Simulator &sim, const Geometry &geo,
@@ -29,6 +37,7 @@ Channel::Channel(sim::Simulator &sim, const Geometry &geo,
       ecc_correctable_bits_(ecc_correctable_bits),
       bus_(sim),
       plane_senses_(geo.PlanesPerChannel(), 0),
+      programs_(geo.PlanesPerChannel()),
       blocks_(geo.BlocksPerChannel())
 {
     geo_.Validate();
@@ -141,23 +150,23 @@ Channel::CompleteAt(util::TimeNs when, OpCallback done, OpStatus status)
     sim_.ScheduleAt(when, [done = std::move(done), status]() { done(status); });
 }
 
-void
+bool
 Channel::ReadPage(const PageAddr &addr, OpCallback done,
                   std::vector<uint8_t> *out, uint32_t retry_level,
-                  obs::IoSpan *span)
+                  obs::IoSpan *span, bool suspend_program)
 {
     if (!ValidPage(addr)) {
         CompleteAt(sim_.Now(), std::move(done), OpStatus::kOutOfRange);
-        return;
+        return false;
     }
     if (dead_) {
         CompleteAt(sim_.Now(), std::move(done), OpStatus::kChannelDead);
-        return;
+        return false;
     }
     BlockMeta &meta = Meta(addr.BlockOf());
     if (meta.bad) {
         CompleteAt(sim_.Now(), std::move(done), OpStatus::kBadBlock);
-        return;
+        return false;
     }
     if (retry_level > 0) ++stats_.retry_reads;
 
@@ -208,8 +217,15 @@ Channel::ReadPage(const PageAddr &addr, OpCallback done,
     stats_.read_bytes += geo_.page_size;
 
     // Array read on the plane, then data transfer out over the shared bus.
+    // A suspending read goes ahead of a program that is the plane's only
+    // booked work (the plane frees when the program ends).
+    const PlaneProgram &prog = programs_[addr.plane];
+    const bool ahead = suspend_program && sim_.Now() < prog.end &&
+                       PlaneRes(addr.plane).free_at() == prog.end;
+    bool suspended = false;
     const util::TimeNs array_done =
-        PlaneRes(addr.plane).Submit(timing_.read_page, nullptr);
+        ahead ? SenseAheadOfProgram(addr.plane, &suspended)
+              : PlaneRes(addr.plane).Submit(timing_.read_page, nullptr);
     ++plane_senses_[addr.plane];
     const util::TimeNs bus_time = timing_.BusTime(geo_.page_size);
     const util::TimeNs decode = timing_.bch_decode;
@@ -245,6 +261,63 @@ Channel::ReadPage(const PageAddr &addr, OpCallback done,
             span->Enter(obs::Stage::kRetry, sim_.Now());
         }
     }
+    return suspended;
+}
+
+util::TimeNs
+Channel::SenseAheadOfProgram(uint32_t plane, bool *suspended)
+{
+    PlaneProgram &prog = programs_[plane];
+    const util::TimeNs now = sim_.Now();
+    util::TimeNs sense = 0;
+    util::TimeNs resume = 0;
+    if (now <= prog.resume) {
+        // Not running: not started yet, or suspended. The read senses
+        // after the reads already ahead of the program, with no suspend.
+        sense = std::max(now, prog.hold);
+        const util::TimeNs sensed = sense + timing_.read_page;
+        resume = prog.suspended ? sensed + kResumeLatency
+                                : std::max(prog.latched, sensed);
+    } else {
+        sense = now + kSuspendLatency;
+        resume = sense + timing_.read_page + kResumeLatency;
+        *suspended = true;
+    }
+    // The program's remaining work moves from max(now, prog.resume) to
+    // resume, and its completion with it.
+    const util::TimeNs slip = resume - std::max(now, prog.resume);
+    PlaneRes(plane).Insert(
+        prog.suspended || *suspended ? slip : timing_.read_page, slip);
+    prog.end += slip;
+    prog.hold = sense + timing_.read_page;
+    if (trace_ != nullptr) {
+        if (*suspended) {
+            // Cut the running segment at the suspend; the rest runs from
+            // the resume.
+            trace_->Retime(prog.trace_event, prog.resume, now - prog.resume);
+            prog.trace_event = TraceOp(plane_tracks_[plane], "tPROG",
+                                       prog.end, prog.end - resume);
+        } else {
+            trace_->Retime(prog.trace_event, resume, prog.end - resume);
+        }
+    }
+    prog.resume = resume;
+    prog.suspended = prog.suspended || *suspended;
+    return prog.hold;
+}
+
+void
+Channel::FinishProgram(uint32_t plane, uint64_t id, OpCallback done)
+{
+    const PlaneProgram &prog = programs_[plane];
+    if (prog.id == id && prog.end > sim_.Now()) {
+        sim_.ScheduleAt(prog.end, [this, plane, id,
+                                   done = std::move(done)]() mutable {
+            FinishProgram(plane, id, std::move(done));
+        });
+        return;
+    }
+    if (done) done(OpStatus::kOk);
 }
 
 void
@@ -296,15 +369,31 @@ Channel::ProgramStaged(const StagedPage &staged, OpCallback done)
 {
     const bool resend = plane_senses_[staged.plane] != staged.senses;
     const util::TimeNs data_in = resend ? DataIn() : staged.data_in;
-    const util::TimeNs prog_done =
-        PlaneRes(staged.plane)
-            .SubmitAfter(data_in, timing_.program_page,
-                         [done = std::move(done)]() mutable {
-                             if (done) done(OpStatus::kOk);
-                         });
+    sim::FifoResource &plane = PlaneRes(staged.plane);
+    PlaneProgram &prog = programs_[staged.plane];
+    // A program booked behind a tracked one still pending stays FIFO work
+    // (SdfDevice books one program per plane at a time, so all of its
+    // programs are tracked).
+    const bool track = prog.end <= sim_.Now();
+    const uint64_t id = track ? prog.id + 1 : 0;
+    const util::TimeNs hold = std::max(sim_.Now(), plane.free_at());
+    const util::TimeNs prog_done = plane.SubmitAfter(
+        data_in, timing_.program_page,
+        [this, p = staged.plane, id, done = std::move(done)]() mutable {
+            FinishProgram(p, id, std::move(done));
+        });
+    size_t event = obs::TraceSink::kDropped;
     if (trace_ != nullptr) {
-        TraceOp(plane_tracks_[staged.plane], "tPROG", prog_done,
-                timing_.program_page);
+        event = TraceOp(plane_tracks_[staged.plane], "tPROG", prog_done,
+                        timing_.program_page);
+    }
+    if (track) {
+        prog = PlaneProgram{.id = id,
+                            .latched = data_in,
+                            .hold = hold,
+                            .resume = prog_done - timing_.program_page,
+                            .end = prog_done,
+                            .trace_event = event};
     }
     return resend;
 }

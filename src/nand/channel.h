@@ -11,6 +11,12 @@
  *             so four planes pipeline. The two steps can be booked apart
  *             (StagePage, ProgramStaged), so a page waits in the register
  *             while the plane finishes its previous program.
+ *  - Suspend: a read that asks for it senses ahead of the page program
+ *             on its plane when that program is the plane's only booked
+ *             work. A running program is suspended (a fixed suspend
+ *             latency before the sense, a resume latency after it) and
+ *             completes later by the plane time the read took; a program
+ *             not yet started simply starts after the read.
  *  - Erase:   short bus command, then plane busy for tBERS.
  *
  * State machine: blocks must be erased before programming, and pages within
@@ -119,11 +125,22 @@ class Channel
      * (queue / flash_op / channel_bus / bch_decode for level 0; the whole
      * rung is attributed to `retry` for levels above 0). The channel can
      * mark known-future milestones because FifoResource schedules
-     * deterministically at submit time.
+     * deterministically at submit time. A suspend latency counts as queue.
+     *
+     * With @p suspend_program, the read does not wait for a page program
+     * that is the plane's only booked work. If the program is running,
+     * the read suspends it: it senses `kSuspendLatency` (channel.cc) from
+     * now and the program resumes `kResumeLatency` after the sense, so
+     * its completion moves later by the plane time the read took. A read
+     * arriving while the program is suspended senses after the reads
+     * already ahead of it and pays no second suspend. A program still
+     * waiting for its data-in starts after the read. Without the flag
+     * the plane is FIFO. @return true if the read suspended a program.
      */
-    void ReadPage(const PageAddr &addr, OpCallback done,
+    bool ReadPage(const PageAddr &addr, OpCallback done,
                   std::vector<uint8_t> *out = nullptr,
-                  uint32_t retry_level = 0, obs::IoSpan *span = nullptr);
+                  uint32_t retry_level = 0, obs::IoSpan *span = nullptr,
+                  bool suspend_program = false);
 
     /**
      * Program one page: StagePage() and ProgramStaged() back to back.
@@ -227,6 +244,23 @@ class Channel
     bool Busy() const;
 
   private:
+    /**
+     * The page program on one plane that a suspending read may slot
+     * ahead of: the last program booked there while no earlier tracked
+     * program was pending. It can be suspended while it is the plane's
+     * only booked work (the plane frees when it ends).
+     */
+    struct PlaneProgram
+    {
+        uint64_t id = 0;          ///< Generation on this plane; 0 = none.
+        util::TimeNs latched = 0; ///< Its data is in the cache register.
+        util::TimeNs hold = 0;    ///< Work ahead of it holds the plane.
+        util::TimeNs resume = 0;  ///< It (re)starts running here.
+        util::TimeNs end = 0;     ///< It completes here.
+        bool suspended = false;   ///< A read has suspended it.
+        size_t trace_event = obs::TraceSink::kDropped;  ///< Last tPROG cut.
+    };
+
     bool ValidBlock(const BlockAddr &a) const;
     bool ValidPage(const PageAddr &a) const;
     BlockMeta &Meta(const BlockAddr &a);
@@ -235,15 +269,33 @@ class Channel
     /** Book one page's data-in on the bus; @return when it is latched. */
     util::TimeNs DataIn();
 
+    /**
+     * Book a suspending read's sense on @p plane ahead of the tracked
+     * program there, which must be the plane's only booked work (see
+     * ReadPage), and move the program's end. @return when the sense ends.
+     * Sets @p suspended if the read suspended the running program.
+     */
+    util::TimeNs SenseAheadOfProgram(uint32_t plane, bool *suspended);
+
+    /**
+     * Completion of program @p id on @p plane: fire @p done, or wait
+     * again if reads have moved the program's end past now.
+     */
+    void FinishProgram(uint32_t plane, uint64_t id, OpCallback done);
+
     /** Deliver @p status via @p done at bus/plane completion time @p when. */
     void CompleteAt(util::TimeNs when, OpCallback done, OpStatus status);
 
-    /** Emit a trace event on @p track if tracing is attached. */
-    void
+    /**
+     * Emit a trace event on @p track if tracing is attached. @return its
+     * index in the sink (TraceSink::kDropped if none).
+     */
+    size_t
     TraceOp(int32_t track, const char *name, util::TimeNs end,
             util::TimeNs dur) const
     {
-        if (trace_ != nullptr) trace_->Complete(track, name, end - dur, dur);
+        if (trace_ == nullptr) return obs::TraceSink::kDropped;
+        return trace_->Complete(track, name, end - dur, dur);
     }
 
     sim::Simulator &sim_;
@@ -257,6 +309,7 @@ class Channel
     sim::FifoResource bus_;
     std::vector<std::unique_ptr<sim::FifoResource>> planes_;
     std::vector<uint64_t> plane_senses_;  ///< Array reads booked per plane.
+    std::vector<PlaneProgram> programs_;  ///< Per plane.
     std::vector<BlockMeta> blocks_;  ///< Indexed by FlatBlockIndex.
     std::unordered_map<uint64_t, std::vector<uint8_t>> data_;
     std::unordered_set<uint64_t> corrupted_;  ///< Flat indices of bad pages.

@@ -66,21 +66,39 @@ class TraceSink
         uint64_t trace_id;  ///< Distributed-request id; 0 = untagged.
     };
 
+    /** Complete()'s return for an event the cap dropped. */
+    static constexpr size_t kDropped = SIZE_MAX;
+
     /**
      * Record a complete ("X") event of @p dur starting at @p start. A
      * nonzero @p trace_id tags the event with its distributed request
      * (exported as `args.trace`), linking e.g. a hedge duplicate on one
      * node's track to its parent on the client track.
+     * @return the event's index for Retime(), or kDropped.
      */
-    void
+    size_t
     Complete(int32_t track, const char *name, TimeNs start, TimeNs dur,
              uint64_t trace_id = 0)
     {
         if (events_.size() >= max_events_) {
             ++dropped_;
-            return;
+            return kDropped;
         }
         events_.push_back(Event{name, start, dur, track, trace_id});
+        return events_.size() - 1;
+    }
+
+    /**
+     * Move a recorded event (an index Complete() returned) to
+     * [@p start, @p start + @p dur): a booked operation that was cut or
+     * pushed later. kDropped is ignored.
+     */
+    void
+    Retime(size_t event, TimeNs start, TimeNs dur)
+    {
+        if (event == kDropped) return;
+        events_[event].start = start;
+        events_[event].dur = dur;
     }
 
     /** Serialize all events to @p path. @return false on I/O error. */

@@ -124,6 +124,7 @@ SdfDevice::RegisterMetrics()
                       &stats_.physical_block_erases);
     m.RegisterCounter(dev + ".page_reads", &stats_.page_reads);
     m.RegisterCounter(dev + ".resent_pages", &stats_.resent_pages);
+    m.RegisterCounter(dev + ".program_suspends", &stats_.program_suspends);
     m.RegisterCounter(dev + ".read_bytes", &stats_.read_bytes);
     m.RegisterCounter(dev + ".written_bytes", &stats_.written_bytes);
     m.RegisterCounter(dev + ".contract_violations",
@@ -271,7 +272,8 @@ SdfDevice::ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
                           std::function<void(IoStatus)> done,
                           std::vector<uint8_t> *buf, obs::IoSpan *span)
 {
-    flash_->channel(channel).ReadPage(
+    // On-demand reads go ahead of the page program on their plane (§5).
+    const bool suspended = flash_->channel(channel).ReadPage(
         nand::PageAddr{plane, block, page_in_block},
         [this, channel, unit, plane, block, page_in_block, level, first_fail,
          done = std::move(done), buf, span](nand::OpStatus status) mutable {
@@ -303,7 +305,8 @@ SdfDevice::ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
             RetireAndRemap(channel, plane, unit, block);
             done(IoError::kReadUncorrectable);
         },
-        buf, level, span);
+        buf, level, span, /*suspend_program=*/true);
+    if (suspended) ++stats_.program_suspends;
 }
 
 void

@@ -78,6 +78,8 @@ struct SdfStats
      * used the plane's cache register before their program began.
      */
     uint64_t resent_pages = 0;
+    /** Page programs a read suspended to sense ahead of them. */
+    uint64_t program_suspends = 0;
     uint64_t read_bytes = 0;
     uint64_t written_bytes = 0;
     uint64_t contract_violations = 0;  ///< e.g. write to a non-erased unit.
@@ -113,6 +115,9 @@ class SdfDevice : public BlockDevice
      * Offset and length must be multiples of the read unit (8 KB).
      * Reading an unwritten unit succeeds and returns 0xFF bytes.
      *
+     * Each page suspends a page program running on its plane
+     * (nand::Channel::ReadPage).
+     *
      * @p span, when non-null, receives latency-stage milestones. A
      * single-page read gets the channel's fine-grained breakdown (queue /
      * flash_op / channel_bus / bch_decode / retry); a multi-page read is
@@ -132,9 +137,11 @@ class SdfDevice : public BlockDevice
      *
      * Each plane gets its pages in order: one programs while the next
      * waits in the plane's cache register, and its program is booked
-     * only when the plane frees. So a read issued mid-write waits behind
-     * at most one program on its plane. If the channel dies mid-write
-     * the staged pages are dropped and the write fails with kChannelDead.
+     * only when the plane frees. So the program in progress is a plane's
+     * only booked work, and a read issued mid-write suspends it
+     * (nand::Channel::ReadPage) instead of waiting for it. If the channel
+     * dies mid-write the staged pages are dropped and the write fails
+     * with kChannelDead.
      */
     void WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
                    const uint8_t *data = nullptr,
@@ -160,7 +167,8 @@ class SdfDevice : public BlockDevice
      * to the host. @p selectivity in [0, 1] is the fraction of bytes that
      * match; @p done receives the matched byte count. With 44 engines
      * scanning in parallel, aggregate scan bandwidth is bounded by the
-     * flash (1.67 GB/s), not by PCIe.
+     * flash (1.67 GB/s), not by PCIe. A scan is background work: its
+     * page reads wait for a page program on their plane.
      */
     void ScanUnit(uint32_t channel, uint32_t unit, double selectivity,
                   std::function<void(bool ok, uint64_t matched)> done);

@@ -58,6 +58,20 @@ class FifoResource
         return end;
     }
 
+    /**
+     * Slot @p service_time of work in ahead of (part of) the last booked
+     * item, which now ends @p slip later. The slip can be shorter than the
+     * service time when the work fills idle time ahead of the item.
+     * Completions already scheduled do not move: the item's submitter
+     * reschedules its own.
+     */
+    void
+    Insert(TimeNs service_time, TimeNs slip)
+    {
+        busy_time_ += service_time;
+        free_at_ += slip;
+    }
+
     /** Time at which all queued work will have drained. */
     TimeNs free_at() const { return free_at_; }
 

@@ -5,10 +5,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "nand/channel.h"
 #include "nand/flash_array.h"
 #include "nand/geometry.h"
 #include "nand/timing.h"
+#include "obs/span.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "util/fingerprint.h"
 
@@ -253,6 +259,223 @@ TEST(ChannelTiming, ProgramsOnSamePlaneSerialize)
     ch.ProgramPage(PageAddr{0, 0, 1}, nullptr);
     sim.Run();
     EXPECT_GE(sim.Now(), util::UsToNs(200));
+}
+
+// ---------------------------------------------------------------------------
+// Program suspend
+// ---------------------------------------------------------------------------
+
+// channel.cc's kSuspendLatency and kResumeLatency.
+constexpr util::TimeNs kSuspend = util::UsToNs(20);
+constexpr util::TimeNs kResume = util::UsToNs(5);
+
+/**
+ * One traced channel with production array times (tR 60 us, tPROG
+ * 1.4 ms). By default the bus moves data instantly, so a page's data-in
+ * or data-out is its 10 us command.
+ */
+struct SuspendFixture
+{
+    explicit SuspendFixture(double bus_bytes_per_sec = 0)
+        : ch(sim, TinyTestGeometry(), Timing(bus_bytes_per_sec), ErrorModel{},
+             util::Rng(1), false, 40)
+    {
+        ch.EnableTrace(&sink, "ch");
+        plane0 = sink.RegisterTrack("flash", "ch.p0");
+    }
+
+    static TimingSpec
+    Timing(double bus_bytes_per_sec)
+    {
+        TimingSpec t;
+        t.bus_bytes_per_sec = bus_bytes_per_sec;
+        t.bus_cmd_overhead = util::UsToNs(10);
+        return t;
+    }
+
+    /** Read block 1 (erased) of plane 0 at @p when; done_at gets the end. */
+    void
+    ReadAt(util::TimeNs when, util::TimeNs *done_at, bool suspend = true,
+           bool *suspended = nullptr, obs::IoSpan *span = nullptr)
+    {
+        sim.ScheduleAt(when, [this, done_at, suspend, suspended, span]() {
+            if (span != nullptr) span->Start(sim.Now());
+            const bool s = ch.ReadPage(
+                PageAddr{0, 1, 0},
+                [this, done_at, span](OpStatus) {
+                    *done_at = sim.Now();
+                    if (span != nullptr) span->Finish(sim.Now());
+                },
+                nullptr, 0, span, suspend);
+            if (suspended != nullptr) *suspended = s;
+        });
+    }
+
+    /** Plane 0's trace as "name start-end" in microseconds, by start. */
+    std::vector<std::string>
+    Plane0() const
+    {
+        std::vector<obs::TraceSink::Event> evs;
+        for (const auto &e : sink.event_list())
+            if (e.track == plane0) evs.push_back(e);
+        std::sort(evs.begin(), evs.end(),
+                  [](const auto &a, const auto &b) { return a.start < b.start; });
+        auto us = [](util::TimeNs ns) {
+            return std::to_string(ns / 1000) + "." +
+                   std::to_string(ns % 1000 / 100);
+        };
+        std::vector<std::string> out;
+        for (const auto &e : evs) {
+            out.push_back(std::string(e.name) + " " + us(e.start) + "-" +
+                          us(e.start + e.dur));
+        }
+        return out;
+    }
+
+    sim::Simulator sim;
+    obs::TraceSink sink;
+    Channel ch;
+    int32_t plane0 = -1;
+};
+
+TEST(ChannelTiming, ReadMidProgramSuspendsIt)
+{
+    SuspendFixture f;
+    const TimingSpec &t = f.ch.timing();
+    util::TimeNs programmed = 0, read_done = 0;
+    bool suspended = false;
+    obs::IoSpan span;
+    // Data-in [0, 10 us), then the program [10, 1410 us).
+    f.ch.ProgramPage(PageAddr{0, 0, 0}, [&](OpStatus) {
+        programmed = f.sim.Now();
+    });
+    const util::TimeNs booked = t.bus_cmd_overhead + t.program_page;
+    const util::TimeNs issue = util::UsToNs(500);
+    f.ReadAt(issue, &read_done, true, &suspended, &span);
+    f.sim.Run();
+
+    EXPECT_TRUE(suspended);
+    // Senses at issue + suspend, then its 10 us transfer out.
+    EXPECT_EQ(read_done, issue + kSuspend + t.read_page + t.bus_cmd_overhead);
+    EXPECT_EQ(span.stage_ns(obs::Stage::kQueue), kSuspend);
+    EXPECT_EQ(span.stage_ns(obs::Stage::kFlashOp), t.read_page);
+    // The program completes later by the plane time the read took.
+    EXPECT_EQ(programmed, booked + kSuspend + t.read_page + kResume);
+    // Its trace is cut at the suspend and picks up after the resume.
+    EXPECT_EQ(f.Plane0(), (std::vector<std::string>{"tPROG 10.0-500.0",
+                                                    "tR 520.0-580.0",
+                                                    "tPROG 585.0-1495.0"}));
+}
+
+TEST(ChannelTiming, SecondReadInASuspensionPaysNoSecondSuspend)
+{
+    SuspendFixture f;
+    const TimingSpec &t = f.ch.timing();
+    util::TimeNs programmed = 0, first = 0, second = 0;
+    bool suspended_first = false, suspended_second = true;
+    f.ch.ProgramPage(PageAddr{0, 0, 0}, [&](OpStatus) {
+        programmed = f.sim.Now();
+    });
+    const util::TimeNs booked = t.bus_cmd_overhead + t.program_page;
+    const util::TimeNs issue = util::UsToNs(500);
+    f.ReadAt(issue, &first, true, &suspended_first);
+    // Arrives while the first read waits out the suspend latency.
+    f.ReadAt(issue + util::UsToNs(10), &second, true, &suspended_second);
+    f.sim.Run();
+
+    EXPECT_TRUE(suspended_first);
+    EXPECT_FALSE(suspended_second);
+    EXPECT_EQ(first, issue + kSuspend + t.read_page + t.bus_cmd_overhead);
+    // Senses right after the first read.
+    EXPECT_EQ(second,
+              issue + kSuspend + 2 * t.read_page + t.bus_cmd_overhead);
+    // One suspend, two senses, one resume.
+    EXPECT_EQ(programmed, booked + kSuspend + 2 * t.read_page + kResume);
+    EXPECT_EQ(f.Plane0(),
+              (std::vector<std::string>{"tPROG 10.0-500.0", "tR 520.0-580.0",
+                                        "tR 580.0-640.0",
+                                        "tPROG 645.0-1555.0"}));
+}
+
+TEST(ChannelTiming, ReadBeforeAProgramStartsSensesAtOnce)
+{
+    // A 4 KiB page takes 102.4 us on a 40 MB/s bus: the program's data-in
+    // is on the bus until 112.4 us.
+    SuspendFixture f(40e6);
+    const TimingSpec &t = f.ch.timing();
+    util::TimeNs programmed = 0, first = 0, second = 0;
+    bool suspended_first = true, suspended_second = true;
+    f.ch.ProgramPage(PageAddr{0, 0, 0}, [&](OpStatus) {
+        programmed = f.sim.Now();
+    });
+    const util::TimeNs page_bus = t.BusTime(f.ch.geometry().page_size);
+    const util::TimeNs booked = page_bus + t.program_page;
+    // Senses [20, 80 us), before the data is in: the program is not held.
+    f.ReadAt(util::UsToNs(20), &first, true, &suspended_first);
+    // Senses [100, 160 us): the program starts when it ends, not at
+    // 112.4 us, with no suspend or resume latency.
+    f.ReadAt(util::UsToNs(100), &second, true, &suspended_second);
+    f.sim.Run();
+
+    EXPECT_FALSE(suspended_first);
+    EXPECT_FALSE(suspended_second);
+    // Each read's transfer out queues behind the data-in on the bus.
+    EXPECT_EQ(first, 2 * page_bus);
+    EXPECT_EQ(second, 3 * page_bus);
+    EXPECT_EQ(programmed, util::UsToNs(160) + t.program_page);
+    EXPECT_GT(programmed, booked);
+    EXPECT_EQ(f.Plane0(),
+              (std::vector<std::string>{"tR 20.0-80.0", "tR 100.0-160.0",
+                                        "tPROG 160.0-1560.0"}));
+}
+
+TEST(ChannelTiming, ProgramWithNoReadCompletesAtItsBookedTime)
+{
+    SuspendFixture f;
+    const TimingSpec &t = f.ch.timing();
+    util::TimeNs programmed = 0, other_plane = 0;
+    f.ch.ProgramPage(PageAddr{0, 0, 0}, [&](OpStatus) {
+        programmed = f.sim.Now();
+    });
+    f.sim.Run();
+    EXPECT_EQ(programmed, t.bus_cmd_overhead + t.program_page);
+    // One timed event for the data-in and one for the program.
+    EXPECT_EQ(f.sim.events_processed(), 2u);
+
+    // A suspending read on another plane leaves the program alone.
+    const util::TimeNs t0 = f.sim.Now();
+    f.ch.ProgramPage(PageAddr{0, 0, 1}, [&](OpStatus) {
+        programmed = f.sim.Now() - t0;
+    });
+    bool suspended = true;
+    f.sim.ScheduleAt(t0 + util::UsToNs(500), [&]() {
+        suspended = f.ch.ReadPage(
+            PageAddr{1, 0, 0}, [&](OpStatus) { other_plane = f.sim.Now(); },
+            nullptr, 0, nullptr, true);
+    });
+    f.sim.Run();
+    EXPECT_FALSE(suspended);
+    EXPECT_EQ(programmed, t.bus_cmd_overhead + t.program_page);
+    EXPECT_EQ(other_plane,
+              t0 + util::UsToNs(500) + t.read_page + t.bus_cmd_overhead);
+}
+
+TEST(ChannelTiming, FifoReadWaitsForTheProgram)
+{
+    // ConventionalSsd's reads: no suspend.
+    SuspendFixture f;
+    const TimingSpec &t = f.ch.timing();
+    util::TimeNs programmed = 0, read_done = 0;
+    f.ch.ProgramPage(PageAddr{0, 0, 0}, [&](OpStatus) {
+        programmed = f.sim.Now();
+    });
+    const util::TimeNs booked = t.bus_cmd_overhead + t.program_page;
+    f.ReadAt(util::UsToNs(500), &read_done, /*suspend=*/false);
+    f.sim.Run();
+    EXPECT_EQ(programmed, booked);
+    EXPECT_EQ(read_done, booked + t.read_page + t.bus_cmd_overhead);
+    EXPECT_EQ(f.Plane0(), (std::vector<std::string>{"tPROG 10.0-1410.0",
+                                                    "tR 1410.0-1470.0"}));
 }
 
 // ---------------------------------------------------------------------------

@@ -298,20 +298,34 @@ TEST(SdfDevice, UncontendedUnitTimingIsPinned)
     EXPECT_EQ(read, 221402845);
 }
 
-TEST(SdfDevice, ReadMidWriteWaitsForAtMostOneProgram)
+TEST(SdfDevice, ReadMidWriteSuspendsTheProgram)
 {
+    // channel.cc's kSuspendLatency and kResumeLatency.
+    constexpr util::TimeNs kSuspend = util::UsToNs(20);
+    constexpr util::TimeNs kResume = util::UsToNs(5);
     sim::Simulator sim;
     const SdfConfig cfg = OneBaiduChannel();
     SdfDevice dev(sim, cfg);
     dev.EraseUnit(0, 0, nullptr);
     sim.Run();
     dev.DebugForceWritten(0, 1);
+    // A page on plane 3, whose last program ends the unit write.
+    const uint64_t offset = 3 * dev.unit_bytes() / 4;
+    util::TimeNs read_latency = 0;
+    auto read = [&]() {
+        const util::TimeNs issued = sim.Now();
+        dev.Read(0, 1, offset, dev.read_unit_bytes(),
+                 [&, issued](bool) { read_latency = sim.Now() - issued; });
+    };
+    read();
+    sim.Run();
+    const util::TimeNs idle_read = read_latency;
 
     const nand::Channel &flash = dev.flash().channel(0);
     const util::TimeNs t0 = sim.Now();
     const util::TimeNs bus_before = flash.bus_busy_ns();
     bool write_ok = false;
-    util::TimeNs write_done = 0, read_latency = 0;
+    util::TimeNs write_done = 0;
     size_t pending_mid_write = 0;
     dev.WriteUnit(0, 0, [&](bool s) {
         write_ok = s;
@@ -319,29 +333,46 @@ TEST(SdfDevice, ReadMidWriteWaitsForAtMostOneProgram)
     });
     sim.ScheduleAt(t0 + util::MsToNs(10), [&]() {
         pending_mid_write = sim.PendingEvents();
-        const util::TimeNs issued = sim.Now();
-        dev.Read(0, 1, 0, dev.read_unit_bytes(),
-                 [&, issued](bool) { read_latency = sim.Now() - issued; });
+        read();
     });
     sim.Run();
     ASSERT_TRUE(write_ok);
-    EXPECT_GT(read_latency, 0);
-    EXPECT_LT(read_latency, cfg.flash.timing.program_page);
-    // The read used plane 0's cache register, so the page staged there is
-    // sent again: one extra data-in on the bus. That slips plane 0 by
-    // about 0.5 ms, which hides inside the planes' stagger.
+    const nand::TimingSpec &t = cfg.flash.timing;
+    // The read suspends plane 3's program: it takes the suspend latency
+    // longer than on an idle channel, not the rest of a 1.4 ms program.
+    EXPECT_EQ(dev.stats().program_suspends, 1u);
+    EXPECT_EQ(read_latency, idle_read + kSuspend);
+    // The read used plane 3's cache register, so the page staged there is
+    // sent again: one extra data-in on the bus.
     EXPECT_EQ(dev.stats().resent_pages, 1u);
     const nand::Geometry &geo = dev.flash().geometry();
-    const util::TimeNs page_bus = cfg.flash.timing.BusTime(geo.page_size);
+    const util::TimeNs page_bus = t.BusTime(geo.page_size);
     const uint64_t unit_pages =
         uint64_t{geo.PlanesPerChannel()} * geo.pages_per_block;
     // The unit's data-ins, the read's transfer out and the re-sent page.
     EXPECT_EQ(flash.bus_busy_ns() - bus_before,
               static_cast<util::TimeNs>(unit_pages + 2) * page_bus);
-    EXPECT_EQ(write_done, 365293063);
+    // Plane 3 finishes later by the suspension (suspend, sense, resume)
+    // and the re-sent page, and so does the write.
+    EXPECT_EQ(write_done,
+              365293063 + kSuspend + t.read_page + kResume + page_bus);
     // Pages are staged as programs complete: mid-write only each plane's
     // program is pending (its staged page's data-in has landed).
     EXPECT_LE(pending_mid_write, 4u);
+}
+
+TEST(SdfDevice, UncontendedUnitWriteFiresTwoEventsPerPage)
+{
+    // A page costs one timed event for its data-in and one for its
+    // program; the write adds its engine command and its link transfer.
+    sim::Simulator sim;
+    SdfDevice dev(sim, OneBaiduChannel());
+    dev.EraseUnit(0, 0, nullptr);
+    sim.Run();
+    const uint64_t before = sim.events_processed();
+    dev.WriteUnit(0, 0, nullptr);
+    sim.Run();
+    EXPECT_EQ(sim.events_processed() - before, 2050u);
 }
 
 TEST(SdfDevice, PagesProgramInOrderUnderInterleavedReads)
