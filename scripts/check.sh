@@ -57,9 +57,9 @@ python3 tools/validate_stats.py "$obs_tmp/kw1.json" \
 
 echo "== program suspend smoke =="
 # The production day puts client reads beside unit writes, so reads
-# suspend page programs (sdf.program_suspends > 0). A suspended program is
-# cut into tPROG segments that must not overlap the reads on its plane
-# track, and same-seed stats and traces are byte-identical.
+# suspend page programs; the step fails unless some do. A suspended
+# program is cut into tPROG segments that must not overlap the reads on
+# its plane track, and same-seed stats and traces are byte-identical.
 for i in 1 2; do
     ./build/examples/production_day --stats-json="$obs_tmp/pd$i.json" \
         --trace="$obs_tmp/pd$i.trace.json" > /dev/null
@@ -68,6 +68,17 @@ cmp "$obs_tmp/pd1.json" "$obs_tmp/pd2.json"
 cmp "$obs_tmp/pd1.trace.json" "$obs_tmp/pd2.trace.json"
 python3 tools/validate_stats.py "$obs_tmp/pd1.json" \
     --trace="$obs_tmp/pd1.trace.json" --channels=44
+python3 - "$obs_tmp/pd1.json" <<'EOF'
+import json
+import sys
+
+counters = json.load(open(sys.argv[1]))["counters"]
+suspends = sum(v for k, v in counters.items()
+               if k.endswith(".program_suspends"))
+print(f"program suspends: {suspends}")
+if suspends <= 0:
+    sys.exit("program suspend smoke: no read suspended a program")
+EOF
 rm -f "$obs_tmp"/pd*.trace.json
 
 echo "== cluster smoke =="

@@ -218,10 +218,14 @@ Channel::ReadPage(const PageAddr &addr, OpCallback done,
 
     // Array read on the plane, then data transfer out over the shared bus.
     // A suspending read goes ahead of a program that is the plane's only
-    // booked work (the plane frees when the program ends).
+    // booked work (the plane frees when the program ends), unless the
+    // program is running and ends no later than the read would sense
+    // after suspending it.
+    const util::TimeNs now = sim_.Now();
     const PlaneProgram &prog = programs_[addr.plane];
-    const bool ahead = suspend_program && sim_.Now() < prog.end &&
-                       PlaneRes(addr.plane).free_at() == prog.end;
+    const bool ahead = suspend_program && now < prog.end &&
+                       PlaneRes(addr.plane).free_at() == prog.end &&
+                       (now <= prog.resume || now + kSuspendLatency < prog.end);
     bool suspended = false;
     const util::TimeNs array_done =
         ahead ? SenseAheadOfProgram(addr.plane, &suspended)
@@ -277,7 +281,7 @@ Channel::SenseAheadOfProgram(uint32_t plane, bool *suspended)
         sense = std::max(now, prog.hold);
         const util::TimeNs sensed = sense + timing_.read_page;
         resume = prog.suspended ? sensed + kResumeLatency
-                                : std::max(prog.latched, sensed);
+                                : std::max(prog.resume, sensed);
     } else {
         sense = now + kSuspendLatency;
         resume = sense + timing_.read_page + kResumeLatency;
@@ -389,7 +393,6 @@ Channel::ProgramStaged(const StagedPage &staged, OpCallback done)
     }
     if (track) {
         prog = PlaneProgram{.id = id,
-                            .latched = data_in,
                             .hold = hold,
                             .resume = prog_done - timing_.program_page,
                             .end = prog_done,

@@ -15,8 +15,9 @@
  *             on its plane when that program is the plane's only booked
  *             work. A running program is suspended (a fixed suspend
  *             latency before the sense, a resume latency after it) and
- *             completes later by the plane time the read took; a program
- *             not yet started simply starts after the read.
+ *             completes later by the plane time the read took, unless it
+ *             ends within the suspend latency; a program not yet started
+ *             simply starts after the read.
  *  - Erase:   short bus command, then plane busy for tBERS.
  *
  * State machine: blocks must be erased before programming, and pages within
@@ -131,7 +132,9 @@ class Channel
      * that is the plane's only booked work. If the program is running,
      * the read suspends it: it senses `kSuspendLatency` (channel.cc) from
      * now and the program resumes `kResumeLatency` after the sense, so
-     * its completion moves later by the plane time the read took. A read
+     * its completion moves later by the plane time the read took. A
+     * running program that ends within `kSuspendLatency` is not
+     * suspended; the read waits for it. A read
      * arriving while the program is suspended senses after the reads
      * already ahead of it and pays no second suspend. A program still
      * waiting for its data-in starts after the read. Without the flag
@@ -253,7 +256,6 @@ class Channel
     struct PlaneProgram
     {
         uint64_t id = 0;          ///< Generation on this plane; 0 = none.
-        util::TimeNs latched = 0; ///< Its data is in the cache register.
         util::TimeNs hold = 0;    ///< Work ahead of it holds the plane.
         util::TimeNs resume = 0;  ///< It (re)starts running here.
         util::TimeNs end = 0;     ///< It completes here.

@@ -318,8 +318,9 @@ struct SuspendFixture
         std::vector<obs::TraceSink::Event> evs;
         for (const auto &e : sink.event_list())
             if (e.track == plane0) evs.push_back(e);
-        std::sort(evs.begin(), evs.end(),
-                  [](const auto &a, const auto &b) { return a.start < b.start; });
+        std::sort(evs.begin(), evs.end(), [](const auto &a, const auto &b) {
+            return a.start < b.start;
+        });
         auto us = [](util::TimeNs ns) {
             return std::to_string(ns / 1000) + "." +
                    std::to_string(ns % 1000 / 100);
@@ -458,6 +459,27 @@ TEST(ChannelTiming, ProgramWithNoReadCompletesAtItsBookedTime)
     EXPECT_EQ(programmed, t.bus_cmd_overhead + t.program_page);
     EXPECT_EQ(other_plane,
               t0 + util::UsToNs(500) + t.read_page + t.bus_cmd_overhead);
+}
+
+TEST(ChannelTiming, ReadNearAProgramsEndWaitsForIt)
+{
+    // With no more than the suspend latency of the program left, waiting
+    // senses no later than suspending would, and the program does not slip.
+    SuspendFixture f;
+    const TimingSpec &t = f.ch.timing();
+    util::TimeNs programmed = 0, read_done = 0;
+    bool suspended = true;
+    f.ch.ProgramPage(PageAddr{0, 0, 0}, [&](OpStatus) {
+        programmed = f.sim.Now();
+    });
+    const util::TimeNs booked = t.bus_cmd_overhead + t.program_page;
+    f.ReadAt(booked - kSuspend, &read_done, true, &suspended);
+    f.sim.Run();
+    EXPECT_FALSE(suspended);
+    EXPECT_EQ(programmed, booked);
+    EXPECT_EQ(read_done, booked + t.read_page + t.bus_cmd_overhead);
+    EXPECT_EQ(f.Plane0(), (std::vector<std::string>{"tPROG 10.0-1410.0",
+                                                    "tR 1410.0-1470.0"}));
 }
 
 TEST(ChannelTiming, FifoReadWaitsForTheProgram)
