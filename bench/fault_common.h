@@ -60,7 +60,7 @@ struct FaultCampaignConfig
     /**
      * Device error model (always on; faults ride on top of it). The
      * elevated base RBER puts ~1.3 expected bit errors in an 8 KiB page —
-     * harmless against a 40-bit BCH budget, but an injected RBER elevation
+     * harmless against a 40-bit ECC budget, but an injected RBER elevation
      * of 30-100x pushes pages into read-retry or terminal-retirement range.
      */
     double base_rber = 2e-5;

@@ -1,7 +1,10 @@
 /**
  * @file
  * Figure 1: random 4 KB write throughput of the low-end SSD (Intel 320)
- * as a function of the over-provisioning ratio {0 %, 7 %, 25 %, 50 %}.
+ * as a function of the over-provisioning ratio {0, 3, 7, 12, 18, 25, 35,
+ * 50 %}, plus the paper's §1 claim that for a mixed workload raising OP
+ * from 22 % to 30 % lifted sustained throughput dramatically because
+ * random writes trigger GC that degrades concurrent reads.
  *
  * Paper shape: ~2 MB/s at 0 %, a steep rise to ~8 MB/s at 7 %, then a
  * flattening curve (~9.7 at 25 %, ~11.5 at 50 %) — GC write amplification
@@ -15,9 +18,117 @@
  * which is preserved (see EXPERIMENTS.md).
  */
 #include <cstdio>
+#include <functional>
+#include <memory>
 
 #include "bench_common.h"
 #include "util/table_printer.h"
+
+namespace sdf {
+namespace {
+
+/**
+ * The Intel 320 at a tractable geometry: small enough that the warmup
+ * overwrites the device several times (true GC steady state), with the
+ * per-channel spare-space *fraction* — what GC behaviour depends on —
+ * kept small as on the real device.
+ */
+ssd::ConventionalSsdConfig
+SmallIntel(double op)
+{
+    ssd::ConventionalSsdConfig cfg = ssd::Intel320Config(1.0);
+    cfg.op_ratio = op;
+    cfg.flash.geometry.channels = 4;
+    cfg.flash.geometry.blocks_per_plane = 120;
+    cfg.flash.geometry.pages_per_block = 32;
+    cfg.gc_low_watermark = 3;
+    cfg.gc_high_watermark = 5;
+    cfg.dram_cache_bytes = 8 * util::kMiB;
+    return cfg;
+}
+
+/** Sequential reads measured while random 4 KB writes run concurrently.
+ *  Uses a mid-range-style controller (cheap request handling) so the
+ *  write+GC stream can actually saturate the flash planes, which is what
+ *  degrades reads in the paper's production anecdote (§1). */
+std::pair<double, double>
+RunMixed(double op)
+{
+    sim::Simulator sim;
+    obs::BindObs(sim);
+    ssd::ConventionalSsdConfig cfg = SmallIntel(op);
+    cfg.fw_cost_per_write_request = util::UsToNs(15);
+    cfg.fw_cost_per_read_request = util::UsToNs(15);
+    cfg.fw_cost_write_page = util::UsToNs(10);
+    cfg.fw_cost_read_page = util::UsToNs(10);
+    ssd::ConventionalSsd device(sim, cfg);
+    host::IoStack stack(sim, host::KernelIoStackSpec());
+    device.PreconditionFillRandom(1.0);
+
+    const uint32_t page = cfg.flash.geometry.page_size;
+    const uint64_t cap = device.user_capacity();
+    util::Rng rng(11);
+    uint64_t read_bytes = 0, write_bytes = 0;
+    bool measuring = false;
+
+    std::vector<std::unique_ptr<host::ClosedLoopActor>> actors;
+    // Open-loop random-write ingest at a fixed rate chosen between the
+    // two OP points' sustainable GC throughput — at the low-OP point the
+    // device falls behind and concurrent reads starve (the paper's §1
+    // production scenario). Ingest backlog is bounded like a real
+    // bounded writer pool.
+    const double ingest_per_sec = 1850.0;
+    auto outstanding = std::make_shared<int64_t>(0);
+    std::function<void()> submit_write = [&, page, cap]() {
+        if (*outstanding < 4000) {
+            ++*outstanding;
+            const uint64_t off = rng.NextBelow(cap / page) * page;
+            // N.B. capture page by value: this closure outlives the
+            // scheduled copy of submit_write.
+            device.Write(off, page,
+                         [&write_bytes, &measuring, outstanding, page](bool) {
+                             --*outstanding;
+                             if (measuring) write_bytes += page;
+                         });
+        }
+        sim.Schedule(static_cast<util::TimeNs>(
+                         rng.NextExponential(1e9 / ingest_per_sec)),
+                     submit_write);
+    };
+    sim.Post(submit_write);
+    // Four sequential readers of 128 KB.
+    auto cursor = std::make_shared<uint64_t>(0);
+    const uint64_t req = 128 * util::kKiB;
+    for (int r = 0; r < 4; ++r) {
+        actors.push_back(std::make_unique<host::ClosedLoopActor>(
+            sim, [&, cursor, req, cap](sim::Callback done) {
+                const uint64_t off = (*cursor)++ * req % (cap - req);
+                stack.Issue(
+                    [&, off, req](sim::Callback d) {
+                        auto dp =
+                            std::make_shared<sim::Callback>(std::move(d));
+                        device.Read(off, req, [dp](bool) { (*dp)(); });
+                    },
+                    [&, done = std::move(done)]() {
+                        if (measuring) read_bytes += req;
+                        done();
+                    });
+            }));
+    }
+
+    for (auto &a : actors) a->Start();
+    sim.RunUntil(util::SecToNs(90.0));  // GC steady state.
+    measuring = true;
+    const util::TimeNs t0 = sim.Now();
+    const util::TimeNs window = util::SecToNs(40.0);
+    sim.RunUntil(t0 + window);
+    for (auto &a : actors) a->Stop();
+    return {util::BandwidthMBps(read_bytes, window),
+            util::BandwidthMBps(write_bytes, window)};
+}
+
+}  // namespace
+}  // namespace sdf
 
 int
 main(int argc, char **argv)
@@ -33,20 +144,8 @@ main(int argc, char **argv)
                      "GC erases", "vs 0% OP"});
 
     double baseline = 0.0;
-    for (double op : {0.0, 0.07, 0.25, 0.50}) {
-        ssd::ConventionalSsdConfig cfg = ssd::Intel320Config(1.0);
-        cfg.op_ratio = op;
-        // Tractable geometry: small enough that the warmup overwrites the
-        // device several times (true GC steady state), with the per-channel
-        // spare-space *fraction* — what GC behaviour depends on — kept
-        // small as on the real device.
-        cfg.flash.geometry.channels = 4;
-        cfg.flash.geometry.blocks_per_plane = 120;
-        cfg.flash.geometry.pages_per_block = 32;
-        cfg.gc_low_watermark = 3;
-        cfg.gc_high_watermark = 5;
-        cfg.dram_cache_bytes = 8 * util::kMiB;
-
+    for (double op : {0.0, 0.03, 0.07, 0.12, 0.18, 0.25, 0.35, 0.50}) {
+        const ssd::ConventionalSsdConfig cfg = SmallIntel(op);
         sim::Simulator sim;
 
         obs::BindObs(sim);
@@ -75,7 +174,21 @@ main(int argc, char **argv)
 
     table.Print();
     std::printf("Paper: ~2 (0%%), ~8 (7%%), ~9.7 (25%%), ~11.5 (50%%) MB/s;\n"
-                "25%% OP improves ~21%% over 7%%, and >400%% over 0%%.\n");
+                "25%% OP improves ~21%% over 7%%, and >400%% over 0%%.\n\n");
+
+    // §1: mixed random writes + sequential reads at 22 % vs 30 % OP.
+    util::TablePrinter mixed(
+        "Mixed workload: sequential reads under random-write pressure");
+    mixed.SetHeader({"OP", "Read MB/s", "Write MB/s"});
+    for (double op : {0.22, 0.30}) {
+        const auto [read_mbps, write_mbps] = RunMixed(op);
+        mixed.AddRow({util::TablePrinter::Num(op * 100, 0) + "%",
+                      util::TablePrinter::Num(read_mbps, 0),
+                      util::TablePrinter::Num(write_mbps, 1)});
+    }
+    mixed.Print();
+    std::printf("Paper (§1): 22%%->30%% OP raised mixed-workload read\n"
+                "throughput more than 4x.\n");
     obs::GlobalObs().AddMeta("experiment", "fig1_overprovisioning");
     return obs::GlobalObs().Export();
 }

@@ -2,14 +2,13 @@
  * @file
  * google-benchmark microbenchmarks for the hot paths of the simulator and
  * the library algorithms: event queue throughput, FTL map operations, GC
- * victim selection, BCH encode/decode, the compaction merge kernel, and
- * the striping address math.
+ * victim selection, the compaction merge kernel, and the striping address
+ * math.
  */
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "controller/bch.h"
 #include "ftl/page_map.h"
 #include "ftl/striping.h"
 #include "ftl/wear_leveler.h"
@@ -88,37 +87,6 @@ BM_WearLevelerChurn(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WearLevelerChurn);
-
-void
-BM_BchEncode(benchmark::State &state)
-{
-    controller::BchCodec code(10, 4);
-    util::Rng rng(3);
-    std::vector<uint8_t> msg(code.k());
-    for (auto &b : msg) b = static_cast<uint8_t>(rng.NextBelow(2));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(code.Encode(msg));
-    }
-    state.SetItemsProcessed(state.iterations() * code.k());
-}
-BENCHMARK(BM_BchEncode);
-
-void
-BM_BchDecodeWithErrors(benchmark::State &state)
-{
-    controller::BchCodec code(10, 4);
-    util::Rng rng(4);
-    std::vector<uint8_t> msg(code.k());
-    for (auto &b : msg) b = static_cast<uint8_t>(rng.NextBelow(2));
-    const auto clean = code.Encode(msg);
-    for (auto _ : state) {
-        auto cw = clean;
-        for (int e = 0; e < 3; ++e) cw[rng.NextBelow(code.n())] ^= 1;
-        benchmark::DoNotOptimize(code.Decode(cw));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BchDecodeWithErrors);
 
 void
 BM_CompactionMerge(benchmark::State &state)

@@ -3,7 +3,8 @@
 # build, a warnings-as-errors build (-DSDF_WERROR=ON), and an ASan+UBSan
 # build (-DSDF_SANITIZE=ON), each in its own build tree. Also smoke-tests
 # the observability exports (stats JSON invariants, trace well-formedness,
-# same-seed byte identity) via tools/validate_stats.py, the pieced
+# same-seed byte identity) via tools/validate_stats.py, every example
+# (same-seed stdout for the reliability walkthrough), the pieced
 # compaction path beside unit writes (no overlapping flash events),
 # program suspend beside client reads (the production day: no overlapping
 # flash events, same-seed stats and trace), the cluster workload
@@ -14,7 +15,8 @@
 # (hedged goodput >= unhedged), the recovery paths (same-seed byte
 # identity under node loss and restart), the fault campaign (zero loss,
 # plan replay, same-seed stats), sdfsim's bad-input exits (flag values
-# and fault plans; NaN, infinity and times past the clock included), and
+# and fault plans; NaN, infinity, times past the clock and error-model
+# values out of range included), and
 # the benchmark's seam selftest (sdfbench/ built against this tree).
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -40,6 +42,16 @@ python3 tools/validate_stats.py "$obs_tmp/a.json" \
 ./build/tools/sdfsim --device=sdf --workload=randread --request=8k \
     --duration=0.3 --stats-json="$obs_tmp/r.json" > /dev/null
 python3 tools/validate_stats.py "$obs_tmp/r.json"
+
+echo "== examples =="
+# Every example runs to a clean exit; the reliability walkthrough, which
+# samples bit errors against the ECC budget, prints the same text twice.
+for ex in quickstart webpage_repository kv_batch_server \
+          wear_and_reliability production_day; do
+    ./build/examples/"$ex" > "$obs_tmp/ex-$ex.txt"
+done
+./build/examples/wear_and_reliability > "$obs_tmp/ex-wear2.txt"
+cmp "$obs_tmp/ex-wear_and_reliability.txt" "$obs_tmp/ex-wear2.txt"
 
 echo "== compaction smoke =="
 # The pieced compaction path: unit writes on 16 slices beside ~270 MB/s of
@@ -299,6 +311,17 @@ faults --fault-plan=$obs_tmp/time-past-clock.plan
 faults --fault-plan=$obs_tmp/failslow-factor.plan
 faults --duration=0
 faults --rber=nan
+faults --rber=2
+faults --endurance=-1
+randread --rber=1e300
+randread --rber=-0.1
+randread --endurance=0 --errors
+randread --wear-factor=-1
+randread --endurance=4294967296
+randread --ecc-bits=-1
+randread --ecc-bits=4294967296
+randread --retry-levels=-1
+randread --retry-levels=4294967296
 cluster --slices=0
 kvread --slices=0
 seqread --channels=0
@@ -365,6 +388,9 @@ cmake --build build-asan -j
 # The pieced compaction path beside unit writes under the sanitizers.
 ./build-asan/tools/sdfsim --device=sdf --workload=kvwrite --slices=16 \
     --duration=2 > /dev/null
+# The reliability walkthrough (wear-out, bit-error sampling) under the
+# sanitizers.
+./build-asan/examples/wear_and_reliability > /dev/null
 # Program suspend (reads beside unit writes, traced) under the sanitizers.
 ./build-asan/examples/production_day --trace="$obs_tmp/pd-asan.trace.json" \
     > /dev/null

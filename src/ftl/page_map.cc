@@ -91,26 +91,4 @@ PickGreedyVictim(const PageMap &map, const std::vector<uint32_t> &candidates)
     return best;
 }
 
-size_t
-PickCostBenefitVictim(const PageMap &map,
-                      const std::vector<uint32_t> &candidates,
-                      const std::vector<uint64_t> &ages,
-                      uint32_t pages_per_block)
-{
-    SDF_CHECK(ages.size() == candidates.size());
-    size_t best = std::numeric_limits<size_t>::max();
-    double best_score = -1.0;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-        const double u = static_cast<double>(map.ValidCount(candidates[i])) /
-                         static_cast<double>(pages_per_block);
-        const double score =
-            (1.0 - u) * static_cast<double>(ages[i]) / (1.0 + u);
-        if (score > best_score) {
-            best_score = score;
-            best = i;
-        }
-    }
-    return best;
-}
-
 }  // namespace sdf::ftl

@@ -76,16 +76,6 @@ class PageMap
 size_t PickGreedyVictim(const PageMap &map,
                         const std::vector<uint32_t> &candidates);
 
-/**
- * Cost-benefit victim selection (ablation): maximizes
- * benefit = (1 - u) * age / (1 + u) where u is the valid fraction.
- * @param ages Per-candidate age (e.g. time since the block was closed).
- */
-size_t PickCostBenefitVictim(const PageMap &map,
-                             const std::vector<uint32_t> &candidates,
-                             const std::vector<uint64_t> &ages,
-                             uint32_t pages_per_block);
-
 }  // namespace sdf::ftl
 
 #endif  // SDF_FTL_PAGE_MAP_H

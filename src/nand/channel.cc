@@ -193,8 +193,8 @@ Channel::ReadPage(const PageAddr &addr, OpCallback done,
         }
         // Each retry level re-senses with shifted read voltages, buying
         // extra correction margin; latent corruption defeats all levels.
-        const uint32_t budget =
-            ecc_correctable_bits_ + retry_level * kRetryExtraBits;
+        const uint64_t budget = uint64_t{ecc_correctable_bits_} +
+                                uint64_t{retry_level} * kRetryExtraBits;
         const uint32_t errs = errors_.SampleBitErrors(
             rng_, geo_.page_size, meta.erase_count, meta.rber_boost);
         const bool corrupted =

@@ -104,7 +104,7 @@ class Channel
      * @param store_payloads When true, programmed page contents are kept
      *     and returned by reads (needed for data-integrity tests; benches
      *     run timing-only with this off).
-     * @param ecc_correctable_bits BCH correction budget per page.
+     * @param ecc_correctable_bits ECC correction budget per page.
      */
     Channel(sim::Simulator &sim, const Geometry &geo, const TimingSpec &timing,
             const ErrorModel &errors, util::Rng rng, bool store_payloads,
@@ -118,7 +118,7 @@ class Channel
      * the stored payload is copied into it (erased pages read as 0xFF).
      *
      * @p retry_level models the controller's read-retry voltage ladder:
-     * each level above 0 re-senses the page and widens the effective BCH
+     * each level above 0 re-senses the page and widens the effective ECC
      * correction budget by `kRetryExtraBits` (channel.cc), at the cost of
      * another full array read. Level 0 is a normal read.
      *

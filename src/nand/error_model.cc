@@ -38,7 +38,10 @@ ErrorModel::SampleBitErrors(util::Rng &rng, uint32_t page_bytes,
     const double z =
         std::sqrt(-2.0 * std::log(u1 + 1e-300)) * std::cos(6.283185307179586 * u2);
     const double v = lambda + std::sqrt(lambda) * z;
-    return v <= 0 ? 0 : static_cast<uint32_t>(v);
+    // A page cannot hold more errors than bits. The cap also keeps the
+    // cast defined for a huge or NaN rate, which reads as all bits bad.
+    if (v <= 0) return 0;
+    return v < bits ? static_cast<uint32_t>(v) : 8 * page_bytes;
 }
 
 bool

@@ -44,6 +44,8 @@ struct ErrorModel
      * Sample the number of raw bit errors in a page of @p page_bytes read
      * from a block with @p erase_count cycles. @p rber_scale multiplies the
      * block's RBER (1.0 = nominal; fault injection elevates it per block).
+     * The count never exceeds the page's bit count; a NaN rate, or one too
+     * large to sample, yields that count.
      */
     uint32_t SampleBitErrors(util::Rng &rng, uint32_t page_bytes,
                              uint32_t erase_count,

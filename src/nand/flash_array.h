@@ -26,7 +26,7 @@ struct FlashArrayConfig
     ErrorModel errors;
     /** Keep page payloads for read-back (tests); off for timing-only runs. */
     bool store_payloads = false;
-    /** BCH correction budget per page (bits). */
+    /** ECC correction budget per page (bits). */
     uint32_t ecc_correctable_bits = 40;
     /** Expected factory bad blocks per thousand (defect injection). */
     double factory_bad_per_mille = 0.0;

@@ -289,7 +289,7 @@ SdfDevice::ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
                 done(IoError::kChannelDead);
                 return;
             }
-            // BCH-uncorrectable: climb the retry-voltage ladder.
+            // ECC-uncorrectable: climb the retry-voltage ladder.
             const TimeNs t0 = level == 0 ? sim_.Now() : first_fail;
             if (level < config_.read_retry_levels) {
                 ++stats_.read_retries;

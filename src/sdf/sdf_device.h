@@ -58,7 +58,7 @@ struct SdfConfig
     /** Good blocks reserved per plane for bad-block replacement. */
     uint32_t spare_blocks_per_plane = 8;
     /**
-     * Read-retry ladder depth: on a BCH-uncorrectable read the engine
+     * Read-retry ladder depth: on an ECC-uncorrectable read the engine
      * re-senses the page up to this many times with escalating correction
      * strength before declaring the data lost and retiring the block.
      * 0 disables retries (the original error-counting-only behaviour).

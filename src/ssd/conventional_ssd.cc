@@ -14,8 +14,13 @@ namespace {
 
 /** Concurrent page migrations per channel during GC. */
 constexpr uint32_t kGcInflightWindow = 8;
-/** Static wear leveling: one SWL migration per this many GC victim
- *  selections. */
+/**
+ * Static wear leveling: one GC victim selection in this many picks the
+ * *coldest* (least-worn) closed block regardless of its valid count, so
+ * long-lived data rotates off low-wear blocks. SDF removed this (§2.2);
+ * on the conventional device it is a source of sporadic latency spikes —
+ * a nearly fully valid block gets migrated.
+ */
 constexpr uint32_t kSwlPeriod = 24;
 
 /** Flat per-channel block id -> NAND block address. */
@@ -441,7 +446,6 @@ ConventionalSsd::IssueProgram(uint32_t ch, uint32_t lpn, PageKind kind,
         if (frontier != ftl::kUnmappedBlock && next >= ppb) {
             // Close the filled block; it becomes a GC candidate.
             cf.full_blocks.push_back(frontier);
-            cf.full_ages.push_back(static_cast<uint64_t>(sim_.Now()));
             frontier = ftl::kUnmappedBlock;
         }
         if (frontier == ftl::kUnmappedBlock) {
@@ -544,8 +548,7 @@ ConventionalSsd::GcPickVictim(uint32_t ch)
     }
     size_t idx;
     ++cf.gc_victims_picked;
-    if (config_.static_wear_leveling &&
-        cf.gc_victims_picked % kSwlPeriod == 0) {
+    if (cf.gc_victims_picked % kSwlPeriod == 0) {
         // Static wear leveling turn: migrate the coldest closed block,
         // whatever its valid count (the sporadic burst the paper blames
         // for conventional-SSD latency variation).
@@ -563,21 +566,12 @@ ConventionalSsd::GcPickVictim(uint32_t ch)
             }
         }
         ++stats_.swl_migrations;
-    } else if (config_.gc_policy == GcPolicy::kGreedy) {
-        idx = ftl::PickGreedyVictim(*cf.map, cf.full_blocks);
     } else {
-        std::vector<uint64_t> ages(cf.full_blocks.size());
-        const auto now = static_cast<uint64_t>(sim_.Now());
-        for (size_t i = 0; i < ages.size(); ++i)
-            ages[i] = now - cf.full_ages[i] + 1;
-        idx = ftl::PickCostBenefitVictim(*cf.map, cf.full_blocks, ages,
-                                         PagesPerBlock());
+        idx = ftl::PickGreedyVictim(*cf.map, cf.full_blocks);
     }
     const uint32_t victim = cf.full_blocks[idx];
     cf.full_blocks[idx] = cf.full_blocks.back();
     cf.full_blocks.pop_back();
-    cf.full_ages[idx] = cf.full_ages.back();
-    cf.full_ages.pop_back();
 
     cf.gc_victim = victim;
     cf.gc_pending = cf.map->ValidLogicalPages(victim);
@@ -734,7 +728,6 @@ ConventionalSsd::PreconditionFill(double fraction)
                 cf.map->Update(lpn++, block * ppb + p);
             if (pages == ppb) {
                 cf.full_blocks.push_back(block);
-                cf.full_ages.push_back(0);
             } else {
                 // Leave the partial block as the host write frontier.
                 ps->frontier = block;
@@ -790,7 +783,6 @@ ConventionalSsd::PreconditionFillRandom(double fraction, uint64_t seed)
             flash_->channel(ch).DebugSetProgrammed(
                 nand::BlockFromFlat(geo, b), ppb);
             cf.full_blocks.push_back(b);
-            cf.full_ages.push_back(0);
             for (uint32_t p = 0; p < ppb; ++p) slots.push_back(b * ppb + p);
         }
         for (size_t i = slots.size(); i > 1; --i) {

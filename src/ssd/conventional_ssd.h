@@ -49,13 +49,6 @@ using util::TimeNs;
 /** Completion callback: ok=false on device-level failure. */
 using IoCallback = sim::Func<void(bool ok)>;
 
-/** GC victim selection policy (ablation knob). */
-enum class GcPolicy : uint8_t
-{
-    kGreedy,       ///< Fewest valid pages (default, what vendors ship).
-    kCostBenefit,  ///< Age-weighted cost-benefit.
-};
-
 /** Construction parameters for a conventional SSD. */
 struct ConventionalSsdConfig
 {
@@ -90,17 +83,6 @@ struct ConventionalSsdConfig
     uint32_t gc_low_watermark = 6;
     /** Stop GC once the free pool recovers to this many blocks. */
     uint32_t gc_high_watermark = 10;
-    GcPolicy gc_policy = GcPolicy::kGreedy;
-
-    /**
-     * Static wear leveling: periodically pick the *coldest* (least-worn)
-     * closed block as the GC victim regardless of its valid count, so
-     * long-lived data rotates off low-wear blocks. SDF removed this
-     * (§2.2); on the conventional device it is a source of sporadic
-     * latency spikes — a nearly fully valid block gets migrated. One
-     * victim selection in 24 is an SWL turn (kSwlPeriod).
-     */
-    bool static_wear_leveling = true;
 };
 
 /** Cumulative device statistics. */
@@ -206,7 +188,6 @@ class ConventionalSsd
         std::unique_ptr<ftl::PageMap> map;
         std::vector<PlaneState> planes;
         std::vector<uint32_t> full_blocks;   ///< GC candidates (flat ids).
-        std::vector<uint64_t> full_ages;     ///< Close time per candidate.
         /** lpns awaiting drain, with optional page payloads. */
         std::deque<std::pair<uint32_t, std::shared_ptr<std::vector<uint8_t>>>>
             dirty_queue;
@@ -266,7 +247,6 @@ class ConventionalSsd
     void GcFinishVictim(uint32_t ch);
 
     // ---- helpers ----------------------------------------------------------
-    uint32_t PagesPerBlock() const { return flash_->geometry().pages_per_block; }
     uint32_t PageSize() const { return flash_->geometry().page_size; }
     uint64_t DirtyKey(uint32_t ch, uint32_t lpn) const
     {

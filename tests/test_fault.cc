@@ -237,7 +237,7 @@ RunElevatedRberReads(sim::Simulator &sim, uint32_t retry_levels,
                      uint64_t seed)
 {
     core::SdfConfig cfg = TinyConfig();
-    // ~29 expected raw bit errors per 4 KiB page against a 40-bit BCH
+    // ~29 expected raw bit errors per 4 KiB page against a 40-bit ECC
     // budget: a few percent of plain reads fail, but each extra ladder
     // level adds 10 correctable bits, putting re-reads deep in the safe
     // tail of the Poisson distribution.

@@ -178,16 +178,6 @@ TEST(PageMap, GreedyVictimPicksFewestValid)
     EXPECT_EQ(PickGreedyVictim(map, candidates), 1u);
 }
 
-TEST(PageMap, CostBenefitPrefersOldWhenEquallyValid)
-{
-    PageMap map(32, 64, 8);
-    map.Update(0, 0);
-    map.Update(1, 8);
-    const std::vector<uint32_t> candidates{0, 1};
-    const std::vector<uint64_t> ages{1000, 10};
-    EXPECT_EQ(PickCostBenefitVictim(map, candidates, ages, 8), 0u);
-}
-
 TEST(PageMap, VictimSelectionOnEmptyCandidates)
 {
     PageMap map(8, 16, 8);

@@ -520,6 +520,19 @@ TEST(ErrorModel, RberGrowsWithWear)
     EXPECT_GT(m.RberAt(6000), m.RberAt(3000));
 }
 
+TEST(ErrorModel, HugeRatesSampleEveryBitOfThePage)
+{
+    ErrorModel m;
+    m.enabled = true;
+    m.base_rber = 1e300;
+    util::Rng rng(1);
+    EXPECT_EQ(m.SampleBitErrors(rng, 8192, 0), 65536u);
+    // No rated cycles: the wear term is 0/0, a NaN rate.
+    m.base_rber = 2e-8;
+    m.endurance_cycles = 0;
+    EXPECT_EQ(m.SampleBitErrors(rng, 8192, 0), 65536u);
+}
+
 TEST(ErrorModel, WornBlocksEventuallyFail)
 {
     ErrorModel m;
@@ -549,6 +562,72 @@ TEST(Channel, UncorrectableReadsReported)
     sim.Run();
     EXPECT_EQ(got, OpStatus::kReadUncorrectable);
     EXPECT_EQ(ch.stats().uncorrectable_reads, 1u);
+}
+
+TEST(Channel, ReadsCorrectExactlyUpToTheEccBudget)
+{
+    // Outside a transient window, a read's error sample is its only draw
+    // on the channel's RNG, so a mirror RNG with the channel's seed gives
+    // each read's error count. The budget is 40 bits plus 10 per retry
+    // level; a mean of 40 errors per page puts reads on both sides of it.
+    sim::Simulator sim;
+    const Geometry geo = TinyTestGeometry();
+    ErrorModel errors;
+    errors.enabled = true;
+    errors.base_rber = 40.0 / (8.0 * geo.page_size);
+    Channel ch(sim, geo, FastTestTiming(), errors, util::Rng(1), false, 40);
+    util::Rng mirror(1);
+    const PageAddr addr{0, 0, 0};
+    ch.ProgramPage(addr, nullptr);
+    sim.Run();
+    const uint32_t erase_count = ch.block_meta(addr.BlockOf()).erase_count;
+
+    uint64_t corrected_bits = 0, uncorrectable = 0;
+    int at_budget[2] = {0, 0}, past_budget = 0;
+    for (uint32_t i = 0; i < 400; ++i) {
+        const uint32_t level = i % 2;
+        const uint32_t budget = 40 + 10 * level;
+        const uint32_t errs =
+            errors.SampleBitErrors(mirror, geo.page_size, erase_count);
+        at_budget[level] += errs == budget;
+        past_budget += errs == budget + 1;
+        OpStatus got = OpStatus::kOk;
+        ch.ReadPage(addr, [&](OpStatus s) { got = s; }, nullptr, level);
+        sim.Run();
+        if (errs <= budget) {
+            EXPECT_EQ(got, OpStatus::kOk) << "read " << i << ": " << errs;
+            corrected_bits += errs;
+        } else {
+            EXPECT_EQ(got, OpStatus::kReadUncorrectable)
+                << "read " << i << ": " << errs;
+            ++uncorrectable;
+        }
+    }
+    EXPECT_EQ(ch.stats().corrected_bit_errors, corrected_bits);
+    EXPECT_EQ(ch.stats().uncorrectable_reads, uncorrectable);
+    // Reads land exactly on each level's budget, and just past one.
+    EXPECT_GT(at_budget[0], 0);  // 16 reads.
+    EXPECT_GT(at_budget[1], 0);  // 2 reads.
+    EXPECT_GT(past_budget, 0);   // 18 reads.
+}
+
+TEST(Channel, EccBudgetAtTheTopOfItsRangeHoldsOnRetry)
+{
+    // Every bit of the page in error, against the largest budget a
+    // config can set: a retry level widens that budget, not wraps it.
+    sim::Simulator sim;
+    ErrorModel errors;
+    errors.enabled = true;
+    errors.base_rber = 1e300;
+    Channel ch(sim, TinyTestGeometry(), FastTestTiming(), errors,
+               util::Rng(1), false, UINT32_MAX);
+    ch.ProgramPage(PageAddr{0, 0, 0}, nullptr);
+    OpStatus got = OpStatus::kReadUncorrectable;
+    ch.ReadPage(PageAddr{0, 0, 0}, [&](OpStatus s) { got = s; }, nullptr, 1);
+    sim.Run();
+    EXPECT_EQ(got, OpStatus::kOk);
+    EXPECT_EQ(ch.stats().corrected_bit_errors,
+              8u * TinyTestGeometry().page_size);
 }
 
 TEST(Channel, WearOutMarksBlockBad)

@@ -333,25 +333,6 @@ TEST(ConventionalSsd, QueueDepthLimitsAdmission)
     EXPECT_EQ(completed, 10);  // All served eventually, through the queue.
 }
 
-TEST(ConventionalSsd, GcPolicyCostBenefitAlsoConverges)
-{
-    sim::Simulator sim;
-    ConventionalSsdConfig cfg = TinyConfig();
-    cfg.gc_policy = GcPolicy::kCostBenefit;
-    ConventionalSsd dev(sim, cfg);
-    const uint32_t page = PageSize(dev);
-    const uint64_t pages = dev.user_capacity() / page;
-    dev.PreconditionFill(1.0);
-    util::Rng rng(5);
-    int completed = 0;
-    for (uint64_t i = 0; i < 2 * pages; ++i) {
-        dev.Write(rng.NextBelow(pages) * page, page, [&](bool) { ++completed; });
-    }
-    sim.Run();
-    EXPECT_EQ(completed, static_cast<int>(2 * pages));
-    EXPECT_GT(dev.stats().gc_erases, 0u);
-}
-
 TEST(ConventionalSsd, ParityWritesTrackDataWrites)
 {
     sim::Simulator sim;
@@ -376,33 +357,28 @@ TEST(ConventionalSsd, ParityWritesTrackDataWrites)
 
 TEST(ConventionalSsd, StaticWearLevelingMigratesColdBlocks)
 {
-    // With SWL on, cold (fully valid, low-erase-count) blocks get picked
-    // as GC victims on the SWL cadence (one victim selection in 24) and
-    // their data migrates.
-    auto run = [](bool swl) {
-        sim::Simulator sim;
-        ConventionalSsdConfig cfg = TinyConfig();
-        cfg.flash.geometry.blocks_per_plane = 32;
-        cfg.static_wear_leveling = swl;
-        ConventionalSsd dev(sim, cfg);
-        const uint32_t page = PageSize(dev);
-        const uint64_t pages = dev.user_capacity() / page;
-        dev.PreconditionFill(1.0);
-        // Hammer a hot quarter; the cold three quarters never rewritten.
-        util::Rng rng(9);
-        for (uint64_t i = 0; i < 6 * pages; ++i) {
-            dev.Write(rng.NextBelow(pages / 4) * page, page, nullptr);
-        }
-        sim.Run();
-        return std::pair{dev.stats().swl_migrations,
-                         dev.stats().gc_pages_moved};
-    };
-    const auto with = run(true);
-    const auto without = run(false);
-    EXPECT_EQ(with.first, 83u);  // Pinned: moves with the cadence.
-    EXPECT_EQ(without.first, 0u);
-    // SWL moves extra (cold, fully valid) data.
-    EXPECT_GT(with.second, without.second);
+    // Cold (fully valid, low-erase-count) blocks get picked as GC victims
+    // on the static wear leveling cadence (one victim selection in 24),
+    // and all of their data migrates.
+    sim::Simulator sim;
+    ConventionalSsdConfig cfg = TinyConfig();
+    cfg.flash.geometry.blocks_per_plane = 32;
+    ConventionalSsd dev(sim, cfg);
+    const uint32_t page = PageSize(dev);
+    const uint64_t pages = dev.user_capacity() / page;
+    dev.PreconditionFill(1.0);
+    // Hammer a hot quarter; the cold three quarters never rewritten.
+    util::Rng rng(9);
+    for (uint64_t i = 0; i < 6 * pages; ++i) {
+        dev.Write(rng.NextBelow(pages / 4) * page, page, nullptr);
+    }
+    sim.Run();
+    const SsdStats &st = dev.stats();
+    EXPECT_EQ(st.swl_migrations, 83u);  // Pinned: moves with the cadence.
+    // Pinned: greedy GC alone moves 215 pages here.
+    EXPECT_EQ(st.gc_pages_moved, 1386u);
+    EXPECT_GE(st.gc_pages_moved,
+              st.swl_migrations * cfg.flash.geometry.pages_per_block);
 }
 
 TEST(ConventionalSsd, RandomPreconditionProducesFragmentation)

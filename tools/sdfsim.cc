@@ -51,13 +51,13 @@ struct Options
     uint64_t seed = 42;
     bool wear_report = false;
 
-    // Error model overrides (apply to the sdf device; <0 keeps defaults).
+    // Error model overrides (apply to the sdf device; unset keeps defaults).
     bool errors = false;             // Enable the NAND error model.
-    double rber = -1.0;              // Base raw bit-error rate.
-    double wear_factor = -1.0;       // RBER multiplier at rated endurance.
-    int64_t endurance = -1;          // Rated P/E cycles.
-    int64_t ecc_bits = -1;           // BCH correction budget per page.
-    int64_t retry_levels = -1;       // Read-retry ladder depth.
+    std::optional<double> rber;      // Base raw bit-error rate.
+    std::optional<double> wear_factor;  // RBER multiplier at rated endurance.
+    std::optional<uint32_t> endurance;     // Rated P/E cycles.
+    std::optional<uint32_t> ecc_bits;      // ECC correction budget per page.
+    std::optional<uint32_t> retry_levels;  // Read-retry ladder depth.
 
     // Fault-campaign workload (--workload=faults).
     std::string fault_plan;          // Plan file; empty = random from seed.
@@ -123,10 +123,10 @@ PrintHelp()
         "\n"
         "error model (sdf device):\n"
         "  --errors             enable the NAND error model\n"
-        "  --rber=<f>           base raw bit-error rate\n"
-        "  --wear-factor=<f>    RBER multiplier at rated endurance\n"
-        "  --endurance=<n>      rated P/E cycles\n"
-        "  --ecc-bits=<n>       BCH correction budget per page\n"
+        "  --rber=<f>           base raw bit-error rate, in [0, 1]\n"
+        "  --wear-factor=<f>    RBER multiplier at rated endurance, >= 0\n"
+        "  --endurance=<n>      rated P/E cycles, >= 1\n"
+        "  --ecc-bits=<n>       ECC correction budget per page\n"
         "  --retry-levels=<n>   read-retry ladder depth\n"
         "\n"
         "fault campaign (--workload=faults), on a cluster whose every node\n"
@@ -302,6 +302,16 @@ Validate(const Options &opt)
     if (opt.op_ratio && !(*opt.op_ratio >= 0 && *opt.op_ratio < 1)) {
         return "--op must be in [0, 1)";
     }
+    if (opt.rber && !(*opt.rber >= 0 && *opt.rber <= 1)) {
+        return "--rber must be in [0, 1]";
+    }
+    if (opt.wear_factor && *opt.wear_factor < 0) {
+        return "--wear-factor must not be negative";
+    }
+    // The rated cycles divide the erase count in the RBER's wear term.
+    if (opt.endurance && *opt.endurance < 1) {
+        return "--endurance must be at least 1";
+    }
     // The raw device modes issue --request as is: an SDF read covers whole
     // pages of one unit, a conventional request whole pages.
     const bool raw_read =
@@ -416,12 +426,12 @@ ParseArgs(int argc, char **argv, Options &opt)
             opt.wear_factor = ToF64(key, val);
             opt.errors = true;
         } else if (key == "--endurance") {
-            opt.endurance = ToI64(key, val);
+            opt.endurance = ToU32(key, val);
             opt.errors = true;
         } else if (key == "--ecc-bits") {
-            opt.ecc_bits = ToI64(key, val);
+            opt.ecc_bits = ToU32(key, val);
         } else if (key == "--retry-levels") {
-            opt.retry_levels = ToI64(key, val);
+            opt.retry_levels = ToU32(key, val);
         } else if (key == "--fault-plan") {
             opt.fault_plan = val;
         } else if (key == "--print-plan") {
@@ -494,16 +504,11 @@ void
 ApplyErrorOverrides(core::SdfConfig &cfg, const Options &opt)
 {
     if (opt.errors) cfg.flash.errors.enabled = true;
-    if (opt.rber >= 0) cfg.flash.errors.base_rber = opt.rber;
-    if (opt.wear_factor >= 0)
-        cfg.flash.errors.wear_rber_factor = opt.wear_factor;
-    if (opt.endurance >= 0)
-        cfg.flash.errors.endurance_cycles =
-            static_cast<uint32_t>(opt.endurance);
-    if (opt.ecc_bits >= 0)
-        cfg.flash.ecc_correctable_bits = static_cast<uint32_t>(opt.ecc_bits);
-    if (opt.retry_levels >= 0)
-        cfg.read_retry_levels = static_cast<uint32_t>(opt.retry_levels);
+    if (opt.rber) cfg.flash.errors.base_rber = *opt.rber;
+    if (opt.wear_factor) cfg.flash.errors.wear_rber_factor = *opt.wear_factor;
+    if (opt.endurance) cfg.flash.errors.endurance_cycles = *opt.endurance;
+    if (opt.ecc_bits) cfg.flash.ecc_correctable_bits = *opt.ecc_bits;
+    if (opt.retry_levels) cfg.read_retry_levels = *opt.retry_levels;
 }
 
 /** Meta keys every workload shares. */
@@ -616,14 +621,11 @@ RunFaults(Options &opt)
     // for a specific size (sdfsim's 512 KiB default serves the bandwidth
     // workloads).
     if (opt.value_explicit) cfg.value_bytes = opt.value_kib * util::kKiB;
-    if (opt.rber >= 0) cfg.base_rber = opt.rber;
-    if (opt.wear_factor >= 0) cfg.wear_rber_factor = opt.wear_factor;
-    if (opt.endurance >= 0)
-        cfg.endurance_cycles = static_cast<uint32_t>(opt.endurance);
-    if (opt.ecc_bits >= 0)
-        cfg.ecc_bits = static_cast<uint32_t>(opt.ecc_bits);
-    if (opt.retry_levels >= 0)
-        cfg.read_retry_levels = static_cast<uint32_t>(opt.retry_levels);
+    if (opt.rber) cfg.base_rber = *opt.rber;
+    if (opt.wear_factor) cfg.wear_rber_factor = *opt.wear_factor;
+    if (opt.endurance) cfg.endurance_cycles = *opt.endurance;
+    if (opt.ecc_bits) cfg.ecc_bits = *opt.ecc_bits;
+    if (opt.retry_levels) cfg.read_retry_levels = *opt.retry_levels;
     if (opt.print_plan) {
         std::fputs(fault::FaultPlan::Random(bench::CampaignFaultSpec(cfg),
                                             bench::CampaignPlanSeed(cfg))
