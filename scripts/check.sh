@@ -4,7 +4,8 @@
 # build (-DSDF_SANITIZE=ON), each in its own build tree. Also smoke-tests
 # the observability exports (stats JSON invariants, trace well-formedness,
 # same-seed byte identity) via tools/validate_stats.py, every example
-# (same-seed stdout for the reliability walkthrough), the pieced
+# (same-seed stdout for the reliability walkthrough), write placement
+# under ID skew (the ablation_scheduler gate), the pieced
 # compaction path beside unit writes (no overlapping flash events),
 # program suspend beside client reads (the production day: no overlapping
 # flash events, same-seed stats and trace), the cluster workload
@@ -52,6 +53,13 @@ for ex in quickstart webpage_repository kv_batch_server \
 done
 ./build/examples/wear_and_reliability > "$obs_tmp/ex-wear2.txt"
 cmp "$obs_tmp/ex-wear_and_reliability.txt" "$obs_tmp/ex-wear2.txt"
+
+echo "== placement gate =="
+# 64 closed-loop writers whose IDs hash to 8 hot channels at 0, 50 and
+# 90 % skew. Each write goes to a channel that is not writing, so the
+# bench exits 1 unless the uniform row reaches 1,000 MB/s and every row
+# keeps 95 % of it (hash placement alone gave 706, 277 and 193 MB/s).
+./build/bench/ablation_scheduler
 
 echo "== compaction smoke =="
 # The pieced compaction path: unit writes on 16 slices beside ~270 MB/s of

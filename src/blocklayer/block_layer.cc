@@ -56,6 +56,12 @@ BlockLayer::BlockLayer(sim::Simulator &sim, core::BlockDevice &device,
                           &stats_.lost_blocks);
         m.RegisterCounter(metric_prefix_ + ".redirected_writes",
                           &stats_.redirected_writes);
+        m.RegisterCounter(metric_prefix_ + ".off_hash_writes",
+                          &stats_.off_hash_writes);
+        m.RegisterHistogram(metric_prefix_ + ".client_write_wait_ns",
+                            [this]() { return &write_wait_[0]; });
+        m.RegisterHistogram(metric_prefix_ + ".internal_write_wait_ns",
+                            [this]() { return &write_wait_[1]; });
         m.RegisterGauge(metric_prefix_ + ".free_units",
                         [this]() { return static_cast<double>(FreeUnits()); });
     }
@@ -92,35 +98,30 @@ BlockLayer::ChannelLoad(uint32_t channel) const
            cs.reads_inflight + cs.writes_inflight;
 }
 
+bool
+BlockLayer::HasUnit(uint32_t ch) const
+{
+    const ChannelState &cs = channels_[ch];
+    return !cs.clean_units.empty() || !cs.dirty_units.empty() ||
+           cs.bg_erase_running;
+}
+
 uint32_t
 BlockLayer::PickWriteChannel(uint64_t id) const
 {
-    if (config_.placement_policy == PlacementPolicy::kIdHash) {
-        // Degraded mode: a dead channel's hash slots probe forward to the
-        // next surviving channel so writes keep completing.
-        const auto n = static_cast<uint32_t>(channels_.size());
-        uint32_t c = ChannelOf(id);
-        for (uint32_t i = 0; i < n && device_.ChannelDead(c); ++i)
-            c = (c + 1) % n;
-        return c;
-    }
-    // Least-loaded placement (the paper's future-work scheduler): lowest
-    // queue depth wins; ties broken by free-unit count, then by the hash
-    // channel so an idle system still round-robins.
-    uint32_t best = ChannelOf(id);
-    auto better = [this](uint32_t a, uint32_t b) {
-        const bool da = device_.ChannelDead(a), db = device_.ChannelDead(b);
-        if (da != db) return !da;  // A surviving channel beats a dead one.
-        const uint32_t la = ChannelLoad(a), lb = ChannelLoad(b);
-        if (la != lb) return la < lb;
-        const size_t fa =
-            channels_[a].clean_units.size() + channels_[a].dirty_units.size();
-        const size_t fb =
-            channels_[b].clean_units.size() + channels_[b].dirty_units.size();
-        return fa > fb;
-    };
-    for (uint32_t c = 0; c < channels_.size(); ++c) {
-        if (better(c, best)) best = c;
+    const auto n = static_cast<uint32_t>(channels_.size());
+    const auto hash = static_cast<uint32_t>(id % n);
+    uint32_t best = hash;
+    uint32_t best_writes = UINT32_MAX;
+    for (uint32_t i = 0; i < n && best_writes > 0; ++i) {
+        const uint32_t c = (hash + i) % n;
+        if (device_.ChannelDead(c) || !HasUnit(c)) continue;
+        const ChannelState &cs = channels_[c];
+        const uint32_t writes = cs.writes_queued + cs.writes_inflight;
+        if (writes < best_writes) {
+            best = c;
+            best_writes = writes;
+        }
     }
     return best;
 }
@@ -135,14 +136,11 @@ BlockLayer::Put(uint64_t id, IoCallback done, const uint8_t *data,
         return;
     }
     const uint32_t ch = PickWriteChannel(id);
-    ChannelState &cs = channels_[ch];
-    if (cs.clean_units.empty() && cs.dirty_units.empty() &&
-        !cs.bg_erase_running) {
+    if (!HasUnit(ch)) {
         Fail(std::move(done), core::IoError::kNoSpace);
         return;
     }
-    Enqueue(ch, Op{false, id, 0, device_.unit_bytes(), std::move(done), data,
-                   nullptr, priority});
+    EnqueueWrite(ch, id, std::move(done), data, priority);
 }
 
 void
@@ -194,6 +192,16 @@ BlockLayer::DebugInstall(uint64_t id)
     device_.DebugForceWritten(ch, unit);
     id_map_[id] = {ch, unit};
     return true;
+}
+
+void
+BlockLayer::EnqueueWrite(uint32_t ch, uint64_t id, IoCallback done,
+                         const uint8_t *data, int priority)
+{
+    if (ch != id % channels_.size()) ++stats_.off_hash_writes;
+    ++channels_[ch].writes_queued;
+    Enqueue(ch, Op{false, id, 0, device_.unit_bytes(), std::move(done), data,
+                   nullptr, priority, sim_.Now()});
 }
 
 void
@@ -261,6 +269,11 @@ BlockLayer::TryIssue(uint32_t ch, std::deque<Op> &queue)
     }
     Op op = std::move(queue.front());
     queue.pop_front();
+    --cs.writes_queued;
+    if (hub_ != nullptr) {
+        write_wait_[op.priority == kClientPriority ? 0 : 1].Add(
+            sim_.Now() - op.enqueued);
+    }
     IssueWrite(ch, std::move(op));
     return true;
 }
@@ -339,25 +352,15 @@ BlockLayer::IssueRead(uint32_t ch, uint32_t unit, uint64_t id,
 }
 
 bool
-BlockLayer::RedirectWrite(uint64_t id, const uint8_t *data, int priority,
-                          uint32_t redirects, uint32_t from, IoCallback &done)
+BlockLayer::RedirectWrite(core::IoError error, uint64_t id,
+                          const uint8_t *data, int priority, IoCallback &done)
 {
-    if (redirects + 1 >= channels_.size()) return false;
-    for (uint32_t i = 1; i < channels_.size(); ++i) {
-        const auto c =
-            static_cast<uint32_t>((from + i) % channels_.size());
-        if (device_.ChannelDead(c)) continue;
-        ChannelState &cs = channels_[c];
-        if (cs.clean_units.empty() && cs.dirty_units.empty() &&
-            !cs.bg_erase_running) {
-            continue;
-        }
-        ++stats_.redirected_writes;
-        Enqueue(c, Op{false, id, 0, device_.unit_bytes(), std::move(done),
-                      data, nullptr, priority, redirects + 1});
-        return true;
-    }
-    return false;
+    if (error != core::IoError::kChannelDead) return false;
+    const uint32_t ch = PickWriteChannel(id);
+    if (device_.ChannelDead(ch) || !HasUnit(ch)) return false;
+    ++stats_.redirected_writes;
+    EnqueueWrite(ch, id, std::move(done), data, priority);
+    return true;
 }
 
 void
@@ -383,23 +386,18 @@ BlockLayer::IssueWrite(uint32_t ch, Op op)
     }
 
     auto write_step = [this, ch, unit, id = op.id, data = op.data,
-                       priority = op.priority, redirects = op.redirects,
+                       priority = op.priority,
                        done = std::move(op.done)](core::IoStatus erased) mutable {
         if (!erased.ok()) {
-            ChannelState &cs2 = channels_[ch];
-            --cs2.writes_inflight;
-            if (erased.error == core::IoError::kChannelDead &&
-                RedirectWrite(id, data, priority, redirects, ch, done)) {
-                Dispatch(ch);
-                return;
-            }
-            Fail(std::move(done), erased.error);
+            --channels_[ch].writes_inflight;
+            if (!RedirectWrite(erased.error, id, data, priority, done))
+                Fail(std::move(done), erased.error);
             Dispatch(ch);
             return;
         }
         device_.WriteUnit(
             ch, unit,
-            [this, ch, unit, id, data, priority, redirects,
+            [this, ch, unit, id, data, priority,
              done = std::move(done)](core::IoStatus st) mutable {
                 ChannelState &cs2 = channels_[ch];
                 --cs2.writes_inflight;
@@ -408,11 +406,7 @@ BlockLayer::IssueWrite(uint32_t ch, Op op)
                     if (done) done(st);
                 } else {
                     cs2.dirty_units.push_back(unit);
-                    if (st.error == core::IoError::kChannelDead &&
-                        RedirectWrite(id, data, priority, redirects, ch,
-                                      done)) {
-                        // Rerouted; completion comes from the new channel.
-                    } else {
+                    if (!RedirectWrite(st.error, id, data, priority, done)) {
                         ++stats_.failed_ops;
                         if (done) done(st);
                     }

@@ -3,12 +3,14 @@
  * Baidu's user-space block layer over SDF (§2.4).
  *
  * The layer accepts fixed-size (8 MB) writes identified by unique 64-bit
- * IDs, hashes consecutive IDs round-robin over the 44 channels, manages
- * per-channel pools of erased/dirty units, and schedules the explicit
- * erase operations the SDF interface exposes. Erase scheduling is the
- * design lever the paper highlights: erases can run inline before each
- * write (their measured configuration, Figure 8) or in the background
- * during idle periods (their stated motivation for exposing erase).
+ * IDs, places each on a channel that is not already writing (walking from
+ * the ID's round-robin hash channel, so an idle device keeps the paper's
+ * round-robin), manages per-channel pools of erased/dirty units, and
+ * schedules the explicit erase operations the SDF interface exposes.
+ * Erase scheduling is the design lever the paper highlights: erases can
+ * run inline before each write (their measured configuration, Figure 8)
+ * or in the background during idle periods (their stated motivation for
+ * exposing erase).
  *
  * Each channel queue is read-first, client class before internal class,
  * with two reads in flight and writes alone (§5: "on-demand reads take
@@ -33,6 +35,7 @@
 
 #include "sdf/block_device.h"
 #include "sim/simulator.h"
+#include "util/histogram.h"
 
 namespace sdf::obs {
 class Hub;
@@ -48,15 +51,6 @@ enum class ErasePolicy : uint8_t
 {
     kEraseOnWrite,  ///< Erase immediately before each write (paper's setup).
     kBackground,    ///< Erase dirty units during channel idle time.
-};
-
-/** How Put() picks the channel for a new block. */
-enum class PlacementPolicy : uint8_t
-{
-    kIdHash,       ///< id % channels (the paper's deployed round-robin).
-    kLeastLoaded,  ///< §2.4/§5 future work: the load-balance-aware
-                   ///< scheduler — place on the least-loaded channel so a
-                   ///< skewed ID stream cannot overload one channel.
 };
 
 /** Request priority classes. */
@@ -76,7 +70,6 @@ inline constexpr uint32_t kPieceReadUnits = 2;
 struct BlockLayerConfig
 {
     ErasePolicy erase_policy = ErasePolicy::kEraseOnWrite;
-    PlacementPolicy placement_policy = PlacementPolicy::kIdHash;
 };
 
 /** Cumulative layer statistics. */
@@ -92,6 +85,8 @@ struct BlockLayerStats
     uint64_t lost_blocks = 0;
     /** Writes rerouted from a dead channel to a surviving one. */
     uint64_t redirected_writes = 0;
+    /** Writes placed on a channel other than their hash channel. */
+    uint64_t off_hash_writes = 0;
 };
 
 /**
@@ -149,9 +144,14 @@ class BlockLayer
     const BlockLayerStats &stats() const { return stats_; }
     core::BlockDevice &device() { return device_; }
 
-    /** Round-robin hash channel for @p id (kIdHash placement). */
+    /**
+     * The channel block @p id is stored on; for an unstored ID, its
+     * round-robin hash channel (id % channels).
+     */
     uint32_t ChannelOf(uint64_t id) const
     {
+        const auto it = id_map_.find(id);
+        if (it != id_map_.end()) return it->second.first;
         return static_cast<uint32_t>(id % device_.channel_count());
     }
 
@@ -172,7 +172,7 @@ class BlockLayer
         const uint8_t *data;
         std::vector<uint8_t> *out;
         int priority;
-        uint32_t redirects = 0;  ///< Dead-channel reroutes so far.
+        TimeNs enqueued = 0;  ///< A write: when it was placed (wait metric).
         std::shared_ptr<PieceJoin> pieces{};  ///< Set on a pieced read.
     };
 
@@ -182,11 +182,24 @@ class BlockLayer
         std::deque<uint32_t> dirty_units;  ///< Deleted; erase pending.
         std::deque<Op> queues[2];          ///< Indexed by priority class.
         uint32_t reads_inflight = 0;
+        uint32_t writes_queued = 0;  ///< Writes in `queues`.
         uint32_t writes_inflight = 0;
         bool bg_erase_running = false;
     };
 
+    /** True if @p ch has a unit to write: clean, dirty or mid-erase. */
+    bool HasUnit(uint32_t ch) const;
+
+    /**
+     * The channel for a write of @p id: walking from its hash channel
+     * past dead channels and channels with no unit, the first with no
+     * write queued or in flight, else the one with the fewest (first in
+     * walk order on a tie); the hash channel when none can take it.
+     */
     uint32_t PickWriteChannel(uint64_t id) const;
+
+    void EnqueueWrite(uint32_t ch, uint64_t id, IoCallback done,
+                      const uint8_t *data, int priority);
     void Enqueue(uint32_t ch, Op op);
     void Dispatch(uint32_t ch);
     bool TryIssue(uint32_t ch, std::deque<Op> &queue);
@@ -206,12 +219,12 @@ class BlockLayer
     void Fail(IoCallback done, core::IoError error);
 
     /**
-     * Re-enqueue a write that failed because its channel died onto a
-     * surviving channel with space. Consumes @p done on success. Returns
-     * false (leaving @p done intact) when no live channel can take it.
+     * Re-place a write that failed with @p error because its channel
+     * died. Consumes @p done on success. Returns false (leaving @p done
+     * intact) for any other error or when no live channel can take it.
      */
-    bool RedirectWrite(uint64_t id, const uint8_t *data, int priority,
-                       uint32_t redirects, uint32_t from, IoCallback &done);
+    bool RedirectWrite(core::IoError error, uint64_t id, const uint8_t *data,
+                       int priority, IoCallback &done);
 
     sim::Simulator &sim_;
     core::BlockDevice &device_;
@@ -222,6 +235,8 @@ class BlockLayer
 
     obs::Hub *hub_ = nullptr;       ///< Metrics registration (see obs/hub.h).
     std::string metric_prefix_;
+    /** Enqueue-to-issue waits of writes, per class; recorded under a hub. */
+    util::Histogram write_wait_[2];
 };
 
 }  // namespace sdf::blocklayer

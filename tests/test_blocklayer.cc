@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the user-space block layer: ID hashing, erase
+ * Unit tests for the user-space block layer: write placement, erase
  * scheduling policies, the read-first queue with its priority classes,
  * pieced background reads, and data integrity.
  */
@@ -29,28 +29,159 @@ TinyConfig(bool payloads = false)
     return c;
 }
 
+/** TinyConfig with one channel, so a second write queues behind the first. */
+core::SdfConfig
+OneChannelConfig()
+{
+    core::SdfConfig c = TinyConfig();
+    c.flash.geometry.channels = 1;
+    return c;
+}
+
 struct Fixture
 {
     sim::Simulator sim;
     core::SdfDevice device;
     BlockLayer layer;
 
-    explicit Fixture(BlockLayerConfig cfg = {}, bool payloads = false)
-        : device(sim, TinyConfig(payloads)), layer(sim, device, cfg) {}
+    explicit Fixture(BlockLayerConfig cfg = {},
+                     const core::SdfConfig &dev = TinyConfig())
+        : device(sim, dev), layer(sim, device, cfg) {}
+
+    /** Put @p id and run the simulation until it completes. */
+    core::IoStatus
+    PutAndRun(uint64_t id)
+    {
+        core::IoStatus status = core::IoError::kWriteFailed;
+        layer.Put(id, [&status](core::IoStatus st) { status = st; });
+        sim.Run();
+        return status;
+    }
 };
 
-TEST(BlockLayer, ConsecutiveIdsRoundRobinOverChannels)
+// ---------------------------------------------------------------------------
+// Write placement: the first channel not writing, walking from id % n
+// ---------------------------------------------------------------------------
+
+TEST(BlockLayer, IdleDeviceRoundRobinsConsecutiveIds)
 {
+    // With the simulation run between puts every channel is idle, so each
+    // ID lands on its hash channel: the paper's round-robin.
     Fixture f;
     const uint32_t channels = f.device.channel_count();
     for (uint64_t id = 0; id < 2 * channels; ++id) {
+        EXPECT_TRUE(f.PutAndRun(id).ok());
         EXPECT_EQ(f.layer.ChannelOf(id), id % channels);
     }
+    EXPECT_EQ(f.layer.stats().off_hash_writes, 0u);
+}
+
+TEST(BlockLayer, WriteWalksPastWritingChannelsToAnIdleOne)
+{
+    Fixture f;
+    const uint32_t channels = f.device.channel_count();
+    ASSERT_EQ(channels, 4u);
+    f.layer.Put(2, nullptr);
+    f.layer.Put(3, nullptr);
+    // Its hash channel 2 and the next, 3, are writing: it wraps to 0.
+    const uint64_t id = 2 + channels;
+    EXPECT_EQ(f.layer.ChannelOf(id), 2u);  // Not stored: the hash channel.
+    f.layer.Put(id, nullptr);
+    f.sim.Run();
+    EXPECT_EQ(f.layer.ChannelOf(id), 0u);
+    EXPECT_GT(f.device.flash().channel(0).stats().programs, 0u);
+    EXPECT_EQ(f.device.flash().channel(1).stats().programs, 0u);
+    EXPECT_EQ(f.layer.stats().off_hash_writes, 1u);
+    bool ok = false;
+    f.layer.Get(id, 0, f.device.read_unit_bytes(), [&](bool s) { ok = s; });
+    f.sim.Run();
+    EXPECT_TRUE(ok);
+}
+
+TEST(BlockLayer, WithEveryChannelWritingTheFewestWinsFirstInHashOrder)
+{
+    Fixture f;
+    ASSERT_EQ(f.device.channel_count(), 4u);
+    for (uint64_t id = 0; id < 4; ++id) f.layer.Put(id, nullptr);
+    // One write on every channel: a tie, won by the hash channel.
+    f.layer.Put(4, nullptr);  // Hash 0.
+    f.layer.Put(6, nullptr);  // Hash 2.
+    // Writes per channel are now 2, 1, 2, 1. Walking from 2, channel 3
+    // comes before channel 1.
+    f.layer.Put(10, nullptr);  // Hash 2.
+    f.sim.Run();
+    EXPECT_EQ(f.layer.ChannelOf(4), 0u);
+    EXPECT_EQ(f.layer.ChannelOf(6), 2u);
+    EXPECT_EQ(f.layer.ChannelOf(10), 3u);
+}
+
+TEST(BlockLayer, DeadAndFullChannelsAreSkipped)
+{
+    Fixture f;
+    const uint32_t channels = f.device.channel_count();
+    const uint32_t units = f.device.units_per_channel();
+    ASSERT_EQ(channels, 4u);
+    // Fill channel 2: each put finds it idle.
+    for (uint32_t u = 0; u < units; ++u) {
+        const uint64_t id = uint64_t{u} * channels + 2;
+        ASSERT_TRUE(f.PutAndRun(id).ok());
+        ASSERT_EQ(f.layer.ChannelOf(id), 2u);
+    }
+    f.device.flash().channel(1).InjectDeath();
+
+    // Hash 1 is dead and 2 is full: channel 3.
+    const uint64_t next = uint64_t{units} * channels;
+    EXPECT_TRUE(f.PutAndRun(next + 1).ok());
+    EXPECT_EQ(f.layer.ChannelOf(next + 1), 3u);
+    // Hash 2 is full: channel 3 again, idle once the last put is done.
+    EXPECT_TRUE(f.PutAndRun(next + 2).ok());
+    EXPECT_EQ(f.layer.ChannelOf(next + 2), 3u);
+    EXPECT_EQ(f.layer.stats().off_hash_writes, 2u);
+}
+
+TEST(BlockLayer, PutFailsWithNoSpaceOnlyWhenNoLiveChannelHasAUnit)
+{
+    Fixture f;
+    const uint32_t channels = f.device.channel_count();
+    const uint32_t units = f.device.units_per_channel();
+    ASSERT_EQ(channels, 4u);
+    f.device.flash().channel(0).InjectDeath();
+    // Hashes 0 and 1 both land on channel 1, which fills first; the
+    // writes then move on to the channels that still have units.
+    const uint64_t live_units = uint64_t{channels - 1} * units;
+    for (uint64_t id = 0; id < live_units; ++id) {
+        EXPECT_TRUE(f.PutAndRun(id).ok()) << "id " << id;
+    }
+    EXPECT_EQ(f.layer.FreeUnits(), units);  // The dead channel's.
+    EXPECT_EQ(f.layer.stats().failed_ops, 0u);
+
+    // No live channel has a unit left. A write goes to its hash channel
+    // and fails there: full (hash 1), or dead (hash 0).
+    const uint64_t next = uint64_t{channels} * units;
+    EXPECT_EQ(f.PutAndRun(next + 1).error, core::IoError::kNoSpace);
+    EXPECT_EQ(f.PutAndRun(next).error, core::IoError::kChannelDead);
+    EXPECT_EQ(f.layer.stats().failed_ops, 2u);
+}
+
+TEST(BlockLayer, WriteFailedOnADeadChannelIsPlacedAgain)
+{
+    Fixture f;
+    const uint32_t channels = f.device.channel_count();
+    ASSERT_EQ(channels, 4u);
+    // The write is on channel 1 when the channel dies.
+    core::IoStatus status = core::IoError::kWriteFailed;
+    f.layer.Put(1, [&](core::IoStatus st) { status = st; });
+    f.device.flash().channel(1).InjectDeath();
+    f.sim.Run();
+    EXPECT_TRUE(status.ok());
+    EXPECT_EQ(f.layer.ChannelOf(1), 2u);
+    EXPECT_EQ(f.layer.stats().redirected_writes, 1u);
+    EXPECT_EQ(f.layer.stats().failed_ops, 0u);
 }
 
 TEST(BlockLayer, PutThenGetRoundTrips)
 {
-    Fixture f({}, /*payloads=*/true);
+    Fixture f({}, TinyConfig(/*payloads=*/true));
     const auto payload =
         util::MakeDeterministicPayload(f.layer.block_bytes(), 5);
     bool put_ok = false;
@@ -111,11 +242,11 @@ TEST(BlockLayer, ReusedUnitsGetInlineErase)
     const uint32_t units = f.device.units_per_channel();
 
     // Fill channel 0 completely, then delete and rewrite: the rewrite's
-    // erase runs inline.
+    // erase runs inline. Each put finds channel 0 idle.
     for (uint32_t u = 0; u < units; ++u) {
-        f.layer.Put(uint64_t{u} * channels, nullptr);  // All to channel 0.
+        ASSERT_TRUE(f.PutAndRun(uint64_t{u} * channels).ok());
+        ASSERT_EQ(f.layer.ChannelOf(uint64_t{u} * channels), 0u);
     }
-    f.sim.Run();
     for (uint32_t u = 0; u < units; ++u) {
         f.layer.Delete(uint64_t{u} * channels);
     }
@@ -140,53 +271,42 @@ TEST(BlockLayer, BackgroundPolicyErasesDuringIdle)
                   f.device.units_per_channel());
 }
 
-TEST(BlockLayer, ChannelFullFailsPut)
-{
-    Fixture f;
-    const uint32_t channels = f.device.channel_count();
-    const uint32_t units = f.device.units_per_channel();
-    for (uint32_t u = 0; u < units; ++u) {
-        f.layer.Put(uint64_t{u} * channels, nullptr);
-    }
-    f.sim.Run();
-    bool ok = true;
-    f.layer.Put(uint64_t{units} * channels, [&](bool s) { ok = s; });
-    f.sim.Run();
-    EXPECT_FALSE(ok);
-}
-
 TEST(BlockLayer, ClientPriorityOvertakesInternal)
 {
-    Fixture f;
-    // Preload two blocks on channel 0.
+    Fixture f({}, OneChannelConfig());
     ASSERT_TRUE(f.layer.DebugInstall(0));
-    ASSERT_TRUE(f.layer.DebugInstall(4));  // 4 % 4 == 0: same channel.
+    ASSERT_TRUE(f.layer.DebugInstall(1));
 
     // Occupy the channel with a write, then queue an internal read and a
     // client read behind it; the client read must finish first.
-    f.layer.Put(8, nullptr);
+    f.layer.Put(2, nullptr);
     util::TimeNs internal_done = 0, client_done = 0;
     f.layer.Get(0, 0, 8192, [&](bool) { internal_done = f.sim.Now(); },
                 nullptr, kInternalPriority);
-    f.layer.Get(4, 0, 8192, [&](bool) { client_done = f.sim.Now(); },
+    f.layer.Get(1, 0, 8192, [&](bool) { client_done = f.sim.Now(); },
                 nullptr, kClientPriority);
     f.sim.Run();
+    EXPECT_GT(client_done, 0);
     EXPECT_LT(client_done, internal_done);
 }
 
 TEST(BlockLayer, ReadsOvertakeQueuedWrites)
 {
-    Fixture f;
+    Fixture f({}, OneChannelConfig());
     ASSERT_TRUE(f.layer.DebugInstall(0));
 
     // Queue: running write, then a queued write, then a read. The read
-    // overtakes the queued write.
-    f.layer.Put(4, nullptr);
-    util::TimeNs write_done = 0, read_done = 0;
-    f.layer.Put(8, [&](bool) { write_done = f.sim.Now(); });
+    // overtakes the queued write, so it runs beside the running write
+    // and ends first; behind the queued write it would wait for the
+    // running one.
+    util::TimeNs running_done = 0, queued_done = 0, read_done = 0;
+    f.layer.Put(1, [&](bool) { running_done = f.sim.Now(); });
+    f.layer.Put(2, [&](bool) { queued_done = f.sim.Now(); });
     f.layer.Get(0, 0, 8192, [&](bool) { read_done = f.sim.Now(); });
     f.sim.Run();
-    EXPECT_LT(read_done, write_done);
+    EXPECT_GT(read_done, 0);
+    EXPECT_LT(read_done, running_done);
+    EXPECT_LT(running_done, queued_done);
 }
 
 TEST(BlockLayer, ClientReadRunsBesideInFlightWrite)
@@ -204,7 +324,7 @@ TEST(BlockLayer, ClientReadRunsBesideInFlightWrite)
 
 TEST(BlockLayer, PiecedInternalReadReturnsTheClientReadsBytes)
 {
-    Fixture f({}, /*payloads=*/true);
+    Fixture f({}, TinyConfig(/*payloads=*/true));
     const auto payload =
         util::MakeDeterministicPayload(f.layer.block_bytes(), 31);
     f.layer.Put(2, nullptr, payload.data());
@@ -320,7 +440,7 @@ TEST(BlockLayer, ClientReadWaitsForAtMostTwoPiecesOfABackgroundRead)
 
 TEST(BlockLayer, PartialRangeGet)
 {
-    Fixture f({}, /*payloads=*/true);
+    Fixture f({}, TinyConfig(/*payloads=*/true));
     const auto payload =
         util::MakeDeterministicPayload(f.layer.block_bytes(), 21);
     f.layer.Put(2, nullptr, payload.data());

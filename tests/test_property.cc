@@ -164,15 +164,14 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 class BlockLayerGoldenTest
-    : public ::testing::TestWithParam<std::tuple<blocklayer::ErasePolicy,
-                                                 blocklayer::PlacementPolicy,
-                                                 uint64_t>>
+    : public ::testing::TestWithParam<
+          std::tuple<blocklayer::ErasePolicy, uint64_t>>
 {
 };
 
 TEST_P(BlockLayerGoldenTest, RandomPutGetDeleteSequence)
 {
-    const auto [erase_policy, placement, seed] = GetParam();
+    const auto [erase_policy, seed] = GetParam();
 
     sim::Simulator sim;
     core::SdfConfig dev_cfg;
@@ -183,7 +182,6 @@ TEST_P(BlockLayerGoldenTest, RandomPutGetDeleteSequence)
     core::SdfDevice device(sim, dev_cfg);
     blocklayer::BlockLayerConfig cfg;
     cfg.erase_policy = erase_policy;
-    cfg.placement_policy = placement;
     blocklayer::BlockLayer layer(sim, device, cfg);
 
     std::set<uint64_t> golden;
@@ -230,14 +228,10 @@ TEST_P(BlockLayerGoldenTest, RandomPutGetDeleteSequence)
 INSTANTIATE_TEST_SUITE_P(
     Grid, BlockLayerGoldenTest,
     ::testing::Values(
-        std::tuple{blocklayer::ErasePolicy::kEraseOnWrite,
-                   blocklayer::PlacementPolicy::kIdHash, 11ull},
-        std::tuple{blocklayer::ErasePolicy::kBackground,
-                   blocklayer::PlacementPolicy::kIdHash, 12ull},
-        std::tuple{blocklayer::ErasePolicy::kEraseOnWrite,
-                   blocklayer::PlacementPolicy::kLeastLoaded, 13ull},
-        std::tuple{blocklayer::ErasePolicy::kBackground,
-                   blocklayer::PlacementPolicy::kLeastLoaded, 14ull}));
+        std::tuple{blocklayer::ErasePolicy::kEraseOnWrite, 11ull},
+        std::tuple{blocklayer::ErasePolicy::kBackground, 12ull},
+        std::tuple{blocklayer::ErasePolicy::kEraseOnWrite, 13ull},
+        std::tuple{blocklayer::ErasePolicy::kBackground, 14ull}));
 
 // ---------------------------------------------------------------------------
 // Conventional SSD: bookkeeping invariants under random traffic
