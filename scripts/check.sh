@@ -7,8 +7,9 @@
 # (same-seed stdout for the reliability walkthrough), write placement
 # under ID skew (the ablation_scheduler gate), the pieced
 # compaction path beside unit writes (no overlapping flash events),
-# program suspend beside client reads (the production day: no overlapping
-# flash events, same-seed stats and trace), the cluster workload
+# on-demand reads beside unit writes (the production day: reads suspend
+# page programs and overtake queued bus transfers, with no overlapping
+# flash events and same-seed stats and trace), the cluster workload
 # (same-seed determinism + degraded-mode zero-loss), the open-loop
 # overload workload (typed sheds, fail-slow hedging/breaker),
 # YCSB traffic under disruptions, hedging at 160k/s YCSB-B (goodput
@@ -75,11 +76,14 @@ cmp "$obs_tmp/kw1.json" "$obs_tmp/kw2.json"  # Same seed => byte-identical.
 python3 tools/validate_stats.py "$obs_tmp/kw1.json" \
     --trace="$obs_tmp/kw1.trace.json" --channels=44
 
-echo "== program suspend smoke =="
+echo "== on-demand reads smoke =="
 # The production day puts client reads beside unit writes, so reads
-# suspend page programs; the step fails unless some do. A suspended
+# suspend page programs and their data-outs overtake queued data-ins on
+# the channel bus; the step fails unless some of each happen. A suspended
 # program is cut into tPROG segments that must not overlap the reads on
-# its plane track, and same-seed stats and traces are byte-identical.
+# its plane track, a transfer pushed back is retimed so that no two
+# overlap on a bus track, and same-seed stats and traces are
+# byte-identical.
 for i in 1 2; do
     ./build/examples/production_day --stats-json="$obs_tmp/pd$i.json" \
         --trace="$obs_tmp/pd$i.trace.json" > /dev/null
@@ -93,11 +97,11 @@ import json
 import sys
 
 counters = json.load(open(sys.argv[1]))["counters"]
-suspends = sum(v for k, v in counters.items()
-               if k.endswith(".program_suspends"))
-print(f"program suspends: {suspends}")
-if suspends <= 0:
-    sys.exit("program suspend smoke: no read suspended a program")
+for name in ("program_suspends", "bus_overtakes"):
+    total = sum(v for k, v in counters.items() if k.endswith("." + name))
+    print(f"{name}: {total}")
+    if total <= 0:
+        sys.exit(f"on-demand reads smoke: no {name}")
 EOF
 rm -f "$obs_tmp"/pd*.trace.json
 
@@ -399,7 +403,7 @@ cmake --build build-asan -j
 # The reliability walkthrough (wear-out, bit-error sampling) under the
 # sanitizers.
 ./build-asan/examples/wear_and_reliability > /dev/null
-# Program suspend (reads beside unit writes, traced) under the sanitizers.
+# On-demand reads beside unit writes (traced) under the sanitizers.
 ./build-asan/examples/production_day --trace="$obs_tmp/pd-asan.trace.json" \
     > /dev/null
 rm -f "$obs_tmp/pd-asan.trace.json"

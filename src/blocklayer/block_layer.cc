@@ -10,8 +10,15 @@ namespace sdf::blocklayer {
 
 namespace {
 
-/** Device reads in flight per channel; a write runs alone. */
+/** Device reads in flight per channel and class; a write runs alone. */
 constexpr uint32_t kReadConcurrency = 2;
+
+/** Queue and read-slot index of a request priority. */
+int
+ClassOf(int priority)
+{
+    return priority == kClientPriority ? 0 : 1;
+}
 
 }  // namespace
 
@@ -95,15 +102,32 @@ BlockLayer::ChannelLoad(uint32_t channel) const
 {
     const ChannelState &cs = channels_[channel];
     return static_cast<uint32_t>(cs.queues[0].size() + cs.queues[1].size()) +
-           cs.reads_inflight + cs.writes_inflight;
+           cs.reads_inflight[0] + cs.reads_inflight[1] + cs.writes_inflight;
+}
+
+BlockLayer::UnitCounts
+BlockLayer::Units(uint32_t channel) const
+{
+    const ChannelState &cs = channels_[channel];
+    UnitCounts n;
+    n.clean = static_cast<uint32_t>(cs.clean_units.size());
+    n.dirty = static_cast<uint32_t>(cs.dirty_units.size());
+    n.erasing = cs.bg_erase_running ? 1 : 0;
+    n.writing = cs.writes_inflight;
+    n.queued_writes = cs.writes_queued;
+    for (const auto &[id, loc] : id_map_) {
+        if (loc.first == channel) ++n.stored;
+    }
+    return n;
 }
 
 bool
-BlockLayer::HasUnit(uint32_t ch) const
+BlockLayer::CanTakeWrite(uint32_t ch) const
 {
     const ChannelState &cs = channels_[ch];
-    return !cs.clean_units.empty() || !cs.dirty_units.empty() ||
-           cs.bg_erase_running;
+    const size_t units = cs.clean_units.size() + cs.dirty_units.size() +
+                         (cs.bg_erase_running ? 1 : 0);
+    return units > cs.writes_queued;
 }
 
 uint32_t
@@ -115,7 +139,7 @@ BlockLayer::PickWriteChannel(uint64_t id) const
     uint32_t best_writes = UINT32_MAX;
     for (uint32_t i = 0; i < n && best_writes > 0; ++i) {
         const uint32_t c = (hash + i) % n;
-        if (device_.ChannelDead(c) || !HasUnit(c)) continue;
+        if (device_.ChannelDead(c) || !CanTakeWrite(c)) continue;
         const ChannelState &cs = channels_[c];
         const uint32_t writes = cs.writes_queued + cs.writes_inflight;
         if (writes < best_writes) {
@@ -136,7 +160,7 @@ BlockLayer::Put(uint64_t id, IoCallback done, const uint8_t *data,
         return;
     }
     const uint32_t ch = PickWriteChannel(id);
-    if (!HasUnit(ch)) {
+    if (!CanTakeWrite(ch)) {
         Fail(std::move(done), core::IoError::kNoSpace);
         return;
     }
@@ -207,7 +231,7 @@ BlockLayer::EnqueueWrite(uint32_t ch, uint64_t id, IoCallback done,
 void
 BlockLayer::Enqueue(uint32_t ch, Op op)
 {
-    const int cls = op.priority == kClientPriority ? 0 : 1;
+    const int cls = ClassOf(op.priority);
     channels_[ch].queues[cls].push_back(std::move(op));
     Dispatch(ch);
 }
@@ -239,10 +263,12 @@ BlockLayer::TryIssue(uint32_t ch, std::deque<Op> &queue)
     const auto read = std::find_if(queue.begin(), queue.end(),
                                    [](const Op &op) { return op.is_read; });
     if (read != queue.end()) {
-        // A client read may run beside an in-flight unit write: the device
-        // slots it between the write's page programs. Internal reads wait.
-        if (cs.reads_inflight >= kReadConcurrency ||
-            (cs.writes_inflight > 0 && read->priority != kClientPriority)) {
+        // Each class has its own read slots. A client read may run beside
+        // an in-flight unit write: the device slots it between the write's
+        // page programs. Internal reads wait.
+        const int cls = ClassOf(read->priority);
+        if (cs.reads_inflight[cls] >= kReadConcurrency ||
+            (cs.writes_inflight > 0 && cls != 0)) {
             return false;
         }
         if (read->pieces != nullptr) {
@@ -256,11 +282,14 @@ BlockLayer::TryIssue(uint32_t ch, std::deque<Op> &queue)
             Fail(std::move(op.done), core::IoError::kNotFound);  // Deleted.
             return true;
         }
-        IssueRead(ch, it->second.second, op.id, op.offset, op.length, op.out,
-                  std::move(op.done));
+        IssueRead(ch, cls, it->second.second, op.id, op.offset, op.length,
+                  op.out, std::move(op.done));
         return true;
     }
-    if (cs.writes_inflight > 0 || cs.reads_inflight > 0) return false;
+    if (cs.writes_inflight > 0 || cs.reads_inflight[0] > 0 ||
+        cs.reads_inflight[1] > 0) {
+        return false;
+    }
     // Hold the write while its only candidate unit is mid-background-erase;
     // the erase completion re-dispatches.
     if (cs.clean_units.empty() && cs.dirty_units.empty() &&
@@ -298,7 +327,7 @@ BlockLayer::IssuePiece(uint32_t ch, std::deque<Op> &queue,
                        ? std::make_shared<std::vector<uint8_t>>()
                        : nullptr;
         ++join->inflight;
-        IssueRead(ch, loc->second.second, it->id, off, n, buf.get(),
+        IssueRead(ch, 1, loc->second.second, it->id, off, n, buf.get(),
                   [join, buf, off](core::IoStatus st) {
                       --join->inflight;
                       if (!st.ok() && join->status.ok()) join->status = st;
@@ -321,16 +350,18 @@ BlockLayer::IssuePiece(uint32_t ch, std::deque<Op> &queue,
 }
 
 void
-BlockLayer::IssueRead(uint32_t ch, uint32_t unit, uint64_t id,
+BlockLayer::IssueRead(uint32_t ch, int cls, uint32_t unit, uint64_t id,
                       uint64_t offset, uint64_t length,
                       std::vector<uint8_t> *out, IoCallback done)
 {
-    ++channels_[ch].reads_inflight;
+    ++channels_[ch].reads_inflight[cls];
+    const core::ReadClassScope scope(cls == 0 ? core::ReadClass::kOnDemand
+                                              : core::ReadClass::kBackground);
     device_.Read(ch, unit, offset, length,
-                 [this, ch, unit, id,
+                 [this, ch, cls, unit, id,
                   done = std::move(done)](core::IoStatus st) {
                      ChannelState &cs = channels_[ch];
-                     --cs.reads_inflight;
+                     --cs.reads_inflight[cls];
                      if (st.error == core::IoError::kReadUncorrectable) {
                          // The device exhausted its retry ladder and
                          // retired the pages: the block's data is gone.
@@ -357,7 +388,7 @@ BlockLayer::RedirectWrite(core::IoError error, uint64_t id,
 {
     if (error != core::IoError::kChannelDead) return false;
     const uint32_t ch = PickWriteChannel(id);
-    if (device_.ChannelDead(ch) || !HasUnit(ch)) return false;
+    if (device_.ChannelDead(ch) || !CanTakeWrite(ch)) return false;
     ++stats_.redirected_writes;
     EnqueueWrite(ch, id, std::move(done), data, priority);
     return true;
@@ -389,7 +420,12 @@ BlockLayer::IssueWrite(uint32_t ch, Op op)
                        priority = op.priority,
                        done = std::move(op.done)](core::IoStatus erased) mutable {
         if (!erased.ok()) {
-            --channels_[ch].writes_inflight;
+            ChannelState &cs2 = channels_[ch];
+            --cs2.writes_inflight;
+            // The unit is still the channel's unless wear-out killed it.
+            if (erased.error != core::IoError::kUnitDead) {
+                cs2.dirty_units.push_back(unit);
+            }
             if (!RedirectWrite(erased.error, id, data, priority, done))
                 Fail(std::move(done), erased.error);
             Dispatch(ch);
@@ -428,20 +464,28 @@ void
 BlockLayer::MaybeBackgroundErase(uint32_t ch)
 {
     ChannelState &cs = channels_[ch];
-    if (cs.bg_erase_running || cs.dirty_units.empty()) return;
+    if (cs.bg_erase_running || cs.dirty_units.empty() ||
+        device_.ChannelDead(ch)) {
+        return;
+    }
     // Only erase while the channel is otherwise idle.
-    if (cs.reads_inflight > 0 || cs.writes_inflight > 0) return;
+    if (cs.reads_inflight[0] > 0 || cs.reads_inflight[1] > 0 ||
+        cs.writes_inflight > 0) {
+        return;
+    }
     if (!cs.queues[0].empty() || !cs.queues[1].empty()) return;
 
     cs.bg_erase_running = true;
     const uint32_t unit = cs.dirty_units.front();
     cs.dirty_units.pop_front();
-    device_.EraseUnit(ch, unit, [this, ch, unit](bool ok) {
+    device_.EraseUnit(ch, unit, [this, ch, unit](core::IoStatus st) {
         ChannelState &cs2 = channels_[ch];
         cs2.bg_erase_running = false;
         ++stats_.background_erases;
-        if (ok) {
+        if (st.ok()) {
             cs2.clean_units.push_back(unit);
+        } else if (st.error != core::IoError::kUnitDead) {
+            cs2.dirty_units.push_back(unit);
         }
         Dispatch(ch);
         MaybeBackgroundErase(ch);

@@ -13,13 +13,17 @@
  * exposing erase).
  *
  * Each channel queue is read-first, client class before internal class,
- * with two reads in flight and writes alone (§5: "on-demand reads take
- * priority over writes and erasures"). A client read may issue while a
- * unit write is in flight on its channel; the device suspends the page
- * program on its plane for it. Internal reads longer than kPieceReadUnits
- * go to the device in pieces of that size, so a client read waits for at
- * most two pieces of a compaction input or a recovery scan, not for the
- * whole 8 MB.
+ * with two reads of each class in flight and writes alone (§5: "on-demand
+ * reads take priority over writes and erasures"). A client read may issue
+ * while a unit write is in flight on its channel; the device suspends the
+ * page program on its plane for it. Internal reads wait for a write in
+ * flight, a write waits for the reads in flight to drain, and internal
+ * reads longer than kPieceReadUnits go to the device in pieces of that
+ * size. The layer issues internal reads inside a
+ * core::ReadClassScope(kBackground), so the device books them as
+ * background work and a client read's data-out goes ahead of theirs on
+ * the channel bus; with its own read slots, a client read never waits
+ * for a piece to finish.
  */
 #ifndef SDF_BLOCKLAYER_BLOCK_LAYER_H
 #define SDF_BLOCKLAYER_BLOCK_LAYER_H
@@ -58,11 +62,14 @@ inline constexpr int kClientPriority = 0;
 inline constexpr int kInternalPriority = 1;
 
 /**
- * Read units per piece of a long internal read (16 KB on SDF). Two pieces
- * in flight hold about 0.86 ms of channel bus, the longest wait a client
- * read has left once it suspends the page program on its plane instead
- * of waiting for it; the second piece hides the gap between pieces, so a
- * piecewise scan keeps the bus as busy as one whole-unit read.
+ * Read units per piece of a long internal read (16 KB on SDF). A client
+ * read no longer waits for pieces on the bus or for a read slot, so the
+ * piece size sets only how long a client read's sense can wait behind a
+ * piece's senses on its plane, and how long a write waits for the pieces
+ * in flight to drain. The second piece in flight hides the gap between
+ * pieces, so a piecewise scan keeps the bus as busy as one whole-unit
+ * read. On ccdb_write_compaction (seed 1) get p99 is 0.486 / 0.507 /
+ * 0.544 ms at 16 / 32 / 64 KB pieces (DESIGN.md §5).
  */
 inline constexpr uint32_t kPieceReadUnits = 2;
 
@@ -158,6 +165,23 @@ class BlockLayer
     /** Queued + in-flight operations on @p channel (load metric). */
     uint32_t ChannelLoad(uint32_t channel) const;
 
+    /**
+     * Where @p channel's units are. Every unit is in exactly one place
+     * (clean + dirty + erasing + writing + stored == units_per_channel)
+     * unless the device lost it to wear-out. Walks every stored block.
+     */
+    struct UnitCounts
+    {
+        uint32_t clean = 0;    ///< Erased or never written.
+        uint32_t dirty = 0;    ///< Deleted; erase pending.
+        uint32_t erasing = 0;  ///< Mid-background-erase.
+        uint32_t writing = 0;  ///< Claimed by a write in flight.
+        uint32_t stored = 0;   ///< Holding a stored block.
+        /** Writes queued; each will take a clean, dirty or erasing unit. */
+        uint32_t queued_writes = 0;
+    };
+    UnitCounts Units(uint32_t channel) const;
+
   private:
     /** The caller's side of a read issued in pieces (block_layer.cc). */
     struct PieceJoin;
@@ -181,20 +205,24 @@ class BlockLayer
         std::deque<uint32_t> clean_units;  ///< Erased or never written.
         std::deque<uint32_t> dirty_units;  ///< Deleted; erase pending.
         std::deque<Op> queues[2];          ///< Indexed by priority class.
-        uint32_t reads_inflight = 0;
+        uint32_t reads_inflight[2] = {};   ///< Per class.
         uint32_t writes_queued = 0;  ///< Writes in `queues`.
         uint32_t writes_inflight = 0;
         bool bg_erase_running = false;
     };
 
-    /** True if @p ch has a unit to write: clean, dirty or mid-erase. */
-    bool HasUnit(uint32_t ch) const;
+    /**
+     * True if @p ch can take one more write: its clean, dirty and
+     * mid-erase units outnumber the writes queued on it.
+     */
+    bool CanTakeWrite(uint32_t ch) const;
 
     /**
      * The channel for a write of @p id: walking from its hash channel
-     * past dead channels and channels with no unit, the first with no
-     * write queued or in flight, else the one with the fewest (first in
-     * walk order on a tie); the hash channel when none can take it.
+     * past dead channels and channels that cannot take a write, the first
+     * with no write queued or in flight, else the one with the fewest
+     * (first in walk order on a tie); the hash channel when none can
+     * take it.
      */
     uint32_t PickWriteChannel(uint64_t id) const;
 
@@ -203,9 +231,10 @@ class BlockLayer
     void Enqueue(uint32_t ch, Op op);
     void Dispatch(uint32_t ch);
     bool TryIssue(uint32_t ch, std::deque<Op> &queue);
-    void IssueRead(uint32_t ch, uint32_t unit, uint64_t id, uint64_t offset,
-                   uint64_t length, std::vector<uint8_t> *out,
-                   IoCallback done);
+    /** Issue a device read of class @p cls (0 client, 1 internal). */
+    void IssueRead(uint32_t ch, int cls, uint32_t unit, uint64_t id,
+                   uint64_t offset, uint64_t length,
+                   std::vector<uint8_t> *out, IoCallback done);
 
     /**
      * Issue the next piece of the pieced read at @p it, or drop it from

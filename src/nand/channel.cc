@@ -35,9 +35,9 @@ Channel::Channel(sim::Simulator &sim, const Geometry &geo,
       rng_(rng),
       store_payloads_(store_payloads),
       ecc_correctable_bits_(ecc_correctable_bits),
-      bus_(sim),
       plane_senses_(geo.PlanesPerChannel(), 0),
       programs_(geo.PlanesPerChannel()),
+      latches_(geo.PlanesPerChannel()),
       blocks_(geo.BlocksPerChannel())
 {
     geo_.Validate();
@@ -93,7 +93,8 @@ Channel::EnableTrace(obs::TraceSink *sink, const std::string &name)
 void
 Channel::InjectStall(util::TimeNs duration)
 {
-    TraceOp(bus_track_, "stall", bus_.Submit(duration, nullptr), duration);
+    BookBackground(TransferKind::kStall, 0, sim_.Now(), duration, nullptr,
+                   "stall");
     for (size_t p = 0; p < planes_.size(); ++p) {
         const util::TimeNs end = planes_[p]->Submit(duration, nullptr);
         if (trace_ != nullptr) {
@@ -150,23 +151,23 @@ Channel::CompleteAt(util::TimeNs when, OpCallback done, OpStatus status)
     sim_.ScheduleAt(when, [done = std::move(done), status]() { done(status); });
 }
 
-bool
+ReadOutcome
 Channel::ReadPage(const PageAddr &addr, OpCallback done,
                   std::vector<uint8_t> *out, uint32_t retry_level,
-                  obs::IoSpan *span, bool suspend_program)
+                  obs::IoSpan *span, bool on_demand)
 {
     if (!ValidPage(addr)) {
         CompleteAt(sim_.Now(), std::move(done), OpStatus::kOutOfRange);
-        return false;
+        return {};
     }
     if (dead_) {
         CompleteAt(sim_.Now(), std::move(done), OpStatus::kChannelDead);
-        return false;
+        return {};
     }
     BlockMeta &meta = Meta(addr.BlockOf());
     if (meta.bad) {
         CompleteAt(sim_.Now(), std::move(done), OpStatus::kBadBlock);
-        return false;
+        return {};
     }
     if (retry_level > 0) ++stats_.retry_reads;
 
@@ -217,40 +218,42 @@ Channel::ReadPage(const PageAddr &addr, OpCallback done,
     stats_.read_bytes += geo_.page_size;
 
     // Array read on the plane, then data transfer out over the shared bus.
-    // A suspending read goes ahead of a program that is the plane's only
+    // An on-demand read goes ahead of a program that is the plane's only
     // booked work (the plane frees when the program ends), unless the
     // program is running and ends no later than the read would sense
     // after suspending it.
     const util::TimeNs now = sim_.Now();
     const PlaneProgram &prog = programs_[addr.plane];
-    const bool ahead = suspend_program && now < prog.end &&
+    const bool ahead = on_demand && now < prog.end &&
                        PlaneRes(addr.plane).free_at() == prog.end &&
                        (now <= prog.resume || now + kSuspendLatency < prog.end);
-    bool suspended = false;
+    ReadOutcome outcome;
     const util::TimeNs array_done =
-        ahead ? SenseAheadOfProgram(addr.plane, &suspended)
+        ahead ? SenseAheadOfProgram(addr.plane, &outcome.suspended)
               : PlaneRes(addr.plane).Submit(timing_.read_page, nullptr);
     ++plane_senses_[addr.plane];
-    const util::TimeNs bus_time = timing_.BusTime(geo_.page_size);
-    const util::TimeNs decode = timing_.bch_decode;
-    const util::TimeNs bus_done = bus_.SubmitAfter(
-        array_done, bus_time,
-        [this, done = std::move(done), status, decode]() mutable {
-            if (decode > 0) {
-                sim_.Schedule(decode,
-                              [done = std::move(done), status]() mutable {
-                                  if (done) done(status);
-                              });
-            } else if (done) {
-                done(status);
-            }
-        });
-
     if (trace_ != nullptr) {
         TraceOp(plane_tracks_[addr.plane], "tR", array_done,
                 timing_.read_page);
-        TraceOp(bus_track_, "xfer", bus_done, bus_time);
     }
+    const util::TimeNs bus_time = timing_.BusTime(geo_.page_size);
+    const util::TimeNs decode = timing_.bch_decode;
+    auto complete = [this, done = std::move(done), status,
+                     decode]() mutable {
+        if (decode > 0) {
+            sim_.Schedule(decode, [done = std::move(done), status]() mutable {
+                if (done) done(status);
+            });
+        } else if (done) {
+            done(status);
+        }
+    };
+    const util::TimeNs bus_done =
+        on_demand ? BookOnDemand(array_done, bus_time, std::move(complete),
+                                 &outcome)
+                  : BookBackground(TransferKind::kReadOut, addr.plane,
+                                   array_done, bus_time, std::move(complete),
+                                   "xfer");
     if (span != nullptr) {
         if (retry_level == 0) {
             // The flow is serial for one page, so cut points are faithful:
@@ -265,7 +268,7 @@ Channel::ReadPage(const PageAddr &addr, OpCallback done,
             span->Enter(obs::Stage::kRetry, sim_.Now());
         }
     }
-    return suspended;
+    return outcome;
 }
 
 util::TimeNs
@@ -364,7 +367,9 @@ Channel::StagePage(const PageAddr &addr, const uint8_t *payload,
     ++stats_.programs;
     stats_.programmed_bytes += geo_.page_size;
 
-    *staged = StagedPage{addr.plane, DataIn(), plane_senses_[addr.plane]};
+    const util::TimeNs latched = DataIn(addr.plane, nullptr);
+    *staged = StagedPage{addr.plane, next_transfer_ - 1, latched,
+                         plane_senses_[addr.plane]};
     return OpStatus::kOk;
 }
 
@@ -372,7 +377,18 @@ bool
 Channel::ProgramStaged(const StagedPage &staged, OpCallback done)
 {
     const bool resend = plane_senses_[staged.plane] != staged.senses;
-    const util::TimeNs data_in = resend ? DataIn() : staged.data_in;
+    // The data-in as it stands: queued (an on-demand read may have pushed
+    // it back), or started, when its end is final.
+    Transfer *pending = nullptr;
+    util::TimeNs data_in = 0;
+    if (resend) {
+        data_in = DataIn(staged.plane, &pending);
+    } else if ((pending = Queued(staged.data_in)) != nullptr) {
+        data_in = pending->end();
+    } else {
+        const Latch &latch = latches_[staged.plane];
+        data_in = latch.data_in == staged.data_in ? latch.end : staged.latched;
+    }
     sim::FifoResource &plane = PlaneRes(staged.plane);
     PlaneProgram &prog = programs_[staged.plane];
     // A program booked behind a tracked one still pending stays FIFO work
@@ -398,16 +414,200 @@ Channel::ProgramStaged(const StagedPage &staged, OpCallback done)
                             .end = prog_done,
                             .trace_event = event};
     }
+    // While the data-in is queued, an on-demand read may push it back;
+    // the program moves with it then (SlipProgram).
+    if (pending != nullptr && pending->start > sim_.Now()) {
+        pending->program = track ? id : kUntracked;
+    }
     return resend;
 }
 
-util::TimeNs
-Channel::DataIn()
+void
+Channel::SlipProgram(uint32_t plane, util::TimeNs latched)
 {
-    const util::TimeNs bus_time = timing_.BusTime(geo_.page_size);
-    const util::TimeNs latched = bus_.Submit(bus_time, nullptr);
-    TraceOp(bus_track_, "din", latched, bus_time);
-    return latched;
+    PlaneProgram &prog = programs_[plane];
+    if (latched <= prog.resume) return;  // Its slack absorbs the push.
+    const util::TimeNs slip = latched - prog.resume;
+    PlaneRes(plane).Insert(0, slip);
+    prog.resume = latched;
+    prog.end += slip;
+    if (trace_ != nullptr) {
+        trace_->Retime(prog.trace_event, prog.resume, prog.end - prog.resume);
+    }
+}
+
+util::TimeNs
+Channel::DataIn(uint32_t plane, Transfer **pending)
+{
+    return BookBackground(TransferKind::kDataIn, plane, sim_.Now(),
+                          timing_.BusTime(geo_.page_size), nullptr, "din",
+                          pending);
+}
+
+Channel::Transfer *
+Channel::Queued(uint64_t number)
+{
+    // Queued transfers carry consecutive numbers: a background booking
+    // queues whenever one is queued already.
+    if (queued_.empty() || number < queued_.front().number ||
+        number > queued_.back().number) {
+        return nullptr;
+    }
+    return &queued_[number - queued_.front().number];
+}
+
+sim::EventId
+Channel::ScheduleEnd(util::TimeNs end, sim::Callback done)
+{
+    // As FifoResource: zero-cost work on an idle bus rides the completion
+    // ring; anything else takes a timed event, a marker if @p done is null.
+    if (end == sim_.Now()) {
+        if (done) sim_.Post(std::move(done));
+        return sim::kInvalidEvent;
+    }
+    return sim_.ScheduleAt(end, std::move(done));
+}
+
+void
+Channel::PruneBus()
+{
+    const util::TimeNs now = sim_.Now();
+    while (!queued_.empty() && queued_.front().start <= now) {
+        const Transfer &x = queued_.front();
+        started_end_ = x.end();
+        if (x.kind == TransferKind::kDataIn) {
+            latches_[x.plane] = Latch{x.number, x.end()};
+        }
+        queued_.pop_front();
+    }
+    while (!reserved_.empty() && reserved_.front().second <= now) {
+        reserved_.pop_front();
+    }
+}
+
+util::TimeNs
+Channel::Place(util::TimeNs t, util::TimeNs dur) const
+{
+    // Reservations end in booking order, so one pass finds the first gap.
+    for (const auto &[sensed, end] : reserved_) {
+        if (t < end && t + dur > sensed) t = end;
+    }
+    return t;
+}
+
+util::TimeNs
+Channel::BookBackground(TransferKind kind, uint32_t plane, util::TimeNs ready,
+                        util::TimeNs dur, sim::Callback done,
+                        const char *name, Transfer **pending)
+{
+    PruneBus();
+    const util::TimeNs now = sim_.Now();
+    const util::TimeNs start =
+        Place(std::max({now, ready, background_free_}), dur);
+    const util::TimeNs end = start + dur;
+    background_free_ = end;
+    bus_busy_ += dur;
+    const uint64_t number = next_transfer_++;
+    const sim::EventId event = ScheduleEnd(end, std::move(done));
+    const size_t trace_event = TraceOp(bus_track_, name, end, dur);
+    if (pending != nullptr) *pending = nullptr;
+    if (start <= now) {
+        started_end_ = end;
+        if (kind == TransferKind::kDataIn) latches_[plane] = Latch{number, end};
+        return end;
+    }
+    queued_.push_back(Transfer{.number = number,
+                               .kind = kind,
+                               .plane = plane,
+                               .ready = ready,
+                               .start = start,
+                               .dur = dur,
+                               .done = event,
+                               .trace_event = trace_event});
+    if (pending != nullptr) *pending = &queued_.back();
+    return end;
+}
+
+util::TimeNs
+Channel::BookOnDemand(util::TimeNs sensed, util::TimeNs dur,
+                      sim::Callback done, ReadOutcome *outcome)
+{
+    PruneBus();
+    // The read waits for the transfer in progress and for every queued
+    // one up to the last that cannot move; of the rest, those that end by
+    // its sense end stay ahead too, and the others move behind it.
+    size_t keep = queued_.size();
+    while (keep > 0 && Movable(queued_[keep - 1])) --keep;
+    util::TimeNs before = keep > 0 ? queued_[keep - 1].end() : started_end_;
+    const util::TimeNs start = std::max({sensed, on_demand_free_, before});
+    while (keep < queued_.size() && queued_[keep].end() <= sensed) {
+        before = queued_[keep++].end();
+    }
+    const util::TimeNs end = start + dur;
+    on_demand_free_ = end;
+    reserved_.emplace_back(sensed, end);
+    bus_busy_ += dur;
+    ScheduleEnd(end, std::move(done));
+    TraceOp(bus_track_, "xfer", end, dur);
+    outcome->bus_wait = start - sensed;
+    outcome->overtook = keep < queued_.size();
+    if (!outcome->overtook) return end;
+    // The pushed transfers keep their booking order behind the read.
+    const util::TimeNs now = sim_.Now();
+    for (size_t i = keep; i < queued_.size(); ++i) {
+        Transfer &x = queued_[i];
+        const util::TimeNs at =
+            Place(std::max({before, x.ready, now}), x.dur);
+        SDF_CHECK(at >= x.start);
+        if (at > x.start) Move(x, at);
+        before = x.end();
+    }
+    background_free_ = before;
+    return end;
+}
+
+bool
+Channel::Movable(const Transfer &x) const
+{
+    switch (x.kind) {
+    case TransferKind::kReadOut:
+        return true;
+    case TransferKind::kStall:
+        return false;
+    case TransferKind::kDataIn: {
+        // Its program, once booked, must be able to slip with it.
+        if (x.program == 0) return true;
+        const PlaneProgram &prog = programs_[x.plane];
+        return x.program == prog.id &&
+               planes_[x.plane]->free_at() == prog.end;
+    }
+    case TransferKind::kEraseCmd:
+        return x.erase_done != sim::kInvalidEvent &&
+               planes_[x.plane]->free_at() == x.erase_end;
+    }
+    return false;
+}
+
+void
+Channel::Move(Transfer &x, util::TimeNs start)
+{
+    x.start = start;
+    const util::TimeNs end = x.end();
+    x.done = sim_.Reschedule(x.done, end);
+    if (trace_ != nullptr) trace_->Retime(x.trace_event, start, x.dur);
+    if (x.kind == TransferKind::kDataIn) {
+        if (x.program != 0) SlipProgram(x.plane, end);
+    } else if (x.kind == TransferKind::kEraseCmd) {
+        const util::TimeNs erase_start = x.erase_end - timing_.erase_block;
+        if (end <= erase_start) return;  // Its slack absorbs the push.
+        const util::TimeNs slip = end - erase_start;
+        PlaneRes(x.plane).Insert(0, slip);
+        x.erase_end += slip;
+        x.erase_done = sim_.Reschedule(x.erase_done, x.erase_end);
+        if (trace_ != nullptr) {
+            trace_->Retime(x.erase_trace, end, timing_.erase_block);
+        }
+    }
 }
 
 void
@@ -447,24 +647,31 @@ Channel::EraseBlock(const BlockAddr &addr, OpCallback done)
 
     ++stats_.erases;
 
-    const util::TimeNs cmd_done = bus_.Submit(timing_.bus_cmd_overhead, nullptr);
+    Transfer *cmd = nullptr;
+    const util::TimeNs cmd_done =
+        BookBackground(TransferKind::kEraseCmd, addr.plane, sim_.Now(),
+                       timing_.bus_cmd_overhead, nullptr, "cmd", &cmd);
     const util::TimeNs erase_done =
-        PlaneRes(addr.plane)
-            .SubmitAfter(cmd_done, timing_.erase_block,
-                         [done = std::move(done), status]() mutable {
-                             if (done) done(status);
-                         });
-    if (trace_ != nullptr) {
-        TraceOp(bus_track_, "cmd", cmd_done, timing_.bus_cmd_overhead);
-        TraceOp(plane_tracks_[addr.plane], "tBERS", erase_done,
-                timing_.erase_block);
+        PlaneRes(addr.plane).Book(cmd_done, timing_.erase_block);
+    const sim::EventId event =
+        ScheduleEnd(erase_done, [done = std::move(done), status]() mutable {
+            if (done) done(status);
+        });
+    const size_t trace_event =
+        trace_ != nullptr ? TraceOp(plane_tracks_[addr.plane], "tBERS",
+                                    erase_done, timing_.erase_block)
+                          : obs::TraceSink::kDropped;
+    if (cmd != nullptr) {
+        cmd->erase_end = erase_done;
+        cmd->erase_done = event;
+        cmd->erase_trace = trace_event;
     }
 }
 
 bool
 Channel::Busy() const
 {
-    if (bus_.Busy()) return true;
+    if (std::max(background_free_, on_demand_free_) > sim_.Now()) return true;
     for (const auto &p : planes_)
         if (p->Busy()) return true;
     return false;

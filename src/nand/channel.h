@@ -11,14 +11,30 @@
  *             so four planes pipeline. The two steps can be booked apart
  *             (StagePage, ProgramStaged), so a page waits in the register
  *             while the plane finishes its previous program.
- *  - Suspend: a read that asks for it senses ahead of the page program
- *             on its plane when that program is the plane's only booked
+ *  - Suspend: an on-demand read senses ahead of the page program on
+ *             its plane when that program is the plane's only booked
  *             work. A running program is suspended (a fixed suspend
  *             latency before the sense, a resume latency after it) and
  *             completes later by the plane time the read took, unless it
  *             ends within the suspend latency; a program not yet started
  *             simply starts after the read.
  *  - Erase:   short bus command, then plane busy for tBERS.
+ *  - Bus:     one transfer at a time, booked when the operation is
+ *             submitted. An on-demand read's page data-out goes before
+ *             every background transfer that has not started yet
+ *             (data-ins, erase commands, background data-outs);
+ *             on-demand data-outs are FIFO among themselves. Background
+ *             transfers keep their booking order, and none starts if it
+ *             would still hold the bus when a booked on-demand read's
+ *             sense ends (the reservation). A
+ *             transfer pushed back moves its completion and trace event;
+ *             a data-in delays its page program, and an erase command its
+ *             erase, only once the slack before it runs out. A transfer
+ *             whose plane work is not the last booked on its plane, or a
+ *             stall, is not moved: the read waits behind it and what was
+ *             booked before it. With no on-demand read the bus is plain
+ *             FIFO, so ConventionalSsd and background-only traffic keep
+ *             the same timing.
  *
  * State machine: blocks must be erased before programming, and pages within
  * a block must be programmed sequentially (real NAND constraint that the
@@ -27,11 +43,14 @@
 #ifndef SDF_NAND_CHANNEL_H
 #define SDF_NAND_CHANNEL_H
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "nand/error_model.h"
@@ -87,8 +106,20 @@ struct ChannelStats
 struct StagedPage
 {
     uint32_t plane = 0;
-    util::TimeNs data_in = 0;  ///< When the data is latched in the register.
+    uint64_t data_in = 0;      ///< Booking number of its data-in.
+    util::TimeNs latched = 0;  ///< Its data-in's end when booked.
     uint64_t senses = 0;       ///< Array reads booked on the plane by then.
+};
+
+/** What booking one page read did (Channel::ReadPage). */
+struct ReadOutcome
+{
+    /** It suspended the page program on its plane. */
+    bool suspended = false;
+    /** Its data-out goes ahead of a background transfer booked before it. */
+    bool overtook = false;
+    /** From its sense end to the start of its data-out (on-demand only). */
+    util::TimeNs bus_wait = 0;
 };
 
 /** One flash channel with its dies, planes, bus, and block state. */
@@ -125,25 +156,29 @@ class Channel
      * @p span, when non-null, receives fine-grained stage milestones
      * (queue / flash_op / channel_bus / bch_decode for level 0; the whole
      * rung is attributed to `retry` for levels above 0). The channel can
-     * mark known-future milestones because FifoResource schedules
-     * deterministically at submit time. A suspend latency counts as queue.
+     * mark known-future milestones because it books the plane and the bus
+     * at submit time. A suspend latency counts as queue. An on-demand
+     * read's data-out never moves once booked; a background read's span
+     * keeps the booking's milestones if an on-demand read pushes it back.
      *
-     * With @p suspend_program, the read does not wait for a page program
-     * that is the plane's only booked work. If the program is running,
-     * the read suspends it: it senses `kSuspendLatency` (channel.cc) from
-     * now and the program resumes `kResumeLatency` after the sense, so
-     * its completion moves later by the plane time the read took. A
-     * running program that ends within `kSuspendLatency` is not
-     * suspended; the read waits for it. A read
+     * An @p on_demand read (a client waits on it) does not wait for a
+     * page program that is the plane's only booked work. If the program
+     * is running, the read suspends it: it senses `kSuspendLatency`
+     * (channel.cc) from now and the program resumes `kResumeLatency`
+     * after the sense, so its completion moves later by the plane time
+     * the read took. A running program that ends within
+     * `kSuspendLatency` is not suspended; the read waits for it. A read
      * arriving while the program is suspended senses after the reads
      * already ahead of it and pays no second suspend. A program still
-     * waiting for its data-in starts after the read. Without the flag
-     * the plane is FIFO. @return true if the read suspended a program.
+     * waiting for its data-in starts after the read. On the bus its
+     * data-out goes ahead of background transfers (see the file comment).
+     * A background read is FIFO on the plane and in booking order on the
+     * bus.
      */
-    bool ReadPage(const PageAddr &addr, OpCallback done,
-                  std::vector<uint8_t> *out = nullptr,
-                  uint32_t retry_level = 0, obs::IoSpan *span = nullptr,
-                  bool suspend_program = false);
+    ReadOutcome ReadPage(const PageAddr &addr, OpCallback done,
+                         std::vector<uint8_t> *out = nullptr,
+                         uint32_t retry_level = 0,
+                         obs::IoSpan *span = nullptr, bool on_demand = false);
 
     /**
      * Program one page: StagePage() and ProgramStaged() back to back.
@@ -164,11 +199,12 @@ class Channel
 
     /**
      * Second step: book tPROG for @p staged on its plane once the data is
-     * in; @p done fires with kOk when the program completes. A read
-     * booked on the plane since staging used the register, so the data-in
-     * goes over the bus again first (the controller still holds the
-     * data). The caller checks dead() first. @return true if the data-in
-     * was sent again.
+     * in (which an on-demand read may have pushed back since staging);
+     * @p done fires with kOk when the program completes. A read booked on
+     * the plane since staging used the register, so the data-in goes over
+     * the bus again first (the controller still holds the data). The
+     * caller checks dead() first. @return true if the data-in was sent
+     * again.
      */
     bool ProgramStaged(const StagedPage &staged, OpCallback done);
 
@@ -238,10 +274,17 @@ class Channel
     void EnableTrace(obs::TraceSink *sink, const std::string &name);
 
     /** Bus utilization in [0,1] over [0, now]. */
-    double BusUtilization() const { return bus_.Utilization(sim_.Now()); }
+    double
+    BusUtilization() const
+    {
+        const util::TimeNs now = sim_.Now();
+        if (now <= 0) return 0.0;
+        return std::min(1.0, static_cast<double>(bus_busy_) /
+                                 static_cast<double>(now));
+    }
 
     /** Accumulated bus service time (utilization numerator). */
-    util::TimeNs bus_busy_ns() const { return bus_.busy_time(); }
+    util::TimeNs bus_busy_ns() const { return bus_busy_; }
 
     /** True if any plane or the bus has outstanding work. */
     bool Busy() const;
@@ -263,13 +306,105 @@ class Channel
         size_t trace_event = obs::TraceSink::kDropped;  ///< Last tPROG cut.
     };
 
+    /** What a background bus transfer carries. */
+    enum class TransferKind : uint8_t
+    {
+        kDataIn,    ///< A page into its plane's cache register.
+        kEraseCmd,  ///< An erase command; tBERS follows on its plane.
+        kReadOut,   ///< A background read's data-out.
+        kStall,     ///< Injected dummy work; never moves.
+    };
+
+    /** A background transfer booked on the bus that has not started. */
+    struct Transfer
+    {
+        uint64_t number = 0;  ///< Booking order among background transfers.
+        TransferKind kind = TransferKind::kStall;
+        uint32_t plane = 0;   ///< A data-in's or erase command's plane.
+        util::TimeNs ready = 0;  ///< It cannot start earlier.
+        util::TimeNs start = 0;
+        util::TimeNs dur = 0;
+        sim::EventId done = sim::kInvalidEvent;  ///< Completion or marker.
+        size_t trace_event = obs::TraceSink::kDropped;
+        /**
+         * A data-in's program, once booked: the tracked program's id, or
+         * kUntracked; 0 while none is booked.
+         */
+        uint64_t program = 0;
+        /** An erase command's tBERS: its end, completion and trace event. */
+        util::TimeNs erase_end = 0;
+        sim::EventId erase_done = sim::kInvalidEvent;
+        size_t erase_trace = obs::TraceSink::kDropped;
+
+        util::TimeNs end() const { return start + dur; }
+    };
+
+    /** The data-in into one plane that started last. */
+    struct Latch
+    {
+        uint64_t data_in = 0;  ///< Its booking number; 0 = none.
+        util::TimeNs end = 0;  ///< When it is latched.
+    };
+    static constexpr uint64_t kUntracked = UINT64_MAX;
+
     bool ValidBlock(const BlockAddr &a) const;
     bool ValidPage(const PageAddr &a) const;
     BlockMeta &Meta(const BlockAddr &a);
     sim::FifoResource &PlaneRes(uint32_t plane) { return *planes_[plane]; }
 
-    /** Book one page's data-in on the bus; @return when it is latched. */
-    util::TimeNs DataIn();
+    /**
+     * Book one page's data-in into @p plane's cache register on the bus;
+     * @return when it is latched. @p pending gets the queued transfer, or
+     * null if it started at once.
+     */
+    util::TimeNs DataIn(uint32_t plane, Transfer **pending);
+
+    /** Queued transfer number @p number, or null if it has started. */
+    Transfer *Queued(uint64_t number);
+
+    /**
+     * Book a background transfer of @p dur on the bus, ready at @p ready:
+     * after every background transfer booked before it and clear of the
+     * booked on-demand reads' reservations. Schedules @p done (a marker if
+     * null) at its end and traces it as @p name. @p pending, if given,
+     * gets the queued transfer, or null if it started at once.
+     * @return its end.
+     */
+    util::TimeNs BookBackground(TransferKind kind, uint32_t plane,
+                                util::TimeNs ready, util::TimeNs dur,
+                                sim::Callback done, const char *name,
+                                Transfer **pending = nullptr);
+
+    /**
+     * Book an on-demand read's data-out of @p dur, ready at @p sensed:
+     * after the on-demand data-outs booked before it and the transfers
+     * that cannot move, ahead of every other background transfer that
+     * would still hold the bus at @p sensed (they move back, in booking
+     * order). Fills @p outcome's bus fields. @return its end.
+     */
+    util::TimeNs BookOnDemand(util::TimeNs sensed, util::TimeNs dur,
+                              sim::Callback done, ReadOutcome *outcome);
+
+    /** Drop started transfers and elapsed reservations. */
+    void PruneBus();
+
+    /**
+     * The earliest start at or after @p t for a background transfer of
+     * @p dur that overlaps no reservation.
+     */
+    util::TimeNs Place(util::TimeNs t, util::TimeNs dur) const;
+
+    /** True if an on-demand read may push queued transfer @p x back. */
+    bool Movable(const Transfer &x) const;
+
+    /** Move queued transfer @p x to @p start and what waits on it. */
+    void Move(Transfer &x, util::TimeNs start);
+
+    /**
+     * Schedule @p done at @p end (a marker event if null; posted if @p end
+     * is now). @return its id, or kInvalidEvent if posted.
+     */
+    sim::EventId ScheduleEnd(util::TimeNs end, sim::Callback done);
 
     /**
      * Book a suspending read's sense on @p plane ahead of the tracked
@@ -284,6 +419,12 @@ class Channel
      * again if reads have moved the program's end past now.
      */
     void FinishProgram(uint32_t plane, uint64_t id, OpCallback done);
+
+    /**
+     * The data-in the tracked program on @p plane waits for is now
+     * latched at @p latched: start the program no earlier.
+     */
+    void SlipProgram(uint32_t plane, util::TimeNs latched);
 
     /** Deliver @p status via @p done at bus/plane completion time @p when. */
     void CompleteAt(util::TimeNs when, OpCallback done, OpStatus status);
@@ -308,10 +449,20 @@ class Channel
     bool store_payloads_;
     uint32_t ecc_correctable_bits_;
 
-    sim::FifoResource bus_;
+    // The bus.
+    std::deque<Transfer> queued_;  ///< Background, not started; in order.
+    /** Reservations: on-demand reads' [sense end, data-out end), FIFO. */
+    std::deque<std::pair<util::TimeNs, util::TimeNs>> reserved_;
+    uint64_t next_transfer_ = 1;     ///< Next background booking number.
+    util::TimeNs background_free_ = 0;  ///< End of the last background one.
+    util::TimeNs started_end_ = 0;   ///< End of the last one started.
+    util::TimeNs on_demand_free_ = 0;  ///< End of the last on-demand one.
+    util::TimeNs bus_busy_ = 0;      ///< Accumulated transfer time.
+
     std::vector<std::unique_ptr<sim::FifoResource>> planes_;
     std::vector<uint64_t> plane_senses_;  ///< Array reads booked per plane.
     std::vector<PlaneProgram> programs_;  ///< Per plane.
+    std::vector<Latch> latches_;          ///< Per plane.
     std::vector<BlockMeta> blocks_;  ///< Indexed by FlatBlockIndex.
     std::unordered_map<uint64_t, std::vector<uint8_t>> data_;
     std::unordered_set<uint64_t> corrupted_;  ///< Flat indices of bad pages.

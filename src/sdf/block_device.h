@@ -59,6 +59,41 @@ struct DeviceCaps
     uint64_t raw_capacity = 0;   ///< Raw flash bytes underneath.
 };
 
+/** Who waits on a device read. */
+enum class ReadClass : uint8_t
+{
+    kOnDemand,    ///< A client request waits on it (the default).
+    kBackground,  ///< Internal work: compaction inputs, recovery scans.
+};
+
+/**
+ * Issuing-context scope for device reads: a BlockDevice::Read called on
+ * this thread while the scope is open is of its class; the device reads
+ * the class when Read is called. Outside every scope a read is
+ * on-demand. The class is a scope, not a Read parameter, so a decorator
+ * that overrides Read and forwards the call synchronously (a tracer, a
+ * fault shim) passes it through untouched.
+ */
+class ReadClassScope
+{
+  public:
+    explicit ReadClassScope(ReadClass cls) : outer_(current_)
+    {
+        current_ = cls;
+    }
+    ~ReadClassScope() { current_ = outer_; }
+
+    ReadClassScope(const ReadClassScope &) = delete;
+    ReadClassScope &operator=(const ReadClassScope &) = delete;
+
+    /** The class of a read issued now. */
+    static ReadClass Current() { return current_; }
+
+  private:
+    static inline thread_local ReadClass current_ = ReadClass::kOnDemand;
+    ReadClass outer_;
+};
+
 /**
  * Abstract asynchronous block device addressed as (channel, unit).
  *
@@ -77,7 +112,8 @@ class BlockDevice
     /**
      * Read @p length bytes at @p offset within (@p channel, @p unit).
      * Offset and length must be multiples of caps().read_unit_bytes.
-     * @p span, when non-null, receives latency-stage milestones.
+     * @p span, when non-null, receives latency-stage milestones. The
+     * read's class is ReadClassScope::Current() at the call.
      */
     virtual void Read(uint32_t channel, uint32_t unit, uint64_t offset,
                       uint64_t length, IoCallback done,

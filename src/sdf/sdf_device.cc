@@ -125,6 +125,7 @@ SdfDevice::RegisterMetrics()
     m.RegisterCounter(dev + ".page_reads", &stats_.page_reads);
     m.RegisterCounter(dev + ".resent_pages", &stats_.resent_pages);
     m.RegisterCounter(dev + ".program_suspends", &stats_.program_suspends);
+    m.RegisterCounter(dev + ".bus_overtakes", &stats_.bus_overtakes);
     m.RegisterCounter(dev + ".read_bytes", &stats_.read_bytes);
     m.RegisterCounter(dev + ".written_bytes", &stats_.written_bytes);
     m.RegisterCounter(dev + ".contract_violations",
@@ -138,6 +139,8 @@ SdfDevice::RegisterMetrics()
     m.RegisterHistogram(dev + ".recovery_latency_ns", [this]() {
         return &recovery_latencies_.histogram();
     });
+    m.RegisterHistogram(dev + ".on_demand_bus_wait_ns",
+                        [this]() { return &bus_wait_; });
 
     const std::string link = m.UniquePrefix("link");
     metric_prefixes_.push_back(link);
@@ -268,15 +271,17 @@ SdfDevice::RetireAndRemap(uint32_t channel, uint32_t plane, uint32_t unit,
 void
 SdfDevice::ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
                           uint32_t block, uint32_t page_in_block,
-                          uint32_t level, TimeNs first_fail,
+                          uint32_t level, TimeNs first_fail, bool on_demand,
                           std::function<void(IoStatus)> done,
                           std::vector<uint8_t> *buf, obs::IoSpan *span)
 {
-    // On-demand reads go ahead of the page program on their plane (§5).
-    const bool suspended = flash_->channel(channel).ReadPage(
+    // On-demand reads go ahead of the page program on their plane and of
+    // background transfers on the bus (§5).
+    const nand::ReadOutcome booked = flash_->channel(channel).ReadPage(
         nand::PageAddr{plane, block, page_in_block},
         [this, channel, unit, plane, block, page_in_block, level, first_fail,
-         done = std::move(done), buf, span](nand::OpStatus status) mutable {
+         on_demand, done = std::move(done), buf,
+         span](nand::OpStatus status) mutable {
             if (nand::IsOk(status)) {  // kOk or kOkErased (unprogrammed).
                 if (level > 0) {
                     ++stats_.retry_recoveries;
@@ -294,7 +299,8 @@ SdfDevice::ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
             if (level < config_.read_retry_levels) {
                 ++stats_.read_retries;
                 ReadPageLadder(channel, unit, plane, block, page_in_block,
-                               level + 1, t0, std::move(done), buf, span);
+                               level + 1, t0, on_demand, std::move(done), buf,
+                               span);
                 return;
             }
             // Ladder exhausted: data is lost; retire the block so future
@@ -305,8 +311,13 @@ SdfDevice::ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
             RetireAndRemap(channel, plane, unit, block);
             done(IoError::kReadUncorrectable);
         },
-        buf, level, span, /*suspend_program=*/true);
-    if (suspended) ++stats_.program_suspends;
+        buf, level, span, on_demand);
+    if (booked.suspended) ++stats_.program_suspends;
+    if (booked.overtook) ++stats_.bus_overtakes;
+    // A read of a dead channel never reached the bus.
+    if (on_demand && hub_ != nullptr && !flash_->channel(channel).dead()) {
+        bus_wait_.Add(booked.bus_wait);
+    }
 }
 
 void
@@ -329,6 +340,7 @@ SdfDevice::Read(uint32_t channel, uint32_t unit, uint64_t offset,
     stats_.page_reads += pages;
     stats_.read_bytes += length;
     if (out) out->assign(length, 0);
+    const bool on_demand = ReadClassScope::Current() == ReadClass::kOnDemand;
 
     struct ReadState
     {
@@ -350,8 +362,8 @@ SdfDevice::Read(uint32_t channel, uint32_t unit, uint64_t offset,
     if (span != nullptr) span->Enter(obs::Stage::kQueue, sim_.Now());
 
     ChannelEngine &ce = channels_[channel];
-    ce.engine->Submit(kEngineOpCost, [this, channel, unit, offset,
-                                      page, pages, state]() {
+    ce.engine->Submit(kEngineOpCost, [this, channel, unit, offset, page,
+                                      pages, on_demand, state]() {
         const nand::Geometry &geo2 = flash_->geometry();
         const uint64_t block_bytes = geo2.BlockBytes();
         ChannelEngine &ce2 = channels_[channel];
@@ -410,7 +422,7 @@ SdfDevice::Read(uint32_t channel, uint32_t unit, uint64_t offset,
             auto buf = state->out ? std::make_shared<std::vector<uint8_t>>()
                                   : nullptr;
             ReadPageLadder(
-                channel, unit, plane, block, page_in_block, 0, 0,
+                channel, unit, plane, block, page_in_block, 0, 0, on_demand,
                 [state, buf, out_pos, page, page_complete](IoStatus st) {
                     if (!st.ok() && state->status.ok()) state->status = st;
                     if (state->out && buf && !buf->empty()) {

@@ -38,6 +38,7 @@
 #include "sdf/io_status.h"
 #include "sim/fifo_resource.h"
 #include "sim/simulator.h"
+#include "util/histogram.h"
 #include "util/latency_recorder.h"
 
 namespace sdf::obs {
@@ -80,6 +81,11 @@ struct SdfStats
     uint64_t resent_pages = 0;
     /** Page programs a read suspended to sense ahead of them. */
     uint64_t program_suspends = 0;
+    /**
+     * On-demand pages whose data-out went ahead of a background transfer
+     * booked before them on the channel bus.
+     */
+    uint64_t bus_overtakes = 0;
     uint64_t read_bytes = 0;
     uint64_t written_bytes = 0;
     uint64_t contract_violations = 0;  ///< e.g. write to a non-erased unit.
@@ -115,8 +121,11 @@ class SdfDevice : public BlockDevice
      * Offset and length must be multiples of the read unit (8 KB).
      * Reading an unwritten unit succeeds and returns 0xFF bytes.
      *
-     * Each page suspends a page program running on its plane
-     * (nand::Channel::ReadPage).
+     * The read's class is the issuing context's (ReadClassScope, read
+     * when Read is called): a background read is FIFO on its planes and
+     * on the bus; an on-demand read (the default) suspends a page program
+     * running on its plane and its data-out goes ahead of background
+     * transfers on the bus (nand::Channel::ReadPage).
      *
      * @p span, when non-null, receives latency-stage milestones. A
      * single-page read gets the channel's fine-grained breakdown (queue /
@@ -168,7 +177,8 @@ class SdfDevice : public BlockDevice
      * match; @p done receives the matched byte count. With 44 engines
      * scanning in parallel, aggregate scan bandwidth is bounded by the
      * flash (1.67 GB/s), not by PCIe. A scan is background work: its
-     * page reads wait for a page program on their plane.
+     * page reads wait for a page program on their plane and go in booking
+     * order on the bus.
      */
     void ScanUnit(uint32_t channel, uint32_t unit, double selectivity,
                   std::function<void(bool ok, uint64_t matched)> done);
@@ -274,11 +284,13 @@ class SdfDevice : public BlockDevice
      * One rung of the read-retry ladder: read the page at @p level; on
      * kReadUncorrectable escalate up to config_.read_retry_levels, then
      * retire the block and report kReadUncorrectable. @p first_fail is
-     * the sim time of the first failed sense (0 while level == 0).
+     * the sim time of the first failed sense (0 while level == 0). Every
+     * rung is of the read's class (@p on_demand).
      */
     void ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
                         uint32_t block, uint32_t page_in_block, uint32_t level,
-                        TimeNs first_fail, std::function<void(IoStatus)> done,
+                        TimeNs first_fail, bool on_demand,
+                        std::function<void(IoStatus)> done,
                         std::vector<uint8_t> *buf,
                         obs::IoSpan *span = nullptr);
 
@@ -302,6 +314,8 @@ class SdfDevice : public BlockDevice
     uint64_t unit_bytes_ = 0;
     SdfStats stats_;
     util::LatencyRecorder recovery_latencies_;
+    /** On-demand pages' sense end to data-out start; under a hub only. */
+    util::Histogram bus_wait_;
 
     /** Hub (from the simulator) this device registered metrics with. */
     obs::Hub *hub_ = nullptr;

@@ -50,11 +50,23 @@ class FifoResource
     TimeNs
     SubmitAfter(TimeNs earliest, TimeNs service_time, Callback done)
     {
+        const TimeNs end = Book(earliest, service_time);
+        Complete(end, std::move(done));
+        return end;
+    }
+
+    /**
+     * Like SubmitAfter() but schedules nothing: the caller schedules the
+     * completion itself (and can move it with Simulator::Reschedule).
+     * @return the simulated completion time.
+     */
+    TimeNs
+    Book(TimeNs earliest, TimeNs service_time)
+    {
         const TimeNs start = std::max({sim_.Now(), free_at_, earliest});
         const TimeNs end = start + service_time;
         busy_time_ += service_time;
         free_at_ = end;
-        Complete(end, std::move(done));
         return end;
     }
 

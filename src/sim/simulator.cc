@@ -60,6 +60,18 @@ Simulator::Cancel(EventId id)
     --live_count_;
 }
 
+EventId
+Simulator::Reschedule(EventId id, TimeNs when)
+{
+    const uint64_t slot_part = id >> 32;
+    if (slot_part == 0 || slot_part > slots_.size()) return kInvalidEvent;
+    Slot &s = slots_[static_cast<uint32_t>(slot_part - 1)];
+    if (s.gen != static_cast<uint32_t>(id) || !s.armed) return kInvalidEvent;
+    Callback cb = std::move(s.cb);
+    Cancel(id);
+    return ScheduleAt(when, std::move(cb));
+}
+
 uint32_t
 Simulator::AcquireSlot()
 {

@@ -82,6 +82,15 @@ class Simulator
     /** Cancel a pending event; no-op if already fired or invalid. */
     void Cancel(EventId id);
 
+    /**
+     * Move pending event @p id to @p when (>= Now()), keeping its
+     * callback: Cancel() plus ScheduleAt() of the same callback, so the
+     * event fires once, in sequence order with events scheduled now.
+     * @return its new id (the old one goes stale), or kInvalidEvent if
+     * @p id had already fired or was cancelled.
+     */
+    EventId Reschedule(EventId id, TimeNs when);
+
     /** Run until the event queue is empty. */
     void Run();
 

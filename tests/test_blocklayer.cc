@@ -8,11 +8,15 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "blocklayer/block_layer.h"
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
 #include "util/fingerprint.h"
+#include "util/rng.h"
 
 namespace sdf::blocklayer {
 namespace {
@@ -161,6 +165,31 @@ TEST(BlockLayer, PutFailsWithNoSpaceOnlyWhenNoLiveChannelHasAUnit)
     EXPECT_EQ(f.PutAndRun(next + 1).error, core::IoError::kNoSpace);
     EXPECT_EQ(f.PutAndRun(next).error, core::IoError::kChannelDead);
     EXPECT_EQ(f.layer.stats().failed_ops, 2u);
+}
+
+TEST(BlockLayer, QueuedWritesCountAgainstAChannelsUnits)
+{
+    // Two channels of six units; channel 0 is left with two.
+    core::SdfConfig dev = TinyConfig();
+    dev.flash.geometry.channels = 2;
+    Fixture f({}, dev);
+    ASSERT_EQ(f.device.units_per_channel(), 6u);
+    for (uint64_t id = 0; id < 8; id += 2) ASSERT_TRUE(f.PutAndRun(id).ok());
+    ASSERT_EQ(f.layer.Units(0).clean, 2u);
+
+    // Back to back: 100 writes on channel 0 and 102 queues behind it,
+    // which takes channel 0's last unit, so 104 goes to channel 1.
+    std::vector<core::IoStatus> status(5, core::IoError::kWriteFailed);
+    for (uint64_t i = 0; i < 5; ++i) {
+        f.layer.Put(100 + i, [&status, i](core::IoStatus st) { status[i] = st; });
+    }
+    f.sim.Run();
+    for (uint64_t i = 0; i < 5; ++i) {
+        EXPECT_TRUE(status[i].ok()) << "id " << 100 + i;
+    }
+    EXPECT_EQ(f.layer.ChannelOf(102), 0u);
+    EXPECT_EQ(f.layer.ChannelOf(104), 1u);
+    EXPECT_EQ(f.layer.stats().failed_ops, 0u);
 }
 
 TEST(BlockLayer, WriteFailedOnADeadChannelIsPlacedAgain)
@@ -400,7 +429,7 @@ TEST(BlockLayer, UncorrectablePiecesLoseTheBlockOnce)
     EXPECT_FALSE(f.layer.Exists(2));
 }
 
-TEST(BlockLayer, ClientReadWaitsForAtMostTwoPiecesOfABackgroundRead)
+TEST(BlockLayer, ClientReadIssuesBesideTwoBackgroundPieces)
 {
     // One production channel: a whole-unit read takes ~221 ms there.
     sim::Simulator sim;
@@ -410,33 +439,157 @@ TEST(BlockLayer, ClientReadWaitsForAtMostTwoPiecesOfABackgroundRead)
     BlockLayer layer(sim, device, {});
     ASSERT_TRUE(layer.DebugInstall(0));
     ASSERT_TRUE(layer.DebugInstall(1));
+    // The client read's page is on plane 1; the scan starts on plane 0.
+    const uint64_t client_offset = device.unit_bytes() / 4;
 
     // The client read alone on the idle channel.
     util::TimeNs idle_read = 0;
-    layer.Get(1, 0, device.read_unit_bytes(),
+    layer.Get(1, client_offset, device.read_unit_bytes(),
               [&](bool) { idle_read = sim.Now(); });
     sim.Run();
 
+    // The scan puts two pieces on the device: its first page senses
+    // [1, 61 us) and goes out on the bus from 61 us. The client read
+    // comes 100 us in, with both pieces in flight.
     const util::TimeNs t0 = sim.Now();
+    const util::TimeNs page_bus =
+        cfg.flash.timing.BusTime(device.read_unit_bytes());
+    const util::TimeNs tr = cfg.flash.timing.read_page;
+    const util::TimeNs engine = util::UsToNs(1);  // sdf_device.cc.
     util::TimeNs internal_done = 0, client_latency = 0;
     layer.Get(0, 0, layer.block_bytes(),
               [&](bool) { internal_done = sim.Now() - t0; }, nullptr,
               kInternalPriority);
-    layer.Get(1, 0, device.read_unit_bytes(),
-              [&](bool) { client_latency = sim.Now() - t0; });
+    const util::TimeNs issue = util::UsToNs(100);
+    sim.ScheduleAt(t0 + issue, [&]() {
+        layer.Get(1, client_offset, device.read_unit_bytes(),
+                  [&](bool) { client_latency = sim.Now() - t0 - issue; });
+    });
     sim.Run();
-    // It completes, and waits for at most the bus time of the two pieces
-    // in flight: four 8 KB pages at 16 KB a piece.
-    const util::TimeNs page_bus =
-        cfg.flash.timing.BusTime(device.read_unit_bytes());
-    EXPECT_GE(client_latency, idle_read);
-    EXPECT_LE(client_latency, idle_read + 4 * page_bus);
+    // It issues at once on its own slots, senses [101, 161 us) and goes
+    // out right after the page in progress, ahead of the three the
+    // pieces still have queued: an idle read plus the rest of that page.
+    const util::TimeNs in_progress_end = engine + tr + page_bus;
+    const util::TimeNs sensed = issue + engine + tr;
+    EXPECT_EQ(client_latency, idle_read + in_progress_end - sensed);
+    EXPECT_LT(client_latency, idle_read + page_bus);
+    EXPECT_EQ(device.stats().bus_overtakes, 1u);
     // Pieces keep the bus as busy as one read: the scan, with the client
     // read slotted in, ends no later than an uncontended whole-unit read
     // (SdfDevice.UncontendedUnitTimingIsPinned).
     EXPECT_GT(internal_done, util::MsToNs(200));
     EXPECT_LE(internal_done, 221402845);
 }
+
+// ---------------------------------------------------------------------------
+// Unit accounting under random traffic and channel deaths
+// ---------------------------------------------------------------------------
+
+class UnitAccounting
+    : public ::testing::TestWithParam<std::tuple<ErasePolicy, uint64_t>>
+{};
+
+TEST_P(UnitAccounting, EveryUnitIsInOnePlaceAtEveryEvent)
+{
+    const auto [policy, seed] = GetParam();
+    BlockLayerConfig cfg;
+    cfg.erase_policy = policy;
+    Fixture f(cfg);
+    const uint32_t channels = f.device.channel_count();
+    const uint32_t units = f.device.units_per_channel();
+    util::Rng rng(seed);
+    std::vector<uint64_t> stored;
+    uint64_t next_id = 0, stored_total = 0, no_space = 0, gets = 0;
+    std::string failure;
+
+    // 400 puts, gets and deletes, a third of them in bursts at one
+    // instant, so writes queue behind writes.
+    util::TimeNs last = 0;
+    for (int i = 0; i < 400; ++i) {
+        if (!rng.NextBool(0.3)) {
+            last += static_cast<util::TimeNs>(rng.NextBelow(util::UsToNs(300)));
+        }
+        f.sim.ScheduleAt(last, [&]() {
+            const double r = rng.NextDouble();
+            if (r < 0.45 || stored.empty()) {
+                // A live channel with a unit no write has claimed.
+                int room = -1;
+                for (uint32_t ch = 0; ch < channels && room < 0; ++ch) {
+                    const BlockLayer::UnitCounts n = f.layer.Units(ch);
+                    if (!f.device.ChannelDead(ch) &&
+                        n.clean + n.dirty + n.erasing > n.queued_writes) {
+                        room = static_cast<int>(ch);
+                    }
+                }
+                const uint64_t id = next_id++;
+                f.layer.Put(id, [&, id, room](core::IoStatus st) {
+                    if (st.ok()) {
+                        stored.push_back(id);
+                        ++stored_total;
+                    } else if (st.error == core::IoError::kNoSpace) {
+                        ++no_space;
+                        if (room >= 0 && failure.empty()) {
+                            failure = "put " + std::to_string(id) +
+                                      " kNoSpace beside channel " +
+                                      std::to_string(room);
+                        }
+                    }
+                });
+            } else if (r < 0.75) {
+                const uint64_t id = stored[rng.NextBelow(stored.size())];
+                const uint64_t pages = 1 + rng.NextBelow(8);
+                ++gets;
+                f.layer.Get(id, 0, pages * f.device.read_unit_bytes(),
+                            nullptr, nullptr,
+                            rng.NextBool(0.5) ? kClientPriority
+                                              : kInternalPriority);
+            } else {
+                const size_t k = rng.NextBelow(stored.size());
+                f.layer.Delete(stored[k]);
+                stored.erase(stored.begin() + static_cast<long>(k));
+            }
+        });
+    }
+    // Two channels die partway through.
+    for (int k = 0; k < 2; ++k) {
+        const auto ch = static_cast<uint32_t>(rng.NextBelow(channels));
+        f.sim.ScheduleAt(
+            static_cast<util::TimeNs>(rng.NextBelow(last)),
+            [&f, ch]() { f.device.flash().channel(ch).InjectDeath(); });
+    }
+
+    uint64_t events = 0;
+    f.sim.RunWhileNot([&]() {
+        ++events;
+        for (uint32_t ch = 0; ch < channels && failure.empty(); ++ch) {
+            const BlockLayer::UnitCounts n = f.layer.Units(ch);
+            if (n.clean + n.dirty + n.erasing + n.writing + n.stored !=
+                units) {
+                failure = "channel " + std::to_string(ch) + " at event " +
+                          std::to_string(events) + ": clean " +
+                          std::to_string(n.clean) + " dirty " +
+                          std::to_string(n.dirty) + " erasing " +
+                          std::to_string(n.erasing) + " writing " +
+                          std::to_string(n.writing) + " stored " +
+                          std::to_string(n.stored);
+            }
+        }
+        return !failure.empty();
+    });
+    EXPECT_EQ(failure, "");
+    // The schedule did what it is for: blocks were stored and read, and
+    // some puts found no space.
+    EXPECT_GT(stored_total, 2u * units);
+    EXPECT_GT(gets, 20u);
+    EXPECT_GT(no_space, 0u);
+    EXPECT_GT(events, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndSeeds, UnitAccounting,
+    ::testing::Combine(::testing::Values(ErasePolicy::kEraseOnWrite,
+                                         ErasePolicy::kBackground),
+                       ::testing::Values(1ull, 2ull, 3ull, 4ull)));
 
 TEST(BlockLayer, PartialRangeGet)
 {

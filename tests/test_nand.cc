@@ -284,6 +284,13 @@ struct SuspendFixture
         plane0 = sink.RegisterTrack("flash", "ch.p0");
     }
 
+    /** Bus time of one page. */
+    util::TimeNs
+    PageBus() const
+    {
+        return ch.timing().BusTime(ch.geometry().page_size);
+    }
+
     static TimingSpec
     Timing(double bus_bytes_per_sec)
     {
@@ -300,24 +307,33 @@ struct SuspendFixture
     {
         sim.ScheduleAt(when, [this, done_at, suspend, suspended, span]() {
             if (span != nullptr) span->Start(sim.Now());
-            const bool s = ch.ReadPage(
+            const ReadOutcome r = ch.ReadPage(
                 PageAddr{0, 1, 0},
                 [this, done_at, span](OpStatus) {
                     *done_at = sim.Now();
                     if (span != nullptr) span->Finish(sim.Now());
                 },
                 nullptr, 0, span, suspend);
-            if (suspended != nullptr) *suspended = s;
+            if (suspended != nullptr) *suspended = r.suspended;
         });
     }
 
     /** Plane 0's trace as "name start-end" in microseconds, by start. */
+    std::vector<std::string> Plane0() const { return Track(plane0); }
+
+    /** The trace of track "ch.<name>" ("bus", "p3"), as Plane0(). */
     std::vector<std::string>
-    Plane0() const
+    Track(const std::string &name)
+    {
+        return Track(sink.RegisterTrack("flash", "ch." + name));
+    }
+
+    std::vector<std::string>
+    Track(int32_t track) const
     {
         std::vector<obs::TraceSink::Event> evs;
         for (const auto &e : sink.event_list())
-            if (e.track == plane0) evs.push_back(e);
+            if (e.track == track) evs.push_back(e);
         std::sort(evs.begin(), evs.end(), [](const auto &a, const auto &b) {
             return a.start < b.start;
         });
@@ -452,7 +468,7 @@ TEST(ChannelTiming, ProgramWithNoReadCompletesAtItsBookedTime)
     f.sim.ScheduleAt(t0 + util::UsToNs(500), [&]() {
         suspended = f.ch.ReadPage(
             PageAddr{1, 0, 0}, [&](OpStatus) { other_plane = f.sim.Now(); },
-            nullptr, 0, nullptr, true);
+            nullptr, 0, nullptr, true).suspended;
     });
     f.sim.Run();
     EXPECT_FALSE(suspended);
@@ -498,6 +514,149 @@ TEST(ChannelTiming, FifoReadWaitsForTheProgram)
     EXPECT_EQ(read_done, booked + t.read_page + t.bus_cmd_overhead);
     EXPECT_EQ(f.Plane0(), (std::vector<std::string>{"tPROG 10.0-1410.0",
                                                     "tR 1410.0-1470.0"}));
+}
+
+// ---------------------------------------------------------------------------
+// On-demand reads first on the bus
+// ---------------------------------------------------------------------------
+
+using Trace = std::vector<std::string>;
+
+TEST(ChannelTiming, OnDemandReadGoesAheadOfQueuedDataIns)
+{
+    // A 4 KiB page holds the 40 MB/s bus for 112.4 us.
+    SuspendFixture f(40e6);
+    const util::TimeNs page_bus = f.PageBus();
+    StagedPage staged;
+    for (uint32_t p = 0; p < 4; ++p) {
+        ASSERT_EQ(f.ch.StagePage(PageAddr{p, 0, 0}, nullptr, &staged),
+                  OpStatus::kOk);
+    }
+    util::TimeNs read_done = 0;
+    ReadOutcome outcome;
+    f.sim.ScheduleAt(util::UsToNs(50), [&]() {
+        outcome = f.ch.ReadPage(
+            PageAddr{1, 1, 0}, [&](OpStatus) { read_done = f.sim.Now(); },
+            nullptr, 0, nullptr, /*on_demand=*/true);
+    });
+    f.sim.Run();
+    // Senses [50, 110 us) and goes out right after the data-in in
+    // progress; the three queued data-ins move behind it, in order.
+    EXPECT_EQ(read_done, 2 * page_bus);
+    EXPECT_TRUE(outcome.overtook);
+    EXPECT_EQ(outcome.bus_wait, page_bus - util::UsToNs(110));
+    EXPECT_EQ(f.Track("bus"),
+              (Trace{"din 0.0-112.4", "xfer 112.4-224.8", "din 224.8-337.2",
+                     "din 337.2-449.6", "din 449.6-562.0"}));
+}
+
+TEST(ChannelTiming, BackgroundReadKeepsBookingOrder)
+{
+    // ScanUnit's and every ConventionalSsd read: FIFO on the bus.
+    SuspendFixture f(40e6);
+    const util::TimeNs page_bus = f.PageBus();
+    StagedPage staged;
+    for (uint32_t p = 0; p < 4; ++p) {
+        ASSERT_EQ(f.ch.StagePage(PageAddr{p, 0, 0}, nullptr, &staged),
+                  OpStatus::kOk);
+    }
+    util::TimeNs read_done = 0;
+    ReadOutcome outcome;
+    f.sim.ScheduleAt(util::UsToNs(50), [&]() {
+        outcome = f.ch.ReadPage(PageAddr{1, 1, 0},
+                                [&](OpStatus) { read_done = f.sim.Now(); });
+    });
+    f.sim.Run();
+    EXPECT_EQ(read_done, 5 * page_bus);
+    EXPECT_FALSE(outcome.overtook);
+    EXPECT_EQ(f.Track("bus"),
+              (Trace{"din 0.0-112.4", "din 112.4-224.8", "din 224.8-337.2",
+                     "din 337.2-449.6", "xfer 449.6-562.0"}));
+}
+
+TEST(ChannelTiming, PushedDataInDelaysItsProgramOnlyOnceSlackRunsOut)
+{
+    SuspendFixture f(40e6);
+    const TimingSpec &t = f.ch.timing();
+    const util::TimeNs page_bus = f.PageBus();
+    const util::TimeNs cmd = t.bus_cmd_overhead;
+    // Plane 1 erases [10 us, 3.01 ms): its program waits for the erase,
+    // with slack to spare. Planes 0 and 3 program once their data is in.
+    f.ch.EraseBlock(BlockAddr{1, 2}, nullptr);
+    util::TimeNs programmed[4] = {};
+    for (uint32_t p : {0u, 1u, 3u}) {
+        f.ch.ProgramPage(PageAddr{p, p == 1 ? 2u : 0u, 0},
+                         [&, p](OpStatus) { programmed[p] = f.sim.Now(); });
+    }
+    // Bus: cmd [0, 10), data-ins [10, 122.4), [122.4, 234.8) and
+    // [234.8, 347.2) us. The read senses [50, 110 us) on idle plane 2.
+    util::TimeNs read_done = 0;
+    f.sim.ScheduleAt(util::UsToNs(50), [&]() {
+        f.ch.ReadPage(
+            PageAddr{2, 0, 0}, [&](OpStatus) { read_done = f.sim.Now(); },
+            nullptr, 0, nullptr, /*on_demand=*/true);
+    });
+    f.sim.Run();
+    EXPECT_EQ(read_done, cmd + 2 * page_bus);
+    EXPECT_EQ(f.Track("bus"),
+              (Trace{"cmd 0.0-10.0", "din 10.0-122.4", "xfer 122.4-234.8",
+                     "din 234.8-347.2", "din 347.2-459.6"}));
+    // Plane 0's data-in was on the bus: its program keeps its time.
+    EXPECT_EQ(programmed[0], cmd + page_bus + t.program_page);
+    // Plane 1's program still starts when the erase ends.
+    EXPECT_EQ(programmed[1], cmd + t.erase_block + t.program_page);
+    // Plane 3's program had no slack: it slips by the read's bus time.
+    EXPECT_EQ(programmed[3], cmd + 4 * page_bus + t.program_page);
+    EXPECT_EQ(f.Track("p3"), (Trace{"tPROG 459.6-1859.6"}));
+}
+
+TEST(ChannelTiming, OnDemandReadGoesAheadOfAnEraseCommand)
+{
+    SuspendFixture f(40e6);
+    const TimingSpec &t = f.ch.timing();
+    const util::TimeNs page_bus = f.PageBus();
+    // A data-in [0, 112.4 us), then an erase command behind it.
+    StagedPage staged;
+    ASSERT_EQ(f.ch.StagePage(PageAddr{0, 0, 0}, nullptr, &staged),
+              OpStatus::kOk);
+    util::TimeNs erased = 0, read_done = 0;
+    f.ch.EraseBlock(BlockAddr{2, 0},
+                    [&](OpStatus) { erased = f.sim.Now(); });
+    f.ch.ReadPage(
+        PageAddr{1, 0, 0}, [&](OpStatus) { read_done = f.sim.Now(); },
+        nullptr, 0, nullptr, /*on_demand=*/true);
+    f.sim.Run();
+    EXPECT_EQ(read_done, 2 * page_bus);
+    // The command goes out after the read, and the erase starts then.
+    EXPECT_EQ(erased, 2 * page_bus + t.bus_cmd_overhead + t.erase_block);
+    EXPECT_EQ(f.Track("bus"), (Trace{"din 0.0-112.4", "xfer 112.4-224.8",
+                                     "cmd 224.8-234.8"}));
+    EXPECT_EQ(f.Track("p2"), (Trace{"tBERS 234.8-3234.8"}));
+}
+
+TEST(ChannelTiming, ReservationHoldsADataInThatWouldOverlapASenseEnd)
+{
+    // A 4 KiB page holds a 4 MB/s bus for 1,034 us.
+    SuspendFixture f(4e6);
+    // Plane 0 erases [10 us, 3.01 ms), so a read there senses
+    // [3,010, 3,070 us) and goes out [3,070, 4,104 us).
+    f.ch.EraseBlock(BlockAddr{0, 2}, nullptr);
+    util::TimeNs read_done = 0;
+    f.ch.ReadPage(
+        PageAddr{0, 1, 0}, [&](OpStatus) { read_done = f.sim.Now(); },
+        nullptr, 0, nullptr, /*on_demand=*/true);
+    // Three data-ins booked after it: two fit on the idle bus before the
+    // sense ends; the third would still hold the bus then, so it waits.
+    StagedPage staged;
+    for (uint32_t page = 0; page < 3; ++page) {
+        ASSERT_EQ(f.ch.StagePage(PageAddr{1, 0, page}, nullptr, &staged),
+                  OpStatus::kOk);
+    }
+    f.sim.Run();
+    EXPECT_EQ(read_done, util::UsToNs(4104));
+    EXPECT_EQ(f.Track("bus"),
+              (Trace{"cmd 0.0-10.0", "din 10.0-1044.0", "din 1044.0-2078.0",
+                     "xfer 3070.0-4104.0", "din 4104.0-5138.0"}));
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
@@ -359,6 +361,92 @@ TEST(SdfDevice, ReadMidWriteSuspendsTheProgram)
     // Pages are staged as programs complete: mid-write only each plane's
     // program is pending (its staged page's data-in has landed).
     EXPECT_LE(pending_mid_write, 4u);
+}
+
+/** Forwards every call to a device, as a tracing decorator does. */
+class ForwardingDevice : public BlockDevice
+{
+  public:
+    explicit ForwardingDevice(BlockDevice &inner) : inner_(inner) {}
+
+    const DeviceCaps &caps() const override { return inner_.caps(); }
+    void
+    Read(uint32_t channel, uint32_t unit, uint64_t offset, uint64_t length,
+         IoCallback done, std::vector<uint8_t> *out = nullptr,
+         obs::IoSpan *span = nullptr) override
+    {
+        inner_.Read(channel, unit, offset, length, std::move(done), out, span);
+    }
+    void
+    WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
+              const uint8_t *data = nullptr,
+              obs::IoSpan *span = nullptr) override
+    {
+        inner_.WriteUnit(channel, unit, std::move(done), data, span);
+    }
+    void
+    EraseUnit(uint32_t channel, uint32_t unit, IoCallback done,
+              obs::IoSpan *span = nullptr) override
+    {
+        inner_.EraseUnit(channel, unit, std::move(done), span);
+    }
+    UnitState
+    unit_state(uint32_t channel, uint32_t unit) const override
+    {
+        return inner_.unit_state(channel, unit);
+    }
+    bool ChannelDead(uint32_t channel) const override
+    {
+        return inner_.ChannelDead(channel);
+    }
+    void
+    DebugForceWritten(uint32_t channel, uint32_t unit) override
+    {
+        inner_.DebugForceWritten(channel, unit);
+    }
+
+  private:
+    BlockDevice &inner_;
+};
+
+TEST(SdfDevice, ReadClassScopeReachesTheDeviceThroughADecorator)
+{
+    // One page read 10 ms into a unit write, through a decorator, as
+    // ReadMidWriteSuspendsTheProgram reads it directly.
+    struct Result
+    {
+        util::TimeNs latency = 0;
+        uint64_t suspends = 0;
+    };
+    auto read_mid_write = [](ReadClass cls) {
+        sim::Simulator sim;
+        SdfDevice dev(sim, OneBaiduChannel());
+        ForwardingDevice deco(dev);
+        dev.EraseUnit(0, 0, nullptr);
+        sim.Run();
+        dev.DebugForceWritten(0, 1);
+        const util::TimeNs t0 = sim.Now();
+        Result r;
+        deco.WriteUnit(0, 0, nullptr);
+        sim.ScheduleAt(t0 + util::MsToNs(10), [&]() {
+            const util::TimeNs issued = sim.Now();
+            const ReadClassScope scope(cls);
+            deco.Read(0, 1, 3 * dev.unit_bytes() / 4, dev.read_unit_bytes(),
+                      [&, issued](bool) { r.latency = sim.Now() - issued; });
+        });
+        sim.Run();
+        r.suspends = dev.stats().program_suspends;
+        return r;
+    };
+    const Result on_demand = read_mid_write(ReadClass::kOnDemand);
+    const Result background = read_mid_write(ReadClass::kBackground);
+    // The on-demand read suspends plane 3's program; the background one
+    // waits for it, and for the data-ins booked before it.
+    EXPECT_EQ(on_demand.suspends, 1u);
+    EXPECT_EQ(background.suspends, 0u);
+    EXPECT_GT(background.latency, on_demand.latency + util::MsToNs(1));
+    // Outside every scope a read is on-demand.
+    EXPECT_EQ(ReadClassScope::Current(), ReadClass::kOnDemand);
 }
 
 TEST(SdfDevice, UncontendedUnitWriteFiresTwoEventsPerPage)
