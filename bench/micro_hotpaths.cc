@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot paths of the simulator and
- * the library algorithms: event queue throughput, FTL map operations, GC
- * victim selection, the compaction merge kernel, and the striping address
- * math.
+ * the library algorithms: event queue throughput, the per-page unit write
+ * and read paths of the SDF device, FTL map operations, GC victim
+ * selection, the compaction merge kernel, and the striping address math.
  */
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "ftl/striping.h"
 #include "ftl/wear_leveler.h"
 #include "kv/patch.h"
+#include "sdf/sdf_device.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -35,6 +36,57 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
+
+/** One channel of the production board (Table 3) at 0.04 capacity. */
+core::SdfConfig
+OneBaiduChannel()
+{
+    core::SdfConfig cfg = core::BaiduSdfConfig(0.04);
+    cfg.flash.geometry.channels = 1;
+    return cfg;
+}
+
+void
+BM_UnitWrite(benchmark::State &state)
+{
+    // An uncontended 8 MB unit write on one production channel (and the
+    // erase before it): the per-page data-in and program path alone,
+    // without the block layer, KV store or cluster above it.
+    sim::Simulator sim;
+    core::SdfDevice dev(sim, OneBaiduChannel());
+    const uint64_t pages = dev.unit_bytes() / dev.read_unit_bytes();
+    for (auto _ : state) {
+        dev.EraseUnit(0, 0, nullptr);
+        sim.Run();
+        dev.WriteUnit(0, 0, nullptr);
+        sim.Run();
+        benchmark::DoNotOptimize(sim.Now());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * pages));
+    state.SetLabel("items = flash pages");
+}
+BENCHMARK(BM_UnitWrite);
+
+void
+BM_UnitRead(benchmark::State &state)
+{
+    // An uncontended background read of a whole 8 MB unit on one
+    // production channel, as compaction and recovery issue them: the
+    // per-page sense, data-out and DMA path alone.
+    sim::Simulator sim;
+    core::SdfDevice dev(sim, OneBaiduChannel());
+    dev.DebugForceWritten(0, 0);
+    const uint64_t pages = dev.unit_bytes() / dev.read_unit_bytes();
+    const core::ReadClassScope scope(core::ReadClass::kBackground);
+    for (auto _ : state) {
+        dev.Read(0, 0, 0, dev.unit_bytes(), nullptr);
+        sim.Run();
+        benchmark::DoNotOptimize(sim.Now());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * pages));
+    state.SetLabel("items = flash pages");
+}
+BENCHMARK(BM_UnitRead);
 
 void
 BM_PageMapUpdate(benchmark::State &state)

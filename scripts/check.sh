@@ -7,6 +7,8 @@
 # (same-seed stdout for the reliability walkthrough), write placement
 # under ID skew (the ablation_scheduler gate), the pieced
 # compaction path beside unit writes (no overlapping flash events),
+# whole-unit reads (1,024-page queues on a channel bus: no
+# overlapping flash events and same-seed stats and trace),
 # on-demand reads beside unit writes (the production day: reads suspend
 # page programs and overtake queued bus transfers, with no overlapping
 # flash events and same-seed stats and trace), the cluster workload
@@ -75,6 +77,22 @@ echo "== compaction smoke =="
 cmp "$obs_tmp/kw1.json" "$obs_tmp/kw2.json"  # Same seed => byte-identical.
 python3 tools/validate_stats.py "$obs_tmp/kw1.json" \
     --trace="$obs_tmp/kw1.trace.json" --channels=44
+
+echo "== whole-unit read smoke =="
+# An 8 MB read books its 1,024 page data-outs on its channel's bus at
+# once, the longest completion queues any run builds. No two flash
+# events may overlap on one bus or plane track, and same-seed stats and
+# traces are byte-identical.
+for i in 1 2; do
+    ./build/tools/sdfsim --device=sdf --workload=seqread --request=8m \
+        --duration=0.5 --stats-json="$obs_tmp/sr$i.json" \
+        --trace="$obs_tmp/sr$i.trace.json" > /dev/null
+done
+cmp "$obs_tmp/sr1.json" "$obs_tmp/sr2.json"
+cmp "$obs_tmp/sr1.trace.json" "$obs_tmp/sr2.trace.json"
+python3 tools/validate_stats.py "$obs_tmp/sr1.json" \
+    --trace="$obs_tmp/sr1.trace.json" --channels=44
+rm -f "$obs_tmp"/sr*.trace.json
 
 echo "== on-demand reads smoke =="
 # The production day puts client reads beside unit writes, so reads

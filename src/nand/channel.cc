@@ -35,6 +35,8 @@ Channel::Channel(sim::Simulator &sim, const Geometry &geo,
       rng_(rng),
       store_payloads_(store_payloads),
       ecc_correctable_bits_(ecc_correctable_bits),
+      on_demand_done_(sim),
+      background_done_(sim),
       plane_senses_(geo.PlanesPerChannel(), 0),
       programs_(geo.PlanesPerChannel()),
       latches_(geo.PlanesPerChannel()),
@@ -152,7 +154,7 @@ Channel::CompleteAt(util::TimeNs when, OpCallback done, OpStatus status)
 }
 
 ReadOutcome
-Channel::ReadPage(const PageAddr &addr, OpCallback done,
+Channel::ReadPage(const PageAddr &addr, OpCallback &&done,
                   std::vector<uint8_t> *out, uint32_t retry_level,
                   obs::IoSpan *span, bool on_demand)
 {
@@ -241,13 +243,16 @@ Channel::ReadPage(const PageAddr &addr, OpCallback done,
     auto complete = [this, done = std::move(done), status,
                      decode]() mutable {
         if (decode > 0) {
-            sim_.Schedule(decode, [done = std::move(done), status]() mutable {
+            auto decoded = [done = std::move(done), status]() {
                 if (done) done(status);
-            });
+            };
+            static_assert(sim::Callback::kFitsInline<decltype(decoded)>);
+            sim_.Schedule(decode, std::move(decoded));
         } else if (done) {
             done(status);
         }
     };
+    static_assert(sim::Callback::kFitsInline<decltype(complete)>);
     const util::TimeNs bus_done =
         on_demand ? BookOnDemand(array_done, bus_time, std::move(complete),
                                  &outcome)
@@ -314,7 +319,7 @@ Channel::SenseAheadOfProgram(uint32_t plane, bool *suspended)
 }
 
 void
-Channel::FinishProgram(uint32_t plane, uint64_t id, OpCallback done)
+Channel::FinishProgram(uint32_t plane, uint64_t id, OpCallback &&done)
 {
     const PlaneProgram &prog = programs_[plane];
     if (prog.id == id && prog.end > sim_.Now()) {
@@ -374,7 +379,7 @@ Channel::StagePage(const PageAddr &addr, const uint8_t *payload,
 }
 
 bool
-Channel::ProgramStaged(const StagedPage &staged, OpCallback done)
+Channel::ProgramStaged(const StagedPage &staged, OpCallback &&done)
 {
     const bool resend = plane_senses_[staged.plane] != staged.senses;
     // The data-in as it stands: queued (an on-demand read may have pushed
@@ -397,11 +402,13 @@ Channel::ProgramStaged(const StagedPage &staged, OpCallback done)
     const bool track = prog.end <= sim_.Now();
     const uint64_t id = track ? prog.id + 1 : 0;
     const util::TimeNs hold = std::max(sim_.Now(), plane.free_at());
-    const util::TimeNs prog_done = plane.SubmitAfter(
-        data_in, timing_.program_page,
-        [this, p = staged.plane, id, done = std::move(done)]() mutable {
-            FinishProgram(p, id, std::move(done));
-        });
+    auto finish = [this, p = staged.plane, id,
+                   done = std::move(done)]() mutable {
+        FinishProgram(p, id, std::move(done));
+    };
+    static_assert(sim::Callback::kFitsInline<decltype(finish)>);
+    const util::TimeNs prog_done =
+        plane.SubmitAfter(data_in, timing_.program_page, std::move(finish));
     size_t event = obs::TraceSink::kDropped;
     if (trace_ != nullptr) {
         event = TraceOp(plane_tracks_[staged.plane], "tPROG", prog_done,
@@ -456,18 +463,6 @@ Channel::Queued(uint64_t number)
     return &queued_[number - queued_.front().number];
 }
 
-sim::EventId
-Channel::ScheduleEnd(util::TimeNs end, sim::Callback done)
-{
-    // As FifoResource: zero-cost work on an idle bus rides the completion
-    // ring; anything else takes a timed event, a marker if @p done is null.
-    if (end == sim_.Now()) {
-        if (done) sim_.Post(std::move(done));
-        return sim::kInvalidEvent;
-    }
-    return sim_.ScheduleAt(end, std::move(done));
-}
-
 void
 Channel::PruneBus()
 {
@@ -497,7 +492,7 @@ Channel::Place(util::TimeNs t, util::TimeNs dur) const
 
 util::TimeNs
 Channel::BookBackground(TransferKind kind, uint32_t plane, util::TimeNs ready,
-                        util::TimeNs dur, sim::Callback done,
+                        util::TimeNs dur, sim::Callback &&done,
                         const char *name, Transfer **pending)
 {
     PruneBus();
@@ -508,7 +503,7 @@ Channel::BookBackground(TransferKind kind, uint32_t plane, util::TimeNs ready,
     background_free_ = end;
     bus_busy_ += dur;
     const uint64_t number = next_transfer_++;
-    const sim::EventId event = ScheduleEnd(end, std::move(done));
+    const uint64_t job = background_done_.Book(end, std::move(done));
     const size_t trace_event = TraceOp(bus_track_, name, end, dur);
     if (pending != nullptr) *pending = nullptr;
     if (start <= now) {
@@ -522,7 +517,7 @@ Channel::BookBackground(TransferKind kind, uint32_t plane, util::TimeNs ready,
                                .ready = ready,
                                .start = start,
                                .dur = dur,
-                               .done = event,
+                               .job = job,
                                .trace_event = trace_event});
     if (pending != nullptr) *pending = &queued_.back();
     return end;
@@ -530,7 +525,7 @@ Channel::BookBackground(TransferKind kind, uint32_t plane, util::TimeNs ready,
 
 util::TimeNs
 Channel::BookOnDemand(util::TimeNs sensed, util::TimeNs dur,
-                      sim::Callback done, ReadOutcome *outcome)
+                      sim::Callback &&done, ReadOutcome *outcome)
 {
     PruneBus();
     // The read waits for the transfer in progress and for every queued
@@ -547,7 +542,7 @@ Channel::BookOnDemand(util::TimeNs sensed, util::TimeNs dur,
     on_demand_free_ = end;
     reserved_.emplace_back(sensed, end);
     bus_busy_ += dur;
-    ScheduleEnd(end, std::move(done));
+    on_demand_done_.Book(end, std::move(done));
     TraceOp(bus_track_, "xfer", end, dur);
     outcome->bus_wait = start - sensed;
     outcome->overtook = keep < queued_.size();
@@ -582,8 +577,7 @@ Channel::Movable(const Transfer &x) const
                planes_[x.plane]->free_at() == prog.end;
     }
     case TransferKind::kEraseCmd:
-        return x.erase_done != sim::kInvalidEvent &&
-               planes_[x.plane]->free_at() == x.erase_end;
+        return x.erase_end > 0 && planes_[x.plane]->free_at() == x.erase_end;
     }
     return false;
 }
@@ -593,7 +587,11 @@ Channel::Move(Transfer &x, util::TimeNs start)
 {
     x.start = start;
     const util::TimeNs end = x.end();
-    x.done = sim_.Reschedule(x.done, end);
+    if (x.job != 0) {
+        background_done_.Retime(x.job, end);
+    } else {
+        sim_.ScheduleAt(end, nullptr);  // Its end stays the clock's horizon.
+    }
     if (trace_ != nullptr) trace_->Retime(x.trace_event, start, x.dur);
     if (x.kind == TransferKind::kDataIn) {
         if (x.program != 0) SlipProgram(x.plane, end);
@@ -601,9 +599,8 @@ Channel::Move(Transfer &x, util::TimeNs start)
         const util::TimeNs erase_start = x.erase_end - timing_.erase_block;
         if (end <= erase_start) return;  // Its slack absorbs the push.
         const util::TimeNs slip = end - erase_start;
-        PlaneRes(x.plane).Insert(0, slip);
+        PlaneRes(x.plane).DelayLast(slip);
         x.erase_end += slip;
-        x.erase_done = sim_.Reschedule(x.erase_done, x.erase_end);
         if (trace_ != nullptr) {
             trace_->Retime(x.erase_trace, end, timing_.erase_block);
         }
@@ -651,10 +648,9 @@ Channel::EraseBlock(const BlockAddr &addr, OpCallback done)
     const util::TimeNs cmd_done =
         BookBackground(TransferKind::kEraseCmd, addr.plane, sim_.Now(),
                        timing_.bus_cmd_overhead, nullptr, "cmd", &cmd);
-    const util::TimeNs erase_done =
-        PlaneRes(addr.plane).Book(cmd_done, timing_.erase_block);
-    const sim::EventId event =
-        ScheduleEnd(erase_done, [done = std::move(done), status]() mutable {
+    const util::TimeNs erase_done = PlaneRes(addr.plane).SubmitAfter(
+        cmd_done, timing_.erase_block,
+        [done = std::move(done), status]() {
             if (done) done(status);
         });
     const size_t trace_event =
@@ -663,7 +659,6 @@ Channel::EraseBlock(const BlockAddr &addr, OpCallback done)
                           : obs::TraceSink::kDropped;
     if (cmd != nullptr) {
         cmd->erase_end = erase_done;
-        cmd->erase_done = event;
         cmd->erase_trace = trace_event;
     }
 }

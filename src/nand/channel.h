@@ -36,6 +36,14 @@
  *             FIFO, so ConventionalSsd and background-only traffic keep
  *             the same timing.
  *
+ * Events: only completions someone waits on are events. A sense, a
+ * data-in, an erase command and a stall have none; their ends only raise
+ * the clock's horizon (sim::Simulator). Each plane's completions wait in
+ * its FifoResource's queue and the bus's data-outs in two queues
+ * (on-demand, background), each holding one engine event for its head,
+ * so a channel with a whole unit of pages booked holds a handful of
+ * pending events, not one per page.
+ *
  * State machine: blocks must be erased before programming, and pages within
  * a block must be programmed sequentially (real NAND constraint that the
  * SDF interface design leans on). Violations complete with an error status.
@@ -175,7 +183,7 @@ class Channel
      * A background read is FIFO on the plane and in booking order on the
      * bus.
      */
-    ReadOutcome ReadPage(const PageAddr &addr, OpCallback done,
+    ReadOutcome ReadPage(const PageAddr &addr, OpCallback &&done,
                          std::vector<uint8_t> *out = nullptr,
                          uint32_t retry_level = 0,
                          obs::IoSpan *span = nullptr, bool on_demand = false);
@@ -206,7 +214,7 @@ class Channel
      * caller checks dead() first. @return true if the data-in was sent
      * again.
      */
-    bool ProgramStaged(const StagedPage &staged, OpCallback done);
+    bool ProgramStaged(const StagedPage &staged, OpCallback &&done);
 
     /** Erase one block. */
     void EraseBlock(const BlockAddr &addr, OpCallback done);
@@ -324,16 +332,19 @@ class Channel
         util::TimeNs ready = 0;  ///< It cannot start earlier.
         util::TimeNs start = 0;
         util::TimeNs dur = 0;
-        sim::EventId done = sim::kInvalidEvent;  ///< Completion or marker.
+        /** A data-out's completion in background_done_; 0 = none. */
+        uint64_t job = 0;
         size_t trace_event = obs::TraceSink::kDropped;
         /**
          * A data-in's program, once booked: the tracked program's id, or
          * kUntracked; 0 while none is booked.
          */
         uint64_t program = 0;
-        /** An erase command's tBERS: its end, completion and trace event. */
+        /**
+         * An erase command's tBERS, once booked: its end (0 before) and
+         * trace event. Its completion is its plane's last booked item.
+         */
         util::TimeNs erase_end = 0;
-        sim::EventId erase_done = sim::kInvalidEvent;
         size_t erase_trace = obs::TraceSink::kDropped;
 
         util::TimeNs end() const { return start + dur; }
@@ -365,14 +376,15 @@ class Channel
     /**
      * Book a background transfer of @p dur on the bus, ready at @p ready:
      * after every background transfer booked before it and clear of the
-     * booked on-demand reads' reservations. Schedules @p done (a marker if
-     * null) at its end and traces it as @p name. @p pending, if given,
-     * gets the queued transfer, or null if it started at once.
+     * booked on-demand reads' reservations. Books @p done (only the
+     * clock's horizon if null) at its end and traces it as @p name.
+     * @p pending, if given, gets the queued transfer, or null if it
+     * started at once.
      * @return its end.
      */
     util::TimeNs BookBackground(TransferKind kind, uint32_t plane,
                                 util::TimeNs ready, util::TimeNs dur,
-                                sim::Callback done, const char *name,
+                                sim::Callback &&done, const char *name,
                                 Transfer **pending = nullptr);
 
     /**
@@ -383,7 +395,7 @@ class Channel
      * order). Fills @p outcome's bus fields. @return its end.
      */
     util::TimeNs BookOnDemand(util::TimeNs sensed, util::TimeNs dur,
-                              sim::Callback done, ReadOutcome *outcome);
+                              sim::Callback &&done, ReadOutcome *outcome);
 
     /** Drop started transfers and elapsed reservations. */
     void PruneBus();
@@ -397,14 +409,11 @@ class Channel
     /** True if an on-demand read may push queued transfer @p x back. */
     bool Movable(const Transfer &x) const;
 
-    /** Move queued transfer @p x to @p start and what waits on it. */
-    void Move(Transfer &x, util::TimeNs start);
-
     /**
-     * Schedule @p done at @p end (a marker event if null; posted if @p end
-     * is now). @return its id, or kInvalidEvent if posted.
+     * Move queued transfer @p x to @p start and what waits on it: its
+     * completion, or the clock's horizon if it has none.
      */
-    sim::EventId ScheduleEnd(util::TimeNs end, sim::Callback done);
+    void Move(Transfer &x, util::TimeNs start);
 
     /**
      * Book a suspending read's sense on @p plane ahead of the tracked
@@ -418,7 +427,7 @@ class Channel
      * Completion of program @p id on @p plane: fire @p done, or wait
      * again if reads have moved the program's end past now.
      */
-    void FinishProgram(uint32_t plane, uint64_t id, OpCallback done);
+    void FinishProgram(uint32_t plane, uint64_t id, OpCallback &&done);
 
     /**
      * The data-in the tracked program on @p plane waits for is now
@@ -449,7 +458,11 @@ class Channel
     bool store_payloads_;
     uint32_t ecc_correctable_bits_;
 
-    // The bus.
+    // The bus. Its data-outs' completions wait in two queues, each in
+    // (end, sequence) order with one engine event: on-demand data-outs
+    // never move, and background ones move back only in booking order.
+    sim::JobQueue on_demand_done_;
+    sim::JobQueue background_done_;
     std::deque<Transfer> queued_;  ///< Background, not started; in order.
     /** Reservations: on-demand reads' [sense end, data-out end), FIFO. */
     std::deque<std::pair<util::TimeNs, util::TimeNs>> reserved_;

@@ -24,7 +24,8 @@ constexpr TimeNs kEngineOpCost = util::UsToNs(1);
 
 /**
  * A unit write in progress. Per plane, one page programs and the next
- * waits in the plane's cache register, its data-in already booked.
+ * waits in the plane's cache register, its data-in already booked. The
+ * device owns it (writes_) until its last program completes.
  */
 struct SdfDevice::UnitWrite
 {
@@ -37,6 +38,30 @@ struct SdfDevice::UnitWrite
     std::vector<uint32_t> next_page;  ///< Per plane: next page to stage.
     std::vector<std::optional<nand::StagedPage>> staged;  ///< Per plane.
     uint32_t inflight = 0;            ///< Programs booked, not done.
+    std::list<UnitWrite>::iterator self;  ///< Its place in writes_.
+};
+
+/**
+ * A read in progress: its pages come off the flash in any order and go to
+ * the host in DMA chunks as they come. The device owns it (reads_) until
+ * its last chunk lands.
+ */
+struct SdfDevice::UnitRead
+{
+    uint32_t channel = 0;
+    uint32_t unit = 0;
+    uint64_t offset = 0;  ///< Its first byte in the unit.
+    uint32_t total_pages = 0;
+    uint32_t flash_done = 0;
+    uint32_t transferred = 0;
+    bool on_demand = false;
+    IoStatus status;  ///< First page-level error wins.
+    IoCallback done;
+    std::vector<uint8_t> *out = nullptr;
+    /** Per page, the data sensed (only when the caller wants the data). */
+    std::vector<std::vector<uint8_t>> sensed;
+    obs::IoSpan *span = nullptr;
+    std::list<UnitRead>::iterator self;  ///< Its place in reads_.
 };
 
 SdfDevice::SdfDevice(sim::Simulator &sim, const SdfConfig &config)
@@ -269,54 +294,91 @@ SdfDevice::RetireAndRemap(uint32_t channel, uint32_t plane, uint32_t unit,
 }
 
 void
-SdfDevice::ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
-                          uint32_t block, uint32_t page_in_block,
-                          uint32_t level, TimeNs first_fail, bool on_demand,
-                          std::function<void(IoStatus)> done,
-                          std::vector<uint8_t> *buf, obs::IoSpan *span)
+SdfDevice::ReadPageLadder(UnitRead &r, uint32_t index, uint32_t block,
+                          uint32_t level, TimeNs first_fail)
 {
+    const nand::Geometry &geo = flash_->geometry();
+    const uint64_t byte_off = r.offset + uint64_t{index} * geo.page_size;
+    const auto plane = static_cast<uint32_t>(byte_off / geo.BlockBytes());
+    const auto page_in_block =
+        static_cast<uint32_t>((byte_off % geo.BlockBytes()) / geo.page_size);
+    auto sensed = [this, r = &r, index, block, level, first_fail,
+                   plane](nand::OpStatus status) {
+        if (nand::IsOk(status)) {  // kOk or kOkErased (unprogrammed).
+            if (level > 0) {
+                ++stats_.retry_recoveries;
+                recovery_latencies_.Record(sim_.Now() - first_fail);
+            }
+            PageDone(*r, index, IoStatus());
+            return;
+        }
+        if (status == nand::OpStatus::kChannelDead) {
+            PageDone(*r, index, IoError::kChannelDead);
+            return;
+        }
+        // ECC-uncorrectable: climb the retry-voltage ladder.
+        if (level < config_.read_retry_levels) {
+            ++stats_.read_retries;
+            ReadPageLadder(*r, index, block, level + 1,
+                           level == 0 ? sim_.Now() : first_fail);
+            return;
+        }
+        // Ladder exhausted: data is lost; retire the block so future
+        // writes land on healthy flash. The host sees a typed error and
+        // must recover from a replica.
+        ++stats_.read_failures;
+        ++stats_.read_retirements;
+        RetireAndRemap(r->channel, plane, r->unit, block);
+        PageDone(*r, index, IoError::kReadUncorrectable);
+    };
+    static_assert(nand::OpCallback::kFitsInline<decltype(sensed)>);
     // On-demand reads go ahead of the page program on their plane and of
-    // background transfers on the bus (§5).
-    const nand::ReadOutcome booked = flash_->channel(channel).ReadPage(
-        nand::PageAddr{plane, block, page_in_block},
-        [this, channel, unit, plane, block, page_in_block, level, first_fail,
-         on_demand, done = std::move(done), buf,
-         span](nand::OpStatus status) mutable {
-            if (nand::IsOk(status)) {  // kOk or kOkErased (unprogrammed).
-                if (level > 0) {
-                    ++stats_.retry_recoveries;
-                    recovery_latencies_.Record(sim_.Now() - first_fail);
-                }
-                done(IoStatus());
-                return;
-            }
-            if (status == nand::OpStatus::kChannelDead) {
-                done(IoError::kChannelDead);
-                return;
-            }
-            // ECC-uncorrectable: climb the retry-voltage ladder.
-            const TimeNs t0 = level == 0 ? sim_.Now() : first_fail;
-            if (level < config_.read_retry_levels) {
-                ++stats_.read_retries;
-                ReadPageLadder(channel, unit, plane, block, page_in_block,
-                               level + 1, t0, on_demand, std::move(done), buf,
-                               span);
-                return;
-            }
-            // Ladder exhausted: data is lost; retire the block so future
-            // writes land on healthy flash. The host sees a typed error
-            // and must recover from a replica.
-            ++stats_.read_failures;
-            ++stats_.read_retirements;
-            RetireAndRemap(channel, plane, unit, block);
-            done(IoError::kReadUncorrectable);
-        },
-        buf, level, span, on_demand);
+    // background transfers on the bus (§5). A one-page read gets its fine
+    // cuts inside Channel::ReadPage.
+    nand::Channel &flash = flash_->channel(r.channel);
+    const nand::ReadOutcome booked = flash.ReadPage(
+        nand::PageAddr{plane, block, page_in_block}, std::move(sensed),
+        r.sensed.empty() ? nullptr : &r.sensed[index], level,
+        r.total_pages == 1 ? r.span : nullptr, r.on_demand);
     if (booked.suspended) ++stats_.program_suspends;
     if (booked.overtook) ++stats_.bus_overtakes;
     // A read of a dead channel never reached the bus.
-    if (on_demand && hub_ != nullptr && !flash_->channel(channel).dead()) {
+    if (r.on_demand && hub_ != nullptr && !flash.dead()) {
         bus_wait_.Add(booked.bus_wait);
+    }
+}
+
+void
+SdfDevice::PageDone(UnitRead &r, uint32_t index, IoStatus status)
+{
+    const uint32_t page = flash_->geometry().page_size;
+    if (!status.ok() && r.status.ok()) r.status = status;
+    if (!r.sensed.empty() && !r.sensed[index].empty()) {
+        std::memcpy(r.out->data() + uint64_t{index} * page,
+                    r.sensed[index].data(),
+                    std::min<size_t>(page, r.sensed[index].size()));
+        r.sensed[index] = std::vector<uint8_t>();  // Its bytes are in out.
+    }
+    // DMA pages to the host in chunks as they come off the flash, so the
+    // PCIe transfer pipelines with the channel-bus reads (the controller
+    // stages data in its DDR3 buffers; §2.1).
+    ++r.flash_done;
+    while (r.transferred < r.flash_done &&
+           (r.flash_done - r.transferred >= kChunkPages ||
+            r.flash_done == r.total_pages)) {
+        const uint32_t n = std::min(kChunkPages, r.flash_done - r.transferred);
+        r.transferred += n;
+        const bool final_chunk = r.transferred == r.total_pages;
+        if (final_chunk && r.span != nullptr) {
+            r.span->Enter(obs::Stage::kLinkTransfer, sim_.Now());
+        }
+        link_->TransferToHost(
+            sim_.Now(), uint64_t{n} * page,
+            final_chunk ? sim::Callback([this, r = &r]() {
+                Complete(r->channel, std::move(r->done), r->status, r->span);
+                reads_.erase(r->self);
+            })
+                        : nullptr);
     }
 }
 
@@ -340,98 +402,45 @@ SdfDevice::Read(uint32_t channel, uint32_t unit, uint64_t offset,
     stats_.page_reads += pages;
     stats_.read_bytes += length;
     if (out) out->assign(length, 0);
-    const bool on_demand = ReadClassScope::Current() == ReadClass::kOnDemand;
 
-    struct ReadState
-    {
-        uint32_t total_pages;
-        uint32_t flash_done = 0;
-        uint32_t transferred = 0;
-        IoStatus status;  ///< First page-level error wins.
-        IoCallback done;
-        std::vector<uint8_t> *out;
-        obs::IoSpan *span;
-    };
-    auto state = std::make_shared<ReadState>();
-    state->total_pages = pages;
-    state->done = std::move(done);
-    state->out = out;
-    state->span = span;
+    UnitRead &r = reads_.emplace_back();
+    r.self = std::prev(reads_.end());
+    r.channel = channel;
+    r.unit = unit;
+    r.offset = offset;
+    r.total_pages = pages;
+    r.on_demand = ReadClassScope::Current() == ReadClass::kOnDemand;
+    r.done = std::move(done);
+    r.out = out;
+    if (out) r.sensed.resize(pages);
+    r.span = span;
 
     // Everything until the engine picks the command up is queueing.
     if (span != nullptr) span->Enter(obs::Stage::kQueue, sim_.Now());
 
-    ChannelEngine &ce = channels_[channel];
-    ce.engine->Submit(kEngineOpCost, [this, channel, unit, offset, page,
-                                      pages, on_demand, state]() {
-        const nand::Geometry &geo2 = flash_->geometry();
-        const uint64_t block_bytes = geo2.BlockBytes();
-        ChannelEngine &ce2 = channels_[channel];
-
+    channels_[channel].engine->Submit(kEngineOpCost, [this, r = &r]() {
         // A multi-page read pipelines planes, bus, and DMA; attribute its
         // critical path (flash until the last page, then the DMA tail).
-        // Single-page reads instead get fine cuts inside Channel::ReadPage.
-        const bool fine_cuts = pages == 1;
-        if (state->span != nullptr && !fine_cuts) {
-            state->span->Enter(obs::Stage::kFlashOp, sim_.Now());
+        if (r->span != nullptr && r->total_pages != 1) {
+            r->span->Enter(obs::Stage::kFlashOp, sim_.Now());
         }
-
-        // DMA pages to the host in chunks as they come off the flash, so
-        // the PCIe transfer pipelines with the channel-bus reads (the
-        // controller stages data in its DDR3 buffers; §2.1).
-        auto page_complete = [this, channel, page, state]() {
-            ++state->flash_done;
-            while (state->transferred < state->flash_done &&
-                   (state->flash_done - state->transferred >= kChunkPages ||
-                    state->flash_done == state->total_pages)) {
-                const uint32_t n = std::min(kChunkPages,
-                                            state->flash_done -
-                                                state->transferred);
-                state->transferred += n;
-                const bool final_chunk =
-                    state->transferred == state->total_pages;
-                if (final_chunk && state->span != nullptr) {
-                    state->span->Enter(obs::Stage::kLinkTransfer, sim_.Now());
-                }
-                link_->TransferToHost(
-                    sim_.Now(), uint64_t{n} * page,
-                    final_chunk
-                        ? sim::Callback([this, channel, state]() {
-                              Complete(channel, std::move(state->done),
-                                       state->status, state->span);
-                          })
-                        : nullptr);
-            }
-        };
-
-        for (uint32_t i = 0; i < pages; ++i) {
-            const uint64_t byte_off = offset + uint64_t{i} * page;
-            const auto plane = static_cast<uint32_t>(byte_off / block_bytes);
-            const auto page_in_block =
-                static_cast<uint32_t>((byte_off % block_bytes) / page);
-            const size_t out_pos = static_cast<size_t>(uint64_t{i} * page);
-            const uint32_t block = ce2.planes[plane].map->Lookup(unit);
+        const nand::Geometry &geo2 = flash_->geometry();
+        const ChannelEngine &ce = channels_[r->channel];
+        for (uint32_t i = 0; i < r->total_pages; ++i) {
+            const uint64_t byte_off = r->offset + uint64_t{i} * geo2.page_size;
+            const auto plane =
+                static_cast<uint32_t>(byte_off / geo2.BlockBytes());
+            const uint32_t block = ce.planes[plane].map->Lookup(r->unit);
             if (block == ftl::kUnmappedBlock) {
                 // Unwritten unit: reads as erased flash (0xFF).
-                if (state->out) {
-                    std::memset(state->out->data() + out_pos, 0xFF, page);
+                if (r->out) {
+                    std::memset(r->out->data() + uint64_t{i} * geo2.page_size,
+                                0xFF, geo2.page_size);
                 }
-                page_complete();
+                PageDone(*r, i, IoStatus());
                 continue;
             }
-            auto buf = state->out ? std::make_shared<std::vector<uint8_t>>()
-                                  : nullptr;
-            ReadPageLadder(
-                channel, unit, plane, block, page_in_block, 0, 0, on_demand,
-                [state, buf, out_pos, page, page_complete](IoStatus st) {
-                    if (!st.ok() && state->status.ok()) state->status = st;
-                    if (state->out && buf && !buf->empty()) {
-                        std::memcpy(state->out->data() + out_pos, buf->data(),
-                                    std::min<size_t>(page, buf->size()));
-                    }
-                    page_complete();
-                },
-                buf.get(), fine_cuts ? state->span : nullptr);
+            ReadPageLadder(*r, i, block, 0, 0);
         }
     });
 }
@@ -470,14 +479,15 @@ SdfDevice::WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
                     span->Enter(obs::Stage::kFlashOp, sim_.Now());
                 }
                 const uint32_t planes = flash_->geometry().PlanesPerChannel();
-                auto w = std::make_shared<UnitWrite>();
-                w->channel = channel;
-                w->unit = unit;
-                w->data = data;
-                w->span = span;
-                w->done = std::move(done);
-                w->next_page.assign(planes, 0);
-                w->staged.assign(planes, std::nullopt);
+                UnitWrite &w = writes_.emplace_back();
+                w.self = std::prev(writes_.end());
+                w.channel = channel;
+                w.unit = unit;
+                w.data = data;
+                w.span = span;
+                w.done = std::move(done);
+                w.next_page.assign(planes, 0);
+                w.staged.assign(planes, std::nullopt);
                 // Interleave planes page by page so all four program
                 // pipelines stay fed (§2.3: 2 MB striping within a unit):
                 // the first pass stages each plane's first page, the
@@ -487,59 +497,62 @@ SdfDevice::WriteUnit(uint32_t channel, uint32_t unit, IoCallback done,
                         AdvancePlane(w, plane);
                     }
                 }
-                if (w->inflight == 0) {  // Dead channel or failed stage.
-                    Complete(channel, std::move(w->done), w->status, span);
-                }
+                if (w.inflight == 0) FinishWrite(w);  // Dead or failed.
             });
     });
 }
 
 void
-SdfDevice::AdvancePlane(const std::shared_ptr<UnitWrite> &w, uint32_t plane)
+SdfDevice::FinishWrite(UnitWrite &w)
+{
+    Complete(w.channel, std::move(w.done), w.status, w.span);
+    writes_.erase(w.self);
+}
+
+void
+SdfDevice::AdvancePlane(UnitWrite &w, uint32_t plane)
 {
     const nand::Geometry &geo = flash_->geometry();
-    nand::Channel &flash = flash_->channel(w->channel);
-    std::optional<nand::StagedPage> &staged = w->staged[plane];
-    const bool pages_left =
-        staged || w->next_page[plane] < geo.pages_per_block;
-    if (!w->status.ok() || !pages_left) {
+    nand::Channel &flash = flash_->channel(w.channel);
+    std::optional<nand::StagedPage> &staged = w.staged[plane];
+    const bool pages_left = staged || w.next_page[plane] < geo.pages_per_block;
+    if (!w.status.ok() || !pages_left) {
         staged.reset();  // A failed write drops its staged page.
         return;
     }
     if (flash.dead()) {
         staged.reset();
-        w->status = IoError::kChannelDead;
+        w.status = IoError::kChannelDead;
         return;
     }
     if (staged) {
-        ++w->inflight;
-        const bool resent =
-            flash.ProgramStaged(*staged, [this, w, plane](nand::OpStatus) {
-                --w->inflight;
-                AdvancePlane(w, plane);
-                if (w->inflight == 0) {
-                    Complete(w->channel, std::move(w->done), w->status,
-                             w->span);
-                }
-            });
-        if (resent) ++stats_.resent_pages;
+        ++w.inflight;
+        auto programmed = [this, w = &w, plane](nand::OpStatus) {
+            --w->inflight;
+            AdvancePlane(*w, plane);
+            if (w->inflight == 0) FinishWrite(*w);
+        };
+        static_assert(nand::OpCallback::kFitsInline<decltype(programmed)>);
+        if (flash.ProgramStaged(*staged, std::move(programmed))) {
+            ++stats_.resent_pages;
+        }
         staged.reset();
     }
-    if (w->next_page[plane] == geo.pages_per_block) return;
-    const uint32_t page = w->next_page[plane]++;
-    const uint32_t block = channels_[w->channel].planes[plane].map->Lookup(
-        w->unit);
+    if (w.next_page[plane] == geo.pages_per_block) return;
+    const uint32_t page = w.next_page[plane]++;
+    const uint32_t block = channels_[w.channel].planes[plane].map->Lookup(
+        w.unit);
     SDF_CHECK(block != ftl::kUnmappedBlock);
     const uint8_t *payload =
-        w->data == nullptr ? nullptr
-                           : w->data + plane * geo.BlockBytes() +
-                                 uint64_t{page} * geo.page_size;
+        w.data == nullptr ? nullptr
+                          : w.data + plane * geo.BlockBytes() +
+                                uint64_t{page} * geo.page_size;
     nand::StagedPage next;
     if (flash.StagePage(nand::PageAddr{plane, block, page}, payload, &next) ==
         nand::OpStatus::kOk) {
         staged = next;
     } else {
-        w->status = IoError::kWriteFailed;
+        w.status = IoError::kWriteFailed;
     }
 }
 
@@ -662,44 +675,48 @@ SdfDevice::ScanUnit(uint32_t channel, uint32_t unit, double selectivity,
     stats_.page_reads += pages;
     stats_.read_bytes += matched;
 
-    ChannelEngine &ce = channels_[channel];
-    ce.engine->Submit(kEngineOpCost, [this, channel, unit, page,
-                                      pages, block_bytes, matched,
-                                      done = std::move(done)]() mutable {
-        ChannelEngine &ce2 = channels_[channel];
-        auto remaining = std::make_shared<uint32_t>(pages);
-        auto ok = std::make_shared<bool>(true);
-        auto finish = [this, channel, matched, remaining, ok,
-                       done = std::move(done)]() mutable {
-            if (--*remaining > 0) return;
+    struct Scan
+    {
+        uint32_t remaining;
+        bool ok;
+        std::function<void(bool ok, uint64_t matched)> done;
+    };
+    auto scan = std::make_shared<Scan>(Scan{pages, true, std::move(done)});
+    channels_[channel].engine->Submit(kEngineOpCost, [this, channel, unit,
+                                                      page, pages,
+                                                      block_bytes, matched,
+                                                      scan]() {
+        ChannelEngine &ce = channels_[channel];
+        auto finish = [this, channel, matched, scan](bool page_ok) {
+            if (!page_ok) scan->ok = false;
+            if (--scan->remaining > 0) return;
             // Only the matching bytes cross the PCIe link.
-            link_->TransferToHost(sim_.Now(), matched,
-                                  [this, channel, matched, ok,
-                                   done = std::move(done)]() mutable {
-                                      Complete(channel,
-                                               [done = std::move(done), ok,
-                                                matched](bool) {
-                                                   done(*ok, matched);
-                                               },
-                                               *ok);
-                                  });
+            link_->TransferToHost(
+                sim_.Now(), matched, [this, channel, matched, scan]() {
+                    Complete(channel,
+                             [scan, matched](bool) {
+                                 scan->done(scan->ok, matched);
+                             },
+                             scan->ok);
+                });
         };
         for (uint32_t i = 0; i < pages; ++i) {
             const uint64_t byte_off = uint64_t{i} * page;
             const auto plane = static_cast<uint32_t>(byte_off / block_bytes);
             const auto page_in_block =
                 static_cast<uint32_t>((byte_off % block_bytes) / page);
-            const uint32_t block = ce2.planes[plane].map->Lookup(unit);
+            const uint32_t block = ce.planes[plane].map->Lookup(unit);
             if (block == ftl::kUnmappedBlock) {
-                finish();  // Unwritten plane stripe: nothing to scan.
+                finish(true);  // Unwritten plane stripe: nothing to scan.
                 continue;
             }
+            auto sensed = [finish](nand::OpStatus status) {
+                finish(nand::IsOk(status));
+            };
+            static_assert(nand::OpCallback::kFitsInline<decltype(sensed)>);
             flash_->channel(channel).ReadPage(
                 nand::PageAddr{plane, block, page_in_block},
-                [ok, finish](nand::OpStatus status) mutable {
-                    if (!nand::IsOk(status)) *ok = false;
-                    finish();
-                });
+                std::move(sensed));
         }
     });
 }

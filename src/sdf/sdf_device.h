@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -263,6 +264,8 @@ class SdfDevice : public BlockDevice
 
     /** A unit write in progress (sdf_device.cc). */
     struct UnitWrite;
+    /** A read in progress (sdf_device.cc). */
+    struct UnitRead;
 
     bool ValidUnit(uint32_t channel, uint32_t unit) const;
 
@@ -272,7 +275,10 @@ class SdfDevice : public BlockDevice
      * once as each program completes. Does nothing once the write has
      * failed; a dead channel fails it with kChannelDead.
      */
-    void AdvancePlane(const std::shared_ptr<UnitWrite> &w, uint32_t plane);
+    void AdvancePlane(UnitWrite &w, uint32_t plane);
+
+    /** Complete @p w, whose last program is done, and release it. */
+    void FinishWrite(UnitWrite &w);
 
     void Complete(uint32_t channel, IoCallback done, IoStatus status,
                   obs::IoSpan *span = nullptr);
@@ -281,18 +287,22 @@ class SdfDevice : public BlockDevice
     void RegisterMetrics();
 
     /**
-     * One rung of the read-retry ladder: read the page at @p level; on
+     * One rung of the read-retry ladder for page @p index of @p r, which
+     * lives in physical @p block: read it at @p level; on
      * kReadUncorrectable escalate up to config_.read_retry_levels, then
-     * retire the block and report kReadUncorrectable. @p first_fail is
-     * the sim time of the first failed sense (0 while level == 0). Every
-     * rung is of the read's class (@p on_demand).
+     * retire the block and report kReadUncorrectable to PageDone().
+     * @p first_fail is the sim time of the first failed sense (0 while
+     * level == 0). Every rung is of the read's class.
      */
-    void ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
-                        uint32_t block, uint32_t page_in_block, uint32_t level,
-                        TimeNs first_fail, bool on_demand,
-                        std::function<void(IoStatus)> done,
-                        std::vector<uint8_t> *buf,
-                        obs::IoSpan *span = nullptr);
+    void ReadPageLadder(UnitRead &r, uint32_t index, uint32_t block,
+                        uint32_t level, TimeNs first_fail);
+
+    /**
+     * Page @p index of @p r is off the flash with @p status: DMA the
+     * pages to the host in chunks as they come, and complete the read
+     * when its last chunk lands.
+     */
+    void PageDone(UnitRead &r, uint32_t index, IoStatus status);
 
     /**
      * Retire @p block (grown bad) in (@p channel, @p plane): mark it bad,
@@ -316,6 +326,13 @@ class SdfDevice : public BlockDevice
     util::LatencyRecorder recovery_latencies_;
     /** On-demand pages' sense end to data-out start; under a hub only. */
     util::Histogram bus_wait_;
+
+    /**
+     * Reads and unit writes in flight. Their per-page callbacks point
+     * into these lists, so a page's closure carries no shared owner.
+     */
+    std::list<UnitRead> reads_;
+    std::list<UnitWrite> writes_;
 
     /** Hub (from the simulator) this device registered metrics with. */
     obs::Hub *hub_ = nullptr;

@@ -54,6 +54,16 @@ class Func<R(Args...), InlineBytes>
     /** Inline closure capacity; larger closures take one heap allocation. */
     static constexpr size_t kInlineBytes = InlineBytes;
 
+    /**
+     * True if a closure of type @p Fn is stored inline, with no heap
+     * allocation: hot paths static_assert it on their per-page closures.
+     */
+    template <typename Fn>
+    static constexpr bool kFitsInline =
+        sizeof(Fn) <= kInlineBytes &&
+        alignof(Fn) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<Fn>;
+
     Func() noexcept = default;
     Func(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
@@ -87,9 +97,7 @@ class Func<R(Args...), InlineBytes>
     Func(F &&f)  // NOLINT(google-explicit-constructor)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
+        if constexpr (kFitsInline<Fn>) {
             ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
             ops_ = &InlineOps<Fn>::ops;
         } else {

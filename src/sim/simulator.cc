@@ -16,21 +16,33 @@ constexpr TimeNs kNoDeadline = std::numeric_limits<TimeNs>::max();
 }  // namespace
 
 EventId
-Simulator::Schedule(TimeNs delay, Callback cb)
+Simulator::Schedule(TimeNs delay, Callback &&cb)
 {
     SDF_CHECK_MSG(delay >= 0, "negative event delay");
     return ScheduleAt(now_ + delay, std::move(cb));
 }
 
 EventId
-Simulator::ScheduleAt(TimeNs when, Callback cb)
+Simulator::ScheduleAt(TimeNs when, Callback &&cb)
+{
+    SDF_CHECK_MSG(when >= now_, "scheduling into the past");
+    if (!cb) {
+        // Nobody waits on it: the run's end must still reach it.
+        horizon_ = std::max(horizon_, when);
+        return kInvalidEvent;
+    }
+    return ScheduleReserved(when, next_seq_++, std::move(cb));
+}
+
+EventId
+Simulator::ScheduleReserved(TimeNs when, uint64_t seq, Callback &&cb)
 {
     SDF_CHECK_MSG(when >= now_, "scheduling into the past");
     ++live_count_;
     const uint32_t idx = AcquireSlot();
     Slot &s = slots_[idx];
     s.when = when;
-    s.seq = next_seq_++;
+    s.seq = seq;
     s.next = kNil;
     s.armed = true;
     s.cb = std::move(cb);
@@ -39,7 +51,7 @@ Simulator::ScheduleAt(TimeNs when, Callback cb)
 }
 
 void
-Simulator::Post(Callback cb)
+Simulator::Post(Callback &&cb)
 {
     ring_.push_back(RingItem{next_seq_++, std::move(cb)});
 }
@@ -58,18 +70,6 @@ Simulator::Cancel(EventId id)
     s.armed = false;
     s.cb = nullptr;
     --live_count_;
-}
-
-EventId
-Simulator::Reschedule(EventId id, TimeNs when)
-{
-    const uint64_t slot_part = id >> 32;
-    if (slot_part == 0 || slot_part > slots_.size()) return kInvalidEvent;
-    Slot &s = slots_[static_cast<uint32_t>(slot_part - 1)];
-    if (s.gen != static_cast<uint32_t>(id) || !s.armed) return kInvalidEvent;
-    Callback cb = std::move(s.cb);
-    Cancel(id);
-    return ScheduleAt(when, std::move(cb));
 }
 
 uint32_t
@@ -260,6 +260,7 @@ Simulator::Run()
 {
     while (FireNext(kNoDeadline)) {
     }
+    now_ = std::max(now_, horizon_);
 }
 
 bool
@@ -268,14 +269,17 @@ Simulator::RunUntil(TimeNs deadline)
     while (FireNext(deadline)) {
     }
     if (deadline > now_) now_ = deadline;
-    return PendingEvents() > 0;
+    return PendingEvents() > 0 || horizon_ > now_;
 }
 
 bool
 Simulator::RunWhileNot(const std::function<bool()> &predicate)
 {
     while (!predicate()) {
-        if (!FireNext(kNoDeadline)) return false;
+        if (!FireNext(kNoDeadline)) {
+            now_ = std::max(now_, horizon_);
+            return false;
+        }
     }
     return true;
 }

@@ -20,6 +20,14 @@
  * A completion that needs no further delay rides the ring instead of
  * paying for a queue slot — the PureFlash-style polling seam the device,
  * network and client layers batch through.
+ *
+ * A completion nobody waits on is not an event: ScheduleAt() with a null
+ * callback only raises the clock's horizon, which Run(), RunUntil() and
+ * RunWhileNot() honour exactly as a timed no-op would have. A resource
+ * that books many completions reserves each one's sequence when it is
+ * booked (ReserveSeq()) and arms one event at a time with it
+ * (ScheduleReserved()), so the fire order is the same as if every
+ * completion held its own event (sim::JobQueue, DESIGN.md §14).
  */
 #ifndef SDF_SIM_SIMULATOR_H
 #define SDF_SIM_SIMULATOR_H
@@ -63,10 +71,28 @@ class Simulator
     TimeNs Now() const { return now_; }
 
     /** Schedule @p cb to run @p delay ns from now (delay >= 0). */
-    EventId Schedule(TimeNs delay, Callback cb);
+    EventId Schedule(TimeNs delay, Callback &&cb);
 
-    /** Schedule @p cb at absolute time @p when (when >= Now()). */
-    EventId ScheduleAt(TimeNs when, Callback cb);
+    /**
+     * Schedule @p cb at absolute time @p when (when >= Now()). A null
+     * @p cb schedules nothing and returns kInvalidEvent: it only raises
+     * the clock's horizon to @p when (see Run()).
+     */
+    EventId ScheduleAt(TimeNs when, Callback &&cb);
+
+    /**
+     * Take the next insertion sequence now for an event that is armed
+     * later with ScheduleReserved().
+     */
+    uint64_t ReserveSeq() { return next_seq_++; }
+
+    /**
+     * Schedule @p cb at @p when with sequence @p seq from ReserveSeq():
+     * it fires exactly where an event scheduled at the reservation would
+     * have. The caller arms it before the engine has passed (@p when,
+     * @p seq). @p cb must not be null.
+     */
+    EventId ScheduleReserved(TimeNs when, uint64_t seq, Callback &&cb);
 
     /**
      * Completion ring: run @p cb at the current timestamp, after every
@@ -77,33 +103,28 @@ class Simulator
      * no further simulated delay ride the ring and are drained once per
      * dispatch step.
      */
-    void Post(Callback cb);
+    void Post(Callback &&cb);
 
     /** Cancel a pending event; no-op if already fired or invalid. */
     void Cancel(EventId id);
 
     /**
-     * Move pending event @p id to @p when (>= Now()), keeping its
-     * callback: Cancel() plus ScheduleAt() of the same callback, so the
-     * event fires once, in sequence order with events scheduled now.
-     * @return its new id (the old one goes stale), or kInvalidEvent if
-     * @p id had already fired or was cancelled.
+     * Run until the event queue is empty, then advance the clock to the
+     * horizon if it lies ahead.
      */
-    EventId Reschedule(EventId id, TimeNs when);
-
-    /** Run until the event queue is empty. */
     void Run();
 
     /**
      * Run all events with timestamp <= @p deadline, then advance the clock
      * to @p deadline.
-     * @return true if events remain pending after the deadline.
+     * @return true if events remain pending after the deadline, or the
+     *     horizon lies ahead of the clock.
      */
     bool RunUntil(TimeNs deadline);
 
     /**
      * Fire events one at a time until @p predicate() returns true or the
-     * queue drains.
+     * queue drains; a drained queue advances the clock to the horizon.
      * @return true if the predicate was satisfied.
      */
     bool RunWhileNot(const std::function<bool()> &predicate);
@@ -111,7 +132,10 @@ class Simulator
     /** Total events dispatched (for stats and microbenchmarks). */
     uint64_t events_processed() const { return events_processed_; }
 
-    /** Number of pending (uncancelled) events, including posted ones. */
+    /**
+     * Number of pending (uncancelled) events, including posted ones. Null
+     * completions are not events, and a JobQueue counts one.
+     */
     size_t
     PendingEvents() const
     {
@@ -203,6 +227,8 @@ class Simulator
     void RotateWindow();
 
     TimeNs now_ = 0;
+    /** Latest null completion: the clock reaches it when the run drains. */
+    TimeNs horizon_ = 0;
     uint64_t next_seq_ = 1;
     uint64_t events_processed_ = 0;
     size_t live_count_ = 0;

@@ -449,10 +449,11 @@ TEST(SdfDevice, ReadClassScopeReachesTheDeviceThroughADecorator)
     EXPECT_EQ(ReadClassScope::Current(), ReadClass::kOnDemand);
 }
 
-TEST(SdfDevice, UncontendedUnitWriteFiresTwoEventsPerPage)
+TEST(SdfDevice, UncontendedUnitWriteFiresOneEventPerPage)
 {
-    // A page costs one timed event for its data-in and one for its
-    // program; the write adds its engine command and its link transfer.
+    // A page costs one timed event, its program's completion: nobody
+    // waits on its data-in, which only moves the clock's horizon. The
+    // write adds its engine command and its link transfer.
     sim::Simulator sim;
     SdfDevice dev(sim, OneBaiduChannel());
     dev.EraseUnit(0, 0, nullptr);
@@ -460,7 +461,42 @@ TEST(SdfDevice, UncontendedUnitWriteFiresTwoEventsPerPage)
     const uint64_t before = sim.events_processed();
     dev.WriteUnit(0, 0, nullptr);
     sim.Run();
-    EXPECT_EQ(sim.events_processed() - before, 2050u);
+    EXPECT_EQ(sim.events_processed() - before, 1026u);
+}
+
+TEST(SdfDevice, UncontendedPageReadFiresSixEvents)
+{
+    // The engine command, the page's data-out, the DMA to the host, and
+    // the interrupt's three: its group's merge window, the global merge
+    // window and the posted batch. Nobody waits on the sense itself.
+    sim::Simulator sim;
+    SdfDevice dev(sim, OneBaiduChannel());
+    dev.DebugForceWritten(0, 0);
+    bool ok = false;
+    dev.Read(0, 0, 0, dev.read_unit_bytes(), [&](bool s) { ok = s; });
+    sim.Run();
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(sim.events_processed(), 6u);
+}
+
+TEST(SdfDevice, BackgroundUnitReadHoldsOneEventOnItsChannel)
+{
+    // Once the engine books a whole-unit read's 1,024 pages, their
+    // senses have no completions and their data-outs wait in the bus's
+    // queue, which holds one engine event for its head.
+    sim::Simulator sim;
+    SdfDevice dev(sim, OneBaiduChannel());
+    dev.DebugForceWritten(0, 0);
+    bool ok = false;
+    {
+        ReadClassScope scope(ReadClass::kBackground);
+        dev.Read(0, 0, 0, dev.unit_bytes(), [&](bool s) { ok = s; });
+    }
+    sim.RunUntil(util::UsToNs(1));  // The engine command.
+    EXPECT_EQ(sim.events_processed(), 1u);
+    EXPECT_EQ(sim.PendingEvents(), 1u);
+    sim.Run();
+    EXPECT_TRUE(ok);
 }
 
 TEST(SdfDevice, PagesProgramInOrderUnderInterleavedReads)

@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/fifo_resource.h"
@@ -184,6 +185,68 @@ TEST(Simulator, EventsProcessedCounts)
     for (int i = 0; i < 7; ++i) sim.Schedule(i, []() {});
     sim.Run();
     EXPECT_EQ(sim.events_processed(), 7u);
+}
+
+TEST(Simulator, NullCompletionMovesTheClockLikeAMarkerWithoutAnEvent)
+{
+    // The same schedule with no-op markers and with null completions: the
+    // clock after Run() and RunWhileNot(), and every RunUntil() result,
+    // must be the same; only the markers are events.
+    auto run = [](bool markers) {
+        Simulator sim;
+        auto done = [markers]() {
+            return markers ? Callback([]() {}) : Callback();
+        };
+        std::vector<int64_t> seen;
+        int fired = 0;
+        sim.ScheduleAt(50, done());
+        sim.Schedule(10, [&fired]() { ++fired; });
+        sim.ScheduleAt(200, done());
+        for (const TimeNs deadline : {20, 100, 200, 250}) {
+            seen.push_back(sim.RunUntil(deadline));
+            seen.push_back(sim.Now());
+        }
+        sim.ScheduleAt(300, done());
+        sim.Run();
+        seen.push_back(sim.Now());
+        // A drained RunWhileNot() reaches the horizon too.
+        sim.ScheduleAt(400, done());
+        sim.Schedule(5, [&fired]() { ++fired; });
+        seen.push_back(sim.RunWhileNot([]() { return false; }));
+        seen.push_back(sim.Now());
+        // A satisfied one stops at the event that satisfied it.
+        sim.ScheduleAt(600, done());
+        sim.Schedule(50, [&fired]() { ++fired; });
+        seen.push_back(sim.RunWhileNot([&fired]() { return fired == 3; }));
+        seen.push_back(sim.Now());
+        seen.push_back(sim.RunUntil(sim.Now()));
+        return std::make_pair(seen, sim.events_processed());
+    };
+    const auto [with_markers, marker_events] = run(true);
+    const auto [with_nulls, null_events] = run(false);
+    EXPECT_EQ(with_nulls, with_markers);
+    EXPECT_EQ(with_nulls,
+              (std::vector<int64_t>{1, 20, 1, 100, 0, 200, 0, 250, 300, 0, 400,
+                                    1, 450, 1}));
+    EXPECT_EQ(null_events, 3u);
+    EXPECT_EQ(marker_events, 3u + 4u);  // The one at 600 is pending.
+}
+
+TEST(FifoResource, ThousandBookedJobsHoldOnePendingEvent)
+{
+    Simulator sim;
+    FifoResource res(sim);
+    std::vector<TimeNs> fired;
+    for (int i = 0; i < 1024; ++i) {
+        res.Submit(10, [&]() { fired.push_back(sim.Now()); });
+    }
+    EXPECT_EQ(sim.PendingEvents(), 1u);
+    sim.Run();
+    ASSERT_EQ(fired.size(), 1024u);
+    for (size_t i = 0; i < fired.size(); ++i) {
+        EXPECT_EQ(fired[i], static_cast<TimeNs>(10 * (i + 1)));
+    }
+    EXPECT_EQ(sim.events_processed(), 1024u);
 }
 
 TEST(FifoResource, SerializesSubmissions)

@@ -5,16 +5,19 @@
  * Same-seed exports are byte-identical because events fire by (time,
  * insertion sequence) and a post fires like Schedule(0) (DESIGN.md §14).
  * RefQueue below is that contract written as plainly as possible: the
- * seed engine's binary heap plus a live-id set. The EngineCross tests
- * drive the Simulator and RefQueue through identical schedules and
- * compare them event for event. The CalendarQueue tests cover the
- * calendar's edge geometry (bucket boundaries, window rotation, cancel
- * storms), and the rest the move-only Callback and BlockPool primitives
- * the fast path rides on.
+ * seed engine's binary heap plus a live-id set, with a null completion
+ * raising the clock's horizon instead of taking an event. RefResource
+ * and RefJobs give every booked job its own event: the order a JobQueue
+ * must reproduce with one. The EngineCross tests drive the Simulator and
+ * RefQueue through identical schedules and compare them event for event.
+ * The CalendarQueue tests cover the calendar's edge geometry (bucket
+ * boundaries, window rotation, cancel storms), and the rest the move-only
+ * Callback and BlockPool primitives the fast path rides on.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <random>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "sim/callback.h"
+#include "sim/fifo_resource.h"
 #include "sim/pool.h"
 #include "sim/simulator.h"
 
@@ -33,7 +37,9 @@ namespace {
 /**
  * The ordering contract as a reference queue: a binary heap on (time,
  * seq) and a live-id set that backs Cancel(). Post() is Schedule(0),
- * which is the order the Simulator documents for its ring.
+ * which is the order the Simulator documents for its ring. A null
+ * callback is no event: it only raises the horizon that a drained run
+ * advances the clock to.
  */
 class RefQueue
 {
@@ -43,25 +49,53 @@ class RefQueue
     size_t PendingEvents() const { return live_.size(); }
 
     EventId
-    Schedule(TimeNs delay, Callback cb)
+    Schedule(TimeNs delay, Callback &&cb)
     {
+        return ScheduleAt(now_ + delay, std::move(cb));
+    }
+
+    EventId
+    ScheduleAt(TimeNs when, Callback &&cb)
+    {
+        if (!cb) {
+            horizon_ = std::max(horizon_, when);
+            return kInvalidEvent;
+        }
         const EventId id = next_seq_++;
-        heap_.push_back(Entry{now_ + delay, id, std::move(cb)});
+        heap_.push_back(Entry{when, id, std::move(cb)});
         std::push_heap(heap_.begin(), heap_.end(), Later{});
         live_.insert(id);
         return id;
     }
 
-    void Post(Callback cb) { Schedule(0, std::move(cb)); }
+    void Post(Callback &&cb) { Schedule(0, std::move(cb)); }
 
     /** Idempotent; the entry itself is dropped when it reaches the top. */
     void Cancel(EventId id) { live_.erase(id); }
+
+    /**
+     * Move pending event @p id to @p when: Cancel() plus ScheduleAt() of
+     * its callback, so it fires after the events already due then.
+     */
+    EventId
+    Reschedule(EventId id, TimeNs when)
+    {
+        for (Entry &e : heap_) {
+            if (e.seq == id && live_.count(id) != 0) {
+                Callback cb = std::move(e.cb);
+                Cancel(id);
+                return ScheduleAt(when, std::move(cb));
+            }
+        }
+        return kInvalidEvent;
+    }
 
     void
     Run()
     {
         while (FireNext(std::numeric_limits<TimeNs>::max())) {
         }
+        now_ = std::max(now_, horizon_);
     }
 
     bool
@@ -70,7 +104,20 @@ class RefQueue
         while (FireNext(deadline)) {
         }
         if (deadline > now_) now_ = deadline;
-        return !live_.empty();
+        return !live_.empty() || horizon_ > now_;
+    }
+
+    template <typename Predicate>
+    bool
+    RunWhileNot(const Predicate &predicate)
+    {
+        while (!predicate()) {
+            if (!FireNext(std::numeric_limits<TimeNs>::max())) {
+                now_ = std::max(now_, horizon_);
+                return false;
+            }
+        }
+        return true;
     }
 
   private:
@@ -109,10 +156,91 @@ class RefQueue
     }
 
     TimeNs now_ = 0;
+    TimeNs horizon_ = 0;
     uint64_t next_seq_ = 1;
     uint64_t events_processed_ = 0;
     std::vector<Entry> heap_;
     std::unordered_set<uint64_t> live_;
+};
+
+/**
+ * JobQueue's contract on the reference queue: every job holds its own
+ * event from its booking on, and a retimed job is rescheduled.
+ */
+class RefJobs
+{
+  public:
+    explicit RefJobs(RefQueue &q) : q_(q) {}
+
+    uint64_t
+    Book(TimeNs end, Callback &&done)
+    {
+        if (!done || end == q_.Now()) {
+            q_.ScheduleAt(end, std::move(done));
+            return 0;
+        }
+        ids_.push_back(q_.ScheduleAt(end, std::move(done)));
+        return ids_.size();
+    }
+
+    void
+    Retime(uint64_t job, TimeNs end)
+    {
+        ids_[job - 1] = q_.Reschedule(ids_[job - 1], end);
+    }
+
+  private:
+    RefQueue &q_;
+    std::vector<EventId> ids_;  ///< Per job number - 1.
+};
+
+/** FifoResource's contract on the reference queue, one event per job. */
+class RefResource
+{
+  public:
+    explicit RefResource(RefQueue &q) : q_(q), jobs_(q) {}
+
+    TimeNs
+    Submit(TimeNs service_time, Callback &&done)
+    {
+        return SubmitAfter(q_.Now(), service_time, std::move(done));
+    }
+
+    TimeNs
+    SubmitAfter(TimeNs earliest, TimeNs service_time, Callback &&done)
+    {
+        free_at_ = std::max({q_.Now(), free_at_, earliest}) + service_time;
+        const uint64_t job = jobs_.Book(free_at_, std::move(done));
+        if (job != 0) last_ = job;
+        return free_at_;
+    }
+
+    void
+    DelayLast(TimeNs slip)
+    {
+        free_at_ += slip;
+        jobs_.Retime(last_, free_at_);
+    }
+
+  private:
+    RefQueue &q_;
+    RefJobs jobs_;
+    TimeNs free_at_ = 0;
+    uint64_t last_ = 0;
+};
+
+/** The resource types each queue runs the cross tests with. */
+template <typename Queue>
+struct ResourcesOf
+{
+    using Resource = FifoResource;
+    using Jobs = JobQueue;
+};
+template <>
+struct ResourcesOf<RefQueue>
+{
+    using Resource = RefResource;
+    using Jobs = RefJobs;
 };
 
 /** One queue's observable history, as the EngineCross tests compare it. */
@@ -344,6 +472,160 @@ TEST(EngineCross, RunUntilStepsMatchReference)
             q.Schedule(static_cast<TimeNs>(rng() % 20000000), t.Tag(q, tag++));
             q.Schedule(static_cast<TimeNs>(80000000 + rng() % 100000000),
                        t.Tag(q, tag++));
+        }
+        q.Run();
+    });
+}
+
+TEST(EngineCross, NullCompletionsMatchReference)
+{
+    // A third of the schedule is null completions, some past the 67 ms
+    // window: neither queue dispatches them, and both reach the same
+    // clock at every RunUntil() stop, after Run() and after a drained
+    // RunWhileNot().
+    ExpectMatchesReference([](auto &q, Trace &t) {
+        std::mt19937_64 rng(23);
+        for (int i = 0; i < 3000; ++i) {
+            const auto when = static_cast<TimeNs>(rng() % 200000000);
+            if (rng() % 3 == 0) {
+                q.ScheduleAt(when, nullptr);
+            } else {
+                q.ScheduleAt(when, t.Tag(q, i));
+            }
+        }
+        for (TimeNs deadline = 0; deadline <= util::MsToNs(260);
+             deadline += util::MsToNs(20)) {
+            t.stops.push_back(q.RunUntil(deadline));
+            t.stops.push_back(q.Now());
+            t.stops.push_back(static_cast<int64_t>(q.PendingEvents()));
+        }
+        q.ScheduleAt(q.Now() + util::MsToNs(90), nullptr);
+        q.Run();
+        t.stops.push_back(q.Now());
+        q.Schedule(10, t.Tag(q, -1));
+        q.Schedule(util::MsToNs(1), nullptr);
+        t.stops.push_back(q.RunWhileNot([]() { return false; }));
+        t.stops.push_back(q.Now());
+    });
+}
+
+TEST(EngineCross, QueuedJobKeepsItsBookingSequence)
+{
+    // A job booked behind another fires at its end ahead of an event
+    // scheduled for that time after the booking: it keeps the sequence it
+    // took when booked, not one taken as it reaches the head. A post from
+    // the first job's completion fires after it, at the same time.
+    const Trace got = ExpectMatchesReference([](auto &q, Trace &t) {
+        using Queue = std::remove_reference_t<decltype(q)>;
+        typename ResourcesOf<Queue>::Resource res(q);
+        res.Submit(10, [&q, &t]() {
+            t.Fire(q, 0);
+            q.Post(t.Tag(q, 1));
+        });
+        res.Submit(10, t.Tag(q, 2));
+        q.ScheduleAt(20, t.Tag(q, 3));
+        q.Run();
+    });
+    EXPECT_EQ(got.order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(got.times, (std::vector<TimeNs>{10, 10, 20, 20}));
+}
+
+TEST(EngineCross, ResourceJobsMatchOneEventPerJob)
+{
+    // Eight resources under 6,000 bookings made from inside the run, on a
+    // coarse clock so that completions, plain events and ring posts often
+    // share a timestamp. A quarter of the jobs are null completions, some
+    // take no time (posted when the resource is idle, queued behind its
+    // work when it is not), some cannot start before a later time, and
+    // some push their whole booking back (DelayLast). A completion books
+    // more work. Both queues must agree event for event.
+    ExpectMatchesReference([](auto &q, Trace &t) {
+        using Queue = std::remove_reference_t<decltype(q)>;
+        using Resource = typename ResourcesOf<Queue>::Resource;
+        std::vector<std::unique_ptr<Resource>> res;
+        for (int i = 0; i < 8; ++i) {
+            res.push_back(std::make_unique<Resource>(q));
+        }
+        std::mt19937_64 rng(31);
+        int budget = 6000;
+        int tag = 0;
+        std::function<void()> book = [&]() {
+            if (budget == 0) return;
+            --budget;
+            Resource &r = *res[rng() % res.size()];
+            const auto service = static_cast<TimeNs>(rng() % 4 * 1000);
+            const auto earliest =
+                q.Now() + static_cast<TimeNs>(rng() % 3 * 1000);
+            const int kind = static_cast<int>(rng() % 8);
+            const int my_tag = tag++;
+            Callback done = nullptr;
+            if (kind >= 2) {
+                done = [&t, &q, &book, my_tag, kind]() {
+                    t.Fire(q, my_tag);
+                    if (kind == 7) q.Post(t.Tag(q, -my_tag));
+                    if (kind >= 5) book();
+                };
+            }
+            const TimeNs end = rng() % 2 == 0
+                                   ? r.Submit(service, std::move(done))
+                                   : r.SubmitAfter(earliest, service,
+                                                   std::move(done));
+            if (kind >= 2 && end > q.Now() && rng() % 10 == 0) {
+                r.DelayLast(static_cast<TimeNs>(rng() % 3 * 1000));
+            }
+            if (rng() % 4 == 0) {
+                q.Schedule(static_cast<TimeNs>(rng() % 4 * 1000),
+                           t.Tag(q, 100000 + my_tag));
+            }
+        };
+        for (int i = 0; i < 64; ++i) {
+            q.Schedule(static_cast<TimeNs>(i % 8 * 1000), [&book]() {
+                for (int k = 0; k < 4; ++k) book();
+            });
+        }
+        q.Run();
+        while (budget > 0) {
+            book();
+            q.Run();
+        }
+        t.stops.push_back(q.Now());
+    });
+}
+
+TEST(EngineCross, PushedBackJobsMatchReschedule)
+{
+    // A queue of 200 jobs on a coarse clock. Every few completions the
+    // jobs not yet fired from some point on are pushed back in queue
+    // order, as an on-demand read pushes the bus's background transfers,
+    // the head among them at times; plain events and posts land on the
+    // same timestamps. A pushed job takes a fresh sequence.
+    ExpectMatchesReference([](auto &q, Trace &t) {
+        using Queue = std::remove_reference_t<decltype(q)>;
+        typename ResourcesOf<Queue>::Jobs jobs(q);
+        std::mt19937_64 rng(47);
+        std::vector<uint64_t> numbers;
+        std::vector<TimeNs> ends;
+        size_t fired = 0;
+        TimeNs end = 0;
+        for (int i = 0; i < 200; ++i) {
+            end += static_cast<TimeNs>(rng() % 3 * 1000);
+            if (end == 0) end = 1000;
+            ends.push_back(end);
+            numbers.push_back(jobs.Book(end, [&, i]() {
+                t.Fire(q, i);
+                ++fired;
+                if (rng() % 2 == 0) q.Post(t.Tag(q, 1000 + i));
+                if (rng() % 3 != 0 || fired == numbers.size()) return;
+                // Push back the unfired jobs from a random one on.
+                const size_t from = fired + rng() % (numbers.size() - fired);
+                const auto slip = static_cast<TimeNs>(1 + rng() % 2) * 1000;
+                for (size_t j = from; j < numbers.size(); ++j) {
+                    ends[j] += slip;
+                    jobs.Retime(numbers[j], ends[j]);
+                }
+                q.ScheduleAt(ends[from], t.Tag(q, 2000 + i));
+            }));
+            if (i % 7 == 0) q.ScheduleAt(end, t.Tag(q, 3000 + i));
         }
         q.Run();
     });
