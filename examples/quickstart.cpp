@@ -5,9 +5,8 @@
  * Creates a (scaled) Baidu SDF, walks the asymmetric interface — explicit
  * erase, whole-unit 8 MB write, 8 KB-granularity read — verifies the data
  * round-trips, and prints what the device did. The device is driven
- * through the backend-neutral core::BlockDevice interface; everything
- * runs inside the discrete-event simulator and simulated time is reported
- * at the end.
+ * through the core::BlockDevice interface; everything runs inside the
+ * discrete-event simulator and simulated time is reported at the end.
  *
  * Build & run:  ./build/examples/quickstart
  * Optional:     --stats-json=out.json --trace=out.trace.json
@@ -38,17 +37,15 @@ main(int argc, char **argv)
     core::SdfDevice sdf_device(sim, config);
 
     // Everything below talks to the capability descriptor + async I/O
-    // interface only — a ConventionalSsd behind ssd::SsdBlockDevice would
-    // serve the same calls.
+    // interface only, the one the block layer drives SDF through.
     core::BlockDevice &device = sdf_device;
     const core::DeviceCaps &caps = device.caps();
 
     std::printf("Device: %s\n", caps.name.c_str());
     std::printf("  channels:        %u (each exposed to software)\n",
                 caps.channels);
-    std::printf("  write/erase unit: %s (explicit erase: %s)\n",
-                util::FormatBytes(caps.unit_bytes).c_str(),
-                caps.explicit_erase ? "yes" : "no");
+    std::printf("  write/erase unit: %s\n",
+                util::FormatBytes(caps.unit_bytes).c_str());
     std::printf("  read unit:        %s\n",
                 util::FormatBytes(caps.read_unit_bytes).c_str());
     std::printf("  user capacity:    %s of %s raw (%.1f %%)\n\n",

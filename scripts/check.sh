@@ -17,10 +17,12 @@
 # YCSB traffic under disruptions, hedging at 160k/s YCSB-B (goodput
 # holds, few gets hedge) and on every rung of the healthy YCSB-B ladder
 # (hedged goodput >= unhedged), the recovery paths (same-seed byte
-# identity under node loss and restart), the fault campaign (zero loss,
-# plan replay, same-seed stats), sdfsim's bad-input exits (flag values
-# and fault plans; NaN, infinity, times past the clock and error-model
-# values out of range included), and
+# identity under node loss and restart), a cluster on a conventional SSD
+# (a restart under YCSB-A on the extent allocator: zero loss, same-seed
+# stats), the fault campaign (zero loss, plan replay, same-seed stats),
+# sdfsim's bad-input exits (flag values, fault plans and devices a mode
+# cannot run; NaN, infinity, times past the clock and error-model values
+# out of range included), and
 # the benchmark's seam selftest (sdfbench/ built against this tree).
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -152,6 +154,20 @@ cmp "$obs_tmp/k1.json" "$obs_tmp/k2.json"
 cmp "$obs_tmp/r1.json" "$obs_tmp/r2.json"
 python3 tools/validate_stats.py "$obs_tmp/k1.json"
 python3 tools/validate_stats.py "$obs_tmp/r1.json"
+
+echo "== conventional cluster smoke =="
+# The conventional-SSD path under a cluster: each node is a Huawei Gen3
+# behind the kernel I/O stack and the flat extent allocator. A rolling
+# restart under YCSB-A replays the journal and diffs the stored extents
+# against it; nonzero exit on a lost ack, and same-seed exports are
+# byte-identical.
+for i in 1 2; do
+    ./build/tools/sdfsim --device=huawei --workload=ycsb --profile=a \
+        --nodes=3 --replication=2 --duration=0.3 --restart-node=1 \
+        --stats-json="$obs_tmp/hw$i.json" > /dev/null
+done
+cmp "$obs_tmp/hw1.json" "$obs_tmp/hw2.json"
+python3 tools/validate_stats.py "$obs_tmp/hw1.json"
 
 echo "== overload smoke =="
 # Open-loop storm through the client front door: nonzero exit on any
@@ -394,6 +410,10 @@ ycsb --deadline-ms=1e300
 ycsb --deadline-ms=-1
 randread --duration=1e300
 randread --warmup=1e300
+kvwrite --device=memblaze
+cluster --device=memblaze
+faults --device=huawei
+cluster --device=huawei --kill-node=0
 EOF
 # The open-loop modes do run a one-node restart: ops are rejected while
 # the ring is empty, but arrivals keep the clock moving.
@@ -444,9 +464,12 @@ rm -f "$obs_tmp/pd-asan.trace.json"
 ./build-asan/tools/sdfsim --workload=ycsb --profile=e --nodes=3 \
     --replication=2 --duration=0.2 --arrival-rate=400 --keys=200 \
     > /dev/null
-# Disruptions under YCSB traffic (restart + rebalance, fail-slow window).
+# Disruptions under YCSB traffic (restart + rebalance, fail-slow window),
+# on SDF and on the conventional SSD's extent allocator.
 ./build-asan/tools/sdfsim --workload=ycsb --profile=a --nodes=3 \
     --replication=2 --duration=0.3 --restart-node=1 > /dev/null
+./build-asan/tools/sdfsim --device=huawei --workload=ycsb --profile=a \
+    --nodes=3 --replication=2 --duration=0.3 --restart-node=1 > /dev/null
 ./build-asan/tools/sdfsim --workload=ycsb --nodes=3 --replication=2 \
     --duration=0.2 --fail-slow-node=1 > /dev/null
 # The fault campaign (injector, retry ladder, failover + read-repair, plan

@@ -62,14 +62,16 @@ inline constexpr int kClientPriority = 0;
 inline constexpr int kInternalPriority = 1;
 
 /**
- * Read units per piece of a long internal read (16 KB on SDF). A client
- * read no longer waits for pieces on the bus or for a read slot, so the
- * piece size sets only how long a client read's sense can wait behind a
- * piece's senses on its plane, and how long a write waits for the pieces
- * in flight to drain. The second piece in flight hides the gap between
- * pieces, so a piecewise scan keeps the bus as busy as one whole-unit
- * read. On ccdb_write_compaction (seed 1) get p99 is 0.486 / 0.507 /
- * 0.544 ms at 16 / 32 / 64 KB pieces (DESIGN.md §5).
+ * Read units per piece of a long internal read: two 8 KB SDF pages,
+ * 16 KB. The layer runs on SDF only; a conventional SSD's compaction
+ * reads go whole through kv::SsdPatchStorage. A client read no longer
+ * waits for pieces on the bus or for a read slot, so the piece size sets
+ * only how long a client read's sense can wait behind a piece's senses
+ * on its plane, and how long a write waits for the pieces in flight to
+ * drain. The second piece in flight hides the gap between pieces, so a
+ * piecewise scan keeps the bus as busy as one whole-unit read. On
+ * ccdb_write_compaction (seed 1) get p99 is 0.486 / 0.507 / 0.544 ms at
+ * 16 / 32 / 64 KB pieces (DESIGN.md §5).
  */
 inline constexpr uint32_t kPieceReadUnits = 2;
 

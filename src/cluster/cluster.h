@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded multi-node KV cluster over the pluggable device interface.
+ * Sharded multi-node KV cluster over SDF or conventional-SSD nodes.
  *
  * The paper's deployment model (§2.4, §5): a web-scale store is many
  * storage servers, each running the CCDB slice stack on one SDF, with
@@ -105,8 +105,9 @@ class StorageNode
     kv::Store &store() { return *stack_.store; }
     testbed::KvStack &stack() { return stack_; }
     net::Network &net() { return *net_; }
-    /** The node's device behind the pluggable interface (never null). */
-    core::BlockDevice *device() { return stack_.storage.device(); }
+    /** The node's SDF device behind the device interface; null on a
+     *  conventional SSD, which exposes no channels. */
+    core::BlockDevice *device() { return stack_.storage.sdf.get(); }
     core::SdfDevice *sdf_device() { return stack_.storage.sdf.get(); }
 
     /** False between Stop() and the end of Restart()'s recovery scan. */

@@ -77,10 +77,10 @@ class PatchStorage
 };
 
 /**
- * Patches through the user-space block layer, over any core::BlockDevice
- * backend (the SDF device or the conventional-SSD adapter). Per-request
- * costs of the thin user-space I/O stack (2-4 us, §2.4) are charged when
- * an IoStack is supplied.
+ * Patches through the user-space block layer on SDF: one patch is one
+ * 8 MB unit on a channel the layer picks. Per-request costs of the thin
+ * user-space I/O stack (2-4 us, §2.4) are charged when an IoStack is
+ * supplied.
  */
 class BlockPatchStorage : public PatchStorage
 {

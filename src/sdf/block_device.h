@@ -1,16 +1,16 @@
 /**
  * @file
- * The pluggable device seam: everything above the device (block layer,
- * patch storage, benches, the cluster) talks to this interface, never to a
- * concrete device class.
+ * The device seam: the block layer drives SDF through this interface,
+ * never through core::SdfDevice itself.
  *
- * The interface is deliberately shaped like the SDF contract — (channel,
- * unit) addressing, asymmetric read/write units, explicit erase — because
- * that is the narrowest interface the paper's stack needs. A conventional
- * SSD adapts *into* this shape (see ssd::SsdBlockDevice): it carves its
- * flat logical space into synthetic channels and units and reports
- * `explicit_erase = false`, since its erase is a trim hint rather than a
- * physical erasure the host controls.
+ * The interface is the SDF contract — (channel, unit) addressing,
+ * asymmetric read/write units, explicit erase — the narrowest one the
+ * paper's stack needs. SdfDevice is its one implementation. The seam
+ * stays for its decorators: a wrapper that overrides a call and forwards
+ * it (a tracer, a fault shim) sits between the block layer and the
+ * device without either knowing. A conventional SSD does not implement
+ * it: its FTL hides its channels, so it serves the KV store through
+ * kv::SsdPatchStorage and the kernel I/O stack instead.
  */
 #ifndef SDF_SDF_BLOCK_DEVICE_H
 #define SDF_SDF_BLOCK_DEVICE_H
@@ -37,9 +37,10 @@ enum class UnitState : uint8_t
 };
 
 /**
- * Capability descriptor: the static geometry and contract of one device.
- * Filled once at construction; everything here is invariant for the
- * device's lifetime (channel death is dynamic state, see ChannelDead()).
+ * Capability descriptor: the static geometry of one device. Filled once
+ * at construction; everything here is invariant for the device's
+ * lifetime (channel death is dynamic state, see ChannelDead()). Every
+ * unit must be erased by the host before it is rewritten.
  */
 struct DeviceCaps
 {
@@ -48,13 +49,6 @@ struct DeviceCaps
     uint32_t units_per_channel = 0;  ///< Logical write/erase units per channel.
     uint64_t unit_bytes = 0;         ///< Bytes in one write/erase unit.
     uint32_t read_unit_bytes = 0;    ///< Bytes in one read unit (one page).
-    /**
-     * True when the device exposes a real erase command the host must
-     * issue before rewriting a unit (the SDF contract). False for
-     * conventional SSDs, where EraseUnit is a trim-backed emulation and
-     * the erase-before-write discipline is enforced only by the adapter.
-     */
-    bool explicit_erase = true;
     uint64_t user_capacity = 0;  ///< Host-visible bytes.
     uint64_t raw_capacity = 0;   ///< Raw flash bytes underneath.
 };
@@ -98,8 +92,8 @@ class ReadClassScope
  * Abstract asynchronous block device addressed as (channel, unit).
  *
  * All operations complete through an IoCallback on the simulator's event
- * loop; none complete inline. Implementations: core::SdfDevice (the
- * paper's device) and ssd::SsdBlockDevice (adapter over ConventionalSsd).
+ * loop; none complete inline. Implemented by core::SdfDevice (the paper's
+ * device); decorators forward to it.
  */
 class BlockDevice
 {
@@ -129,7 +123,7 @@ class BlockDevice
                            const uint8_t *data = nullptr,
                            obs::IoSpan *span = nullptr) = 0;
 
-    /** Erase (or, for adapters, trim and logically reset) one unit. */
+    /** Erase one unit, making it writable again. */
     virtual void EraseUnit(uint32_t channel, uint32_t unit, IoCallback done,
                            obs::IoSpan *span = nullptr) = 0;
 

@@ -117,7 +117,6 @@ SdfDevice::SdfDevice(sim::Simulator &sim, const SdfConfig &config)
     caps_.units_per_channel = units_per_channel_;
     caps_.unit_bytes = unit_bytes_;
     caps_.read_unit_bytes = geo.page_size;
-    caps_.explicit_erase = true;
     caps_.user_capacity =
         uint64_t{geo.channels} * units_per_channel_ * unit_bytes_;
     caps_.raw_capacity = geo.TotalBytes();

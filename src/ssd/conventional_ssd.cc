@@ -41,6 +41,20 @@ FlatToPageAddr(const nand::Geometry &geo, uint32_t ppn)
 
 }  // namespace
 
+/** A host read in flight: its pages complete into it in any order. */
+struct ConventionalSsd::HostRead
+{
+    std::list<HostRead>::iterator self;  ///< Its place in reads_.
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    uint32_t remaining = 0;  ///< Pages not yet in.
+    bool ok = true;
+    IoCallback done;
+    std::vector<uint8_t> *out = nullptr;
+    /** Each flash page's payload until it is copied to out (with out). */
+    std::vector<std::vector<uint8_t>> sensed;
+};
+
 ConventionalSsd::ConventionalSsd(sim::Simulator &sim,
                                  const ConventionalSsdConfig &config)
     : sim_(sim),
@@ -221,91 +235,85 @@ ConventionalSsd::StartRead(PendingRequest req)
     ++stats_.host_reads;
     stats_.host_read_bytes += req.length;
 
-    const uint32_t page = PageSize();
-    const auto pages = static_cast<uint32_t>(req.length / page);
+    const auto pages = static_cast<uint32_t>(req.length / PageSize());
     if (req.out) req.out->assign(req.length, 0);
 
-    // Shared completion state for the scatter of per-page reads.
-    struct ReadState
-    {
-        uint32_t remaining;
-        bool ok = true;
-        IoCallback done;
-        std::vector<uint8_t> *out;
-        uint64_t offset;
-        uint64_t length;
-    };
-    auto state = std::make_shared<ReadState>();
-    state->remaining = pages;
-    state->done = std::move(req.done);
-    state->out = req.out;
-    state->offset = req.offset;
-    state->length = req.length;
+    HostRead &r = reads_.emplace_back();
+    r.self = std::prev(reads_.end());
+    r.offset = req.offset;
+    r.length = req.length;
+    r.remaining = pages;
+    r.done = std::move(req.done);
+    r.out = req.out;
+    if (r.out) r.sensed.resize(pages);
 
-    auto page_complete = [this, state]() {
-        if (--state->remaining > 0) return;
-        // All flash pages in; stream the payload to the host.
-        link_->TransferToHost(
-            sim_.Now(), state->length,
-            [this, state]() {
-                if (state->done) state->done(state->ok);
-                FinishRequest();
-            });
-    };
-
-    firmware_.Submit(config_.fw_cost_per_read_request, [this, state, page,
-                                                        pages, page_complete]() {
+    firmware_.Submit(config_.fw_cost_per_read_request, [this, r = &r,
+                                                        pages]() {
         for (uint32_t i = 0; i < pages; ++i) {
-            const uint64_t byte_off = state->offset + uint64_t{i} * page;
-            const uint32_t ch = striping_.ChannelOf(byte_off);
-            const auto lpn = static_cast<uint32_t>(
-                striping_.ChannelOffset(byte_off) / page);
-            const size_t out_pos = static_cast<size_t>(uint64_t{i} * page);
-
-            firmware_.Submit(config_.fw_cost_read_page, [this, state, ch, lpn,
-                                                         out_pos, page,
-                                                         page_complete]() {
-                ChannelFtl &cf = channels_[ch];
-                // DRAM cache hit: data still dirty in the write-back buffer.
-                auto dirty = dirty_pages_.find(DirtyKey(ch, lpn));
-                if (dirty != dirty_pages_.end()) {
-                    ++stats_.cache_hit_pages;
-                    if (state->out && dirty->second.payload) {
-                        std::memcpy(state->out->data() + out_pos,
-                                    dirty->second.payload->data(),
-                                    std::min<size_t>(page,
-                                        dirty->second.payload->size()));
-                    }
-                    page_complete();
-                    return;
-                }
-                const uint32_t ppn = cf.map->Lookup(lpn);
-                if (ppn == ftl::kUnmappedPage) {
-                    // Never written: zeros, no flash access.
-                    page_complete();
-                    return;
-                }
-                auto buf = state->out
-                               ? std::make_shared<std::vector<uint8_t>>()
-                               : nullptr;
-                flash_->channel(ch).ReadPage(
-                    FlatToPageAddr(flash_->geometry(), ppn),
-                    [this, state, buf, out_pos, page,
-                     page_complete](nand::OpStatus status) {
-                        if (status == nand::OpStatus::kReadUncorrectable) {
-                            state->ok = false;
-                            ++stats_.read_errors;
-                        }
-                        if (state->out && buf) {
-                            std::memcpy(state->out->data() + out_pos,
-                                        buf->data(),
-                                        std::min<size_t>(page, buf->size()));
-                        }
-                        page_complete();
-                    },
-                    buf.get());
-            });
+            auto page_job = [this, r, i]() { ReadHostPage(*r, i); };
+            static_assert(sim::Callback::kFitsInline<decltype(page_job)>);
+            firmware_.Submit(config_.fw_cost_read_page, std::move(page_job));
         }
+    });
+}
+
+void
+ConventionalSsd::ReadHostPage(HostRead &r, uint32_t index)
+{
+    const uint32_t page = PageSize();
+    const uint64_t byte_off = r.offset + uint64_t{index} * page;
+    const uint32_t ch = striping_.ChannelOf(byte_off);
+    const auto lpn =
+        static_cast<uint32_t>(striping_.ChannelOffset(byte_off) / page);
+    const uint64_t out_pos = uint64_t{index} * page;
+
+    // DRAM cache hit: data still dirty in the write-back buffer.
+    auto dirty = dirty_pages_.find(DirtyKey(ch, lpn));
+    if (dirty != dirty_pages_.end()) {
+        ++stats_.cache_hit_pages;
+        if (r.out && dirty->second.payload) {
+            std::memcpy(r.out->data() + out_pos,
+                        dirty->second.payload->data(),
+                        std::min<size_t>(page, dirty->second.payload->size()));
+        }
+        HostPageDone(r);
+        return;
+    }
+    const uint32_t ppn = channels_[ch].map->Lookup(lpn);
+    if (ppn == ftl::kUnmappedPage) {
+        // Never written: zeros, no flash access.
+        HostPageDone(r);
+        return;
+    }
+    auto sensed = [this, r = &r, index](nand::OpStatus status) {
+        if (status == nand::OpStatus::kReadUncorrectable) {
+            r->ok = false;
+            ++stats_.read_errors;
+        }
+        if (r->out) {
+            const std::vector<uint8_t> &data = r->sensed[index];
+            std::memcpy(r->out->data() + uint64_t{index} * PageSize(),
+                        data.data(),
+                        std::min<size_t>(PageSize(), data.size()));
+            r->sensed[index] = std::vector<uint8_t>();  // Copied to out.
+        }
+        HostPageDone(*r);
+    };
+    static_assert(nand::OpCallback::kFitsInline<decltype(sensed)>);
+    flash_->channel(ch).ReadPage(FlatToPageAddr(flash_->geometry(), ppn),
+                                 std::move(sensed),
+                                 r.out ? &r.sensed[index] : nullptr);
+}
+
+void
+ConventionalSsd::HostPageDone(HostRead &r)
+{
+    if (--r.remaining > 0) return;
+    // All flash pages in; stream the payload to the host.
+    link_->TransferToHost(sim_.Now(), r.length, [this, r = &r]() {
+        if (r->done) r->done(r->ok);
+        reads_.erase(r->self);
+        FinishRequest();
     });
 }
 
@@ -592,7 +600,7 @@ ConventionalSsd::GcPump(uint32_t ch)
         cf.gc_pending.pop_back();
         const uint32_t ppn = cf.map->Lookup(lpn);
         if (ppn == ftl::kUnmappedPage || ppn / ppb != cf.gc_victim) {
-            continue;  // Rewritten or trimmed since the victim was chosen.
+            continue;  // Rewritten since the victim was chosen.
         }
         ++cf.gc_inflight;
         auto buf = config_.flash.store_payloads
@@ -673,24 +681,8 @@ ConventionalSsd::GcFinishVictim(uint32_t ch)
 }
 
 // ---------------------------------------------------------------------------
-// Trim and preconditioning
+// Preconditioning
 // ---------------------------------------------------------------------------
-
-void
-ConventionalSsd::Trim(uint64_t offset, uint64_t length)
-{
-    const uint32_t page = PageSize();
-    SDF_CHECK(offset % page == 0 && length % page == 0);
-    SDF_CHECK(offset + length <= user_capacity_);
-    // Advisory: pages still dirty in the cache are not cancelled; callers
-    // must not trim ranges with writes in flight.
-    for (uint64_t b = offset; b < offset + length; b += page) {
-        const uint32_t ch = striping_.ChannelOf(b);
-        const auto lpn =
-            static_cast<uint32_t>(striping_.ChannelOffset(b) / page);
-        channels_[ch].map->Invalidate(lpn);
-    }
-}
 
 void
 ConventionalSsd::PreconditionFill(double fraction)

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -143,9 +144,6 @@ class ConventionalSsd
     void Write(uint64_t offset, uint64_t length, IoCallback done,
                const uint8_t *data = nullptr);
 
-    /** Drop mappings for a page-aligned range (TRIM; extension). */
-    void Trim(uint64_t offset, uint64_t length);
-
     /**
      * Instantly (zero simulated time) fill the first @p fraction of the
      * logical space, as a fresh sequential write would. Used to bring a
@@ -222,11 +220,20 @@ class ConventionalSsd
         std::shared_ptr<std::vector<uint8_t>> payload;
     };
 
+    /** A host read in flight (conventional_ssd.cc). */
+    struct HostRead;
+
     // ---- request admission ------------------------------------------
     void Admit(PendingRequest req);
     void FinishRequest();
     void StartRead(PendingRequest req);
     void StartWrite(PendingRequest req);
+
+    // ---- read path ----------------------------------------------------
+    /** Serve page @p index of @p r from the DRAM cache, or read it. */
+    void ReadHostPage(HostRead &r, uint32_t index);
+    /** A page of @p r is in; the last one streams @p r to the host. */
+    void HostPageDone(HostRead &r);
 
     // ---- cache ---------------------------------------------------------
     void TryAdmitCacheWaiters();
@@ -267,6 +274,11 @@ class ConventionalSsd
 
     uint32_t outstanding_ = 0;
     std::deque<PendingRequest> admission_queue_;
+    /**
+     * Host reads in flight. Their per-page callbacks point into this
+     * list, so a page's closure carries no shared owner.
+     */
+    std::list<HostRead> reads_;
 
     uint64_t cache_used_ = 0;
     std::deque<std::pair<uint64_t, sim::Callback>> cache_waiters_;

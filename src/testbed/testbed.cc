@@ -36,18 +36,8 @@ BuildStorageStack(sim::Simulator &sim, const StackConfig &cfg)
         out.io_stack =
             std::make_unique<host::IoStack>(sim, host::KernelIoStackSpec());
     }
-    if (cfg.ssd_through_block_layer) {
-        // The pluggable-device seam: the SSD adapts into a BlockDevice
-        // and the very same block-layer + patch-storage code runs on it.
-        out.adapter = std::make_unique<ssd::SsdBlockDevice>(sim, *out.ssd);
-        out.layer = std::make_unique<blocklayer::BlockLayer>(
-            sim, *out.adapter, cfg.layer);
-        out.storage = std::make_unique<kv::BlockPatchStorage>(
-            *out.layer, out.io_stack.get());
-    } else {
-        out.storage = std::make_unique<kv::SsdPatchStorage>(
-            *out.ssd, 8 * util::kMiB, out.io_stack.get());
-    }
+    out.storage = std::make_unique<kv::SsdPatchStorage>(
+        *out.ssd, 8 * util::kMiB, out.io_stack.get());
     return out;
 }
 

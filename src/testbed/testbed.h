@@ -12,11 +12,10 @@
  * Backends:
  *  - kBaiduSdf: SdfDevice -> BlockLayer -> BlockPatchStorage (the paper's
  *    stack, user-space I/O costs);
- *  - kHuaweiGen3 / kIntel320: ConventionalSsd. By default through the
- *    legacy flat extent allocator (SsdPatchStorage, kernel I/O costs) for
- *    the paper's comparisons; with `ssd_through_block_layer` the SSD is
- *    adapted into a core::BlockDevice and runs the *same* block-layer
- *    path as SDF — the pluggable-device seam.
+ *  - kHuaweiGen3 / kIntel320: ConventionalSsd -> kernel IoStack ->
+ *    SsdPatchStorage, a flat extent allocator. The SSD's FTL hides its
+ *    channels, so the block layer, which schedules exposed channels, runs
+ *    on SDF only (paper §2.4).
  */
 #ifndef SDF_TESTBED_TESTBED_H
 #define SDF_TESTBED_TESTBED_H
@@ -34,7 +33,6 @@
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
 #include "ssd/conventional_ssd.h"
-#include "ssd/ssd_block_device.h"
 
 namespace sdf::testbed {
 
@@ -66,9 +64,9 @@ struct StackConfig
      *  kernel spec on a conventional SSD). */
     bool with_io_stack = true;
     /**
-     * Run a conventional SSD through the SsdBlockDevice adapter and the
-     * block layer — the unified code path — instead of the legacy flat
-     * extent allocator the paper's comparisons use.
+     * Inert: nothing reads it. It once ran a conventional SSD under the
+     * block layer through an adapter; the frozen benchmark sources
+     * (sdfbench/) still set it, so it stays until they are next revised.
      */
     bool ssd_through_block_layer = false;
     blocklayer::BlockLayerConfig layer;
@@ -76,23 +74,14 @@ struct StackConfig
     std::function<void(core::SdfConfig &)> tune_sdf;
 };
 
-/** An assembled stack; null members depend on backend/config. */
+/** An assembled stack: sdf and layer on SDF, ssd on a conventional SSD. */
 struct StorageStack
 {
     std::unique_ptr<core::SdfDevice> sdf;
     std::unique_ptr<ssd::ConventionalSsd> ssd;
-    std::unique_ptr<ssd::SsdBlockDevice> adapter;
     std::unique_ptr<blocklayer::BlockLayer> layer;
     std::unique_ptr<host::IoStack> io_stack;
     std::unique_ptr<kv::PatchStorage> storage;
-
-    /** The pluggable-interface view, or null on the legacy SSD path. */
-    core::BlockDevice *
-    device()
-    {
-        if (sdf) return sdf.get();
-        return adapter.get();
-    }
 };
 
 /** Build device + (block layer) + I/O stack + patch storage on @p sim. */

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the pluggable device interface and the sharded cluster:
- * consistent-hash ring properties, the SSD block-device adapter behind
- * the unified BlockLayer path, storage-node metric scoping, router
- * sharding/replication, and degraded-mode durability of acked writes.
+ * Tests for the testbed's backends and the sharded cluster:
+ * consistent-hash ring properties, one KV workload on either backend,
+ * storage-node metric scoping, router sharding/replication, and
+ * degraded-mode durability of acked writes.
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "blocklayer/block_layer.h"
 #include "client/kv_client.h"
 #include "cluster/cluster.h"
 #include "cluster/hash_ring.h"
@@ -23,11 +22,8 @@
 #include "fault/fault.h"
 #include "net/network.h"
 #include "obs/hub.h"
-#include "sdf/block_device.h"
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
-#include "ssd/conventional_ssd.h"
-#include "ssd/ssd_block_device.h"
 #include "testbed/testbed.h"
 #include "workload/ycsb.h"
 
@@ -87,124 +83,23 @@ TEST(HashRing, AddingANodeMovesFewKeys)
 }
 
 // ---------------------------------------------------------------------------
-// The SSD block-device adapter
-// ---------------------------------------------------------------------------
-
-struct AdapterFixture
-{
-    sim::Simulator sim;
-    std::unique_ptr<ssd::ConventionalSsd> drive;
-    std::unique_ptr<ssd::SsdBlockDevice> dev;
-
-    AdapterFixture()
-    {
-        ssd::ConventionalSsdConfig cfg = ssd::HuaweiGen3Config(0.02);
-        cfg.flash.timing = nand::FastTestTiming();
-        drive = std::make_unique<ssd::ConventionalSsd>(sim, cfg);
-        dev = std::make_unique<ssd::SsdBlockDevice>(sim, *drive);
-    }
-};
-
-TEST(SsdBlockDevice, CapsDescribeTheAdaptedDevice)
-{
-    AdapterFixture f;
-    const core::DeviceCaps &caps = f.dev->caps();
-    EXPECT_FALSE(caps.explicit_erase);  // Erase is synthesized via Trim.
-    EXPECT_GT(caps.channels, 0u);
-    EXPECT_GT(caps.units_per_channel, 0u);
-    EXPECT_EQ(caps.unit_bytes, 8 * util::kMiB);
-    EXPECT_EQ(caps.user_capacity, uint64_t{caps.channels} *
-                                      caps.units_per_channel *
-                                      caps.unit_bytes);
-    EXPECT_LE(caps.user_capacity, f.drive->user_capacity());
-    // The interface accessors read the same descriptor.
-    EXPECT_EQ(f.dev->channel_count(), caps.channels);
-    EXPECT_EQ(f.dev->unit_bytes(), caps.unit_bytes);
-}
-
-TEST(SsdBlockDevice, EnforcesEraseBeforeWriteContract)
-{
-    AdapterFixture f;
-    core::IoStatus write_status;
-    f.dev->WriteUnit(0, 0, [&](core::IoStatus s) { write_status = s; });
-    f.sim.Run();
-    EXPECT_FALSE(write_status.ok());
-    EXPECT_EQ(write_status.error, core::IoError::kContractViolation);
-
-    // Erase -> write -> read round-trips through the flat SSD space.
-    bool erased = false, written = false, read_ok = false;
-    f.dev->EraseUnit(0, 0, [&](core::IoStatus s) { erased = s.ok(); });
-    f.sim.Run();
-    ASSERT_TRUE(erased);
-    EXPECT_EQ(f.dev->unit_state(0, 0), core::UnitState::kErased);
-    f.dev->WriteUnit(0, 0, [&](core::IoStatus s) { written = s.ok(); });
-    f.sim.Run();
-    ASSERT_TRUE(written);
-    EXPECT_EQ(f.dev->unit_state(0, 0), core::UnitState::kWritten);
-    f.dev->Read(0, 0, 64 * util::kKiB, f.dev->read_unit_bytes(),
-                [&](core::IoStatus s) { read_ok = s.ok(); });
-    f.sim.Run();
-    EXPECT_TRUE(read_ok);
-    EXPECT_GT(f.dev->synthetic_erases(), 0u);
-}
-
-TEST(SsdBlockDevice, RejectsMisalignedReads)
-{
-    AdapterFixture f;
-    core::IoStatus status;
-    f.dev->Read(0, 0, 1234 /* misaligned */, f.dev->read_unit_bytes(),
-                [&](core::IoStatus s) { status = s; });
-    f.sim.Run();
-    EXPECT_EQ(status.error, core::IoError::kContractViolation);
-}
-
-TEST(BlockLayer, RunsUnchangedOnTheAdapter)
-{
-    AdapterFixture f;
-    blocklayer::BlockLayer layer(f.sim, *f.dev,
-                                 blocklayer::BlockLayerConfig{});
-    // The block layer only sees core::BlockDevice; puts/gets/deletes must
-    // behave exactly as on SDF.
-    std::set<uint64_t> stored;
-    for (uint64_t id = 0; id < 12; ++id) {
-        layer.Put(id, [&stored, id](bool ok) {
-            if (ok) stored.insert(id);
-        });
-    }
-    f.sim.Run();
-    EXPECT_EQ(stored.size(), 12u);
-    int reads_ok = 0;
-    for (uint64_t id : stored) {
-        layer.Get(id, 0, f.dev->read_unit_bytes(),
-                  [&reads_ok](bool ok) { reads_ok += ok; });
-    }
-    f.sim.Run();
-    EXPECT_EQ(reads_ok, 12);
-    EXPECT_TRUE(layer.Delete(3));
-    EXPECT_FALSE(layer.Exists(3));
-}
-
-// ---------------------------------------------------------------------------
-// One code path over both backends
+// One KV store over both backends
 // ---------------------------------------------------------------------------
 
 TEST(Testbed, SameKvWorkloadRunsOnEitherBackend)
 {
-    // The same closed-loop put/get sequence against the *same* stack
-    // shape (device -> BlockLayer -> BlockPatchStorage -> Store), only
-    // the backend differs.
+    // The same closed-loop put/get sequence against the same Store; only
+    // the patch storage under it differs (the block layer on SDF, the
+    // extent allocator on a conventional SSD).
     for (const bool on_ssd : {false, true}) {
         sim::Simulator sim;
         testbed::KvStackConfig kc;
         kc.stack.backend = on_ssd ? testbed::Backend::kHuaweiGen3
                                   : testbed::Backend::kBaiduSdf;
-        kc.stack.ssd_through_block_layer = true;
         kc.stack.capacity_scale = 0.02;
         kc.stack.with_io_stack = false;
         kc.store.slice_count = 2;
         testbed::KvStack stack = testbed::BuildKvStack(sim, kc);
-        ASSERT_NE(stack.storage.device(), nullptr);
-        EXPECT_EQ(stack.storage.device()->caps().explicit_erase, !on_ssd);
 
         const workload::KvService svc = workload::ServiceFor(*stack.store);
         int acked = 0, found = 0;

@@ -25,7 +25,6 @@
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
 #include "ssd/conventional_ssd.h"
-#include "ssd/ssd_block_device.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 
@@ -39,10 +38,8 @@ namespace {
 /** Which storage backend hosts the slice under test. */
 enum SliceBackend
 {
-    kOnSdf = 0,        ///< SdfDevice -> BlockLayer -> BlockPatchStorage.
-    kOnSsdExtents,     ///< ConventionalSsd -> legacy flat SsdPatchStorage.
-    kOnSsdAdapter,     ///< ConventionalSsd -> SsdBlockDevice -> BlockLayer
-                       ///< -> BlockPatchStorage (the unified path).
+    kOnSdf = 0,     ///< SdfDevice -> BlockLayer -> BlockPatchStorage.
+    kOnSsdExtents,  ///< ConventionalSsd -> flat SsdPatchStorage.
 };
 
 class SliceGoldenTest
@@ -60,7 +57,6 @@ TEST_P(SliceGoldenTest, RandomOpsMatchReferenceMap)
     // The same LSM logic must hold over every storage backend.
     std::unique_ptr<core::SdfDevice> sdf_device;
     std::unique_ptr<ssd::ConventionalSsd> ssd_device;
-    std::unique_ptr<ssd::SsdBlockDevice> adapter;
     std::unique_ptr<blocklayer::BlockLayer> layer;
     std::unique_ptr<kv::PatchStorage> storage;
     if (backend == kOnSsdExtents) {
@@ -69,14 +65,6 @@ TEST_P(SliceGoldenTest, RandomOpsMatchReferenceMap)
         ssd_device = std::make_unique<ssd::ConventionalSsd>(sim, scfg);
         storage = std::make_unique<kv::SsdPatchStorage>(*ssd_device,
                                                         8 * util::kMiB);
-    } else if (backend == kOnSsdAdapter) {
-        ssd::ConventionalSsdConfig scfg = ssd::HuaweiGen3Config(0.02);
-        scfg.flash.timing = nand::FastTestTiming();
-        ssd_device = std::make_unique<ssd::ConventionalSsd>(sim, scfg);
-        adapter = std::make_unique<ssd::SsdBlockDevice>(sim, *ssd_device);
-        layer = std::make_unique<blocklayer::BlockLayer>(
-            sim, *adapter, blocklayer::BlockLayerConfig{});
-        storage = std::make_unique<kv::BlockPatchStorage>(*layer);
     } else {
         core::SdfConfig dev_cfg = core::BaiduSdfConfig(0.02);
         dev_cfg.flash.timing = nand::FastTestTiming();
@@ -154,10 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{6u, 2u, 5ull, kOnSdf},
                       std::tuple{2u, 2u, 6ull, kOnSsdExtents},
                       std::tuple{3u, 3u, 7ull, kOnSsdExtents},
-                      std::tuple{6u, 2u, 8ull, kOnSsdExtents},
-                      std::tuple{2u, 2u, 6ull, kOnSsdAdapter},
-                      std::tuple{3u, 3u, 7ull, kOnSsdAdapter},
-                      std::tuple{6u, 2u, 8ull, kOnSsdAdapter}));
+                      std::tuple{6u, 2u, 8ull, kOnSsdExtents}));
 
 // ---------------------------------------------------------------------------
 // Block layer vs golden id set

@@ -97,9 +97,11 @@ TEST(HashRingMembership, RemovalOnlyMovesTheDeadNodesKeys)
 // ---------------------------------------------------------------------------
 
 testbed::KvStackConfig
-SmallStack(uint32_t slices)
+SmallStack(uint32_t slices,
+           testbed::Backend backend = testbed::Backend::kBaiduSdf)
 {
     testbed::KvStackConfig kc;
+    kc.stack.backend = backend;
     kc.stack.capacity_scale = 0.02;
     kc.stack.with_io_stack = false;
     kc.stack.tune_sdf = [](core::SdfConfig &dc) {
@@ -197,11 +199,26 @@ TEST(StoreRecovery, TombstonesSurviveRestart)
     EXPECT_EQ(live.count(2), 0u);
 }
 
-TEST(StoreRecovery, JournalMirrorsStoredPatches)
+/** The backends a restart test runs on: SDF and a conventional SSD. */
+const auto kBackends = ::testing::Values(testbed::Backend::kBaiduSdf,
+                                         testbed::Backend::kHuaweiGen3);
+
+std::string
+BackendParamName(const ::testing::TestParamInfo<testbed::Backend> &info)
+{
+    return info.param == testbed::Backend::kBaiduSdf ? "BaiduSdf"
+                                                     : "HuaweiGen3";
+}
+
+class StoreRecoveryTest : public ::testing::TestWithParam<testbed::Backend>
+{
+};
+
+TEST_P(StoreRecoveryTest, JournalMirrorsStoredPatches)
 {
     sim::Simulator sim;
     kv::StoreJournal journal;
-    const testbed::KvStackConfig kc = SmallStack(2);
+    const testbed::KvStackConfig kc = SmallStack(2, GetParam());
     testbed::KvStack stack = testbed::BuildKvStack(sim, kc, &journal);
 
     for (uint64_t key = 1; key <= 40; ++key) {
@@ -224,16 +241,21 @@ TEST(StoreRecovery, JournalMirrorsStoredPatches)
     }
 }
 
+INSTANTIATE_TEST_SUITE_P(Backends, StoreRecoveryTest, kBackends,
+                         BackendParamName);
+
 // ---------------------------------------------------------------------------
 // Cluster node restart
 // ---------------------------------------------------------------------------
 
 cluster::ClusterConfig
-SmallCluster(uint32_t nodes, uint32_t replication)
+SmallCluster(uint32_t nodes, uint32_t replication,
+             testbed::Backend backend = testbed::Backend::kBaiduSdf)
 {
     cluster::ClusterConfig cc;
     cc.nodes = nodes;
     cc.replication = replication;
+    cc.node.kv.stack.backend = backend;
     cc.node.kv.stack.capacity_scale = 0.02;
     cc.node.kv.stack.with_io_stack = false;
     cc.node.kv.store.slice_count = 2;
@@ -266,10 +288,15 @@ AuditRange(cluster::Cluster &cl, uint64_t first, uint64_t last)
     return keys.size() - cl.AuditKeys(keys).lost;
 }
 
-TEST(ClusterRecovery, RestartPreservesEveryAckedWrite)
+class ClusterRecoveryTest
+    : public ::testing::TestWithParam<testbed::Backend>
+{
+};
+
+TEST_P(ClusterRecoveryTest, RestartPreservesEveryAckedWrite)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, SmallCluster(3, 2));
+    cluster::Cluster cl(sim, SmallCluster(3, 2, GetParam()));
     // Flushed generation: on-device patches at stop time.
     PutRange(sim, cl, 1, 30, 16 * util::kKiB);
     cl.FlushAll();
@@ -304,6 +331,9 @@ TEST(ClusterRecovery, RestartPreservesEveryAckedWrite)
     EXPECT_EQ(AuditRange(cl, 1, 60), 60u);
     EXPECT_EQ(cl.rebalancer().CountUnderReplicated(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, ClusterRecoveryTest, kBackends,
+                         BackendParamName);
 
 TEST(ClusterRecovery, EpochChangeMidGetRestartsAgainstFreshPlacement)
 {

@@ -286,22 +286,6 @@ TEST(ConventionalSsd, LowerOpMeansMoreWriteAmplification)
     EXPECT_GT(wa_low_op, wa_high_op);
 }
 
-TEST(ConventionalSsd, TrimInvalidatesMappings)
-{
-    sim::Simulator sim;
-    ConventionalSsd dev(sim, TinyConfig(/*payloads=*/true));
-    const uint32_t page = PageSize(dev);
-    const auto payload = util::MakeDeterministicPayload(page, 9);
-    WriteAll(sim, dev, 0, page, payload.data());
-    sim.Run();
-    dev.Trim(0, page);
-
-    std::vector<uint8_t> out;
-    dev.Read(0, page, nullptr, &out);
-    sim.Run();
-    for (uint8_t b : out) EXPECT_EQ(b, 0);
-}
-
 TEST(ConventionalSsd, PreconditionFillMapsLogicalSpace)
 {
     sim::Simulator sim;

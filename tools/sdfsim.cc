@@ -101,7 +101,9 @@ PrintHelp()
     std::puts(
         "sdfsim — drive the SDF-reproduction devices from the command line\n"
         "\n"
-        "  --device=sdf|huawei|intel|memblaze   device model (default sdf)\n"
+        "  --device=sdf|huawei|intel|memblaze   device model (default sdf);\n"
+        "                       kv and cluster modes take sdf|huawei|intel,\n"
+        "                       faults and --kill-node sdf only\n"
         "  --workload=seqread|randread|write|randwrite|kvread|kvwrite|scan\n"
         "             |faults|cluster|overload|ycsb\n"
         "  --request=<n>[k|m]   request size, whole device pages (default "
@@ -269,6 +271,34 @@ ConventionalConfig(const Options &opt)
     return cfg;
 }
 
+/** The modes that run a cluster (RunClusterWorkload). */
+bool
+IsClusterMode(const std::string &workload)
+{
+    return workload == "cluster" || workload == "overload" ||
+           workload == "ycsb";
+}
+
+/** The modes that run one KV testbed (RunKv). */
+bool
+IsKvMode(const std::string &workload)
+{
+    return workload.rfind("kv", 0) == 0 || workload == "scan";
+}
+
+/**
+ * The KV-stack backend a --device name runs on, or none when the device
+ * has no KV stack (memblaze runs in the raw device modes only).
+ */
+std::optional<testbed::Backend>
+BackendFor(const std::string &device)
+{
+    if (device == "sdf") return testbed::Backend::kBaiduSdf;
+    if (device == "huawei") return testbed::Backend::kHuaweiGen3;
+    if (device == "intel") return testbed::Backend::kIntel320;
+    return std::nullopt;
+}
+
 /** Reject values the workloads cannot run with. @return an error or "". */
 std::string
 Validate(const Options &opt)
@@ -277,6 +307,21 @@ Validate(const Options &opt)
         opt.device != "intel" && opt.device != "memblaze") {
         return "--device=" + opt.device +
                ": unknown device (sdf|huawei|intel|memblaze)";
+    }
+    const bool cluster_mode = IsClusterMode(opt.workload);
+    if ((cluster_mode || IsKvMode(opt.workload)) && !BackendFor(opt.device)) {
+        return "--device=" + opt.device + ": no KV stack for --workload=" +
+               opt.workload + " (sdf|huawei|intel)";
+    }
+    // The campaign and --kill-node fail SDF channels; a conventional SSD
+    // hides its channels behind its FTL.
+    if (opt.workload == "faults" && opt.device != "sdf") {
+        return "--workload=faults injects SDF device faults; --device=" +
+               opt.device + " has none";
+    }
+    if (cluster_mode && opt.kill_node >= 0 && opt.device != "sdf") {
+        return "--kill-node kills SDF channels; --device=" + opt.device +
+               " exposes none";
     }
     if (!workload::IsYcsbProfile(opt.profile)) {
         return "--profile=" + opt.profile +
@@ -729,13 +774,7 @@ ClusterConfigFor(const Options &opt)
     cluster::ClusterConfig cc;
     cc.nodes = opt.nodes;
     cc.replication = opt.replication;
-    cc.node.kv.stack.backend =
-        opt.device == "huawei"  ? testbed::Backend::kHuaweiGen3
-        : opt.device == "intel" ? testbed::Backend::kIntel320
-                                : testbed::Backend::kBaiduSdf;
-    // Conventional backends run through the block-device adapter so every
-    // node uses the same unified code path.
-    cc.node.kv.stack.ssd_through_block_layer = true;
+    cc.node.kv.stack.backend = *BackendFor(opt.device);
     cc.node.kv.stack.capacity_scale = opt.scale;
     cc.node.kv.stack.tune_sdf = [&opt](core::SdfConfig &dc) {
         ApplyErrorOverrides(dc, opt);
@@ -1148,10 +1187,7 @@ RunClusterWorkload(Options &opt)
 int
 RunKv(Options &opt)
 {
-    using testbed::Backend;
-    const Backend kind = opt.device == "huawei"  ? Backend::kHuaweiGen3
-                         : opt.device == "intel" ? Backend::kIntel320
-                                                 : Backend::kBaiduSdf;
+    const testbed::Backend kind = *BackendFor(opt.device);
     testbed::KvTestbed bed(kind, opt.slices, opt.slices, opt.scale, {},
                            opt.obs.hub());
     workload::KvRunConfig run;
@@ -1210,13 +1246,8 @@ main(int argc, char **argv)
     }
 
     if (opt.workload == "faults") return sdf::RunFaults(opt);
-    if (opt.workload == "cluster" || opt.workload == "overload" ||
-        opt.workload == "ycsb") {
-        return sdf::RunClusterWorkload(opt);
-    }
-    if (opt.workload.rfind("kv", 0) == 0 || opt.workload == "scan") {
-        return sdf::RunKv(opt);
-    }
+    if (sdf::IsClusterMode(opt.workload)) return sdf::RunClusterWorkload(opt);
+    if (sdf::IsKvMode(opt.workload)) return sdf::RunKv(opt);
     if (opt.device == "sdf") return sdf::RunRawSdf(opt);
     return sdf::RunRawConventional(opt);
 }
