@@ -104,10 +104,8 @@ RunMixed(double op)
             sim, [&, cursor, req, cap](sim::Callback done) {
                 const uint64_t off = (*cursor)++ * req % (cap - req);
                 stack.Issue(
-                    [&, off, req](sim::Callback d) {
-                        auto dp =
-                            std::make_shared<sim::Callback>(std::move(d));
-                        device.Read(off, req, [dp](bool) { (*dp)(); });
+                    [&, off, req](host::IoStack::Completion d) {
+                        device.Read(off, req, [d](bool) { d(); });
                     },
                     [&, done = std::move(done)]() {
                         if (measuring) read_bytes += req;

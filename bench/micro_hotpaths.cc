@@ -3,9 +3,11 @@
  * google-benchmark microbenchmarks for the hot paths of the simulator and
  * the library algorithms: event queue throughput, the per-page unit write
  * and read paths of the SDF device, FTL map operations, GC victim
- * selection, the compaction merge kernel, and the striping address math.
+ * selection, the compaction merge kernel, a slice's DRAM index (bytes per
+ * preloaded key and lookups), and the striping address math.
  */
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <vector>
 
@@ -13,8 +15,10 @@
 #include "ftl/striping.h"
 #include "ftl/wear_leveler.h"
 #include "kv/patch.h"
+#include "kv/store.h"
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
+#include "testbed/testbed.h"
 #include "util/rng.h"
 
 namespace sdf {
@@ -164,6 +168,105 @@ BM_CompactionMerge(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * runs * 64);
 }
 BENCHMARK(BM_CompactionMerge)->Arg(4)->Arg(16);
+
+/** sdfbench's ccdb_write_compaction stack: one SDF node, 16 slices. */
+testbed::KvStack
+CcdbStack(sim::Simulator &sim)
+{
+    testbed::KvStackConfig kc;
+    kc.stack.capacity_scale = 0.10;
+    kc.store.slice_count = 16;
+    return testbed::BuildKvStack(sim, kc);
+}
+
+/** Keys in the ccdb preload: 4,096 4-KiB values per slice. */
+constexpr uint64_t kPreloadKeys = 65536;
+
+/**
+ * Install 4 KiB values for keys 1..kPreloadKeys as sorted full patches
+ * in their own slices, as ccdb_write_compaction's preload does.
+ */
+void
+PreloadCcdb(kv::Store &store)
+{
+    const uint64_t per_patch = store.slice(0).patch_bytes() / (4 * 1024);
+    std::vector<std::vector<kv::KvItem>> pending(store.slice_count());
+    for (uint64_t key = 1; key <= kPreloadKeys; ++key) {
+        const uint32_t s = store.SliceOf(key);
+        pending[s].push_back(kv::KvItem{key, 4 * 1024, nullptr, false});
+        if (pending[s].size() == per_patch) {
+            SDF_CHECK(store.slice(s).DebugPreloadPatch(std::move(pending[s])));
+            pending[s].clear();
+        }
+    }
+    for (uint32_t s = 0; s < store.slice_count(); ++s) {
+        if (!pending[s].empty())
+            SDF_CHECK(store.slice(s).DebugPreloadPatch(std::move(pending[s])));
+    }
+}
+
+void
+BM_SlicePreload(benchmark::State &state)
+{
+    // The slices' DRAM cost per stored key: patch entries, the index and
+    // the block layer's bookkeeping the preload adds, from the heap's
+    // in-use bytes before and after it.
+    double bytes_per_key = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        {
+            sim::Simulator sim;
+            testbed::KvStack stack = CcdbStack(sim);
+            const size_t before = mallinfo2().uordblks;
+            state.ResumeTiming();
+            PreloadCcdb(*stack.store);
+            benchmark::DoNotOptimize(
+                stack.store->slice(0).total_indexed_keys());
+            state.PauseTiming();
+            bytes_per_key =
+                static_cast<double>(mallinfo2().uordblks - before) /
+                static_cast<double>(kPreloadKeys);
+        }
+        state.ResumeTiming();
+    }
+    state.counters["bytes_per_key"] = bytes_per_key;
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(kPreloadKeys));
+}
+BENCHMARK(BM_SlicePreload)->Unit(benchmark::kMillisecond);
+
+void
+BM_SliceGet(benchmark::State &state)
+{
+    // Gets on one preloaded slice, 256 at a time. Arg 1: stored keys (an
+    // index hit and one device read each); arg 0: keys the slice never
+    // stored (the index's probe alone answers).
+    const bool hits = state.range(0) != 0;
+    sim::Simulator sim;
+    testbed::KvStack stack = CcdbStack(sim);
+    PreloadCcdb(*stack.store);
+    kv::Store &store = *stack.store;
+    std::vector<uint64_t> keys;
+    const uint64_t first = hits ? 1 : kPreloadKeys + 1;
+    for (uint64_t key = first; key < first + kPreloadKeys; ++key)
+        if (store.SliceOf(key) == 0) keys.push_back(key);
+    util::Rng rng(7);
+    uint64_t found = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < 256; ++i) {
+            store.slice(0).Get(keys[rng.NextBelow(keys.size())],
+                               [&found](const kv::GetResult &r) {
+                                   found += r.found ? 1 : 0;
+                               });
+        }
+        sim.Run();
+    }
+    benchmark::DoNotOptimize(found);
+    const auto gets = static_cast<uint64_t>(state.iterations()) * 256;
+    SDF_CHECK(found == (hits ? gets : 0));
+    state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_SliceGet)->Arg(1)->Arg(0);
 
 void
 BM_StripingSplit(benchmark::State &state)

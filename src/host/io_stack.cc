@@ -60,18 +60,51 @@ IoStack::Issue(Operation op, sim::Callback done, obs::IoSpan *span)
 {
     ++requests_;
     cpu_time_ += spec_.issue_cost + spec_.completion_cost;
-    PickCpu().Submit(spec_.issue_cost, [this, op = std::move(op), span,
-                                        done = std::move(done)]() mutable {
+    if (free_.empty()) free_.push_back(&pool_.emplace_back());
+    Request *r = free_.back();
+    free_.pop_back();
+    r->op = std::move(op);
+    r->done = std::move(done);
+    r->span = span;
+    auto issue = [this, r]() {
         // Whatever the device does next is its own stage; mark the default
         // (kDevice) in case it records nothing finer.
-        if (span != nullptr) span->Enter(obs::Stage::kDevice, sim_.Now());
-        op([this, span, done = std::move(done)]() mutable {
-            if (span != nullptr) {
-                span->Enter(obs::Stage::kHostComplete, sim_.Now());
-            }
-            PickCpu().Submit(spec_.completion_cost, std::move(done));
-        });
-    });
+        if (r->span != nullptr) {
+            r->span->Enter(obs::Stage::kDevice, sim_.Now());
+        }
+        Operation run = std::move(r->op);
+        run(Completion(this, r));
+    };
+    static_assert(sim::Callback::kFitsInline<decltype(issue)>);
+    PickCpu().Submit(spec_.issue_cost, std::move(issue));
+}
+
+void
+IoStack::Complete(Request *r)
+{
+    if (r->span != nullptr) {
+        r->span->Enter(obs::Stage::kHostComplete, sim_.Now());
+    }
+    if (!r->done) {
+        // Nobody waits: the completion cost only occupies the CPU.
+        Release(r);
+        PickCpu().Submit(spec_.completion_cost, nullptr);
+        return;
+    }
+    auto finish = [this, r]() {
+        sim::Callback done = std::move(r->done);
+        Release(r);
+        done();
+    };
+    static_assert(sim::Callback::kFitsInline<decltype(finish)>);
+    PickCpu().Submit(spec_.completion_cost, std::move(finish));
+}
+
+void
+IoStack::Release(Request *r)
+{
+    r->span = nullptr;
+    free_.push_back(r);
 }
 
 }  // namespace sdf::host

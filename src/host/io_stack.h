@@ -12,6 +12,7 @@
 #define SDF_HOST_IO_STACK_H
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -45,12 +46,17 @@ IoStackSpec NullIoStackSpec();
 /**
  * Charges stack CPU costs around asynchronous device operations.
  *
- * An operation is a callable that takes a completion callback; Issue()
- * charges the issue cost on a host CPU, invokes the operation, and charges
- * the completion cost before delivering the final callback.
+ * An operation is a callable that takes a completion; Issue() charges the
+ * issue cost on a host CPU, invokes the operation, and charges the
+ * completion cost before delivering the final callback. The stack owns
+ * each request from Issue() to its final callback, so its closures and
+ * the completion an operation holds are a pointer or two: no request
+ * allocates once the stack has served as many at once before.
  */
 class IoStack
 {
+    struct Request;
+
   public:
     /** @param cpu_count Host hardware threads (2x E5620 = 16 in Table 2). */
     IoStack(sim::Simulator &sim, const IoStackSpec &spec,
@@ -59,8 +65,27 @@ class IoStack
     IoStack(const IoStack &) = delete;
     IoStack &operator=(const IoStack &) = delete;
 
-    /** Operation: called with the callback it must invoke when done. */
-    using Operation = std::function<void(sim::Callback done)>;
+    /**
+     * What an operation calls, once, when the device is done. Two words
+     * and trivially copyable, so a device callback that captures it stays
+     * inline even in a std::function; it also converts to sim::Callback.
+     */
+    class Completion
+    {
+      public:
+        void operator()() const { stack_->Complete(request_); }
+
+      private:
+        friend class IoStack;
+        Completion(IoStack *stack, Request *request)
+            : stack_(stack), request_(request) {}
+
+        IoStack *stack_;
+        Request *request_;
+    };
+
+    /** Operation: called with the completion it must invoke when done. */
+    using Operation = sim::Func<void(Completion done)>;
 
     /**
      * Run @p op through the stack; @p done fires after completion cost.
@@ -76,13 +101,26 @@ class IoStack
     const IoStackSpec &spec() const { return spec_; }
 
   private:
+    /** One request from Issue() to its final callback. */
+    struct Request
+    {
+        Operation op;
+        sim::Callback done;
+        obs::IoSpan *span = nullptr;
+    };
+
     sim::FifoResource &PickCpu();
+    /** The device finished @p r: charge the completion cost. */
+    void Complete(Request *r);
+    void Release(Request *r);
 
     sim::Simulator &sim_;
     IoStackSpec spec_;
     std::vector<std::unique_ptr<sim::FifoResource>> cpus_;
     TimeNs cpu_time_ = 0;
     uint64_t requests_ = 0;
+    std::deque<Request> pool_;     ///< Every request made; never moves.
+    std::vector<Request *> free_;  ///< Pool entries not in flight.
 };
 
 /**

@@ -8,20 +8,40 @@
 
 namespace sdf::kv {
 
+namespace {
+
+/** Largest value a PatchEntry's 31-bit size holds. */
+constexpr uint32_t kMaxEntrySize = (1u << 31) - 1;
+
+/** Check that a value at @p offset of @p value_size fits an entry. */
+uint32_t
+EntryOffset(uint64_t offset, uint64_t value_size)
+{
+    SDF_CHECK_MSG(offset <= UINT32_MAX && value_size <= kMaxEntrySize,
+                  "patch entry offset or size out of range");
+    return static_cast<uint32_t>(offset);
+}
+
+}  // namespace
+
 PatchMeta
-PatchMeta::Build(uint64_t id, uint64_t seq, std::vector<KvItem> items,
+PatchMeta::Build(uint64_t id, uint64_t seq, std::vector<KvItem> &items,
                  uint64_t patch_bytes)
 {
     std::sort(items.begin(), items.end(),
               [](const KvItem &a, const KvItem &b) { return a.key < b.key; });
     PatchMeta meta;
     meta.id_ = id;
-    meta.entries_.reserve(items.size());
+    meta.entries_.resize(items.size());
     uint64_t offset = 0;
-    for (const KvItem &item : items) {
-        meta.entries_.push_back(PatchEntry{item.key, offset, item.value_size,
-                                           seq, item.tombstone});
-        offset += item.value_size;
+    for (size_t i = 0; i < items.size(); ++i) {
+        PatchEntry &e = meta.entries_[i];
+        e.key = items[i].key;
+        e.seq = seq;
+        e.offset = EntryOffset(offset, items[i].value_size);
+        e.value_size = items[i].value_size;
+        e.tombstone = items[i].tombstone;
+        offset += items[i].value_size;
     }
     SDF_CHECK_MSG(offset <= patch_bytes, "items exceed patch capacity");
     meta.data_bytes_ = offset;
@@ -36,7 +56,7 @@ PatchMeta::FromEntries(uint64_t id, std::vector<PatchEntry> entries,
     meta.id_ = id;
     uint64_t offset = 0;
     for (PatchEntry &e : entries) {
-        e.offset = offset;
+        e.offset = EntryOffset(offset, e.value_size);
         offset += e.value_size;
     }
     SDF_CHECK_MSG(offset <= patch_bytes, "entries exceed patch capacity");

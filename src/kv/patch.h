@@ -15,26 +15,32 @@
 
 namespace sdf::kv {
 
-/** One record inside a patch. */
+/**
+ * One record inside a patch. A patch is one 8 MB unit, so an offset fits
+ * 32 bits and a size 31; the builders check both. At 24 bytes the entry
+ * is the only DRAM copy of a stored key: the slice's index refers to it.
+ */
 struct PatchEntry
 {
     uint64_t key = 0;
-    uint64_t offset = 0;      ///< Byte offset of the value in the patch.
-    uint32_t value_size = 0;
-    uint64_t seq = 0;         ///< Version: higher = newer.
-    bool tombstone = false;   ///< Deletion marker.
+    uint64_t seq = 0;                  ///< Version: higher = newer.
+    uint32_t offset = 0;               ///< Byte offset of the value.
+    uint32_t value_size : 31 = 0;
+    bool tombstone : 1 = false;        ///< Deletion marker.
 };
+static_assert(sizeof(PatchEntry) == 24);
 
 /** Immutable, key-sorted description of one patch. */
 class PatchMeta
 {
   public:
     /**
-     * Lay out @p items key-sorted from offset 0 and stamp them with
-     * version @p seq. Total item bytes must fit in @p patch_bytes.
+     * Sort @p items by key in place, then lay them out from offset 0 and
+     * stamp them with version @p seq: entry i describes items[i]. Total
+     * item bytes must fit in @p patch_bytes.
      */
     static PatchMeta Build(uint64_t id, uint64_t seq,
-                           std::vector<KvItem> items, uint64_t patch_bytes);
+                           std::vector<KvItem> &items, uint64_t patch_bytes);
 
     /** Build from pre-sorted entries (compaction output). */
     static PatchMeta FromEntries(uint64_t id, std::vector<PatchEntry> entries,

@@ -24,13 +24,10 @@ ThroughStack(host::IoStack *stack,
     }
     auto st = std::make_shared<core::IoStatus>(core::IoError::kWriteFailed);
     stack->Issue(
-        [op = std::move(op), st](sim::Callback d) {
-            // PatchCallback is a copyable std::function; box the move-only
-            // stack completion so the adapter closure stays copyable.
-            auto dp = std::make_shared<sim::Callback>(std::move(d));
-            op([st, dp](core::IoStatus status) {
+        [op = std::move(op), st](host::IoStack::Completion d) {
+            op([st, d](core::IoStatus status) {
                 *st = status;
-                (*dp)();
+                d();
             });
         },
         [st, done = std::move(done)]() {

@@ -121,25 +121,19 @@ Slice::CollectRange(uint64_t start_key, size_t limit,
         if (filter && *filter && !(*filter)(key)) return;
         out[key] = value_size;
     };
-    for (const auto &[key, e] : index_) {
-        if (e.tombstone) continue;
-        add(key, e.value_size);
-    }
-    for (const auto &[key, i] : imm_index_) {
-        const KvItem &item = imm_items_[i];
-        if (item.tombstone) {
-            out.erase(key);
-        } else {
-            add(key, item.value_size);
-        }
-    }
-    mem_.ForEachNewest([&](const KvItem &item) {
+    index_.ForEach([&](const EntryRef &ref) {
+        const PatchEntry &e = ref.entry();
+        if (!e.tombstone) add(e.key, e.value_size);
+    });
+    auto merge = [&](const KvItem &item) {
         if (item.tombstone) {
             out.erase(item.key);
         } else {
             add(item.key, item.value_size);
         }
-    });
+    };
+    for (const KvItem &item : imm_items_) merge(item);
+    mem_.ForEachNewest(merge);
     while (out.size() > limit) out.erase(std::prev(out.end()));
 }
 
@@ -157,12 +151,12 @@ Slice::ReadValue(uint64_t key, GetCallback done)
         respond_mem(*m);
         return;
     }
-    if (auto it = imm_index_.find(key); it != imm_index_.end()) {
-        respond_mem(imm_items_[it->second]);
+    if (const KvItem *f = FindFlushing(key)) {
+        respond_mem(*f);
         return;
     }
-    auto idx = index_.find(key);
-    if (idx == index_.end() || idx->second.tombstone) {
+    const EntryRef *ref = index_.Find(key);
+    if (ref == nullptr || ref->entry().tombstone) {
         sim_.Post([done = std::move(done)]() {
             done(GetResult{false, true, 0, nullptr});
         });
@@ -254,9 +248,13 @@ Slice::AddPut(KvItem item, PutCallback done)
     }
     mem_.Add(std::move(item));
     // Acknowledge after the write-ahead log append (separate log device).
-    sim_.Schedule(kLogLatency, [done = std::move(done)]() {
-        if (done) done(true);
-    });
+    // A replayed record has no one to ack: its append only raises the
+    // clock's horizon.
+    if (done) {
+        sim_.Schedule(kLogLatency, [done = std::move(done)]() { done(true); });
+    } else {
+        sim_.Schedule(kLogLatency, nullptr);
+    }
 }
 
 void
@@ -274,7 +272,7 @@ Slice::DebugPreloadPatch(std::vector<KvItem> items)
     if (!storage_.DebugInstallPatch(id)) return false;
     const uint64_t seq = next_seq_++;
     auto meta = std::make_shared<PatchMeta>(
-        PatchMeta::Build(id, seq, std::move(items), storage_.patch_bytes()));
+        PatchMeta::Build(id, seq, items, storage_.patch_bytes()));
     // Preloaded patches are "already sorted" history: park them in the
     // last level so they do not trigger compaction (Figure 14's setup).
     if (levels_.size() < config_.max_levels)
@@ -300,11 +298,9 @@ Slice::StartFlush()
     // prefix is covered); truncate it when the patch lands.
     wal_mark_ = journal_ ? journal_->wal.size() : 0;
 
+    // Build sorts the items in place: gets binary-search them until the
+    // patch lands.
     imm_items_ = mem_.TakeAll();
-    imm_index_.clear();
-    for (size_t i = 0; i < imm_items_.size(); ++i)
-        imm_index_[imm_items_[i].key] = i;
-
     const uint64_t seq = next_seq_++;
     const uint64_t id = ids_.Next();
     auto meta = std::make_shared<PatchMeta>(
@@ -351,7 +347,6 @@ Slice::FinishFlush(bool ok, std::shared_ptr<PatchMeta> meta)
     }
     wal_mark_ = 0;
     imm_items_.clear();
-    imm_index_.clear();
     flush_active_ = false;
 
     // Replay puts that stalled behind this flush.
@@ -395,12 +390,12 @@ Slice::Get(uint64_t key, GetCallback done)
         respond_mem(*m);
         return;
     }
-    if (auto it = imm_index_.find(key); it != imm_index_.end()) {
-        respond_mem(imm_items_[it->second]);
+    if (const KvItem *f = FindFlushing(key)) {
+        respond_mem(*f);
         return;
     }
-    auto idx = index_.find(key);
-    if (idx == index_.end() || idx->second.tombstone) {
+    const EntryRef *ref = index_.Find(key);
+    if (ref == nullptr || ref->entry().tombstone) {
         ++stats_.gets_not_found;
         sim_.Post([done = std::move(done)]() {
             done(GetResult{false, true, 0, nullptr});
@@ -413,18 +408,22 @@ Slice::Get(uint64_t key, GetCallback done)
 void
 Slice::DoStorageGet(uint64_t key, GetCallback done, int attempts)
 {
-    auto it = index_.find(key);
-    if (it == index_.end() || it->second.tombstone) {
+    const EntryRef *ref = index_.Find(key);
+    if (ref == nullptr || ref->entry().tombstone) {
         ++stats_.gets_not_found;
         sim_.Post([done = std::move(done)]() {
             done(GetResult{false, true, 0, nullptr});
         });
         return;
     }
-    const IndexEntry loc = it->second;
+    // Copy the location out: the patch may be compacted away, and the
+    // slot re-pointed, before the read completes.
+    const uint64_t patch_id = ref->patch->id();
+    const uint64_t offset = ref->entry().offset;
+    const uint32_t value_size = ref->entry().value_size;
     const uint64_t align = storage_.alignment();
-    const uint64_t start = loc.offset / align * align;
-    uint64_t end = loc.offset + loc.value_size;
+    const uint64_t start = offset / align * align;
+    uint64_t end = offset + value_size;
     end = (end + align - 1) / align * align;
     end = std::min(end, storage_.patch_bytes());
     const uint64_t aligned_len = std::max<uint64_t>(end - start, align);
@@ -433,9 +432,9 @@ Slice::DoStorageGet(uint64_t key, GetCallback done, int attempts)
                    ? std::make_shared<std::vector<uint8_t>>()
                    : nullptr;
     storage_.GetRange(
-        loc.patch_id, start, aligned_len,
-        [this, key, loc, start, out, attempts, done = std::move(done)](
-            bool ok) mutable {
+        patch_id, start, aligned_len,
+        [this, key, offset, value_size, start, out, attempts,
+         done = std::move(done)](bool ok) mutable {
             if (!ok) {
                 // The patch may have been compacted away mid-read; retry
                 // through the (updated) index.
@@ -449,12 +448,12 @@ Slice::DoStorageGet(uint64_t key, GetCallback done, int attempts)
             }
             GetResult r;
             r.found = true;
-            r.value_size = loc.value_size;
+            r.value_size = value_size;
             if (out) {
-                const size_t rel = static_cast<size_t>(loc.offset - start);
+                const size_t rel = static_cast<size_t>(offset - start);
                 r.payload = std::make_shared<std::vector<uint8_t>>(
                     out->begin() + static_cast<long>(rel),
-                    out->begin() + static_cast<long>(rel + loc.value_size));
+                    out->begin() + static_cast<long>(rel + value_size));
             }
             done(r);
         },
@@ -464,12 +463,17 @@ Slice::DoStorageGet(uint64_t key, GetCallback done, int attempts)
 void
 Slice::UpdateIndex(const PatchMeta &meta)
 {
-    for (const PatchEntry &e : meta.entries()) {
-        auto it = index_.find(e.key);
-        if (it != index_.end() && e.seq < it->second.seq) continue;
-        index_[e.key] =
-            IndexEntry{meta.id(), e.offset, e.value_size, e.seq, e.tombstone};
-    }
+    const auto n = static_cast<uint32_t>(meta.entries().size());
+    for (uint32_t i = 0; i < n; ++i) index_.Upsert(meta, i);
+}
+
+const KvItem *
+Slice::FindFlushing(uint64_t key) const
+{
+    auto it = std::lower_bound(
+        imm_items_.begin(), imm_items_.end(), key,
+        [](const KvItem &item, uint64_t k) { return item.key < k; });
+    return it != imm_items_.end() && it->key == key ? &*it : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -653,10 +657,10 @@ Slice::FinishCompaction()
         for (const auto &input : compaction_inputs_) {
             for (const PatchEntry &e : input->entries()) {
                 if (!e.tombstone) continue;
-                auto it = index_.find(e.key);
-                if (it != index_.end() && it->second.tombstone &&
-                    it->second.seq == e.seq) {
-                    index_.erase(it);
+                const EntryRef *ref = index_.Find(e.key);
+                if (ref != nullptr && ref->entry().tombstone &&
+                    ref->entry().seq == e.seq) {
+                    index_.Erase(e.key);
                 }
             }
         }

@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "kv/key_index.h"
 #include "kv/memtable.h"
 #include "kv/patch.h"
 #include "kv/patch_storage.h"
@@ -158,21 +159,6 @@ class Slice
     uint64_t total_indexed_keys() const { return index_.size(); }
 
   private:
-    struct IndexEntry
-    {
-        uint64_t patch_id;
-        uint64_t offset;
-        uint32_t value_size;
-        uint64_t seq;
-        /**
-         * Deletion marker. Kept in the index (rather than erasing the
-         * entry) so an in-flight compaction re-registering an older
-         * version of the key cannot resurrect it; removed when the
-         * marker itself is discarded at bottom-level compaction.
-         */
-        bool tombstone = false;
-    };
-
     void AddPut(KvItem item, PutCallback done);
     void PutItem(KvItem item, PutCallback done);
     void RecoverFromJournal();
@@ -184,6 +170,8 @@ class Slice
     void CompactionWriteNext();
     void FinishCompaction();
     void UpdateIndex(const PatchMeta &meta);
+    /** The flushing memtable's item for @p key, or nullptr. */
+    const KvItem *FindFlushing(uint64_t key) const;
     void DoStorageGet(uint64_t key, GetCallback done, int attempts);
 
     sim::Simulator &sim_;
@@ -196,15 +184,22 @@ class Slice
     bool detached_ = false;
 
     MemTable mem_;
-    std::vector<KvItem> imm_items_;            ///< Items being flushed.
-    std::unordered_map<uint64_t, size_t> imm_index_;
+    /** Items being flushed, key-sorted (the flushing patch's order). */
+    std::vector<KvItem> imm_items_;
     bool flush_active_ = false;
     std::deque<std::pair<KvItem, PutCallback>> stalled_puts_;
 
     uint64_t next_seq_ = 1;
     /** levels_[0] = freshest runs; each run is one patch. */
     std::vector<std::vector<std::shared_ptr<PatchMeta>>> levels_;
-    std::unordered_map<uint64_t, IndexEntry> index_;
+    /**
+     * Every stored key's newest version. A deletion marker stays indexed
+     * (rather than erasing the key) so an in-flight compaction
+     * re-registering an older version cannot resurrect the key; it goes
+     * when a bottom-level compaction discards the marker itself. Every
+     * slot refers to a patch that levels_ or the running compaction holds.
+     */
+    KeyIndex index_;
     /** Patch byte images, kept only in payload mode. */
     std::unordered_map<uint64_t, std::shared_ptr<std::vector<uint8_t>>>
         patch_images_;

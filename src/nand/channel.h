@@ -69,6 +69,7 @@
 #include "obs/trace.h"
 #include "sim/fifo_resource.h"
 #include "sim/simulator.h"
+#include "util/ring.h"
 #include "util/rng.h"
 
 namespace sdf::nand {
@@ -379,7 +380,7 @@ class Channel
      * booked on-demand reads' reservations. Books @p done (only the
      * clock's horizon if null) at its end and traces it as @p name.
      * @p pending, if given, gets the queued transfer, or null if it
-     * started at once.
+     * started at once; the pointer holds until the next booking.
      * @return its end.
      */
     util::TimeNs BookBackground(TransferKind kind, uint32_t plane,
@@ -463,7 +464,7 @@ class Channel
     // never move, and background ones move back only in booking order.
     sim::JobQueue on_demand_done_;
     sim::JobQueue background_done_;
-    std::deque<Transfer> queued_;  ///< Background, not started; in order.
+    util::Ring<Transfer> queued_;  ///< Background, not started; in order.
     /** Reservations: on-demand reads' [sense end, data-out end), FIFO. */
     std::deque<std::pair<util::TimeNs, util::TimeNs>> reserved_;
     uint64_t next_transfer_ = 1;     ///< Next background booking number.

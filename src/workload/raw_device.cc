@@ -143,13 +143,9 @@ RunSdfReads(sim::Simulator &sim, core::SdfDevice &device,
                 if (span != nullptr) span->Start(sim.Now());
                 stack.Issue(
                     [&device, ch, unit, offset, request_bytes,
-                     span](sim::Callback d) {
-                        // Device callbacks are copyable std::functions;
-                        // box the move-only stack completion.
-                        auto dp =
-                            std::make_shared<sim::Callback>(std::move(d));
+                     span](host::IoStack::Completion d) {
                         device.Read(ch, unit, offset, request_bytes,
-                                    [dp](bool) { (*dp)(); }, nullptr, span);
+                                    [d](bool) { d(); }, nullptr, span);
                     },
                     [&sim, meter, aobs, request_bytes,
                      done = std::move(done)]() {
@@ -191,19 +187,17 @@ RunSdfWrites(sim::Simulator &sim, core::SdfDevice &device,
                 obs::IoSpan *span = aobs->span_ptr();
                 if (span != nullptr) span->Start(start);
                 stack.Issue(
-                    [&device, ch, unit, span](sim::Callback d) {
-                        auto dp =
-                            std::make_shared<sim::Callback>(std::move(d));
+                    [&device, ch, unit, span](host::IoStack::Completion d) {
                         // Explicit erase immediately before the write.
                         device.EraseUnit(
                             ch, unit,
-                            [&device, ch, unit, span, dp](bool ok) {
+                            [&device, ch, unit, span, d](bool ok) {
                                 if (!ok) {
-                                    (*dp)();
+                                    d();
                                     return;
                                 }
                                 device.WriteUnit(ch, unit,
-                                                 [dp](bool) { (*dp)(); },
+                                                 [d](bool) { d(); },
                                                  nullptr, span);
                             },
                             span);
@@ -266,15 +260,13 @@ RunConv(sim::Simulator &sim, ssd::ConventionalSsd &device,
                 if (span != nullptr) span->Start(start);
                 stack.Issue(
                     [&device, offset, request_bytes, is_write](
-                        sim::Callback d) {
-                        auto dp =
-                            std::make_shared<sim::Callback>(std::move(d));
+                        host::IoStack::Completion d) {
                         if (is_write) {
                             device.Write(offset, request_bytes,
-                                         [dp](bool) { (*dp)(); });
+                                         [d](bool) { d(); });
                         } else {
                             device.Read(offset, request_bytes,
-                                        [dp](bool) { (*dp)(); });
+                                        [d](bool) { d(); });
                         }
                     },
                     [&sim, meter, result, aobs, request_bytes, start,

@@ -5,9 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "blocklayer/block_layer.h"
+#include "kv/key_index.h"
 #include "kv/memtable.h"
 #include "kv/patch.h"
 #include "kv/slice.h"
@@ -15,6 +19,7 @@
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
 #include "util/fingerprint.h"
+#include "util/rng.h"
 
 namespace sdf::kv {
 namespace {
@@ -98,9 +103,10 @@ TEST(PatchMeta, FindBinarySearches)
 
 TEST(MergeEntries, NewestVersionWins)
 {
-    const auto old_patch =
-        PatchMeta::Build(1, 1, {{5, 10, nullptr}, {6, 10, nullptr}}, 1 << 20);
-    const auto new_patch = PatchMeta::Build(2, 2, {{5, 30, nullptr}}, 1 << 20);
+    std::vector<KvItem> old_items{{5, 10, nullptr}, {6, 10, nullptr}};
+    std::vector<KvItem> new_items{{5, 30, nullptr}};
+    const auto old_patch = PatchMeta::Build(1, 1, old_items, 1 << 20);
+    const auto new_patch = PatchMeta::Build(2, 2, new_items, 1 << 20);
     const auto parts = MergeEntries({&old_patch, &new_patch}, 1 << 20);
     ASSERT_EQ(parts.size(), 1u);
     ASSERT_EQ(parts[0].size(), 2u);
@@ -122,10 +128,10 @@ TEST(MergeEntries, PartitionsAtPatchBoundary)
 
 TEST(MergeEntries, OutputStaysSorted)
 {
-    const auto a =
-        PatchMeta::Build(1, 1, {{9, 1, nullptr}, {3, 1, nullptr}}, 1 << 20);
-    const auto b =
-        PatchMeta::Build(2, 2, {{5, 1, nullptr}, {1, 1, nullptr}}, 1 << 20);
+    std::vector<KvItem> a_items{{9, 1, nullptr}, {3, 1, nullptr}};
+    std::vector<KvItem> b_items{{5, 1, nullptr}, {1, 1, nullptr}};
+    const auto a = PatchMeta::Build(1, 1, a_items, 1 << 20);
+    const auto b = PatchMeta::Build(2, 2, b_items, 1 << 20);
     const auto parts = MergeEntries({&a, &b}, 1 << 20);
     ASSERT_EQ(parts.size(), 1u);
     uint64_t prev = 0;
@@ -133,6 +139,151 @@ TEST(MergeEntries, OutputStaysSorted)
         EXPECT_GT(e.key, prev);
         prev = e.key;
     }
+}
+
+// ---------------------------------------------------------------------------
+// KeyIndex against std::unordered_map
+// ---------------------------------------------------------------------------
+
+/** Patches the index refers into, kept alive for the whole test. */
+class PatchPool
+{
+  public:
+    /** A patch of @p keys (distinct), all at version @p seq. */
+    const PatchMeta &
+    Make(const std::vector<uint64_t> &keys, uint64_t seq, bool tombstone)
+    {
+        std::vector<PatchEntry> entries;
+        for (uint64_t key : keys) {
+            PatchEntry e;
+            e.key = key;
+            e.seq = seq;
+            e.value_size = tombstone ? 0 : static_cast<uint32_t>(seq);
+            e.tombstone = tombstone;
+            entries.push_back(e);
+        }
+        std::sort(entries.begin(), entries.end(),
+                  [](const PatchEntry &a, const PatchEntry &b) {
+                      return a.key < b.key;
+                  });
+        patches_.push_back(std::make_unique<PatchMeta>(PatchMeta::FromEntries(
+            patches_.size(), std::move(entries), 1 << 30)));
+        return *patches_.back();
+    }
+
+  private:
+    std::vector<std::unique_ptr<PatchMeta>> patches_;
+};
+
+TEST(KeyIndex, NewestSeqWinsAndEqualSeqOverwrites)
+{
+    PatchPool pool;
+    KeyIndex index;
+    const PatchMeta &v5 = pool.Make({7}, 5, false);
+    const PatchMeta &v3 = pool.Make({7}, 3, false);
+    const PatchMeta &v5_copy = pool.Make({7}, 5, false);
+    const PatchMeta &dead = pool.Make({7}, 9, true);
+    index.Upsert(v5, 0);
+    index.Upsert(v3, 0);  // Older: ignored.
+    ASSERT_NE(index.Find(7), nullptr);
+    EXPECT_EQ(index.Find(7)->patch, &v5);
+    index.Upsert(v5_copy, 0);  // Equal: a compaction output re-points it.
+    EXPECT_EQ(index.Find(7)->patch, &v5_copy);
+    index.Upsert(dead, 0);  // A newer tombstone stays indexed.
+    EXPECT_TRUE(index.Find(7)->entry().tombstone);
+    EXPECT_EQ(index.size(), 1u);
+    index.Erase(7);
+    EXPECT_EQ(index.Find(7), nullptr);
+    EXPECT_EQ(index.size(), 0u);
+    index.Erase(7);  // Absent: no-op.
+    EXPECT_EQ(index.size(), 0u);
+}
+
+/**
+ * Random upserts (higher, equal and lower versions, several keys per
+ * patch), erases and growth over @p keys, checked against a reference
+ * map after every operation. @p max_capacity gets the largest capacity
+ * the table had.
+ */
+void
+CrossCheckIndex(const std::vector<uint64_t> &keys, uint64_t seed, int ops,
+                size_t &max_capacity)
+{
+    PatchPool pool;
+    KeyIndex index;
+    std::unordered_map<uint64_t, EntryRef> reference;
+    util::Rng rng(seed);
+    max_capacity = 0;
+    for (int op = 0; op < ops; ++op) {
+        if (rng.NextBelow(4) == 0) {
+            const uint64_t key = keys[rng.NextBelow(keys.size())];
+            index.Erase(key);
+            reference.erase(key);
+        } else {
+            std::vector<uint64_t> batch;
+            const uint64_t n = 1 + rng.NextBelow(4);
+            for (uint64_t i = 0; i < n; ++i) {
+                const uint64_t key = keys[rng.NextBelow(keys.size())];
+                if (std::find(batch.begin(), batch.end(), key) == batch.end())
+                    batch.push_back(key);
+            }
+            const uint64_t seq = 1 + rng.NextBelow(40);
+            const PatchMeta &patch =
+                pool.Make(batch, seq, rng.NextBelow(5) == 0);
+            for (uint32_t i = 0; i < patch.entries().size(); ++i) {
+                index.Upsert(patch, i);
+                const uint64_t key = patch.entries()[i].key;
+                auto it = reference.find(key);
+                if (it == reference.end() ||
+                    seq >= it->second.entry().seq) {
+                    reference[key] = EntryRef{&patch, i};
+                }
+            }
+        }
+        max_capacity = std::max(max_capacity, index.capacity());
+        ASSERT_EQ(index.size(), reference.size()) << "op " << op;
+        ASSERT_LE(index.size() * 4, index.capacity() * 3);
+        for (uint64_t key : keys) {
+            const EntryRef *got = index.Find(key);
+            auto want = reference.find(key);
+            if (want == reference.end()) {
+                ASSERT_EQ(got, nullptr) << "op " << op << " key " << key;
+            } else {
+                ASSERT_NE(got, nullptr) << "op " << op << " key " << key;
+                ASSERT_EQ(got->patch, want->second.patch);
+                ASSERT_EQ(got->ordinal, want->second.ordinal);
+            }
+        }
+        size_t visited = 0;
+        index.ForEach([&](const EntryRef &ref) {
+            ++visited;
+            auto want = reference.find(ref.entry().key);
+            ASSERT_NE(want, reference.end());
+            EXPECT_EQ(ref.patch, want->second.patch);
+        });
+        EXPECT_EQ(visited, reference.size());
+    }
+}
+
+TEST(KeyIndex, CollidingKeysAtSmallCapacityMatchReference)
+{
+    // Twelve multiples of 2^20 fill a 16-slot table to 3/4, so probe
+    // runs wrap and backward-shift erase moves entries.
+    std::vector<uint64_t> keys;
+    for (uint64_t k = 1; k <= 12; ++k) keys.push_back(k << 20);
+    size_t max_capacity = 0;
+    CrossCheckIndex(keys, 1, 4000, max_capacity);
+    EXPECT_EQ(max_capacity, 16u);
+}
+
+TEST(KeyIndex, RandomKeysThroughGrowthMatchReference)
+{
+    util::Rng rng(2);
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < 600; ++i) keys.push_back(rng.Next());
+    size_t max_capacity = 0;
+    CrossCheckIndex(keys, 3, 1500, max_capacity);
+    EXPECT_GE(max_capacity, 512u);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,6 +332,27 @@ TEST(Slice, GetFromMemtableBeforeFlush)
     EXPECT_TRUE(result.found);
     EXPECT_EQ(result.value_size, 1000u);
     EXPECT_EQ(f.slice->stats().gets_from_memtable, 1u);
+}
+
+TEST(Slice, WalReplayAddsNoEvents)
+{
+    // Replayed records were acked before the stop: re-appending them
+    // raises the clock's horizon but schedules no ack event.
+    SliceFixture f;
+    SliceJournal journal;
+    for (uint64_t key = 0; key < 1000; ++key)
+        journal.wal.push_back(WalRecord{key, 1000, false, nullptr});
+    Slice restarted(f.sim, f.storage, f.ids, SliceConfig{}, &journal);
+    EXPECT_EQ(f.sim.PendingEvents(), 0u);
+    EXPECT_EQ(journal.wal.size(), 1000u);
+    f.sim.Run();
+    EXPECT_EQ(f.sim.Now(), util::UsToNs(100));  // The log append's end.
+
+    GetResult result;
+    restarted.Get(999, [&](const GetResult &r) { result = r; });
+    f.sim.Run();
+    EXPECT_TRUE(result.found);
+    EXPECT_EQ(result.value_size, 1000u);
 }
 
 TEST(Slice, MissingKeyNotFound)

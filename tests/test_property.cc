@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -77,60 +78,115 @@ TEST_P(SliceGoldenTest, RandomOpsMatchReferenceMap)
     kv::SliceConfig cfg;
     cfg.compaction_trigger = trigger;
     cfg.max_levels = levels;
-    kv::Slice slice(sim, *storage, ids, cfg);
+    kv::SliceJournal journal;
+    auto slice = std::make_unique<kv::Slice>(sim, *storage, ids, cfg,
+                                             &journal);
 
     std::map<uint64_t, uint32_t> golden;  // key -> value size
     util::Rng rng(seed);
     const uint64_t key_space = 400;
+
+    // Every key's get and a full-range collect must match the golden map.
+    // The gets are checked as they complete, against the map as it is
+    // now: callers issue no puts until they have drained.
+    uint64_t answered = 0;
+    uint64_t issued = 0;
+    auto expect_golden = [&]() {
+        std::map<uint64_t, uint32_t> range;
+        slice->CollectRange(0, SIZE_MAX, range);
+        EXPECT_EQ(range, golden);
+        for (uint64_t key = 0; key < key_space; ++key) {
+            auto it = golden.find(key);
+            const bool present = it != golden.end();
+            const uint32_t size = present ? it->second : 0;
+            ++issued;
+            slice->Get(key, [&answered, key, present,
+                             size](const kv::GetResult &r) {
+                ++answered;
+                EXPECT_TRUE(r.ok) << "key " << key;
+                EXPECT_EQ(r.found, present) << "key " << key;
+                if (present) {
+                    EXPECT_EQ(r.value_size, size) << "key " << key;
+                }
+            });
+        }
+    };
+    // Check at steps through the compaction that starts next, if one
+    // does before the queue drains: gets then race its reads, its merge,
+    // and the drop of its inputs from the index and the device.
+    uint64_t checks_mid_compaction = 0;
+    auto check_through_compaction = [&]() {
+        const uint64_t started = slice->stats().compactions;
+        if (!sim.RunWhileNot(
+                [&]() { return slice->stats().compactions > started; })) {
+            return;
+        }
+        const std::vector<uint64_t> inputs_live = slice->AllPatchIds();
+        for (int step = 0; step < 16 && slice->AllPatchIds() == inputs_live;
+             ++step) {
+            expect_golden();
+            ++checks_mid_compaction;
+            sim.RunUntil(sim.Now() + util::MsToNs(1));
+        }
+        expect_golden();
+    };
+    // At each drain point: through the compaction the ops' flushes start,
+    // at rest, and through the compaction a forced flush starts.
+    auto drain_and_check = [&]() {
+        check_through_compaction();
+        sim.Run();
+        expect_golden();
+        sim.Run();
+        slice->Flush();
+        check_through_compaction();
+        sim.Run();
+    };
 
     for (int op = 0; op < 1200; ++op) {
         const uint64_t key = rng.NextBelow(key_space);
         switch (rng.NextBelow(10)) {
           case 0:
           case 1:  // Delete.
-            slice.Delete(key, nullptr);
+            slice->Delete(key, nullptr);
             golden.erase(key);
             break;
           case 2:  // Forced flush now and then.
-            slice.Flush();
+            slice->Flush();
             break;
           default: {  // Put.
             const auto size = static_cast<uint32_t>(
                 4 * util::kKiB + rng.NextBelow(250 * util::kKiB));
-            slice.Put(key, size, nullptr);
+            slice->Put(key, size, nullptr);
             golden[key] = size;
             break;
           }
         }
-        if (op % 100 == 99) sim.Run();  // Let flush/compaction drain.
+        if (op % 100 == 99) drain_and_check();
+    }
+    // Leave acked puts in the WAL for the restart to replay.
+    for (uint64_t key = 0; key < 20; ++key) {
+        slice->Put(key, 1000 + static_cast<uint32_t>(key), nullptr);
+        golden[key] = 1000 + static_cast<uint32_t>(key);
     }
     sim.Run();
-
-    // Every golden key must be found with the right size; every deleted
-    // or never-written key must miss.
-    for (uint64_t key = 0; key < key_space; ++key) {
-        kv::GetResult result;
-        bool called = false;
-        slice.Get(key, [&](const kv::GetResult &r) {
-            result = r;
-            called = true;
-        });
-        sim.Run();
-        ASSERT_TRUE(called);
-        auto it = golden.find(key);
-        if (it == golden.end()) {
-            EXPECT_FALSE(result.found) << "phantom key " << key;
-        } else {
-            ASSERT_TRUE(result.found) << "lost key " << key;
-            EXPECT_EQ(result.value_size, it->second) << "stale key " << key;
-        }
-    }
+    expect_golden();
+    sim.Run();
 
     // The exercise must actually have exercised the machinery.
-    EXPECT_GT(slice.stats().flushes, 0u);
+    EXPECT_GT(slice->stats().flushes, 0u);
     if (trigger <= 4) {
-        EXPECT_GT(slice.stats().compactions, 0u);
+        EXPECT_GT(slice->stats().compactions, 0u);
+        EXPECT_GT(checks_mid_compaction, 0u);
     }
+
+    // Restart over the journal: the rebuilt index, levels and memtable
+    // must serve exactly the same data.
+    ASSERT_FALSE(journal.wal.empty());
+    slice->Detach();
+    slice = std::make_unique<kv::Slice>(sim, *storage, ids, cfg, &journal);
+    expect_golden();
+    sim.Run();
+    EXPECT_EQ(answered, issued);
 }
 
 INSTANTIATE_TEST_SUITE_P(
