@@ -38,18 +38,19 @@ RunSkew(double skew)
     std::vector<std::unique_ptr<host::ClosedLoopActor>> writers;
     for (int w = 0; w < 64; ++w) {
         writers.push_back(std::make_unique<host::ClosedLoopActor>(
-            sim, [&, channels](sim::Callback done) {
+            sim, [&, channels](host::ClosedLoopActor::Done done) {
                 uint64_t id = next_unique++ * channels;  // channel 0 base
                 if (rng.NextDouble() < skew) {
                     id += rng.NextBelow(8);  // Hot: channels 0-7.
                 } else {
                     id += rng.NextBelow(channels);  // Uniform remainder.
                 }
-                auto dp = std::make_shared<sim::Callback>(std::move(done));
-                layer.Put(id, [&, dp](bool ok) {
+                auto put = [&, done](bool ok) {
                     if (ok && measuring) bytes += 8 * util::kMiB;
-                    (*dp)();
-                });
+                    done();
+                };
+                static_assert(core::IoCallback::kFitsInline<decltype(put)>);
+                layer.Put(id, std::move(put));
             }));
     }
     for (auto &wtr : writers) wtr->Start();

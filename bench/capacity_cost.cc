@@ -8,6 +8,7 @@
  *  - Per-GB hardware cost drops ~50 % vs the high-OP commodity setup.
  */
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 #include "util/table_printer.h"
@@ -20,36 +21,25 @@ main(int argc, char **argv)
     bench::PrintPreamble("Capacity, bandwidth, and cost utilization",
                          "§1 abstract + §2.2 + §5 headline claims");
 
-    // ---- Capacity utilization (full-scale devices, no simulation) ------
+    // ---- Capacity utilization (full-scale configs, sized, not built) ----
     util::TablePrinter cap("Usable capacity as a fraction of raw flash");
     cap.SetHeader({"Configuration", "Raw", "Usable", "Fraction"});
-    {
-        sim::Simulator sim;
-        obs::BindObs(sim);
-        core::SdfDevice sdf_dev(sim, core::BaiduSdfConfig(1.0));
-        cap.AddRow({"Baidu SDF (BBM spares only)",
-                    util::FormatBytes(sdf_dev.raw_capacity()),
-                    util::FormatBytes(sdf_dev.user_capacity()),
-                    util::TablePrinter::Num(100.0 * sdf_dev.user_capacity() /
-                                                sdf_dev.raw_capacity(),
-                                            1) +
-                        "%"});
-    }
+    auto add_row = [&cap](const std::string &name, uint64_t raw,
+                          uint64_t user) {
+        cap.AddRow({name, util::FormatBytes(raw), util::FormatBytes(user),
+                    util::TablePrinter::Num(100.0 * user / raw, 1) + "%"});
+    };
+    const core::SdfSizing sdf = core::SizeSdf(core::BaiduSdfConfig(1.0));
+    add_row("Baidu SDF (BBM spares only)", sdf.raw_capacity,
+            sdf.user_capacity);
     for (double op : {0.10, 0.25, 0.40}) {
-        sim::Simulator sim;
-        obs::BindObs(sim);
         auto cfg = ssd::HuaweiGen3Config(1.0);
         cfg.op_ratio = op;
-        ssd::ConventionalSsd dev(sim, cfg);
+        const ssd::SsdSizing ssd = ssd::SizeConventionalSsd(cfg);
         char name[96];
         std::snprintf(name, sizeof(name),
                       "Commodity (parity + %.0f%% OP)", op * 100);
-        cap.AddRow({name, util::FormatBytes(dev.raw_capacity()),
-                    util::FormatBytes(dev.user_capacity()),
-                    util::TablePrinter::Num(100.0 * dev.user_capacity() /
-                                                dev.raw_capacity(),
-                                            1) +
-                        "%"});
+        add_row(name, ssd.raw_capacity, ssd.user_capacity);
     }
     cap.Print();
 

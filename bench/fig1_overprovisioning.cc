@@ -101,16 +101,18 @@ RunMixed(double op)
     const uint64_t req = 128 * util::kKiB;
     for (int r = 0; r < 4; ++r) {
         actors.push_back(std::make_unique<host::ClosedLoopActor>(
-            sim, [&, cursor, req, cap](sim::Callback done) {
+            sim, [&, cursor, req, cap](host::ClosedLoopActor::Done done) {
                 const uint64_t off = (*cursor)++ * req % (cap - req);
+                auto finish = [&, done]() {
+                    if (measuring) read_bytes += req;
+                    done();
+                };
+                static_assert(sim::Callback::kFitsInline<decltype(finish)>);
                 stack.Issue(
                     [&, off, req](host::IoStack::Completion d) {
                         device.Read(off, req, [d](bool) { d(); });
                     },
-                    [&, done = std::move(done)]() {
-                        if (measuring) read_bytes += req;
-                        done();
-                    });
+                    std::move(finish));
             }));
     }
 

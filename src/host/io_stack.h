@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/span.h"
@@ -131,8 +132,25 @@ class IoStack
 class ClosedLoopActor
 {
   public:
-    /** Body: one iteration; must invoke the callback when complete. */
-    using Body = std::function<void(sim::Callback done)>;
+    /**
+     * What a body calls, once, when its iteration is done. One word and
+     * trivially copyable, so a completion that captures it stays inline;
+     * it also converts to sim::Callback.
+     */
+    class Done
+    {
+      public:
+        void operator()() const { actor_->Finished(); }
+
+      private:
+        friend class ClosedLoopActor;
+        explicit Done(ClosedLoopActor *actor) : actor_(actor) {}
+
+        ClosedLoopActor *actor_;
+    };
+
+    /** Body: one iteration; must invoke @p done when complete. */
+    using Body = std::function<void(Done done)>;
 
     ClosedLoopActor(sim::Simulator &sim, Body body)
         : sim_(sim), body_(std::move(body)) {}
@@ -155,11 +173,14 @@ class ClosedLoopActor
     void
     Iterate()
     {
-        if (!running_) return;
-        body_([this]() {
-            ++completed_;
-            if (running_) Iterate();
-        });
+        if (running_) body_(Done(this));
+    }
+
+    void
+    Finished()
+    {
+        ++completed_;
+        Iterate();
     }
 
     sim::Simulator &sim_;
@@ -167,6 +188,7 @@ class ClosedLoopActor
     bool running_ = false;
     uint64_t completed_ = 0;
 };
+static_assert(std::is_trivially_copyable_v<ClosedLoopActor::Done>);
 
 }  // namespace sdf::host
 

@@ -28,20 +28,22 @@ PatchMeta
 PatchMeta::Build(uint64_t id, uint64_t seq, std::vector<KvItem> &items,
                  uint64_t patch_bytes)
 {
-    std::sort(items.begin(), items.end(),
-              [](const KvItem &a, const KvItem &b) { return a.key < b.key; });
+    // A preload hands over runs that are already sorted; a memtable's
+    // items are not.
+    auto by_key = [](const KvItem &a, const KvItem &b) {
+        return a.key < b.key;
+    };
+    if (!std::is_sorted(items.begin(), items.end(), by_key))
+        std::sort(items.begin(), items.end(), by_key);
     PatchMeta meta;
     meta.id_ = id;
-    meta.entries_.resize(items.size());
+    meta.entries_.reserve(items.size());
     uint64_t offset = 0;
-    for (size_t i = 0; i < items.size(); ++i) {
-        PatchEntry &e = meta.entries_[i];
-        e.key = items[i].key;
-        e.seq = seq;
-        e.offset = EntryOffset(offset, items[i].value_size);
-        e.value_size = items[i].value_size;
-        e.tombstone = items[i].tombstone;
-        offset += items[i].value_size;
+    for (const KvItem &item : items) {
+        meta.entries_.emplace_back(item.key, seq,
+                                   EntryOffset(offset, item.value_size),
+                                   item.value_size, item.tombstone);
+        offset += item.value_size;
     }
     SDF_CHECK_MSG(offset <= patch_bytes, "items exceed patch capacity");
     meta.data_bytes_ = offset;

@@ -278,6 +278,8 @@ Slice::DebugPreloadPatch(std::vector<KvItem> items)
     if (levels_.size() < config_.max_levels)
         levels_.resize(config_.max_levels);
     levels_.back().push_back(meta);
+    // Preloaded keys are new ones: size the table once for all of them.
+    index_.Reserve(meta->entries().size());
     UpdateIndex(*meta);
     if (journal_) {
         journal_->patches[id] = PatchFooter{
@@ -340,6 +342,7 @@ Slice::FinishFlush(bool ok, std::shared_ptr<PatchMeta> meta)
                 journal_->wal.begin() + static_cast<long>(wal_mark_));
         }
     } else {
+        ++stats_.failed_flushes;
         patch_images_.erase(meta->id());
         // Failed flush: the WAL keeps the covered records, so a restart
         // still recovers the items even though they were dropped from

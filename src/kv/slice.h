@@ -58,6 +58,11 @@ struct SliceStats
     uint64_t gets_not_found = 0;
     uint64_t deletes = 0;
     uint64_t flushes = 0;
+    /**
+     * Flushes whose patch did not land (counted in flushes too). Not a
+     * registered metric.
+     */
+    uint64_t failed_flushes = 0;
     uint64_t compactions = 0;
     uint64_t tombstones_dropped = 0;
     uint64_t compaction_bytes_read = 0;

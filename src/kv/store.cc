@@ -87,6 +87,7 @@ Store::TotalStats() const
         total.gets_from_memtable += t.gets_from_memtable;
         total.gets_not_found += t.gets_not_found;
         total.flushes += t.flushes;
+        total.failed_flushes += t.failed_flushes;
         total.compactions += t.compactions;
         total.compaction_bytes_read += t.compaction_bytes_read;
         total.compaction_bytes_written += t.compaction_bytes_written;

@@ -73,13 +73,12 @@ SdfDevice::SdfDevice(sim::Simulator &sim, const SdfConfig &config)
           sim, config.irq, config.flash.geometry.channels))
 {
     const nand::Geometry &geo = flash_->geometry();
-    unit_bytes_ = uint64_t{geo.PlanesPerChannel()} * geo.BlockBytes();
 
     // Per-plane bad-block managers take ownership of the factory-bad list
     // and the spare pool; the free pool only ever holds usable blocks.
     // Logical sizing: a unit needs one block in every plane, so the number
-    // of exposed units is bounded by the worst plane's usable-block count.
-    uint32_t min_usable = geo.blocks_per_plane;
+    // of exposed units is bounded by the worst plane's good-block count.
+    uint32_t min_good = geo.blocks_per_plane;
     channels_.resize(geo.channels);
     for (uint32_t c = 0; c < geo.channels; ++c) {
         ChannelEngine &ce = channels_[c];
@@ -99,12 +98,14 @@ SdfDevice::SdfDevice(sim::Simulator &sim, const SdfConfig &config)
                 geo.blocks_per_plane, factory_bad,
                 config_.spare_blocks_per_plane);
             for (uint32_t b : pe.bbm->usable_blocks()) pe.free_pool.Release(b, 0);
-            min_usable = std::min(
-                min_usable,
-                static_cast<uint32_t>(pe.bbm->usable_blocks().size()));
+            min_good = std::min(
+                min_good, static_cast<uint32_t>(geo.blocks_per_plane -
+                                                factory_bad.size()));
         }
     }
-    units_per_channel_ = min_usable;
+    const SdfSizing sizing = SizeSdf(config_, min_good);
+    unit_bytes_ = sizing.unit_bytes;
+    units_per_channel_ = sizing.units_per_channel;
     for (auto &ce : channels_) {
         ce.units.assign(units_per_channel_, UnitState::kUnwritten);
         for (auto &pe : ce.planes) {
@@ -117,9 +118,8 @@ SdfDevice::SdfDevice(sim::Simulator &sim, const SdfConfig &config)
     caps_.units_per_channel = units_per_channel_;
     caps_.unit_bytes = unit_bytes_;
     caps_.read_unit_bytes = geo.page_size;
-    caps_.user_capacity =
-        uint64_t{geo.channels} * units_per_channel_ * unit_bytes_;
-    caps_.raw_capacity = geo.TotalBytes();
+    caps_.user_capacity = sizing.user_capacity;
+    caps_.raw_capacity = sizing.raw_capacity;
 
     RegisterMetrics();
 }
@@ -776,6 +776,30 @@ BaiduSdfConfig(double capacity_scale)
     c.flash.timing = nand::Micron25nmMlcTiming();
     c.link = controller::Pcie11x8Spec();
     return c;
+}
+
+SdfSizing
+SizeSdf(const SdfConfig &config, uint32_t worst_plane_good_blocks)
+{
+    const nand::Geometry &geo = config.flash.geometry;
+    SDF_CHECK_MSG(worst_plane_good_blocks > config.spare_blocks_per_plane,
+                  "too many factory bad blocks");
+    SdfSizing s;
+    s.units_per_channel =
+        worst_plane_good_blocks - config.spare_blocks_per_plane;
+    s.unit_bytes = uint64_t{geo.PlanesPerChannel()} * geo.BlockBytes();
+    s.user_capacity = uint64_t{geo.channels} * s.units_per_channel *
+                      s.unit_bytes;
+    s.raw_capacity = geo.TotalBytes();
+    return s;
+}
+
+SdfSizing
+SizeSdf(const SdfConfig &config)
+{
+    SDF_CHECK_MSG(config.flash.factory_bad_per_mille == 0.0,
+                  "sizing without a device needs no factory-bad blocks");
+    return SizeSdf(config, config.flash.geometry.blocks_per_plane);
 }
 
 }  // namespace sdf::core

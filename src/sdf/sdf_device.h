@@ -346,6 +346,28 @@ class SdfDevice : public BlockDevice
  */
 SdfConfig BaiduSdfConfig(double capacity_scale = 1.0);
 
+/** What a device built from one SdfConfig exposes. */
+struct SdfSizing
+{
+    uint32_t units_per_channel = 0;
+    uint64_t unit_bytes = 0;     ///< One block in every plane of a channel.
+    uint64_t user_capacity = 0;  ///< Every channel's units.
+    uint64_t raw_capacity = 0;   ///< All of the flash.
+};
+
+/**
+ * The sizing of a device built from @p config whose plane with the
+ * fewest good blocks has @p worst_plane_good_blocks: a unit needs one
+ * block in every plane, and each plane keeps its bad-block spares.
+ */
+SdfSizing SizeSdf(const SdfConfig &config, uint32_t worst_plane_good_blocks);
+
+/**
+ * SizeSdf for a config with no factory-bad blocks (checked), as the
+ * factory configs have: capacities without building the device.
+ */
+SdfSizing SizeSdf(const SdfConfig &config);
+
 }  // namespace sdf::core
 
 #endif  // SDF_SDF_SDF_DEVICE_H

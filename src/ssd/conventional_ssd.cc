@@ -74,8 +74,7 @@ ConventionalSsd::ConventionalSsd(sim::Simulator &sim,
     const uint32_t ppb = geo.pages_per_block;
     const uint32_t channels = geo.channels;
 
-    // Logical sizing: identical across channels (striping requires it), so
-    // use the worst channel's good-block count.
+    // Striping needs every channel the same size: size by the worst one.
     uint32_t min_good = geo.BlocksPerChannel();
     for (uint32_t c = 0; c < channels; ++c) {
         uint32_t good = 0;
@@ -85,26 +84,10 @@ ConventionalSsd::ConventionalSsd(sim::Simulator &sim,
         }
         min_good = std::min(min_good, good);
     }
-
-    // Reserve: one host frontier and one GC frontier per plane, plus GC
-    // headroom. Over-provisioning comes out of what remains.
-    const uint32_t reserve = 2 * planes + config_.gc_high_watermark;
-    SDF_CHECK_MSG(min_good > reserve, "geometry too small for reserves");
-    const auto usable = static_cast<uint32_t>(min_good - reserve);
-    auto logical_blocks =
-        static_cast<uint32_t>(usable * (1.0 - config_.op_ratio));
-    SDF_CHECK_MSG(logical_blocks > 0, "over-provisioning leaves no space");
-
-    uint32_t data_blocks = logical_blocks;
-    uint32_t parity_blocks = 0;
-    if (config_.parity && channels > 1) {
-        data_blocks = logical_blocks * (channels - 1) / channels;
-        parity_blocks = logical_blocks - data_blocks;
-    }
-    data_lpns_per_channel_ = data_blocks * ppb;
-    parity_lpns_per_channel_ = parity_blocks * ppb;
-    user_capacity_ =
-        uint64_t{channels} * data_lpns_per_channel_ * geo.page_size;
+    const SsdSizing sizing = SizeConventionalSsd(config_, min_good);
+    data_lpns_per_channel_ = sizing.data_lpns_per_channel;
+    parity_lpns_per_channel_ = sizing.parity_lpns_per_channel;
+    user_capacity_ = sizing.user_capacity;
 
     channels_.resize(channels);
     for (uint32_t c = 0; c < channels; ++c) {
@@ -268,13 +251,11 @@ ConventionalSsd::ReadHostPage(HostRead &r, uint32_t index)
     const uint64_t out_pos = uint64_t{index} * page;
 
     // DRAM cache hit: data still dirty in the write-back buffer.
-    auto dirty = dirty_pages_.find(DirtyKey(ch, lpn));
-    if (dirty != dirty_pages_.end()) {
+    if (const DirtyEntry *dirty = dirty_pages_.find(DirtyKey(ch, lpn))) {
         ++stats_.cache_hit_pages;
-        if (r.out && dirty->second.payload) {
-            std::memcpy(r.out->data() + out_pos,
-                        dirty->second.payload->data(),
-                        std::min<size_t>(page, dirty->second.payload->size()));
+        if (r.out && dirty->payload) {
+            std::memcpy(r.out->data() + out_pos, dirty->payload->data(),
+                        std::min<size_t>(page, dirty->payload->size()));
         }
         HostPageDone(r);
         return;
@@ -358,7 +339,7 @@ ConventionalSsd::StartWrite(PendingRequest req)
                     DirtyEntry &entry = dirty_pages_[DirtyKey(ch, lpn)];
                     ++entry.refs;
                     if (payload) entry.payload = payload;
-                    channels_[ch].dirty_queue.emplace_back(lpn, payload);
+                    channels_[ch].dirty_queue.push_back({lpn, payload});
                     PumpDrain(ch);
                 }
                 // Write-back: acknowledge as soon as the cache holds it.
@@ -371,7 +352,7 @@ ConventionalSsd::StartWrite(PendingRequest req)
                 (cache_used_ == 0 && cache_waiters_.empty())) {
                 admit();
             } else {
-                cache_waiters_.emplace_back(length, std::move(admit));
+                cache_waiters_.push_back({length, std::move(admit)});
             }
         });
     });
@@ -420,7 +401,7 @@ ConventionalSsd::PumpDrain(uint32_t ch)
                 if (!IssueProgram(ch, lpn, kind, payload)) {
                     // No frontier space anywhere: requeue and wait for GC.
                     ChannelFtl &cf2 = channels_[ch];
-                    cf2.dirty_queue.emplace_front(lpn, payload);
+                    cf2.dirty_queue.push_front({lpn, payload});
                     --cf2.drain_inflight;
                     MaybeStartGc(ch);
                 }
@@ -484,9 +465,9 @@ ConventionalSsd::IssueProgram(uint32_t ch, uint32_t lpn, PageKind kind,
               case PageKind::kHost: {
                 ++stats_.host_pages_written;
                 ++parity_row_counter_;
-                auto it = dirty_pages_.find(DirtyKey(ch, lpn));
-                SDF_CHECK(it != dirty_pages_.end());
-                if (--it->second.refs == 0) dirty_pages_.erase(it);
+                DirtyEntry *dirty = dirty_pages_.find(DirtyKey(ch, lpn));
+                SDF_CHECK(dirty != nullptr);
+                if (--dirty->refs == 0) dirty_pages_.erase(DirtyKey(ch, lpn));
                 --cf2.drain_inflight;
                 ReleaseCache(PageSize());
                 MaybeEmitParity();
@@ -527,7 +508,7 @@ ConventionalSsd::MaybeEmitParity()
         const uint32_t lpn =
             data_lpns_per_channel_ +
             static_cast<uint32_t>(cf.parity_cursor++ % parity_lpns_per_channel_);
-        cf.dirty_queue.emplace_back(lpn, nullptr);
+        cf.dirty_queue.push_back({lpn, nullptr});
         PumpDrain(ch);
     }
 }
@@ -890,6 +871,48 @@ MemblazeQ520Config(double capacity_scale)
     c.fw_cost_read_page = util::UsToNs(6.3);
     c.fw_cost_write_page = util::UsToNs(12.5);
     return c;
+}
+
+SsdSizing
+SizeConventionalSsd(const ConventionalSsdConfig &config,
+                    uint32_t worst_channel_good_blocks)
+{
+    const nand::Geometry &geo = config.flash.geometry;
+    const uint32_t channels = geo.channels;
+    // Reserve: one host frontier and one GC frontier per plane, plus GC
+    // headroom. Over-provisioning comes out of what remains.
+    const uint32_t reserve =
+        2 * geo.PlanesPerChannel() + config.gc_high_watermark;
+    SDF_CHECK_MSG(worst_channel_good_blocks > reserve,
+                  "geometry too small for reserves");
+    const auto usable =
+        static_cast<uint32_t>(worst_channel_good_blocks - reserve);
+    auto logical_blocks =
+        static_cast<uint32_t>(usable * (1.0 - config.op_ratio));
+    SDF_CHECK_MSG(logical_blocks > 0, "over-provisioning leaves no space");
+
+    uint32_t data_blocks = logical_blocks;
+    uint32_t parity_blocks = 0;
+    if (config.parity && channels > 1) {
+        data_blocks = logical_blocks * (channels - 1) / channels;
+        parity_blocks = logical_blocks - data_blocks;
+    }
+    SsdSizing s;
+    s.data_lpns_per_channel = data_blocks * geo.pages_per_block;
+    s.parity_lpns_per_channel = parity_blocks * geo.pages_per_block;
+    s.user_capacity =
+        uint64_t{channels} * s.data_lpns_per_channel * geo.page_size;
+    s.raw_capacity = geo.TotalBytes();
+    return s;
+}
+
+SsdSizing
+SizeConventionalSsd(const ConventionalSsdConfig &config)
+{
+    SDF_CHECK_MSG(config.flash.factory_bad_per_mille == 0.0,
+                  "sizing without a device needs no factory-bad blocks");
+    return SizeConventionalSsd(config,
+                               config.flash.geometry.BlocksPerChannel());
 }
 
 }  // namespace sdf::ssd

@@ -26,7 +26,6 @@
 #include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "controller/link.h"
@@ -38,6 +37,8 @@
 #include "sim/callback.h"
 #include "sim/fifo_resource.h"
 #include "sim/simulator.h"
+#include "util/flat_map.h"
+#include "util/ring.h"
 
 namespace sdf::obs {
 class Hub;
@@ -186,8 +187,8 @@ class ConventionalSsd
         std::unique_ptr<ftl::PageMap> map;
         std::vector<PlaneState> planes;
         std::vector<uint32_t> full_blocks;   ///< GC candidates (flat ids).
-        /** lpns awaiting drain, with optional page payloads. */
-        std::deque<std::pair<uint32_t, std::shared_ptr<std::vector<uint8_t>>>>
+        /** lpns awaiting drain (parity's too), with optional payloads. */
+        util::Ring<std::pair<uint32_t, std::shared_ptr<std::vector<uint8_t>>>>
             dirty_queue;
         uint32_t drain_inflight = 0;
         uint32_t drain_plane_cursor = 0;
@@ -281,8 +282,9 @@ class ConventionalSsd
     std::list<HostRead> reads_;
 
     uint64_t cache_used_ = 0;
-    std::deque<std::pair<uint64_t, sim::Callback>> cache_waiters_;
-    std::unordered_map<uint64_t, DirtyEntry> dirty_pages_;
+    /** Writes waiting for cache space: their bytes and their admit. */
+    util::Ring<std::pair<uint64_t, sim::Callback>> cache_waiters_;
+    util::FlatMap<DirtyEntry> dirty_pages_;  ///< By DirtyKey.
     uint64_t parity_row_counter_ = 0;
 
     SsdStats stats_;
@@ -299,6 +301,30 @@ class ConventionalSsd
 ConventionalSsdConfig HuaweiGen3Config(double capacity_scale = 1.0);
 ConventionalSsdConfig Intel320Config(double capacity_scale = 1.0);
 ConventionalSsdConfig MemblazeQ520Config(double capacity_scale = 1.0);
+
+/** The logical space a ConventionalSsd built from one config exposes. */
+struct SsdSizing
+{
+    uint32_t data_lpns_per_channel = 0;
+    uint32_t parity_lpns_per_channel = 0;
+    uint64_t user_capacity = 0;  ///< Data pages of every channel.
+    uint64_t raw_capacity = 0;   ///< All of the flash.
+};
+
+/**
+ * The sizing of a device built from @p config whose channel with the
+ * fewest good blocks has @p worst_channel_good_blocks (striping needs
+ * every channel the same size). Frontier and GC reserves come off first,
+ * then over-provisioning, then parity's 1/channels.
+ */
+SsdSizing SizeConventionalSsd(const ConventionalSsdConfig &config,
+                              uint32_t worst_channel_good_blocks);
+
+/**
+ * SizeConventionalSsd for a config with no factory-bad blocks (checked),
+ * as the factory configs have: capacities without building the device.
+ */
+SsdSizing SizeConventionalSsd(const ConventionalSsdConfig &config);
 
 }  // namespace sdf::ssd
 

@@ -49,6 +49,16 @@ class Ring
         ++size_;
     }
 
+    /** Put @p item at the front (references as for push_back). */
+    void
+    push_front(T item)
+    {
+        if (size_ == items_.size()) Grow();
+        head_ = (head_ - 1) & (items_.size() - 1);
+        items_[head_] = std::move(item);
+        ++size_;
+    }
+
     void
     pop_front()
     {

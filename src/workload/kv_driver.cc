@@ -95,34 +95,34 @@ RunBatchedRandomReads(sim::Simulator &sim, net::Network &net,
         const auto client = static_cast<uint32_t>(s);
         clients.push_back(std::make_unique<host::ClosedLoopActor>(
             sim, [&net, slice, &slice_keys, client, batch_size, meter,
-                  rng](sim::Callback done) {
+                  rng](host::ClosedLoopActor::Done done) {
                 // One batched request; each sub-request's value streams
                 // back to the client as soon as it is read, and the batch
                 // completes when the last value lands at the client.
-                net.ClientToServer(client, 256, [&net, slice, &slice_keys,
-                                                 client, batch_size, meter,
-                                                 rng,
-                                                 done = std::move(done)]() mutable {
+                auto at_server = [&net, slice, &slice_keys, client,
+                                  batch_size, meter, rng, done]() {
                     auto remaining = std::make_shared<uint32_t>(batch_size);
-                    auto finish = std::make_shared<sim::Callback>(
-                        std::move(done));
                     for (uint32_t b = 0; b < batch_size; ++b) {
                         const uint64_t key =
                             slice_keys[rng->NextBelow(slice_keys.size())];
-                        slice->Get(key, [&net, client, remaining, finish,
+                        slice->Get(key, [&net, client, remaining, done,
                                          meter](const kv::GetResult &r) {
                             const uint64_t bytes =
                                 r.found && r.ok ? r.value_size : 64;
-                            net.Push(client, bytes, [remaining, finish,
-                                                     meter]() {
+                            auto delivered = [remaining, done, meter]() {
                                 if (--*remaining == 0) {
                                     if (meter->measuring) ++meter->requests;
-                                    (*finish)();
+                                    done();
                                 }
-                            });
+                            };
+                            static_assert(sim::Callback::kFitsInline<
+                                          decltype(delivered)>);
+                            net.Push(client, bytes, std::move(delivered));
                         });
                     }
-                });
+                };
+                static_assert(sim::Callback::kFitsInline<decltype(at_server)>);
+                net.ClientToServer(client, 256, std::move(at_server));
             }));
     }
 
@@ -167,19 +167,21 @@ RunSequentialScan(sim::Simulator &sim, const std::vector<kv::Slice *> &slices,
         auto cursor = std::make_shared<size_t>(0);
         for (uint32_t t = 0; t < threads_per_slice; ++t) {
             threads.push_back(std::make_unique<host::ClosedLoopActor>(
-                sim, [slice, patch_ids, cursor, meter](sim::Callback done) {
+                sim, [slice, patch_ids, cursor,
+                      meter](host::ClosedLoopActor::Done done) {
                     const uint64_t id =
                         (*patch_ids)[(*cursor)++ % patch_ids->size()];
                     const uint64_t bytes = 8 * util::kMiB;
-                    auto dp =
-                        std::make_shared<sim::Callback>(std::move(done));
-                    slice->ReadPatchFully(id, [meter, bytes, dp](bool ok) {
+                    auto read = [meter, bytes, done](bool ok) {
                         if (ok && meter->measuring) {
                             meter->bytes += bytes;
                             ++meter->requests;
                         }
-                        (*dp)();
-                    });
+                        done();
+                    };
+                    static_assert(
+                        kv::PatchCallback::kFitsInline<decltype(read)>);
+                    slice->ReadPatchFully(id, std::move(read));
                 }));
         }
     }
@@ -220,7 +222,7 @@ RunKvWrites(sim::Simulator &sim, net::Network &net,
         const auto client = static_cast<uint32_t>(s);
         clients.push_back(std::make_unique<host::ClosedLoopActor>(
             sim, [&net, slice, client, value_min, value_max, rng, next_key,
-                  requests](sim::Callback done) {
+                  requests](host::ClosedLoopActor::Done done) {
                 const auto size = static_cast<uint32_t>(rng->NextInRange(
                     value_min, value_max));
                 net.Rpc(
@@ -240,7 +242,10 @@ RunKvWrites(sim::Simulator &sim, net::Network &net,
     auto slice_writes = [&slices]() {
         uint64_t flushed = 0, cread = 0, cwrite = 0;
         for (const kv::Slice *s : slices) {
-            flushed += s->stats().flushes * 8 * util::kMiB;
+            // A flush counts once it starts, and stops counting if its
+            // patch does not land.
+            flushed += (s->stats().flushes - s->stats().failed_flushes) * 8 *
+                       util::kMiB;
             cread += s->stats().compaction_bytes_read;
             cwrite += s->stats().compaction_bytes_written;
         }
@@ -263,6 +268,8 @@ RunKvWrites(sim::Simulator &sim, net::Network &net,
     result.client_mbps = result.device_write_mbps -
         util::BandwidthMBps(w1 - w0, run.duration);  // flush share
     result.requests = *requests - req0;
+    for (const kv::Slice *s : slices)
+        result.failed_flushes += s->stats().failed_flushes;
     return result;
 }
 

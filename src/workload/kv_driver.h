@@ -54,6 +54,8 @@ struct KvRunResult
      *  distributions (bytes/sec) and batch shapes (ops/sec) at once. */
     double ops_per_sec = 0.0;
     uint64_t scanned_bytes = 0;
+    /** RunKvWrites: flushes whose patch did not land, warmup included. */
+    uint64_t failed_flushes = 0;
 };
 
 /** Run parameters shared by the KV drivers. */

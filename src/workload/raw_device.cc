@@ -126,7 +126,8 @@ RunSdfReads(sim::Simulator &sim, core::SdfDevice &device,
         auto aobs = ActorObs::Make(sim, "ch", ch);
         actors.push_back(std::make_unique<host::ClosedLoopActor>(
             sim, [&sim, &device, &stack, meter, rng, cursor, aobs, ch,
-                  request_bytes, slots, pattern](sim::Callback done) {
+                  request_bytes, slots, pattern](
+                     host::ClosedLoopActor::Done done) {
                 uint32_t unit;
                 uint64_t offset;
                 if (pattern == Pattern::kSequential) {
@@ -141,22 +142,22 @@ RunSdfReads(sim::Simulator &sim, core::SdfDevice &device,
                 }
                 obs::IoSpan *span = aobs->span_ptr();
                 if (span != nullptr) span->Start(sim.Now());
+                auto finish = [&sim, meter, aobs, request_bytes, done]() {
+                    aobs->FinishRequest(sim, "read", meter->measuring);
+                    if (meter->measuring) {
+                        meter->bytes += request_bytes;
+                        ++meter->ops;
+                    }
+                    done();
+                };
+                static_assert(sim::Callback::kFitsInline<decltype(finish)>);
                 stack.Issue(
                     [&device, ch, unit, offset, request_bytes,
                      span](host::IoStack::Completion d) {
                         device.Read(ch, unit, offset, request_bytes,
                                     [d](bool) { d(); }, nullptr, span);
                     },
-                    [&sim, meter, aobs, request_bytes,
-                     done = std::move(done)]() {
-                        aobs->FinishRequest(sim, "read", meter->measuring);
-                        if (meter->measuring) {
-                            meter->bytes += request_bytes;
-                            ++meter->ops;
-                        }
-                        done();
-                    },
-                    span);
+                    std::move(finish), span);
             }));
     }
     return Measure(sim, actors, *meter, run);
@@ -178,7 +179,7 @@ RunSdfWrites(sim::Simulator &sim, core::SdfDevice &device,
         auto aobs = ActorObs::Make(sim, "ch", ch);
         actors.push_back(std::make_unique<host::ClosedLoopActor>(
             sim, [&sim, &device, &stack, meter, result, cursor, aobs, ch,
-                  unit_bytes](sim::Callback done) {
+                  unit_bytes](host::ClosedLoopActor::Done done) {
                 const uint32_t unit = *cursor;
                 *cursor = (*cursor + 1) % device.units_per_channel();
                 const TimeNs start = sim.Now();
@@ -186,6 +187,17 @@ RunSdfWrites(sim::Simulator &sim, core::SdfDevice &device,
                 // erase is on the write's critical path (Figure 8).
                 obs::IoSpan *span = aobs->span_ptr();
                 if (span != nullptr) span->Start(start);
+                auto finish = [&sim, meter, result, aobs, unit_bytes, start,
+                               done]() {
+                    aobs->FinishRequest(sim, "write", meter->measuring);
+                    if (meter->measuring) {
+                        meter->bytes += unit_bytes;
+                        ++meter->ops;
+                        result->latencies.Record(sim.Now() - start);
+                    }
+                    done();
+                };
+                static_assert(sim::Callback::kFitsInline<decltype(finish)>);
                 stack.Issue(
                     [&device, ch, unit, span](host::IoStack::Completion d) {
                         // Explicit erase immediately before the write.
@@ -202,17 +214,7 @@ RunSdfWrites(sim::Simulator &sim, core::SdfDevice &device,
                             },
                             span);
                     },
-                    [&sim, meter, result, aobs, unit_bytes, start,
-                     done = std::move(done)]() {
-                        aobs->FinishRequest(sim, "write", meter->measuring);
-                        if (meter->measuring) {
-                            meter->bytes += unit_bytes;
-                            ++meter->ops;
-                            result->latencies.Record(sim.Now() - start);
-                        }
-                        done();
-                    },
-                    span);
+                    std::move(finish), span);
             }));
     }
     RawResult measured = Measure(sim, actors, *meter, run);
@@ -245,7 +247,7 @@ RunConv(sim::Simulator &sim, ssd::ConventionalSsd &device,
         actors.push_back(std::make_unique<host::ClosedLoopActor>(
             sim, [&sim, &device, &stack, meter, result, rng, cursor, aobs,
                   slots, request_bytes, pattern,
-                  is_write](sim::Callback done) {
+                  is_write](host::ClosedLoopActor::Done done) {
                 uint64_t slot;
                 if (pattern == Pattern::kSequential) {
                     slot = (*cursor)++ % slots;
@@ -258,6 +260,18 @@ RunConv(sim::Simulator &sim, ssd::ConventionalSsd &device,
                 // lands in the `device` stage (host costs still split out).
                 obs::IoSpan *span = aobs->span_ptr();
                 if (span != nullptr) span->Start(start);
+                auto finish = [&sim, meter, result, aobs, request_bytes, start,
+                               is_write, done]() {
+                    aobs->FinishRequest(sim, is_write ? "write" : "read",
+                                        meter->measuring);
+                    if (meter->measuring) {
+                        meter->bytes += request_bytes;
+                        ++meter->ops;
+                        result->latencies.Record(sim.Now() - start);
+                    }
+                    done();
+                };
+                static_assert(sim::Callback::kFitsInline<decltype(finish)>);
                 stack.Issue(
                     [&device, offset, request_bytes, is_write](
                         host::IoStack::Completion d) {
@@ -269,18 +283,7 @@ RunConv(sim::Simulator &sim, ssd::ConventionalSsd &device,
                                         [d](bool) { d(); });
                         }
                     },
-                    [&sim, meter, result, aobs, request_bytes, start,
-                     is_write, done = std::move(done)]() {
-                        aobs->FinishRequest(sim, is_write ? "write" : "read",
-                                            meter->measuring);
-                        if (meter->measuring) {
-                            meter->bytes += request_bytes;
-                            ++meter->ops;
-                            result->latencies.Record(sim.Now() - start);
-                        }
-                        done();
-                    },
-                    span);
+                    std::move(finish), span);
             }));
     }
     RawResult measured = Measure(sim, actors, *meter, run);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "blocklayer/block_layer.h"
 #include "kv/patch_storage.h"
@@ -198,6 +199,53 @@ TEST(Integration, WriteDriverGeneratesCompactionTraffic)
     EXPECT_GT(r.device_write_mbps, 0.0);
     EXPECT_GT(r.requests, 0u);
     EXPECT_GE(slice.stats().flushes, 2u);
+}
+
+TEST(Integration, WriteDriverCountsOnlyFlushesThatLanded)
+{
+    // 16 blocks per plane less 8 spares: 8 units on each of 44 channels,
+    // far fewer than the run's flushes. Without compaction every patch
+    // that lands stays in level 0, so the slices' patches are the landed
+    // flushes.
+    sim::Simulator sim;
+    core::SdfDevice device(sim, FastSdf(0.001));
+    blocklayer::BlockLayer layer(sim, device, {});
+    kv::BlockPatchStorage storage(layer);
+    kv::IdAllocator ids;
+    kv::SliceConfig scfg;
+    scfg.compaction_trigger = 1u << 30;
+    std::vector<std::unique_ptr<kv::Slice>> owned;
+    std::vector<kv::Slice *> slices;
+    for (int s = 0; s < 4; ++s) {
+        owned.push_back(std::make_unique<kv::Slice>(sim, storage, ids, scfg));
+        slices.push_back(owned.back().get());
+    }
+
+    net::Network net(sim, 4);
+    KvRunConfig run;
+    run.warmup = 0;
+    run.duration = util::SecToNs(6.0);
+    const KvRunResult r = workload::RunKvWrites(sim, net, slices, 100 * 1024,
+                                                util::kMiB, run);
+    uint64_t started = 0, failed = 0, landed = 0;
+    for (const kv::Slice *s : slices) {
+        started += s->stats().flushes;
+        failed += s->stats().failed_flushes;
+        landed += s->AllPatchIds().size();
+    }
+    EXPECT_EQ(device.user_capacity() / device.unit_bytes(), 352u);
+    EXPECT_LE(landed, 352u);
+    EXPECT_GT(failed, slices.size());
+    EXPECT_EQ(r.failed_flushes, failed);
+    // Reported writes are the landed patches plus at most one flush in
+    // flight per slice, never the failed ones.
+    const double reported_patches = r.device_write_mbps * util::kMB *
+                                    util::NsToSec(run.duration) /
+                                    (8 * util::kMiB);
+    EXPECT_GE(reported_patches, static_cast<double>(landed) - 1e-6);
+    EXPECT_LE(reported_patches,
+              static_cast<double>(landed + slices.size()) + 1e-6);
+    EXPECT_LE(landed, started - failed);
 }
 
 TEST(Integration, SdfChannelAffinityVsSsdStriping)

@@ -286,6 +286,26 @@ TEST(KeyIndex, RandomKeysThroughGrowthMatchReference)
     EXPECT_GE(max_capacity, 512u);
 }
 
+TEST(KeyIndex, KeysSharingOneTagMatchReference)
+{
+    // The hash multiplies by 0x9E3779B97F4A7C15, whose inverse mod 2^64
+    // is kInverse, so k + i * kInverse hashes to k's hash + i. With k's
+    // hash at tag << 32 all forty keys carry that tag and one home: every
+    // probe has to confirm by key, and growth and backward-shift erase
+    // move slots whose tags are all equal.
+    constexpr uint64_t kInverse = 0xF1DE83E19937733DULL;
+    constexpr uint32_t kTag = 0x5EED;
+    const uint64_t base = (uint64_t{kTag} << 32) * kInverse;
+    std::vector<uint64_t> keys;
+    for (uint64_t i = 0; i < 40; ++i) {
+        keys.push_back(base + i * kInverse);
+        ASSERT_EQ(KeyIndex::Tag(keys.back()), kTag);
+    }
+    size_t max_capacity = 0;
+    CrossCheckIndex(keys, 4, 1500, max_capacity);
+    EXPECT_GE(max_capacity, 64u);
+}
+
 // ---------------------------------------------------------------------------
 // Slice on SDF-backed storage
 // ---------------------------------------------------------------------------
@@ -459,6 +479,57 @@ TEST(Slice, PreloadedPatchesServeGets)
     f.sim.Run();
     EXPECT_TRUE(result.found);
     EXPECT_EQ(result.value_size, 4096u);
+}
+
+TEST(Slice, SortedAndShuffledPreloadsInstallTheSame)
+{
+    // Build skips the sort of a run that is already in key order; the
+    // same items out of order must give the same patch and the same gets.
+    util::Rng rng(9);
+    std::vector<KvItem> sorted;
+    for (uint64_t k = 0; k < 300; ++k) {
+        sorted.push_back({1000 + 7 * k,
+                          static_cast<uint32_t>(512 + rng.NextBelow(8192)),
+                          nullptr, k % 50 == 3});
+    }
+    std::vector<KvItem> shuffled = sorted;
+    for (size_t i = shuffled.size() - 1; i > 0; --i)
+        std::swap(shuffled[i], shuffled[rng.NextBelow(i + 1)]);
+    auto by_key = [](const KvItem &a, const KvItem &b) {
+        return a.key < b.key;
+    };
+    ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end(), by_key));
+
+    std::vector<KvItem> a = sorted, b = shuffled;
+    const auto from_sorted = PatchMeta::Build(1, 4, a, 8 * util::kMiB);
+    const auto from_shuffled = PatchMeta::Build(1, 4, b, 8 * util::kMiB);
+    ASSERT_EQ(from_sorted.entries().size(), from_shuffled.entries().size());
+    for (size_t i = 0; i < from_sorted.entries().size(); ++i) {
+        const PatchEntry &x = from_sorted.entries()[i];
+        const PatchEntry &y = from_shuffled.entries()[i];
+        EXPECT_EQ(x.key, y.key) << i;
+        EXPECT_EQ(x.seq, y.seq) << i;
+        EXPECT_EQ(x.offset, y.offset) << i;
+        EXPECT_EQ(x.value_size, y.value_size) << i;
+        EXPECT_EQ(x.tombstone, y.tombstone) << i;
+    }
+    EXPECT_EQ(from_sorted.data_bytes(), from_shuffled.data_bytes());
+
+    SliceFixture fs, fh;
+    ASSERT_TRUE(fs.slice->DebugPreloadPatch(sorted));
+    ASSERT_TRUE(fh.slice->DebugPreloadPatch(shuffled));
+    EXPECT_EQ(fs.slice->total_indexed_keys(), sorted.size());
+    EXPECT_EQ(fh.slice->total_indexed_keys(), sorted.size());
+    for (uint64_t key = 990; key < 1000 + 7 * 300; key += 3) {
+        GetResult rs, rh;
+        fs.slice->Get(key, [&](const GetResult &r) { rs = r; });
+        fh.slice->Get(key, [&](const GetResult &r) { rh = r; });
+        fs.sim.Run();
+        fh.sim.Run();
+        EXPECT_EQ(rs.found, rh.found) << key;
+        EXPECT_EQ(rs.value_size, rh.value_size) << key;
+        EXPECT_EQ(fs.sim.Now(), fh.sim.Now()) << key;
+    }
 }
 
 TEST(Slice, ScanSeesAllPatches)

@@ -1,17 +1,22 @@
 /**
  * @file
  * Unit tests for the utility layer: units, RNG, histogram, throughput
- * meter, fingerprints, and table printing.
+ * meter, fingerprints, table printing, and the ring and flat map.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "util/fingerprint.h"
+#include "util/flat_map.h"
 #include "util/histogram.h"
 #include "util/latency_recorder.h"
+#include "util/ring.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/units.h"
@@ -360,6 +365,65 @@ TEST(TablePrinter, HandlesRaggedRows)
     t.AddRow({"only-one"});
     const std::string s = t.ToString();
     EXPECT_NE(s.find("only-one"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Ring and FlatMap, against the standard containers
+// ---------------------------------------------------------------------------
+
+TEST(Ring, MatchesDequeThroughGrowthAndWrap)
+{
+    Ring<int> ring;
+    std::deque<int> ref;
+    Rng rng(4);
+    for (int op = 0; op < 5000; ++op) {
+        const uint64_t pick = rng.NextBelow(5);
+        if (pick < 2) {
+            ring.push_back(op);
+            ref.push_back(op);
+        } else if (pick == 2) {
+            ring.push_front(op);
+            ref.push_front(op);
+        } else if (!ref.empty()) {
+            ring.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        for (size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(ring[i], ref[i]);
+    }
+}
+
+TEST(FlatMap, MatchesUnorderedMapThroughGrowthAndErase)
+{
+    // Keys a multiple of 2^40 apart share their low bits, and a small key
+    // space makes inserts, overwrites and erases of present keys common.
+    FlatMap<uint64_t> map;
+    std::unordered_map<uint64_t, uint64_t> ref;
+    Rng rng(6);
+    std::vector<uint64_t> keys;
+    for (uint64_t i = 0; i < 200; ++i)
+        keys.push_back(i % 2 == 0 ? i << 40 : rng.Next());
+    for (int op = 0; op < 20000; ++op) {
+        const uint64_t key = keys[rng.NextBelow(keys.size())];
+        if (rng.NextBelow(3) == 0) {
+            map.erase(key);
+            ref.erase(key);
+        } else {
+            map[key] += static_cast<uint64_t>(op);
+            ref[key] += static_cast<uint64_t>(op);
+        }
+        ASSERT_EQ(map.size(), ref.size());
+    }
+    for (uint64_t key : keys) {
+        auto want = ref.find(key);
+        const uint64_t *got = map.find(key);
+        if (want == ref.end()) {
+            EXPECT_EQ(got, nullptr);
+        } else {
+            ASSERT_NE(got, nullptr);
+            EXPECT_EQ(*got, want->second);
+        }
+    }
 }
 
 }  // namespace

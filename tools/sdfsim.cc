@@ -117,7 +117,8 @@ PrintHelp()
         "0.04)\n"
         "  --op=<f>             over-provisioning ratio in [0, 1) "
         "(conventional only)\n"
-        "  --slices=<n>         CCDB slices for kv workloads (default 8)\n"
+        "  --slices=<n>         CCDB slices for kv workloads (default 8);\n"
+        "                       kvwrite exits 1 if any flush fails\n"
         "  --batch=<n>          kvread batch size (default 44)\n"
         "  --value=<KiB>        kv value size in KiB (default 512)\n"
         "  --seed=<n>           RNG seed (default 42)\n"
@@ -1195,6 +1196,7 @@ RunKv(Options &opt)
     run.duration = util::SecToNs(opt.duration);
     run.seed = opt.seed;
 
+    bool failed = false;
     if (opt.workload == "kvread") {
         const auto keys = bed.Preload(200 * util::kMiB,
                                       opt.value_kib * util::kKiB);
@@ -1216,10 +1218,13 @@ RunKv(Options &opt)
                                              bed.SlicePtrs(), 100 * util::kKiB,
                                              util::kMiB, run);
         std::printf("%s kvwrite %u slices: device write %.1f MB/s, "
-                    "compaction read %.1f MB/s (%llu puts)\n",
+                    "compaction read %.1f MB/s (%llu puts, %llu failed "
+                    "flushes)\n",
                     testbed::BackendName(kind), opt.slices,
                     r.device_write_mbps, r.device_read_mbps,
-                    static_cast<unsigned long long>(r.requests));
+                    static_cast<unsigned long long>(r.requests),
+                    static_cast<unsigned long long>(r.failed_flushes));
+        failed = r.failed_flushes > 0;
     } else {
         std::fprintf(stderr, "unknown kv workload %s\n",
                      opt.workload.c_str());
@@ -1228,7 +1233,9 @@ RunKv(Options &opt)
     AddCommonMeta(opt);
     opt.obs.AddMeta("slices", std::to_string(opt.slices));
     opt.obs.AddMeta("value_kib", std::to_string(opt.value_kib));
-    return opt.obs.Export();
+    if (const int rc = opt.obs.Export(); rc != 0) return rc;
+    // A failed flush dropped acked puts from memory: the run failed.
+    return failed ? 1 : 0;
 }
 
 }  // namespace
